@@ -16,39 +16,8 @@ classes of the lines.
 
 from .coefficients import generator_rep
 from .errors import ContractViolation, IntegrityError
-from .gf2 import GradedPoly, rank_sets, solve_sets
-
-
-def partitions(n):
-    """Partitions of n as descending tuples, () for n = 0."""
-    out = []
-
-    def rec(rem, cap, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(cap, rem), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    if n >= 0:
-        rec(n, n, [])
-    return out
-
-
-def _merge(m1, m2):
-    exps = dict(m1)
-    for name, k in m2:
-        exps[name] = exps.get(name, 0) + k
-    return tuple(sorted((name, k) for name, k in exps.items() if k))
-
-
-def _parity(monos):
-    acc = {}
-    for m in monos:
-        acc[m] = not acc.get(m, False)
-    return frozenset(m for m, keep in acc.items() if keep)
+from .gf2 import (GradedPoly, mono_mul, parity, partitions, power, rank_sets,
+                  solve_sets)
 
 
 class Space:
@@ -69,7 +38,7 @@ class Space:
         bounds = self._exponent_bounds()
         out = [()]
         for name, bound in bounds:
-            out = [_merge(m, ((name, k),)) if k else m
+            out = [mono_mul(m, ((name, k),)) if k else m
                    for m in out for k in range(bound + 1)]
         return sorted({m for m in out if self.reduce_mono(m) == frozenset((m,))},
                       key=lambda m: (self.degree_of(m), m))
@@ -169,21 +138,21 @@ class Product(Space):
                 return frozenset()
             renamed = [tuple(sorted(('%s%d' % (name, pos), k) for name, k in p))
                        for p in parts]
-            reduced = [_merge(m, p) for m in reduced for p in renamed]
-        return _parity(reduced)
+            reduced = [mono_mul(m, p) for m in reduced for p in renamed]
+        return parity(reduced)
 
     def top(self):
         mono = ()
         for pos, f in enumerate(self.factors, start=1):
             renamed = tuple(('%s%d' % (name, pos), k) for name, k in f.top())
-            mono = _merge(mono, renamed)
+            mono = mono_mul(mono, renamed)
         return mono
 
     def tangent_sw(self):
         acc = CohomClass.one(self)
         for pos, f in enumerate(self.factors, start=1):
             w = f.tangent_sw()
-            lifted = _parity(
+            lifted = frozenset(
                 tuple(sorted(('%s%d' % (name, pos), k) for name, k in m))
                 for m in w.terms)
             acc = acc * CohomClass(self, lifted)
@@ -232,46 +201,34 @@ class ProjBundle(Space):
             nxt = [sig[0]]
             for k in range(1, len(sig) + 1):
                 prev = sig[k] if k < len(sig) else frozenset()
-                grow = _parity(_merge(m, lm)
-                               for m in sig[k - 1] for lm in line.terms)
+                grow = parity(mono_mul(m, lm)
+                              for m in sig[k - 1] for lm in line.terms)
                 nxt.append(prev ^ grow)
             sig = nxt
         self._sigma = sig
 
     def reduce_mono(self, mono):
-        t = self._t
-        pending = {mono: True}
-        settled = {}
-        while pending:
-            m, keep = pending.popitem()
-            if not keep:
-                continue
-            exps = dict(m)
-            k = exps.pop(t, 0)
-            if k < self.rank:
-                settled[m] = not settled.get(m, False)
-                continue
-            base_part = tuple(sorted(exps.items()))
-            for j in range(1, self.rank + 1):
-                for sm in self._sigma[j]:
-                    nm = _merge(base_part, sm)
-                    if k - j:
-                        nm = _merge(nm, ((t, k - j),))
-                    pending[nm] = not pending.get(nm, False)
+        t, r = self._t, self.rank
+        k = dict(mono).get(t, 0)
+        # base monomials by the power of t they multiply, lowered one power
+        # at a time through t^p = sigma_1 t^(p-1) + ... + sigma_r t^(p-r)
+        by_power = {k: frozenset((tuple(f for f in mono if f[0] != t),))}
+        for p in range(k, r - 1, -1):
+            high = by_power.pop(p)
+            for j in range(1, r + 1):
+                by_power[p - j] = by_power.get(p - j, frozenset()) ^ parity(
+                    mono_mul(b, s) for b in high for s in self._sigma[j])
         out = []
-        for m, keep in settled.items():
-            if not keep:
-                continue
-            exps = dict(m)
-            k = exps.pop(t, 0)
-            for bm in self.base.reduce_mono(tuple(sorted(exps.items()))):
-                out.append(_merge(bm, ((t, k),)) if k else bm)
-        return _parity(out)
+        for p, bases in by_power.items():
+            for b in bases:
+                for bm in self.base.reduce_mono(b):
+                    out.append(mono_mul(bm, ((t, p),)) if p else bm)
+        return parity(out)
 
     def top(self):
         mono = self.base.top()
         if self.rank > 1:
-            mono = _merge(mono, ((self._t, self.rank - 1),))
+            mono = mono_mul(mono, ((self._t, self.rank - 1),))
         return mono
 
     def fiber_class(self):
@@ -281,12 +238,11 @@ class ProjBundle(Space):
     def tangent_sw(self):
         # w(total) = w(base) * prod_j (1 + t + x_j)
         base_w = self.base.tangent_sw()
-        acc = CohomClass(self, _parity(m for m in base_w.terms))
+        acc = CohomClass(self, base_w.terms)
         t = self.fiber_class()
         one = CohomClass.one(self)
         for line in self.lines:
-            lifted = CohomClass(self, _parity(m for m in line.terms))
-            acc = acc * (one + t + lifted)
+            acc = acc * (one + t + CohomClass(self, line.terms))
         return acc
 
     def _exponent_bounds(self):
@@ -325,20 +281,13 @@ class CohomClass:
 
     def __mul__(self, other):
         self._check_peer(other)
-        acc = {}
-        for m1 in self.terms:
-            for m2 in other.terms:
-                for m in self.space.reduce_mono(_merge(m1, m2)):
-                    acc[m] = not acc.get(m, False)
-        return CohomClass(self.space, frozenset(m for m, keep in acc.items() if keep))
+        reduce = self.space.reduce_mono
+        return CohomClass(self.space, parity(
+            m for m1 in self.terms for m2 in other.terms
+            for m in reduce(mono_mul(m1, m2))))
 
     def __pow__(self, n):
-        if n < 0:
-            raise ContractViolation('cohomology powers must be nonnegative')
-        result = CohomClass.one(self.space)
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self, n, CohomClass.one(self.space))
 
     def __eq__(self, other):
         return (isinstance(other, CohomClass) and self.space is other.space
@@ -399,7 +348,8 @@ def space_for(coef, poly, extra=()):
         rep = generator_rep(d)
         factors.append(RP(rep[1]) if rep[0] == 'RP' else Dold(rep[1], rep[2]))
     factors.extend(extra)
-    return Product(factors)
+    # the unit monomial is the class of a point
+    return Product(factors) if factors else RP(0)
 
 
 def identify_in_nbo1(space, ref, coef):

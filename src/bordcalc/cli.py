@@ -317,8 +317,12 @@ def _run_one(session, args, expr):
             code, outputs, lines = result
     except (ParseError, ContractViolation) as exc:
         code, outputs, lines = 2, {'error': str(exc)}, ['error: %s' % exc]
-    except (CapacityError, FuelExhausted) as exc:
+    except CapacityError as exc:
         code, outputs, lines = 3, {'error': str(exc)}, ['error: %s' % exc]
+    except FuelExhausted as exc:
+        stuck = session.mo.single(exc.stuck).to_text()
+        code, outputs, lines = 3, {'error': str(exc), 'stuck': stuck}, [
+            'error: %s, stuck at %s' % (exc, stuck)]
     except (NotDivisible, IntegrityError) as exc:
         code, outputs, lines = 1, {'error': str(exc)}, ['error: %s' % exc]
     elapsed = int((time.monotonic() - start) * 1000)
@@ -334,6 +338,19 @@ def _run_one(session, args, expr):
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point stdout at devnull so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,7 +12,7 @@ ordering. Elements are GradedPoly values supported on the a_d variables.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, standard_table
+from .gf2 import GradedPoly, mono_of, partitions, standard_table
 
 
 def is_power_of_two(n):
@@ -98,26 +98,10 @@ class CoefRing:
         if d > self.max_degree:
             raise CapacityError('degree %d exceeds the cap %d' % (d, self.max_degree))
         if d not in self._mono_cache:
-            gens = sorted(self.generator_degrees, reverse=True)
-            out = []
-
-            def rec(remaining, start, exps):
-                if remaining == 0:
-                    mono = tuple(sorted((self.table.index(self._a_names[g]), k)
-                                        for g, k in exps.items()))
-                    out.append(GradedPoly(self.table, (mono,)))
-                    return
-                for idx in range(start, len(gens)):
-                    g = gens[idx]
-                    if g <= remaining:
-                        exps[g] = exps.get(g, 0) + 1
-                        rec(remaining - g, idx, exps)
-                        exps[g] -= 1
-                        if not exps[g]:
-                            del exps[g]
-
-            rec(d, 0, {})
-            self._mono_cache[d] = out
+            index = {g: self.table.index(name) for g, name in self._a_names.items()}
+            self._mono_cache[d] = [
+                GradedPoly(self.table, (mono_of(index[g] for g in part),))
+                for part in partitions(d, self.generator_degrees)]
         return list(self._mono_cache[d])
 
     def rank(self, d):

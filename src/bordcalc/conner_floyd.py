@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .charnum import CohomClass, RP, ProjBundle, Product, identify_in_n, identify_in_nbo1
 from .errors import ContractViolation
-from .gf2 import GradedPoly, mono_mul
+from .gf2 import FreeModuleElem, GradedPoly, mono_mul, mono_of, partitions
 
 
 @dataclass(frozen=True)
@@ -103,61 +103,12 @@ def gamma_depth(expr):
     return 0
 
 
-class FreeBZ2Elem:
+class FreeBZ2Elem(FreeModuleElem):
     """An element of the free N_* module on s_0, s_1, ..."""
 
-    __slots__ = ('table', 'parts')
-
-    def __init__(self, table, parts=()):
-        parts = dict(parts)
-        for j in parts:
-            if j < 0:
-                raise ContractViolation('module components are indexed j >= 0')
-        self.table = table
-        self.parts = {j: p for j, p in sorted(parts.items()) if p}
-
-    def __add__(self, other):
-        if not isinstance(other, FreeBZ2Elem) or other.table is not self.table:
-            raise ContractViolation('operands live over different tables')
-        keys = set(self.parts) | set(other.parts)
-        zero = GradedPoly.zero(self.table)
-        return FreeBZ2Elem(self.table, {
-            j: self.parts.get(j, zero) + other.parts.get(j, zero) for j in keys})
-
-    def scale(self, poly):
-        """Multiply every component by a coefficient polynomial."""
-        return FreeBZ2Elem(self.table, {j: poly * p for j, p in self.parts.items()})
-
-    def support(self):
-        """The set of keys (j, monomial) carrying a nonzero bit."""
-        return frozenset((j, m) for j, p in self.parts.items() for m in p.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeBZ2Elem) and self.table is other.table
-                and self.parts == other.parts)
-
-    def __hash__(self):
-        return hash(tuple(sorted((j, p.terms) for j, p in self.parts.items())))
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def to_text(self):
-        if not self.parts:
-            return '0'
-        out = []
-        for j, poly in self.parts.items():
-            text = poly.to_text()
-            if text == '1':
-                out.append('s%d' % j)
-            elif len(poly) == 1:
-                out.append('%s*s%d' % (text, j))
-            else:
-                out.append('(%s)*s%d' % (text, j))
-        return ' + '.join(out)
-
-    def __repr__(self):
-        return self.to_text()
+    __slots__ = ()
+    symbol = 's'
+    least = 0
 
 
 class Geometry:
@@ -171,6 +122,7 @@ class Geometry:
         self._b_names = {}
         for i in range(1, self.coef.max_degree + 2):
             self._b_names[i] = 'b%d' % i
+        self._b_index = {self.table.index(name): i for i, name in self._b_names.items()}
         self._dict_map = None
         self._delta_cache = {}
         self._torus_cache = {}
@@ -193,14 +145,10 @@ class Geometry:
     def bundle_monomials(self, d):
         """All bundle-algebra monomials of degree d, coefficient included."""
         out = []
+        index = {i: self.table.index(name) for i, name in self._b_names.items()}
         for v in range(d + 1):
-            for parts in _partitions_upto(d - v, self.coef.max_degree + 1):
-                bpart = {}
-                for i in parts:
-                    bpart[i] = bpart.get(i, 0) + 1
-                bmono = tuple(sorted(
-                    (self.table.index(self._b_names[i]), k)
-                    for i, k in bpart.items()))
+            for parts in partitions(d - v, index):
+                bmono = mono_of(index[i] for i in parts)
                 for mu in self.coef.monomials_of_degree(v):
                     out.append(GradedPoly(
                         self.table, (mono_mul(next(iter(mu.terms)), bmono),)))
@@ -274,11 +222,6 @@ class Geometry:
             return self.mo.zero()
         raise ContractViolation('not a manifold expression: %r' % (expr,))
 
-    def eta(self, expr):
-        """The obstruction class of an expression; zero on this catalog."""
-        self.pt_class(expr)
-        return self.mo.zero()
-
     def dictionary(self, poly):
         """Translate bundle classes to the Laurent model, b_i -> c_{i-1} e^{-1}."""
         if not self.is_bundle(poly):
@@ -293,22 +236,24 @@ class Geometry:
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
         if not self.is_bundle(poly):
             raise ContractViolation('delta takes bundle-algebra elements')
-        b_index = {self.table.index(name): i for i, name in self._b_names.items()}
         acc = FreeBZ2Elem(self.table)
         for mono in poly.terms:
-            apart = []
-            bmult = []
-            for idx, exp in mono:
-                i = b_index.get(idx)
-                if i is None:
-                    apart.append((idx, exp))
-                else:
-                    bmult.extend([i] * exp)
-            if not bmult:
-                continue
-            expansion = self._delta_monomial(tuple(sorted(bmult)))
-            acc = acc + expansion.scale(GradedPoly(self.table, (tuple(apart),)))
+            apart, bmult = self._split_b(mono)
+            if bmult:
+                acc = acc + self._delta_monomial(bmult).scale(apart)
         return acc
+
+    def _split_b(self, mono):
+        """A bundle monomial as (N_* part, sorted b indices with repeats)."""
+        apart = []
+        bmult = []
+        for idx, exp in mono:
+            i = self._b_index.get(idx)
+            if i is None:
+                apart.append((idx, exp))
+            else:
+                bmult.extend([i] * exp)
+        return GradedPoly(self.table, (tuple(apart),)), tuple(sorted(bmult))
 
     def _delta_monomial(self, bmult):
         if bmult not in self._delta_cache:
@@ -331,22 +276,12 @@ class Geometry:
         by a line, has underlying class sum of P(nu_F + R^2) over the fixed
         components of M. The components are read off phi(expr).
         """
-        b_index = {self.table.index(name): i for i, name in self._b_names.items()}
         acc = GradedPoly.zero(self.table)
         for mono in self.phi(expr).terms:
-            apart = []
-            bmult = []
-            for idx, exp in mono:
-                i = b_index.get(idx)
-                if i is None:
-                    apart.append((idx, exp))
-                else:
-                    bmult.extend([i] * exp)
-            if not bmult:
-                # a rank-0 component contributes F x RP(1), which bounds
-                continue
-            cls = self._torus_monomial(tuple(sorted(bmult)))
-            acc = acc + GradedPoly(self.table, (tuple(apart),)) * cls
+            apart, bmult = self._split_b(mono)
+            # a rank-0 component contributes F x RP(1), which bounds
+            if bmult:
+                acc = acc + apart * self._torus_monomial(bmult)
         return acc
 
     def _torus_monomial(self, bmult):
@@ -408,19 +343,3 @@ class Geometry:
                 out.append(GammaOf(Trivial(self.coef.a(v))))
         return out
 
-
-def _partitions_upto(total, max_part):
-    out = []
-
-    def rec(rem, cap, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(cap, rem), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    if total >= 0:
-        rec(total, max_part, [])
-    return out

@@ -17,7 +17,14 @@ remaining variables in table order, descending.
 Linear algebra (rank, subset solving) works on Python integer bitmasks,
 one bit per monomial, with the pivot order fixed by the term ordering, so
 results are exact and deterministic.
+
+The pieces every GF(2) sum in the package shares live here too: parity
+(the monomials of a product, duplicates cancelled), square-and-multiply
+powers, the partition enumerator, and free modules over N_* with
+polynomial components.
 """
+
+from collections import Counter
 
 from .errors import ContractViolation
 
@@ -66,8 +73,66 @@ class VarTable:
         return len(self.names)
 
 
+def parity(monos):
+    """The monomials that occur an odd number of times, as a frozenset."""
+    odd = set()
+    for m in monos:
+        if m in odd:
+            odd.remove(m)
+        else:
+            odd.add(m)
+    return frozenset(odd)
+
+
+def power(x, n, one):
+    """x**n by square-and-multiply; one is the unit of the ring x lives in."""
+    if n < 0:
+        raise ContractViolation('powers must be nonnegative')
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def partitions(total, parts=None):
+    """Partitions of total into the allowed part sizes (default 1..total).
+
+    Each partition is a non-increasing tuple, and the list runs in
+    descending lexicographic order; () is the one partition of 0, and a
+    negative total has none.
+    """
+    if total < 0:
+        return []
+    sizes = sorted({p for p in (range(1, total + 1) if parts is None else parts)
+                    if 0 < p <= total}, reverse=True)
+    out = []
+
+    def rec(rem, start, cur):
+        if rem == 0:
+            out.append(tuple(cur))
+            return
+        for idx in range(start, len(sizes)):
+            p = sizes[idx]
+            if p <= rem:
+                cur.append(p)
+                rec(rem - p, idx, cur)
+                cur.pop()
+
+    rec(total, 0, [])
+    return out
+
+
+def mono_of(indices):
+    """The monomial multiplying the variables of the given indices, repeats counted."""
+    return tuple(sorted(Counter(indices).items()))
+
+
 def mono_mul(m1, m2):
-    """Product of two exponent tuples."""
+    """Product of two exponent tuples (variables may be any sortable keys)."""
     if not m1:
         return m2
     if not m2:
@@ -156,24 +221,11 @@ class GradedPoly:
 
     def __mul__(self, other):
         self._check_peer(other)
-        acc = {}
-        for m1 in self.terms:
-            for m2 in other.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = not acc.get(m, False)
-        return GradedPoly(self.table, frozenset(m for m, keep in acc.items() if keep))
+        return GradedPoly(self.table, parity(
+            mono_mul(m1, m2) for m1 in self.terms for m2 in other.terms))
 
     def __pow__(self, n):
-        if n < 0:
-            raise ContractViolation('polynomial powers must be nonnegative')
-        result = GradedPoly.one(self.table)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, GradedPoly.one(self.table))
 
     def __eq__(self, other):
         return (isinstance(other, GradedPoly) and self.table is other.table
@@ -270,6 +322,70 @@ class GradedPoly:
             return '0'
         key = lambda m: mono_key(self.table, m)
         return ' + '.join(mono_text(self.table, m) for m in sorted(self.terms, key=key))
+
+
+class FreeModuleElem:
+    """A sum of components p_j * <symbol>j, j >= least, p_j in a GradedPoly ring.
+
+    Additive only, with scaling by polynomials; zero components are
+    dropped. Subclasses set the class attributes symbol and least.
+    """
+
+    __slots__ = ('table', 'parts')
+
+    def __init__(self, table, parts=()):
+        parts = dict(parts)
+        for j in parts:
+            if j < self.least:
+                raise ContractViolation('%s components are indexed from %d'
+                                        % (type(self).__name__, self.least))
+        self.table = table
+        self.parts = {j: p for j, p in sorted(parts.items()) if p}
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.table is not self.table:
+            raise ContractViolation('operands are not %s values over one table'
+                                    % type(self).__name__)
+        zero = GradedPoly.zero(self.table)
+        return type(self)(self.table, {
+            j: self.parts.get(j, zero) + other.parts.get(j, zero)
+            for j in set(self.parts) | set(other.parts)})
+
+    def scale(self, poly):
+        """Multiply every component by a polynomial."""
+        return type(self)(self.table, {j: poly * p for j, p in self.parts.items()})
+
+    def support(self):
+        """The set of keys (j, monomial) carrying a nonzero bit."""
+        return frozenset((j, m) for j, p in self.parts.items() for m in p.terms)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.table is other.table
+                and self.parts == other.parts)
+
+    def __hash__(self):
+        return hash(tuple(sorted((j, p.terms) for j, p in self.parts.items())))
+
+    def __bool__(self):
+        return bool(self.parts)
+
+    def to_text(self):
+        if not self.parts:
+            return '0'
+        out = []
+        for j, poly in self.parts.items():
+            text = poly.to_text()
+            gen = '%s%d' % (self.symbol, j)
+            if text == '1':
+                out.append(gen)
+            elif len(poly) == 1:
+                out.append('%s*%s' % (text, gen))
+            else:
+                out.append('(%s)*%s' % (text, gen))
+        return ' + '.join(out)
+
+    def __repr__(self):
+        return self.to_text()
 
 
 def standard_table(generator_degrees, max_degree):

@@ -74,10 +74,6 @@ class LaurentRing:
             self._loc_cache[n] = self.c(n - 1) * self.e(-1) + self.e(-n)
         return self._loc_cache[n]
 
-    def loc_euler(self):
-        """Localization of the Euler class itself."""
-        return self.e(1)
-
     def is_laurent(self, x):
         """True when x is supported on a_d, c_j and e only."""
         return x.uses_only(self._laurent_names)

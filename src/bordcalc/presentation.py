@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 from . import charnum
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import GradedPoly, MONO_ONE, mono_degree, mono_mul, solve_gf2
+from .gf2 import (FreeModuleElem, GradedPoly, MONO_ONE, mono_degree, mono_mul, mono_of,
+                  mono_text, parity, partitions, power, solve_gf2)
 
 
 @dataclass(frozen=True)
@@ -125,20 +126,12 @@ class Presentation:
 
     def __mul__(self, other):
         self._check_peer(other)
-        acc = {}
-        for f1 in self.monos:
-            for f2 in other.monos:
-                f = fm_mul(f1, f2)
-                acc[f] = not acc.get(f, False)
-        return Presentation(self.table, frozenset(f for f, keep in acc.items() if keep))
+        return Presentation(self.table, parity(
+            fm_mul(f1, f2) for f1 in self.monos for f2 in other.monos))
 
     def __pow__(self, n):
-        if n < 0:
-            raise ContractViolation('presentation powers must be nonnegative')
-        result = Presentation(self.table, (FormalMonomial(MONO_ONE, (), 0),))
-        for _ in range(n):
-            result = result * self
-        return result
+        one = Presentation(self.table, (FormalMonomial(MONO_ONE, (), 0),))
+        return power(self, n, one)
 
     def __eq__(self, other):
         return (isinstance(other, Presentation) and self.table is other.table
@@ -176,7 +169,6 @@ class Presentation:
         return GradedPoly(self.table, frozenset(fm.coef for fm in self.monos))
 
     def _factor_text(self, fm):
-        from .gf2 import mono_text
         parts = []
         if fm.coef:
             parts.append(mono_text(self.table, fm.coef))
@@ -210,57 +202,16 @@ class _Undecided:
 UNDECIDED = _Undecided()
 
 
-class QuotientElem:
+class QuotientElem(FreeModuleElem):
     """Image in the quotient by the geometric classes: sum of f_k * x_k, k >= 1.
 
     Components f_k live in N_*[X_n]; the class x_k is the image of e^k, so
-    the k component of a degree-d element has degree d + k. Additive only.
+    the k component of a degree-d element has degree d + k.
     """
 
-    __slots__ = ('table', 'parts')
-
-    def __init__(self, table, parts=()):
-        parts = dict(parts)
-        for k in parts:
-            if k < 1:
-                raise ContractViolation('quotient components are indexed k >= 1')
-        self.table = table
-        self.parts = {k: p for k, p in sorted(parts.items()) if p}
-
-    def __add__(self, other):
-        if not isinstance(other, QuotientElem) or other.table is not self.table:
-            raise ContractViolation('operands are not quotient elements over one table')
-        keys = set(self.parts) | set(other.parts)
-        zero = GradedPoly.zero(self.table)
-        return QuotientElem(self.table, {
-            k: self.parts.get(k, zero) + other.parts.get(k, zero) for k in keys})
-
-    def __eq__(self, other):
-        return (isinstance(other, QuotientElem) and self.table is other.table
-                and self.parts == other.parts)
-
-    def __hash__(self):
-        return hash(tuple(sorted((k, p.terms) for k, p in self.parts.items())))
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def to_text(self):
-        if not self.parts:
-            return '0'
-        out = []
-        for k, poly in self.parts.items():
-            text = poly.to_text()
-            if text == '1':
-                out.append('x%d' % k)
-            elif len(poly) == 1:
-                out.append('%s*x%d' % (text, k))
-            else:
-                out.append('(%s)*x%d' % (text, k))
-        return ' + '.join(out)
-
-    def __repr__(self):
-        return self.to_text()
+    __slots__ = ()
+    symbol = 'x'
+    least = 1
 
 
 class BordismRing:
@@ -315,12 +266,9 @@ class BordismRing:
 
     def _coef_scale(self, x, c):
         # multiply a presentation by an N_* polynomial
-        acc = {}
-        for m in c.terms:
-            for fm in x.monos:
-                f = FormalMonomial(mono_mul(fm.coef, m), fm.gammas, fm.epow)
-                acc[f] = not acc.get(f, False)
-        return Presentation(self.table, frozenset(f for f, keep in acc.items() if keep))
+        return Presentation(self.table, parity(
+            FormalMonomial(mono_mul(fm.coef, m), fm.gammas, fm.epow)
+            for m in c.terms for fm in x.monos))
 
     def _mono_scale(self, x, fm):
         return Presentation(self.table, frozenset(fm_mul(fm, g) for g in x.monos))
@@ -548,14 +496,10 @@ class BordismRing:
         for fm in self.normal_form(x).monos:
             if not fm.epow:
                 continue
-            mono = fm.coef
-            for n in fm.x_indices():
-                mono = mono_mul(mono, ((self.table.index('X%d' % n), 1),))
-            bucket = parts.setdefault(fm.epow, set())
-            bucket ^= {mono}
-            parts[fm.epow] = bucket
+            xs = mono_of(self.table.index('X%d' % n) for n in fm.x_indices())
+            parts.setdefault(fm.epow, []).append(mono_mul(fm.coef, xs))
         return QuotientElem(self.table, {
-            k: GradedPoly(self.table, frozenset(ms)) for k, ms in parts.items()})
+            k: GradedPoly(self.table, parity(ms)) for k, ms in parts.items()})
 
     def euler(self, m, k):
         """The class e^k on the m-th suspension leg: e^k when m = 0, else 0."""
@@ -585,7 +529,7 @@ class BordismRing:
             if content < 0:
                 continue
             for v in range(content + 1):
-                for parts in _partitions(content - v, 2, maxn):
+                for parts in partitions(content - v, range(2, maxn + 1)):
                     for coef in self._coef_monomials(v):
                         out.append(FormalMonomial(
                             coef, tuple((0, n) for n in sorted(parts)), k))
@@ -594,13 +538,20 @@ class BordismRing:
         return out
 
     def basis_monomials_window(self, d, t_max, strict=False):
-        """Basis monomials of degree d whose localization tops out at e^t_max."""
+        """Basis monomials of degree d whose localization tops out at e^t_max.
+
+        The top e-exponent is exact for monomials without a G(i >= 1)
+        factor. For G(i, j) times X factors it is estimated as
+        -i - #X - (j mod 2), which only bounds it from below: loc(G(i, j))
+        also carries alpha(G(i-1, j)) e^-1, and G(3, 2), estimated at e^-3,
+        tops out at e^-1. Such monomials enter the windows early.
+        """
         out = []
         maxn = self.coef.max_degree + 1
         # type A: leading e-exponent is epow - (number of X factors)
         for s in range(t_max + d + 1):
             for v in range(s + 1):
-                for parts in _partitions(s - v, 1, maxn - 1):
+                for parts in partitions(s - v, range(1, maxn)):
                     k = s + len(parts) - d
                     if k < 0:
                         continue
@@ -623,7 +574,7 @@ class BordismRing:
                 rest = d - i - j
                 low = j + 1 if strict else j
                 for w in range(rest + 1):
-                    for parts in _partitions(w, low, maxn):
+                    for parts in partitions(w, range(low, maxn + 1)):
                         for coef in self._coef_monomials(rest - w):
                             out.append(FormalMonomial(
                                 coef,
@@ -667,21 +618,3 @@ class BordismRing:
                 return Presentation(self.table, previous)
             previous = current
         return UNDECIDED if previous is not None else None
-
-
-def _partitions(total, min_part, max_part):
-    """Partitions of total into parts in [min_part, max_part], descending tuples."""
-    out = []
-
-    def rec(rem, cap, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(cap, rem), min_part - 1, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    if total >= 0:
-        rec(total, max_part, [])
-    return out

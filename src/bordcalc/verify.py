@@ -12,8 +12,7 @@ so threads would only make the work done depend on timing.
 from dataclasses import dataclass
 
 from .conner_floyd import GammaOf, Proj
-from .gf2 import GradedPoly, poly_rank, rank_sets
-from .presentation import _partitions
+from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
 
 
 @dataclass
@@ -62,7 +61,7 @@ def ac_monomials(laurent, degree):
     coef = laurent.coef
     out = []
     for v in range(degree + 1):
-        for parts in _partitions(degree - v, 1, coef.max_degree):
+        for parts in partitions(degree - v, range(1, coef.max_degree + 1)):
             cpart = GradedPoly.one(laurent.table)
             for j in parts:
                 cpart = cpart * laurent.c(j)

@@ -70,6 +70,7 @@ def test_identify_in_n(sess):
     assert not identify_in_n(RP(3), coef)
     assert identify_in_n(Dold(1, 2), coef) == a5
     assert identify_in_n(Product([RP(2), RP(2)]), coef) == a2 ** 2
+    assert identify_in_n(RP(0), coef) == coef.one()
 
 
 def test_identify_projectivization(sess):

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bordcalc.cli import main
+from bordcalc.parsing import parse_presentation
 
 
 def run(capsys, *argv):
@@ -43,6 +48,32 @@ def test_exit_code_capacity(capsys):
     code, out = run(capsys, 'nf', '--fuel', '1', 'G(1,2)*G(1,3)')
     assert code == 3
     assert 'fuel' in out
+
+
+def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):
+    code, out = run(capsys, 'nf', '--fuel', '3', 'G(2,5)*G(1,3)*X2')
+    assert code == 3
+    assert 'fuel exhausted' in out
+    stuck = out.strip().rsplit('stuck at ', 1)[1]
+    code, out = run(capsys, 'nf', '--fuel', '3', '--json', 'G(2,5)*G(1,3)*X2')
+    assert code == 3
+    assert json.loads(out)['outputs']['stuck'] == stuck
+    # one monomial that is not yet in normal form
+    fm, = parse_presentation(stuck, sess.mo).monos
+    assert not fm.is_basis()
+
+
+def test_closed_stdout_gives_no_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / 'src'))
+    proc = subprocess.Popen(
+        [sys.executable, '-m', 'bordcalc', 'basis-table', '--max', '8'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # no reader is left, so the first write fails with a broken pipe
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b'Traceback' not in err
 
 
 def test_divide_e(capsys):

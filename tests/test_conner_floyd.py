@@ -76,7 +76,6 @@ def test_pt_class_and_eta(sess):
     assert geo.pt_class(Proj(2)) == mo.X(2)
     assert mo.normal_form(geo.pt_class(GammaOf(Proj(2)))) == mo.G(1, 2)
     assert not geo.pt_class(AntipodalSphere(3))
-    assert not geo.eta(GammaOf(Proj(2)))
 
 
 def test_dictionary(sess):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bordcalc.charnum import CohomClass, ProjBundle, RP
 from bordcalc.errors import ContractViolation
-from bordcalc.gf2 import (GradedPoly, poly_rank, rank_sets, solve_gf2,
-                          solve_sets, standard_table)
+from bordcalc.gf2 import (GradedPoly, parity, partitions, poly_rank, rank_sets,
+                          solve_gf2, solve_sets, standard_table)
+from test_coefficients import _partition_count
 
 TABLE = standard_table((2, 4, 5), 6)
 
@@ -133,6 +135,44 @@ def test_rank_basics():
     assert poly_rank([A2, X2, A2 + X2]) == 2
     with pytest.raises(ContractViolation):
         poly_rank([A2, C1])
+
+
+def test_parity_drops_even_multiplicities():
+    assert parity([]) == frozenset()
+    assert parity(['a', 'b', 'a', 'c', 'a', 'b']) == frozenset({'a', 'c'})
+    assert parity(iter([(), (), ()])) == frozenset({()})
+
+
+def test_power_is_repeated_multiplication(sess):
+    mo = sess.mo
+    base = RP(3)
+    u = base.gen('u')
+    bundle = ProjBundle(base, [u, u, CohomClass.zero(base)])
+    one_b = CohomClass.one(bundle)
+    cases = [
+        (C1 * e(-1) + e(-2) + A2, GradedPoly.one(TABLE)),
+        (mo.X(2) + mo.e(1) * mo.G(1, 3) + mo.iota(sess.coef.a(2)), mo.one()),
+        (one_b + bundle.fiber_class() + CohomClass(bundle, u.terms), one_b),
+    ]
+    for x, one in cases:
+        expected = one
+        for n in range(7):
+            assert x ** n == expected
+            expected = expected * x
+        with pytest.raises(ContractViolation):
+            x ** -1
+
+
+def test_partitions_count_and_order():
+    for parts in (None, (2, 4, 5, 6, 8), (1, 3), (2,), range(2, 18)):
+        for d in range(-1, 15):
+            out = partitions(d, parts)
+            allowed = range(1, d + 1) if parts is None else parts
+            assert len(out) == (_partition_count(d, allowed) if d >= 0 else 0)
+            assert out == sorted(set(out), reverse=True)
+            for p in out:
+                assert sum(p) == d and set(p) <= set(allowed)
+                assert list(p) == sorted(p, reverse=True)
 
 
 def test_rank_and_solve_over_sets():

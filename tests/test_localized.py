@@ -12,7 +12,6 @@ def test_loc_p_values(sess):
     assert L.loc_P(2) == L.c(1) * L.e(-1) + L.e(-2)
     assert L.loc_P(2).to_text() == 'c1*e^-1 + e^-2'
     assert L.loc_P(6) == L.c(5) * L.e(-1) + L.e(-6)
-    assert L.loc_euler() == L.e(1)
     with pytest.raises(ContractViolation):
         L.loc_P(0)
 

@@ -101,6 +101,12 @@ def test_fuel_exhaustion(sess):
         mo.normal_form(mo.G(1, 2) * mo.G(1, 3), fuel=1)
 
 
+def test_huge_e_power(sess):
+    # square-and-multiply: 10**8 would take 10**8 products one at a time
+    mo = sess.mo
+    assert mo.e(1) ** 10**8 == mo.e(10**8)
+
+
 def test_undecided_is_not_a_truth_value():
     assert repr(UNDECIDED) == 'Undecided'
     with pytest.raises(ContractViolation):
