@@ -4,10 +4,11 @@ One subcommand per calculator question, a shared config file, optional
 JSON reports, and stdin batching. Exit codes: 0 for success, 1 for a
 negative check (a failed verify, a mismatch, a non-member, a
 non-divisible class), 2 for usage or parse problems, 3 when a degree cap
-or the rewrite fuel is hit, or a membership question is undecided.
+or the rewrite fuel is hit. Membership is decided exactly: a preimage or
+exit 1.
 
 Config files hold `key = value` lines (# comments allowed) with keys
-max_degree, fuel, slack, coef.max_degree, and coef.generators (auto or a
+max_degree, fuel, coef.max_degree, and coef.generators (auto or a
 comma-separated list of degrees). The BORDCALC_CONFIG environment
 variable names a default config file; --config overrides it.
 """
@@ -25,7 +26,6 @@ from .errors import (CapacityError, ContractViolation, FuelExhausted,
 from .gf2 import GradedPoly
 from .parsing import (parse_bundle, parse_laurent, parse_manifold,
                       parse_presentation, parse_space)
-from .presentation import UNDECIDED
 from .session import Session
 from .verify import SUITES, verify
 
@@ -39,7 +39,6 @@ def _build_parser():
                         help='emit a JSON report instead of plain text')
     common.add_argument('--config', help='config file path')
     common.add_argument('--fuel', type=int, help='rewrite step budget')
-    common.add_argument('--slack', type=int, help='membership window slack')
 
     parser = argparse.ArgumentParser(
         prog='bordcalc',
@@ -82,7 +81,7 @@ def _build_parser():
 
 
 def _load_config(path):
-    keys = {'max_degree': int, 'fuel': int, 'slack': int,
+    keys = {'max_degree': int, 'fuel': int,
             'coef.max_degree': int, 'coef.generators': str}
     out = {}
     with open(path) as fh:
@@ -118,7 +117,6 @@ def _session_from(args):
         degrees = tuple(int(part) for part in cfg['coef.generators'].split(','))
         kwargs['generator_degrees'] = degrees
     kwargs['fuel'] = args.fuel if args.fuel is not None else cfg.get('fuel', 500000)
-    kwargs['slack'] = args.slack if args.slack is not None else cfg.get('slack', 4)
     return Session(**kwargs)
 
 
@@ -161,8 +159,6 @@ def _handle_divide_e(s, args, expr):
 def _handle_member(s, args, expr):
     target = parse_laurent(expr, s.laurent)
     found = s.mo.member(target)
-    if found is UNDECIDED:
-        return 3, {'member': 'undecided'}, ['undecided within slack']
     if found is None:
         return 1, {'member': False}, ['not in the image']
     nf = s.mo.normal_form(found)

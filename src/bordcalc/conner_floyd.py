@@ -75,8 +75,8 @@ class Trivial:
 
     @property
     def dim(self):
-        d = self.coef.degree()
-        return 0 if d is None else d
+        """The dimension; the largest one when the class mixes degrees."""
+        return max(self.coef.degree_decompose(), default=0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import re
 
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .gf2 import GradedPoly
 
 _TOKEN = re.compile(r'\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)'
@@ -322,11 +322,11 @@ class _ManifoldParser:
         while self.toks.at_punct('*'):
             self.toks.advance()
             rhs = self.parse_factor()
-            acc = [_product(x, y) for x in acc for y in rhs]
+            acc = self._capped([_product(x, y) for x in acc for y in rhs])
         return acc
 
     def parse_factor(self):
-        atoms = self.parse_atom()
+        atoms = self._capped(self.parse_atom())
         if not self.toks.at_punct('^'):
             return atoms
         self.toks.advance()
@@ -336,8 +336,17 @@ class _ManifoldParser:
         k = self.toks.expect_int()
         acc = [Trivial(GradedPoly.one(self.coef.table))]
         for _ in range(k):
-            acc = [_product(x, y) for x in acc for y in atoms]
+            acc = self._capped([_product(x, y) for x in acc for y in atoms])
         return _parity_list(acc)
+
+    def _capped(self, terms):
+        # P(max_degree + 1) is the largest manifold the session admits
+        top = self.coef.max_degree + 1
+        for t in terms:
+            if t.dim > top:
+                raise CapacityError('dimension %d exceeds %d, the largest under the '
+                                    'degree cap %d' % (t.dim, top, self.coef.max_degree))
+        return terms
 
     def parse_atom(self):
         kind, text, pos = self.toks.peek()

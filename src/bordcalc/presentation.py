@@ -189,6 +189,8 @@ class Presentation:
         return self.to_text()
 
 
+# member decides exactly and no longer returns UNDECIDED; the sentinel
+# stays importable for callers that still test for it
 class _Undecided:
     __slots__ = ()
 
@@ -217,12 +219,11 @@ class QuotientElem(FreeModuleElem):
 class BordismRing:
     """Operations on presentations: augmentation, Gamma, normal form, membership."""
 
-    def __init__(self, laurent, fuel=500000, slack_cap=4):
+    def __init__(self, laurent, fuel=500000):
         self.laurent = laurent
         self.coef = laurent.coef
         self.table = laurent.table
         self.fuel = fuel
-        self.slack_cap = slack_cap
         self._nf_cache = {}
         self._gamma_cache = {}
         self._alpha_cache = {}
@@ -537,14 +538,12 @@ class BordismRing:
         out.sort(key=fm_key)
         return out
 
-    def basis_monomials_window(self, d, t_max, strict=False):
-        """Basis monomials of degree d whose localization tops out at e^t_max.
+    def basis_monomials_window(self, d, t_max):
+        """Basis monomials of degree d that a class topping out at e^t_max can use.
 
-        The top e-exponent is exact for monomials without a G(i >= 1)
-        factor. For G(i, j) times X factors it is estimated as
-        -i - #X - (j mod 2), which only bounds it from below: loc(G(i, j))
-        also carries alpha(G(i-1, j)) e^-1, and G(3, 2), estimated at e^-3,
-        tops out at e^-1. Such monomials enter the windows early.
+        A monomial without a G(i >= 1) factor is taken when its top
+        e-exponent, epow - #X, is at most t_max. Every type-B monomial is
+        taken: its localization lies in exponents <= -1 (see member).
         """
         out = []
         maxn = self.coef.max_degree + 1
@@ -558,11 +557,7 @@ class BordismRing:
                     for coef in self._coef_monomials(v):
                         out.append(FormalMonomial(
                             coef, tuple((0, p + 1) for p in sorted(parts)), k))
-        for fm in self._type_b(d, strict):
-            (i, j), = fm.gamma_factors()
-            lead = -i - len(fm.x_indices()) - (j % 2)
-            if lead <= t_max:
-                out.append(fm)
+        out.extend(self._type_b(d, False))
         out.sort(key=fm_key)
         return out
 
@@ -582,39 +577,36 @@ class BordismRing:
                                 0))
         return out
 
-    def member(self, target, slack=None):
-        """Preimage of a Laurent class under localization, if one exists.
+    def member(self, target):
+        """Preimage of a Laurent class under localization, or None.
 
-        Escalates the window slack from 0 to the cap. Returns the basis
-        expansion when two consecutive slacks agree, None when no slack up
-        to the cap admits a solution, and UNDECIDED when only the last one
-        does.
+        One solve over basis_monomials_window(d, max(t0, -1)), where t0 is
+        the top e-exponent of the target, decides membership exactly:
+
+        - A type-A monomial (no G(i >= 1) factor) mu X_{n1}...X_{nr} e^k
+          localizes to mu e^k prod(c_{ni-1} e^-1 + e^-ni). Its top term
+          mu prod c_{ni-1} e^{k-r} determines the monomial, and every other
+          term lies strictly lower, because ni >= 2.
+        - A type-B monomial (one G(i, j) with i >= 1, no e) localizes into
+          exponents <= -1: loc_P(n) does, and by induction so does
+          loc(G(i, j)) = e^-1 (loc(G(i-1, j)) + alpha(G(i-1, j))).
+        - Let t = loc(x) and let L >= 0 be the largest top exponent of a
+          type-A monomial of nf(x). The top terms at e^L are distinct and
+          nothing else reaches e^L, so they survive in t, and L <= t0.
+        - So nf(x) lies in the window at max(t0, -1), which holds every
+          type-B monomial and is finite. Localization is injective on the
+          basis, so a solution there is nf(x), and no solution means t is
+          not a localization.
         """
-        cap = self.slack_cap if slack is None else slack
-        if cap < 0:
-            raise ContractViolation('slack must be nonnegative')
         self.laurent._require_laurent(target, 'membership target')
         if not target:
             return self.zero()
         if not target.homogeneous():
             raise ContractViolation('membership target must be homogeneous')
-        d = target.degree()
-        t0 = target.max_inv_exp()
-
-        def attempt(s):
-            cands = self.basis_monomials_window(d, t0 + s)
-            if not cands:
-                return None
-            images = [self.localize(self.single(fm)) for fm in cands]
-            flags = solve_gf2(images, target)
-            if flags is None:
-                return None
-            return frozenset(fm for fm, f in zip(cands, flags) if f)
-
-        previous = attempt(0)
-        for s in range(1, cap + 1):
-            current = attempt(s)
-            if previous is not None and previous == current:
-                return Presentation(self.table, previous)
-            previous = current
-        return UNDECIDED if previous is not None else None
+        t_max = max(target.max_inv_exp(), -1)
+        cands = self.basis_monomials_window(target.degree(), t_max)
+        images = [self.localize(self.single(fm)) for fm in cands]
+        flags = solve_gf2(images, target)
+        if flags is None:
+            return None
+        return Presentation(self.table, (fm for fm, f in zip(cands, flags) if f))

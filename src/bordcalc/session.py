@@ -9,12 +9,12 @@ from .presentation import BordismRing
 class Session:
     """A coefficient ring, its localization, the bordism ring, and geometry."""
 
-    def __init__(self, max_degree=16, fuel=500000, slack=4,
+    def __init__(self, max_degree=16, fuel=500000,
                  coef_max_degree=None, generator_degrees=None):
         cap = max_degree if coef_max_degree is None else coef_max_degree
         self.coef = CoefRing(cap, generator_degrees)
         self.laurent = LaurentRing(self.coef)
-        self.mo = BordismRing(self.laurent, fuel=fuel, slack_cap=slack)
+        self.mo = BordismRing(self.laurent, fuel=fuel)
         self.geometry = Geometry(self.mo)
         self.table = self.coef.table
         self.max_degree = max_degree

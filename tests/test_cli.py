@@ -63,6 +63,20 @@ def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):
     assert not fm.is_basis()
 
 
+def test_manifold_dimension_cap(capsys):
+    # P(17) is the largest manifold under the default degree cap 16
+    code, out = run(capsys, 'phi', 'P(2)^3000')
+    assert code == 3
+    assert 'dimension 18' in out
+    code, _ = run(capsys, 'phi', 'P(16)*P(2)')
+    assert code == 3
+    # a trivial class of mixed degrees counts with its largest one
+    code, _ = run(capsys, 'phi', 'P(14)*triv(a2 + a4)')
+    assert code == 3
+    code, out = run(capsys, 'phi', 'P(17)')
+    assert (code, out.strip()) == (0, 'b1^17 + b17')
+
+
 def test_closed_stdout_gives_no_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / 'src'))
     proc = subprocess.Popen(
@@ -199,6 +213,12 @@ def test_config_file_errors(tmp_path, capsys):
     assert 'unknown key' in err
     code = main(['nf', '--config', str(tmp_path / 'absent.cfg'), 'X2'])
     assert code == 2
+    # membership has no window slack to configure
+    old = tmp_path / 'old.cfg'
+    old.write_text('slack = 4\n')
+    code = main(['member', '--config', str(old), 'e^-1'])
+    assert code == 2
+    assert 'unknown key slack' in capsys.readouterr().err
 
 
 def test_config_generators(capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
                              NotDivisible)
 from bordcalc.gf2 import GradedPoly, poly_rank
+from bordcalc.parsing import parse_laurent
 from bordcalc.presentation import UNDECIDED, BordismRing, QuotientElem
 
 
@@ -222,9 +223,39 @@ def test_member(sess):
     combo = mo.G(1, 2) * mo.X(2) + mo.e(1) * mo.X(3) * mo.X(3)
     assert mo.normal_form(mo.member(mo.localize(combo))) == mo.normal_form(combo)
     with pytest.raises(ContractViolation):
-        mo.member(L.loc_P(2), slack=-1)
-    with pytest.raises(ContractViolation):
         mo.member(L.c(1) + L.e(1))
+
+
+def test_member_non_member_inside_the_cap(sess):
+    # degree 12, top exponent 1: the window reaches coefficient degree 13,
+    # inside the cap 16, and four exponents more would leave it
+    target = parse_laurent('a5*c8*e + a5*c6*e^-1 + a5*e^-7', sess.laurent)
+    assert sess.mo.member(target) is None
+
+
+def test_member_recovers_every_basis_monomial(sess):
+    mo = sess.mo
+    for d in range(-2, 7):
+        for fm in mo.basis_monomials(d, e_cap=2):
+            x = mo.single(fm)
+            assert mo.member(mo.localize(x)) == mo.normal_form(x), fm
+
+
+def test_member_rejects_conner_floyd_non_members(sess):
+    # mu*c_{n-1}*e^-1 is the dictionary image of mu*b_n; when its boundary
+    # is nonzero no closed manifold localizes to it, and adding a member
+    # keeps it outside the image
+    mo, L, geo = sess.mo, sess.laurent, sess.geometry
+    for d in range(1, 7):
+        extras = [mu * L.c(n - 1) * L.e(-1)
+                  for n in range(1, d + 1)
+                  for mu in sess.coef.monomials_of_degree(d - n)
+                  if geo.delta(mu * geo.b(n))]
+        assert extras, d
+        for extra in extras:
+            assert mo.member(extra) is None
+            for fm in mo.basis_monomials(d, e_cap=2):
+                assert mo.member(mo.localize(mo.single(fm)) + extra) is None
 
 
 def test_complication_is_a_count(sess):
