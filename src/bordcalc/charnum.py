@@ -1,47 +1,134 @@
 """Mod 2 cohomology of the reference manifolds and Stiefel-Whitney numbers.
 
-Spaces carry a truncated polynomial presentation of H^*(-, GF(2)): a list
-of generators with degrees plus a reduction rule for monomials. Monomials
-are tuples of (name, exponent) pairs sorted by name; classes are GF(2)
-sums of monomials over one space. Pairing against the fundamental class
-reads off the coefficient of the top monomial, so classes of degree other
-than the dimension pair to zero.
+A space names its cohomology generators, one slot each, with a degree and
+the largest exponent the slot carries. A monomial is its exponent vector,
+one int per slot, and a class is the GF(2) sum of its monomials, held as
+one Python int with a bit per monomial: the monomial with exponent vector
+e sits at bit sum(e_i * stride_i). Each slot has room for twice its
+largest exponent, so the product of two classes is a carry-less product
+of their ints (one shift and xor per monomial of the sparser factor)
+followed by a mask that drops every monomial past a bound or past the
+dimension.
 
-The spaces here are real projective spaces, Dold manifolds P(m, n) with
-H^* = GF(2)[c, d]/(c^{m+1}, d^{n+1}), finite products, and
-projectivizations of sums of line bundles, where t^r reduces through the
-relation t^r = w_1 t^{r-1} + ... + w_r with w_k the elementary symmetric
-classes of the lines.
+RP(n), Dold manifolds P(m, n) with H^* = GF(2)[c, d]/(c^{m+1}, d^{n+1})
+and their products are truncated polynomial rings, in which the top
+monomial pairs to 1 with the fundamental class. The projectivization P(E)
+of a sum E = L_1 + ... + L_r of lines over a base B adds the tautological
+class t as one more slot, and t is never reduced through its relation.
+A class is paired with [P(E)] by pushing it forward to the base instead:
+pi_*(b t^p) = b h_{p-r+1}(x_1, ..., x_r), where h_m is the complete
+homogeneous symmetric polynomial of the line classes x_j, the dual
+Stiefel-Whitney class of E (Conner-Floyd, Differentiable Periodic Maps,
+1964; Stong, Notes on Cobordism Theory, 1968). Nested projectivizations
+push forward one fibre at a time. Each space computes once the set of
+top-degree monomials that pair to 1, so a Stiefel-Whitney number is one
+product and the parity of a mask.
 """
 
+from functools import lru_cache
+
 from .coefficients import generator_rep
-from .errors import ContractViolation, IntegrityError
-from .gf2 import (GradedPoly, mono_mul, parity, partitions, power, rank_sets,
-                  solve_sets)
+from .errors import CapacityError, ContractViolation, IntegrityError
+from .gf2 import GradedPoly, partitions, power, rank_sets, solve_sets
+
+# the most bits a class of one space may span: 512 KiB an int, and the
+# walk in sw_numbers holds a few dozen such ints at once
+MAX_CLASS_BITS = 1 << 22
+
+
+def _positions(bits):
+    """The set bits of an int, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class Space:
-    """Base class: a manifold with a truncated presentation of H^*."""
+    """Base class: a manifold with H^* held on integer exponent vectors.
 
-    def gen(self, name):
-        """The generator as a class, already reduced."""
-        if name not in dict(self.gens):
-            raise ContractViolation('space has no generator %s' % name)
-        return CohomClass(self, self.reduce_mono(((name, 1),)))
+    A subclass sets dim, gens (name, degree per slot) and bounds (the
+    largest exponent per slot), then calls _lay_out. The default pairing
+    is that of a truncated polynomial ring: the top monomial, with every
+    slot at its bound, pairs to 1.
+    """
+
+    def _lay_out(self):
+        self._slot = {name: i for i, (name, _) in enumerate(self.gens)}
+        self._strides = []
+        size = 1
+        for bound in self.bounds:
+            self._strides.append(size)
+            size *= 2 * bound + 1
+        if size > MAX_CLASS_BITS:
+            raise CapacityError('%r needs %d bits a class, more than %d'
+                                % (self, size, MAX_CLASS_BITS))
+        # the monomials inside the bounds, by degree, built slot by slot
+        by_degree = [1] + [0] * self.dim
+        for (_, deg), bound, stride in zip(self.gens, self.bounds, self._strides):
+            grown = [0] * (self.dim + 1)
+            for d, mask in enumerate(by_degree):
+                if mask:
+                    for e in range(min(bound, (self.dim - d) // deg) + 1):
+                        grown[d + e * deg] |= mask << (e * stride)
+            by_degree = grown
+        self._by_degree = by_degree
+        self._valid = 0
+        for mask in by_degree:
+            self._valid |= mask
+        self._tangent = None
+        self._pairing = None
+
+    def _mul(self, x, y):
+        """The product of two classes given as ints."""
+        if x.bit_count() > y.bit_count():
+            x, y = y, x
+        out = 0
+        while x:
+            low = x & -x
+            out ^= y << (low.bit_length() - 1)
+            x ^= low
+        return out & self._valid
+
+    def degree_mask(self, degree):
+        """Every monomial of the given degree, as an int."""
+        return self._by_degree[degree] if 0 <= degree <= self.dim else 0
 
     def degree_of(self, mono):
-        degs = dict(self.gens)
-        return sum(degs[name] * k for name, k in mono)
+        return sum(deg * k for (_, deg), k in zip(self.gens, mono))
 
-    def cohomology_basis(self):
-        """All monomials in reduced form, by brute enumeration."""
-        bounds = self._exponent_bounds()
-        out = [()]
-        for name, bound in bounds:
-            out = [mono_mul(m, ((name, k),)) if k else m
-                   for m in out for k in range(bound + 1)]
-        return sorted({m for m in out if self.reduce_mono(m) == frozenset((m,))},
-                      key=lambda m: (self.degree_of(m), m))
+    def exponents(self, pos):
+        """The exponent vector of the monomial at a bit position."""
+        out = []
+        for bound in self.bounds:
+            pos, k = divmod(pos, 2 * bound + 1)
+            out.append(k)
+        return tuple(out)
+
+    def gen(self, name):
+        """The generator as a class."""
+        if name not in self._slot:
+            raise ContractViolation('space has no generator %s' % name)
+        slot = self._slot[name]
+        # a slot with bound 0, as in RP(0), carries the zero class
+        return CohomClass(self, 1 << self._strides[slot] if self.bounds[slot] else 0)
+
+    def tangent_sw(self):
+        """The total Stiefel-Whitney class of the tangent bundle."""
+        if self._tangent is None:
+            self._tangent = self._tangent_sw()
+        return self._tangent
+
+    def pairing(self):
+        """The monomials of the top degree that pair to 1 with [M], as an int."""
+        if self._pairing is None:
+            self._pairing = self._top_dual()
+        return self._pairing
+
+    def _top_dual(self):
+        return 1 << sum(b * s for b, s in zip(self.bounds, self._strides))
 
 
 class RP(Space):
@@ -53,20 +140,12 @@ class RP(Space):
         self.n = n
         self.dim = n
         self.gens = [('u', 1)]
+        self.bounds = [n]
+        self._lay_out()
 
-    def reduce_mono(self, mono):
-        exps = dict(mono)
-        return frozenset() if exps.get('u', 0) > self.n else frozenset((mono,))
-
-    def top(self):
-        return (('u', self.n),) if self.n else ()
-
-    def tangent_sw(self):
+    def _tangent_sw(self):
         # w(RP(n)) = (1 + u)^(n + 1)
         return (CohomClass.one(self) + self.gen('u')) ** (self.n + 1)
-
-    def _exponent_bounds(self):
-        return [('u', self.n)]
 
     def __repr__(self):
         return 'RP(%d)' % self.n
@@ -82,31 +161,21 @@ class Dold(Space):
         self.n = n
         self.dim = m + 2 * n
         self.gens = [('c', 1), ('d', 2)]
+        self.bounds = [m, n]
+        self._lay_out()
 
-    def reduce_mono(self, mono):
-        exps = dict(mono)
-        if exps.get('c', 0) > self.m or exps.get('d', 0) > self.n:
-            return frozenset()
-        return frozenset((mono,))
-
-    def top(self):
-        return tuple(sorted(p for p in (('c', self.m), ('d', self.n)) if p[1]))
-
-    def tangent_sw(self):
+    def _tangent_sw(self):
         # w(P(m, n)) = (1 + c)^m (1 + c + d)^(n + 1)
         one = CohomClass.one(self)
         return ((one + self.gen('c')) ** self.m
                 * (one + self.gen('c') + self.gen('d')) ** (self.n + 1))
-
-    def _exponent_bounds(self):
-        return [('c', self.m), ('d', self.n)]
 
     def __repr__(self):
         return 'Dold(%d,%d)' % (self.m, self.n)
 
 
 class Product(Space):
-    """A finite product, generators renamed with 1-based factor suffixes."""
+    """A finite product; the slots of factor k get the 1-based suffix k."""
 
     def __init__(self, factors):
         if not factors:
@@ -114,56 +183,41 @@ class Product(Space):
         self.factors = list(factors)
         self.dim = sum(f.dim for f in self.factors)
         self.gens = []
-        self._owner = {}
+        self.bounds = []
+        self._first_slot = []
         for pos, f in enumerate(self.factors, start=1):
-            for name, deg in f.gens:
-                renamed = '%s%d' % (name, pos)
-                self.gens.append((renamed, deg))
-                self._owner[renamed] = (pos - 1, name)
+            self._first_slot.append(len(self.gens))
+            self.gens.extend(('%s%d' % (name, pos), deg) for name, deg in f.gens)
+            self.bounds.extend(f.bounds)
+        self._lay_out()
 
     def factor_gen(self, pos, name):
         """Generator `name` of the 1-based factor `pos`, as a product class."""
-        renamed = '%s%d' % (name, pos)
-        return self.gen(renamed)
+        return self.gen('%s%d' % (name, pos))
 
-    def reduce_mono(self, mono):
-        blocks = [[] for _ in self.factors]
-        for name, k in mono:
-            idx, orig = self._owner[name]
-            blocks[idx].append((orig, k))
-        reduced = [()]
-        for pos, (f, block) in enumerate(zip(self.factors, blocks), start=1):
-            parts = f.reduce_mono(tuple(sorted(block)))
-            if not parts:
-                return frozenset()
-            renamed = [tuple(sorted(('%s%d' % (name, pos), k) for name, k in p))
-                       for p in parts]
-            reduced = [mono_mul(m, p) for m in reduced for p in renamed]
-        return parity(reduced)
+    def _lift(self, idx, bits):
+        """A class of the 0-based factor idx as a class of the product.
 
-    def top(self):
-        mono = ()
-        for pos, f in enumerate(self.factors, start=1):
-            renamed = tuple(('%s%d' % (name, pos), k) for name, k in f.top())
-            mono = mono_mul(mono, renamed)
-        return mono
+        The factor's slots keep their field sizes, so each of its bit
+        positions is scaled by the stride of its first slot.
+        """
+        stride = self._strides[self._first_slot[idx]]
+        out = 0
+        for pos in _positions(bits):
+            out |= 1 << (pos * stride)
+        return out
 
-    def tangent_sw(self):
-        acc = CohomClass.one(self)
-        for pos, f in enumerate(self.factors, start=1):
-            w = f.tangent_sw()
-            lifted = frozenset(
-                tuple(sorted(('%s%d' % (name, pos), k) for name, k in m))
-                for m in w.terms)
-            acc = acc * CohomClass(self, lifted)
+    def _product_of(self, classes):
+        acc = 1
+        for idx, bits in enumerate(classes):
+            acc = self._mul(acc, self._lift(idx, bits))
         return acc
 
-    def _exponent_bounds(self):
-        out = []
-        for pos, f in enumerate(self.factors, start=1):
-            out.extend(('%s%d' % (name, pos), bound)
-                       for name, bound in f._exponent_bounds())
-        return out
+    def _tangent_sw(self):
+        return CohomClass(self, self._product_of(f.tangent_sw().terms for f in self.factors))
+
+    def _top_dual(self):
+        return self._product_of(f.pairing() for f in self.factors)
 
     def __repr__(self):
         return ' x '.join(repr(f) for f in self.factors)
@@ -173,8 +227,11 @@ class ProjBundle(Space):
     """Projectivization of a sum of line bundles over a base space.
 
     lines are degree-1 classes of the base (zero for a trivial line). The
-    fiber class t satisfies t^r = sigma_1 t^(r-1) + ... + sigma_r with
-    sigma_k the k-th elementary symmetric class of the lines.
+    base's slots come first with their bounds unchanged, so a class of
+    the base has the same terms as its pull-back; the tautological class
+    t is the last slot. Classes are polynomials in t over the base, not
+    reduced through t^r = w_1 t^(r-1) + ... + w_r, so == and bool look at
+    representatives: equal terms mean equal classes, not conversely.
     """
 
     def __init__(self, base, lines):
@@ -183,7 +240,7 @@ class ProjBundle(Space):
         for x in lines:
             if x.space is not base:
                 raise ContractViolation('line classes must live on the base')
-            if any(base.degree_of(m) != 1 for m in x.terms):
+            if x.terms & ~base.degree_mask(1):
                 raise ContractViolation('line classes must have degree 1')
         self.base = base
         self.lines = list(lines)
@@ -195,71 +252,59 @@ class ProjBundle(Space):
             t += 't'
         self._t = t
         self.gens = list(base.gens) + [(t, 1)]
-        # sigma[k] as a parity set of base monomials
-        sig = [frozenset(((),))]
-        for line in self.lines:
-            nxt = [sig[0]]
-            for k in range(1, len(sig) + 1):
-                prev = sig[k] if k < len(sig) else frozenset()
-                grow = parity(mono_mul(m, lm)
-                              for m in sig[k - 1] for lm in line.terms)
-                nxt.append(prev ^ grow)
-            sig = nxt
-        self._sigma = sig
-
-    def reduce_mono(self, mono):
-        t, r = self._t, self.rank
-        k = dict(mono).get(t, 0)
-        # base monomials by the power of t they multiply, lowered one power
-        # at a time through t^p = sigma_1 t^(p-1) + ... + sigma_r t^(p-r)
-        by_power = {k: frozenset((tuple(f for f in mono if f[0] != t),))}
-        for p in range(k, r - 1, -1):
-            high = by_power.pop(p)
-            for j in range(1, r + 1):
-                by_power[p - j] = by_power.get(p - j, frozenset()) ^ parity(
-                    mono_mul(b, s) for b in high for s in self._sigma[j])
-        out = []
-        for p, bases in by_power.items():
-            for b in bases:
-                for bm in self.base.reduce_mono(b):
-                    out.append(mono_mul(bm, ((t, p),)) if p else bm)
-        return parity(out)
-
-    def top(self):
-        mono = self.base.top()
-        if self.rank > 1:
-            mono = mono_mul(mono, ((self._t, self.rank - 1),))
-        return mono
+        self.bounds = list(base.bounds) + [self.dim]
+        self._lay_out()
 
     def fiber_class(self):
         """The tautological degree-1 class t."""
         return self.gen(self._t)
 
-    def tangent_sw(self):
+    def _tangent_sw(self):
         # w(total) = w(base) * prod_j (1 + t + x_j)
-        base_w = self.base.tangent_sw()
-        acc = CohomClass(self, base_w.terms)
-        t = self.fiber_class()
-        one = CohomClass.one(self)
-        for line in self.lines:
-            acc = acc * (one + t + CohomClass(self, line.terms))
-        return acc
+        one_t = 1 | self.fiber_class().terms
+        acc = self.base.tangent_sw().terms
+        for x in self.lines:
+            acc = self._mul(acc, one_t ^ x.terms)
+        return CohomClass(self, acc)
 
-    def _exponent_bounds(self):
-        return self.base._exponent_bounds() + [(self._t, self.rank - 1)]
+    def _top_dual(self):
+        # b t^p pairs as b h_{p-r+1}(lines) on the base, so it pairs to 1
+        # when that product meets the base's pairing an odd number of times;
+        # h = prod_j (1 + x_j + x_j^2 + ...) holds every h_m at once
+        base, r = self.base, self.rank
+        h = 1
+        for x in self.lines:
+            series = x_power = 1
+            for _ in range(base.dim):
+                x_power = base._mul(x_power, x.terms)
+                series ^= x_power
+            h = base._mul(h, series)
+        base_top = base.pairing()
+        t_stride = self._strides[-1]
+        out = 0
+        for m in range(base.dim + 1):
+            h_m = h & base.degree_mask(m)
+            if not h_m:
+                continue
+            for pos in _positions(base.degree_mask(base.dim - m)):
+                # the unmasked shift is b * h_m; terms past a bound land on
+                # codes the pairing never holds
+                if ((h_m << pos) & base_top).bit_count() & 1:
+                    out |= 1 << (pos + (r - 1 + m) * t_stride)
+        return out
 
     def __repr__(self):
         return 'P(%d lines over %r)' % (self.rank, self.base)
 
 
 class CohomClass:
-    """A GF(2) cohomology class on one space."""
+    """A GF(2) cohomology class on one space; terms is its int of monomials."""
 
     __slots__ = ('space', 'terms')
 
-    def __init__(self, space, terms=()):
+    def __init__(self, space, terms=0):
         self.space = space
-        self.terms = terms if isinstance(terms, frozenset) else frozenset(terms)
+        self.terms = terms
 
     @classmethod
     def zero(cls, space):
@@ -267,7 +312,7 @@ class CohomClass:
 
     @classmethod
     def one(cls, space):
-        return cls(space, ((),))
+        return cls(space, 1)
 
     def _check_peer(self, other):
         if not isinstance(other, CohomClass) or other.space is not self.space:
@@ -281,10 +326,7 @@ class CohomClass:
 
     def __mul__(self, other):
         self._check_peer(other)
-        reduce = self.space.reduce_mono
-        return CohomClass(self.space, parity(
-            m for m1 in self.terms for m2 in other.terms
-            for m in reduce(mono_mul(m1, m2))))
+        return CohomClass(self.space, self.space._mul(self.terms, other.terms))
 
     def __pow__(self, n):
         return power(self, n, CohomClass.one(self.space))
@@ -299,46 +341,76 @@ class CohomClass:
     def __bool__(self):
         return bool(self.terms)
 
-    def part(self, degree):
-        """The homogeneous piece of the given degree."""
-        return CohomClass(self.space, frozenset(
-            m for m in self.terms if self.space.degree_of(m) == degree))
+    def monomials(self):
+        """The exponent vectors of the terms, by degree."""
+        space = self.space
+        return sorted((space.exponents(pos) for pos in _positions(self.terms)),
+                      key=lambda m: (space.degree_of(m), m))
 
     def to_text(self):
-        if not self.terms:
-            return '0'
+        names = [name for name, _ in self.space.gens]
         bits = []
-        for m in sorted(self.terms, key=lambda m: (self.space.degree_of(m), m)):
+        for m in self.monomials():
             bits.append('*'.join('%s^%d' % (n, k) if k > 1 else n
-                                 for n, k in m) or '1')
-        return ' + '.join(bits)
+                                 for n, k in zip(names, m) if k) or '1')
+        return ' + '.join(bits) or '0'
 
     def __repr__(self):
         return self.to_text()
 
 
 def pair(x, space):
-    """Pair a class against the fundamental class: the top coefficient."""
-    return 1 if space.top() in x.terms else 0
+    """Pair a class against the fundamental class."""
+    return (x.terms & space.pairing()).bit_count() & 1
 
 
-def sw_numbers(x_space, ref=None):
+def sw_numbers(space, ref=None):
     """Stiefel-Whitney numbers, keyed by (partition, reference power).
 
     With a reference class the numbers <w_omega ref^k, [M]> run over all
-    k from 0 to the dimension; without one only k = 0 appears.
+    k from 0 to the dimension; without one only k = 0 appears. The
+    products w_omega come from a depth-first walk over the partitions,
+    each one multiplication from its parent, and a zero product ends its
+    branch.
     """
-    space = x_space
-    w = space.tangent_sw()
-    out = {}
-    for k in (range(space.dim + 1) if ref is not None else (0,)):
-        base = ref ** k if k else CohomClass.one(space)
-        for omega in partitions(space.dim - k):
-            cls = base
-            for p in omega:
-                cls = cls * w.part(p)
-            out[(omega, k)] = pair(cls, space)
-    return out
+    if ref is not None and ref.space is not space:
+        raise ContractViolation('the reference class lives on another space')
+    n = space.dim
+    mul = space._mul
+    top = space.pairing()
+    w = space.tangent_sw().terms
+    parts = [w & space.degree_mask(p) for p in range(n + 1)]
+    ref_powers = [1]
+    if ref is not None:
+        for _ in range(n):
+            ref_powers.append(mul(ref_powers[-1], ref.terms))
+    found = {}
+
+    def walk(cls, omega, room):
+        if ref is not None or not room:
+            found[(omega, room)] = (mul(cls, ref_powers[room]) & top).bit_count() & 1
+        for p in range(min(omega[-1] if omega else n, room), 0, -1):
+            prod = mul(cls, parts[p])
+            if prod:
+                walk(prod, omega + (p,), room - p)
+
+    walk(1, (), n)
+    return {key: found.get(key, 0) for key in _number_keys(n, ref is not None)}
+
+
+@lru_cache(maxsize=64)
+def _number_keys(n, with_ref):
+    """The keys of sw_numbers in dimension n, in order."""
+    return tuple((omega, k) for k in (range(n + 1) if with_ref else (0,))
+                 for omega in partitions(n - k))
+
+
+def _support(numbers):
+    return frozenset(key for key, bit in numbers.items() if bit)
+
+
+def _same(item):
+    return item
 
 
 def space_for(coef, poly, extra=()):
@@ -352,30 +424,41 @@ def space_for(coef, poly, extra=()):
     return Product(factors) if factors else RP(0)
 
 
-def identify_in_nbo1(space, ref, coef):
+def _nbo1_reference(coef, n):
+    """Number rows of (representative of mu) x RP(j), j + |mu| = n, built once.
+
+    Like the plain rows of _n_reference they depend only on the ring and
+    the dimension, so they live on the ring with their independence check.
+    """
+    cached = coef.nbo1_reference_rows.get(n)
+    if cached is None:
+        rows = []
+        labels = []
+        for j in range(n + 1):
+            for mu in coef.monomials_of_degree(n - j):
+                row_space = space_for(coef, mu, extra=[RP(j)])
+                row_ref = row_space.factor_gen(len(row_space.factors), 'u')
+                rows.append(_support(sw_numbers(row_space, row_ref)))
+                labels.append((j, mu))
+        if rank_sets(rows, _same) != len(rows):
+            raise IntegrityError('reference basis is not independent at dimension %d' % n)
+        cached = coef.nbo1_reference_rows[n] = (rows, labels)
+    return cached
+
+
+def identify_in_nbo1(space, ref, coef, numbers=None):
     """Expand a manifold with a reference line class over the RP(j) basis.
 
     N_*(BO(1)) is free over N_* on the classes (RP(j), tautological line).
     Matching all Stiefel-Whitney numbers against products
     (representative of mu) x RP(j) determines the expansion; the result
-    maps j to its N_* coefficient.
+    maps j to its N_* coefficient. numbers, when the caller has them
+    already, are sw_numbers(space, ref).
     """
-    n = space.dim
-    rows = []
-    labels = []
-    for j in range(n + 1):
-        for mu in coef.monomials_of_degree(n - j):
-            basis_space = space_for(coef, mu, extra=[RP(j)])
-            basis_ref = basis_space.factor_gen(len(basis_space.factors), 'u')
-            nums = sw_numbers(basis_space, basis_ref)
-            rows.append(frozenset(key for key, bit in nums.items() if bit))
-            labels.append((j, mu))
-    key = lambda item: item
-    if rank_sets(rows, key) != len(rows):
-        raise IntegrityError('reference basis is not independent at dimension %d' % n)
-    nums = sw_numbers(space, ref)
-    target = frozenset(key for key, bit in nums.items() if bit)
-    flags = solve_sets(rows, target, key)
+    rows, labels = _nbo1_reference(coef, space.dim)
+    if numbers is None:
+        numbers = sw_numbers(space, ref)
+    flags = solve_sets(rows, _support(numbers), _same)
     if flags is None:
         raise IntegrityError('class not recognized in N_*(BO(1))')
     out = {}
@@ -394,10 +477,8 @@ def _n_reference(coef, n):
     cached = coef.reference_rows.get(n)
     if cached is None:
         labels = coef.monomials_of_degree(n)
-        rows = [frozenset(key for key, bit in sw_numbers(space_for(coef, mu)).items()
-                          if bit)
-                for mu in labels]
-        if rank_sets(rows, lambda item: item) != len(rows):
+        rows = [_support(sw_numbers(space_for(coef, mu))) for mu in labels]
+        if rank_sets(rows, _same) != len(rows):
             raise IntegrityError(
                 'representative basis is not independent at dimension %d' % n)
         cached = coef.reference_rows[n] = (rows, labels)
@@ -413,8 +494,7 @@ def identify_in_n(space, coef):
     plain (k = 0) numbers yields the expansion.
     """
     rows, labels = _n_reference(coef, space.dim)
-    target = frozenset(key for key, bit in sw_numbers(space).items() if bit)
-    flags = solve_sets(rows, target, lambda item: item)
+    flags = solve_sets(rows, _support(sw_numbers(space)), _same)
     if flags is None:
         raise IntegrityError('class not recognized in the coefficient ring')
     out = GradedPoly.zero(coef.table)

@@ -234,7 +234,7 @@ def _handle_charnum(s, args, expr):
     lines = ['%s = 1' % name for name in sorted(named)] or ['all zero']
     outputs = {'dimension': space.dim, 'numbers': named}
     if ref is not None:
-        parts = identify_in_nbo1(space, ref, s.coef)
+        parts = identify_in_nbo1(space, ref, s.coef, numbers)
         ident = FreeBZ2Elem(s.table, parts)
         outputs['identify'] = ident.to_text()
         lines.append('class: %s' % ident.to_text())

@@ -61,9 +61,13 @@ class CoefRing:
         self.table = standard_table(self.generator_degrees, max_degree)
         self._a_names = {d: 'a%d' % d for d in self.generator_degrees}
         self._mono_cache = {}
-        # Stiefel-Whitney number rows of the degree-d monomials, keyed by d;
-        # filled by charnum.identify_in_n
+        # Stiefel-Whitney number rows keyed by dimension d, each built once
+        # by charnum with its independence check: reference_rows holds the
+        # plain rows of the degree-d monomials (identify_in_n), and
+        # nbo1_reference_rows the rows of mu x RP(j), j + |mu| = d, with the
+        # line of RP(j) as reference (identify_in_nbo1)
         self.reference_rows = {}
+        self.nbo1_reference_rows = {}
 
     def zero(self):
         return GradedPoly.zero(self.table)

@@ -103,6 +103,18 @@ def gamma_depth(expr):
     return 0
 
 
+def fixed_bundle(bmult, trivial=0):
+    """P(L_1 + ... + L_r + R^trivial) over RP(i_1 - 1) x ... x RP(i_r - 1).
+
+    bmult lists i_1, ..., i_r, and L_k is the tautological line of factor
+    k: the total space delta (trivial = 0) and the mapping torus
+    (trivial = 2) identify for the bundle monomial b_{i_1} ... b_{i_r}.
+    """
+    base = Product([RP(i - 1) for i in bmult])
+    lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]
+    return ProjBundle(base, lines + [CohomClass.zero(base)] * trivial)
+
+
 class FreeBZ2Elem(FreeModuleElem):
     """An element of the free N_* module on s_0, s_1, ..."""
 
@@ -257,9 +269,7 @@ class Geometry:
 
     def _delta_monomial(self, bmult):
         if bmult not in self._delta_cache:
-            base = Product([RP(i - 1) for i in bmult])
-            lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]
-            pb = ProjBundle(base, lines)
+            pb = fixed_bundle(bmult)
             parts = identify_in_nbo1(pb, pb.fiber_class(), self.coef)
             self._delta_cache[bmult] = FreeBZ2Elem(self.table, parts)
         return self._delta_cache[bmult]
@@ -286,10 +296,7 @@ class Geometry:
 
     def _torus_monomial(self, bmult):
         if bmult not in self._torus_cache:
-            base = Product([RP(i - 1) for i in bmult])
-            lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]
-            lines += [CohomClass.zero(base), CohomClass.zero(base)]
-            self._torus_cache[bmult] = identify_in_n(ProjBundle(base, lines), self.coef)
+            self._torus_cache[bmult] = identify_in_n(fixed_bundle(bmult, 2), self.coef)
         return self._torus_cache[bmult]
 
     # --- catalogs -------------------------------------------------------------

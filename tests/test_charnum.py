@@ -5,7 +5,9 @@ import pytest
 from bordcalc.charnum import (CohomClass, Dold, Product, ProjBundle, RP,
                               identify_in_n, identify_in_nbo1, pair, partitions,
                               space_for, sw_numbers)
-from bordcalc.errors import ContractViolation
+from bordcalc.conner_floyd import FreeBZ2Elem, fixed_bundle
+from bordcalc.errors import CapacityError, ContractViolation
+from bordcalc.session import Session
 
 
 def test_partitions():
@@ -104,6 +106,25 @@ def test_identify_in_nbo1_section_class(sess):
     assert parts == {0: sess.coef.a(2), 2: sess.coef.one()}
 
 
+def test_identify_in_nbo1_does_not_depend_on_cached_rows():
+    # two dimension-9 boundary spaces, b4*b3*b3 and b5*b3*b2: each is
+    # identified first in a fresh session, where the call builds the
+    # rows of its dimension, and then in a session whose rows are cached
+    def identify(session, bmult):
+        pb = fixed_bundle(bmult)
+        assert pb.dim == 9
+        parts = identify_in_nbo1(pb, pb.fiber_class(), session.coef)
+        return FreeBZ2Elem(session.table, parts).to_text()
+
+    targets = ((4, 3, 3), (5, 3, 2))
+    fresh = {bmult: identify(Session(), bmult) for bmult in targets}
+    assert fresh[(4, 3, 3)] == '(a2^4 + a8)*s1 + a4*s5 + s9'
+    for order in (targets, targets[::-1]):
+        session = Session()
+        for bmult in order:
+            assert identify(session, bmult) == fresh[bmult]
+
+
 def test_space_for(sess):
     coef = sess.coef
     space = space_for(coef, coef.a(5) * coef.a(2))
@@ -121,3 +142,10 @@ def test_proj_bundle_contracts():
     other = RP(3)
     with pytest.raises(ContractViolation):
         ProjBundle(base, [other.gen('u')])
+
+
+def test_class_size_cap():
+    # a class of RP(1)^k takes 3^k bits; past MAX_CLASS_BITS the space is refused
+    assert Product([RP(1)] * 13).dim == 13
+    with pytest.raises(CapacityError):
+        Product([RP(1)] * 14)
