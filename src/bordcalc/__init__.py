@@ -6,7 +6,7 @@ from .conner_floyd import (AntipodalSphere, FreeBZ2Elem, GammaOf, Geometry,
 from .errors import (BordcalcError, CapacityError, ContractViolation,
                      FuelExhausted, IntegrityError, NotDivisible, ParseError)
 from .gf2 import GradedPoly, VarTable, poly_rank, solve_gf2
-from .localized import LaurentRing, Window, WindowBasis
+from .localized import LaurentRing
 from .presentation import (BordismRing, FormalMonomial, Presentation,
                            QuotientElem, UNDECIDED)
 from .session import Session
@@ -20,7 +20,7 @@ __all__ = [
     'FreeBZ2Elem', 'FuelExhausted', 'GammaOf', 'Geometry', 'GradedPoly',
     'IntegrityError', 'LaurentRing', 'NotDivisible', 'ParseError',
     'Presentation', 'ProductOf', 'Proj', 'QuotientElem', 'Session',
-    'Trivial', 'UNDECIDED', 'VarTable', 'Window', 'WindowBasis',
+    'Trivial', 'UNDECIDED', 'VarTable',
     'allowed_degrees', 'dold_indices', 'generator_rep', 'poly_rank',
     'solve_gf2', 'verify',
 ]

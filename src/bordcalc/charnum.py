@@ -29,7 +29,9 @@ from functools import lru_cache
 
 from .coefficients import generator_rep
 from .errors import CapacityError, ContractViolation, IntegrityError
-from .gf2 import GradedPoly, partitions, power, rank_sets, solve_sets
+from .gf2 import Echelon, GradedPoly, partitions, power
+# not called here any more; kept bound for profilers that patch them by name
+from .gf2 import rank_sets, solve_sets
 
 # the most bits a class of one space may span: 512 KiB an int, and the
 # walk in sw_numbers holds a few dozen such ints at once
@@ -425,10 +427,11 @@ def space_for(coef, poly, extra=()):
 
 
 def _nbo1_reference(coef, n):
-    """Number rows of (representative of mu) x RP(j), j + |mu| = n, built once.
+    """Eliminated number rows of (representative of mu) x RP(j), j + |mu| = n, built once.
 
     Like the plain rows of _n_reference they depend only on the ring and
-    the dimension, so they live on the ring with their independence check.
+    the dimension, so they live on the ring, eliminated and checked
+    independent, as (Echelon, labels).
     """
     cached = coef.nbo1_reference_rows.get(n)
     if cached is None:
@@ -440,9 +443,10 @@ def _nbo1_reference(coef, n):
                 row_ref = row_space.factor_gen(len(row_space.factors), 'u')
                 rows.append(_support(sw_numbers(row_space, row_ref)))
                 labels.append((j, mu))
-        if rank_sets(rows, _same) != len(rows):
+        echelon = Echelon(rows, _same)
+        if echelon.rank != len(rows):
             raise IntegrityError('reference basis is not independent at dimension %d' % n)
-        cached = coef.nbo1_reference_rows[n] = (rows, labels)
+        cached = coef.nbo1_reference_rows[n] = (echelon, labels)
     return cached
 
 
@@ -455,10 +459,10 @@ def identify_in_nbo1(space, ref, coef, numbers=None):
     maps j to its N_* coefficient. numbers, when the caller has them
     already, are sw_numbers(space, ref).
     """
-    rows, labels = _nbo1_reference(coef, space.dim)
+    echelon, labels = _nbo1_reference(coef, space.dim)
     if numbers is None:
         numbers = sw_numbers(space, ref)
-    flags = solve_sets(rows, _support(numbers), _same)
+    flags = echelon.solve(_support(numbers))
     if flags is None:
         raise IntegrityError('class not recognized in N_*(BO(1))')
     out = {}
@@ -469,19 +473,20 @@ def identify_in_nbo1(space, ref, coef, numbers=None):
 
 
 def _n_reference(coef, n):
-    """Plain number rows of the coefficient monomials of degree n, built once.
+    """Eliminated plain number rows of the coefficient monomials of degree n, built once.
 
     The rows depend only on the ring and the dimension, so they live on
-    the ring, together with the independence check they pass once.
+    the ring, eliminated and checked independent, as (Echelon, labels).
     """
     cached = coef.reference_rows.get(n)
     if cached is None:
         labels = coef.monomials_of_degree(n)
-        rows = [_support(sw_numbers(space_for(coef, mu))) for mu in labels]
-        if rank_sets(rows, _same) != len(rows):
+        echelon = Echelon([_support(sw_numbers(space_for(coef, mu))) for mu in labels],
+                          _same)
+        if echelon.rank != len(labels):
             raise IntegrityError(
                 'representative basis is not independent at dimension %d' % n)
-        cached = coef.reference_rows[n] = (rows, labels)
+        cached = coef.reference_rows[n] = (echelon, labels)
     return cached
 
 
@@ -493,8 +498,8 @@ def identify_in_n(space, coef):
     coefficient monomials have independent number systems, so matching
     plain (k = 0) numbers yields the expansion.
     """
-    rows, labels = _n_reference(coef, space.dim)
-    flags = solve_sets(rows, _support(sw_numbers(space)), _same)
+    echelon, labels = _n_reference(coef, space.dim)
+    flags = echelon.solve(_support(sw_numbers(space)))
     if flags is None:
         raise IntegrityError('class not recognized in the coefficient ring')
     out = GradedPoly.zero(coef.table)

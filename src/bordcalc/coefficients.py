@@ -62,10 +62,10 @@ class CoefRing:
         self._a_names = {d: 'a%d' % d for d in self.generator_degrees}
         self._mono_cache = {}
         # Stiefel-Whitney number rows keyed by dimension d, each built once
-        # by charnum with its independence check: reference_rows holds the
-        # plain rows of the degree-d monomials (identify_in_n), and
-        # nbo1_reference_rows the rows of mu x RP(j), j + |mu| = d, with the
-        # line of RP(j) as reference (identify_in_nbo1)
+        # by charnum as (Echelon, labels) and checked independent:
+        # reference_rows holds the plain rows of the degree-d monomials
+        # (identify_in_n), and nbo1_reference_rows the rows of mu x RP(j),
+        # j + |mu| = d, with the line of RP(j) as reference (identify_in_nbo1)
         self.reference_rows = {}
         self.nbo1_reference_rows = {}
 

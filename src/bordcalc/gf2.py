@@ -16,7 +16,8 @@ remaining variables in table order, descending.
 
 Linear algebra (rank, subset solving) works on Python integer bitmasks,
 one bit per monomial, with the pivot order fixed by the term ordering, so
-results are exact and deterministic.
+results are exact and deterministic. An Echelon eliminates a fixed family
+once and then solves for any number of targets.
 
 The pieces every GF(2) sum in the package shares live here too: parity
 (the monomials of a product, duplicates cancelled), square-and-multiply
@@ -431,32 +432,56 @@ def _eliminate(masks):
     return pivots
 
 
-def _masks(rows, extra, key):
-    universe = sorted(frozenset().union(extra, *rows), key=key)
-    # universe[0] is the leading monomial, so give it the highest bit
-    pos = {m: len(universe) - 1 - i for i, m in enumerate(universe)}
-    return [sum(1 << pos[m] for m in row) for row in rows], \
-        sum(1 << pos[m] for m in extra)
+class Echelon:
+    """A list of finite sets eliminated once, to be ranked and solved against often.
+
+    The columns are the monomials the rows hold, ordered by key, with the
+    leading monomial on the highest bit; rows are eliminated in the given
+    order, so pivots and solutions are deterministic. A target monomial
+    outside that universe never meets a pivot, so a target holding one
+    cannot reduce to zero, and solve answers None at once. Leaving such
+    columns out changes no answer: they are never pivots, and the other
+    columns keep their relative order.
+    """
+
+    __slots__ = ('_pos', '_pivots', '_nrows')
+
+    def __init__(self, rows, key):
+        rows = list(rows)
+        universe = sorted(frozenset().union(*rows), key=key)
+        # universe[0] is the leading monomial, so give it the highest bit
+        self._pos = pos = {m: len(universe) - 1 - i for i, m in enumerate(universe)}
+        self._nrows = len(rows)
+        self._pivots = _eliminate([sum(1 << pos[m] for m in row) for row in rows])
+
+    @property
+    def rank(self):
+        """GF(2) rank of the rows."""
+        return len(self._pivots)
+
+    def solve(self, target):
+        """0/1 flags, one per row, with xor of the flagged rows equal to target, or None."""
+        pos = self._pos
+        tmask = 0
+        for m in target:
+            bit = pos.get(m)
+            if bit is None:
+                return None
+            tmask |= 1 << bit
+        tmask, combo = _reduce_mask(tmask, 0, self._pivots)
+        if tmask:
+            return None
+        return [(combo >> r) & 1 for r in range(self._nrows)]
 
 
 def rank_sets(rows, key):
     """GF(2) rank of a list of finite sets, columns ordered by key."""
-    masks, _ = _masks(rows, frozenset(), key)
-    return len(_eliminate(masks))
+    return Echelon(rows, key).rank
 
 
 def solve_sets(rows, target, key):
-    """0/1 flags with xor of the flagged sets equal to target, or None.
-
-    Deterministic: rows are processed in the given order and pivots follow
-    the column ordering induced by key.
-    """
-    masks, tmask = _masks(rows, target, key)
-    pivots = _eliminate(masks)
-    tmask, combo = _reduce_mask(tmask, 0, pivots)
-    if tmask:
-        return None
-    return [(combo >> r) & 1 for r in range(len(rows))]
+    """0/1 flags with xor of the flagged sets equal to target, or None."""
+    return Echelon(rows, key).solve(target)
 
 
 def _common_table(polys):

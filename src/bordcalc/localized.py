@@ -13,12 +13,13 @@ component contributing its stable class times e^-k. In particular
 loc_P(1) = e^-1 + e^-1 = 0.
 
 A homogeneous element of degree d has every e-exponent >= -d, since the
-e-free part of a term has nonnegative degree. Window bookkeeping below
-makes that bound explicit for finite linear algebra.
+e-free part of a term has nonnegative degree.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, mono_key, poly_rank, solve_sets
+from .gf2 import GradedPoly
+# not called here any more; kept bound for profilers that patch them by name
+from .gf2 import poly_rank, solve_sets
 
 
 class LaurentRing:
@@ -117,56 +118,3 @@ class LaurentRing:
         mapping = {name: self.loc_P(int(name[1:]))
                    for name in p.support() if name.startswith('X')}
         return p.substitute(mapping) if mapping else p
-
-
-class Window:
-    """A degree with an e-exponent range [t_min, t_max], t_min >= -degree."""
-
-    __slots__ = ('degree', 't_min', 't_max')
-
-    def __init__(self, degree, t_min, t_max):
-        if t_min > t_max:
-            raise ContractViolation('empty window')
-        if t_min < -degree:
-            raise ContractViolation('window reaches below e^%d, impossible in degree %d'
-                                    % (-degree, degree))
-        self.degree = degree
-        self.t_min = t_min
-        self.t_max = t_max
-
-    def admits(self, x):
-        """True when every term of x has its e-exponent inside the window."""
-        if not x:
-            return True
-        return (x.min_inv_exp() >= self.t_min and x.max_inv_exp() <= self.t_max)
-
-    def __repr__(self):
-        return 'Window(degree=%d, e in [%d, %d])' % (self.degree, self.t_min, self.t_max)
-
-
-class WindowBasis:
-    """A finite family of window-compatible vectors with exact expansion."""
-
-    def __init__(self, ring, window, images):
-        self.ring = ring
-        self.window = window
-        self.images = list(images)
-        for x in self.images:
-            ring._require_laurent(x, 'image')
-            if x and x.degree() != window.degree:
-                raise ContractViolation('image degree %s does not match the window'
-                                        % x.degree())
-            if not window.admits(x):
-                raise ContractViolation('image %s falls outside the window' % x)
-        self.rank = poly_rank([x for x in self.images if x])
-
-    def expand(self, target):
-        """Selection flags expressing target over the images, or None."""
-        self.ring._require_laurent(target, 'target')
-        if target and target.degree() != self.window.degree:
-            raise ContractViolation('target degree does not match the window')
-        if not self.window.admits(target):
-            raise ContractViolation('target falls outside the window')
-        table = self.ring.table
-        return solve_sets([x.terms for x in self.images], target.terms,
-                          key=lambda m: mono_key(table, m))

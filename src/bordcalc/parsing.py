@@ -95,11 +95,12 @@ class _ElementParser:
         acc = self.parse_factor()
         while self.toks.at_punct('*'):
             self.toks.advance()
-            acc = acc * self.parse_factor()
+            acc = self.capped(acc * self.parse_factor())
         return acc
 
     def parse_factor(self):
         atom, invertible = self.parse_atom()
+        atom = self.capped(atom)
         if not self.toks.at_punct('^'):
             return atom
         self.toks.advance()
@@ -116,6 +117,10 @@ class _ElementParser:
 
     def power(self, atom, k):
         return atom ** k
+
+    def capped(self, x):
+        """x, once it passes the grammar's size cap (none by default)."""
+        return x
 
     def parse_atom(self):
         kind, text, pos = self.toks.peek()
@@ -147,6 +152,29 @@ class _PresentationParser(_ElementParser):
     def atom_expected(self):
         return ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e',
                 'an integer', '(')
+
+    def _size(self, x):
+        # a term's degree plus its e power: the dimension of the manifold
+        # before the e factors, additive under products
+        table = self.ring.table
+        return max((fm.degree(table) + fm.epow for fm in x.monos), default=0)
+
+    def _check(self, size):
+        # X_{max_degree + 1} is the largest generator the session admits
+        top = self.ring.coef.max_degree + 1
+        if size > top:
+            raise CapacityError('degree plus e power %d exceeds %d, the largest under '
+                                'the degree cap %d' % (size, top, top - 1))
+
+    def capped(self, x):
+        self._check(self._size(x))
+        return x
+
+    def power(self, atom, k):
+        # the top term of atom^k has k times the size of atom's top term
+        # (leading parts multiply in a polynomial ring), so refuse up front
+        self._check(k * self._size(atom))
+        return atom ** k
 
     def named_atom(self, text, pos):
         if text == 'e':

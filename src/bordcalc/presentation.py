@@ -40,8 +40,10 @@ from dataclasses import dataclass
 
 from . import charnum
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import (FreeModuleElem, GradedPoly, MONO_ONE, mono_degree, mono_mul, mono_of,
-                  mono_text, parity, partitions, power, solve_gf2)
+from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, mono_degree, mono_key,
+                  mono_mul, mono_of, mono_text, parity, partitions, power)
+# not called here any more; kept bound for profilers that patch it by name
+from .gf2 import solve_gf2
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,7 @@ class BordismRing:
         self.table = laurent.table
         self.fuel = fuel
         self._nf_cache = {}
+        self._window_cache = {}
         self._gamma_cache = {}
         self._alpha_cache = {}
         self._loc_cache = {}
@@ -389,15 +392,20 @@ class BordismRing:
         return acc
 
     def _nf_mono(self, fm, budget):
+        # each entry keeps the rewrite steps it cost, hits included, and a
+        # hit charges them: a hit it cannot pay for is rewritten again, so
+        # fuel runs out at the same step as in a fresh session
         cached = self._nf_cache.get(fm)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[1] <= budget[0]:
+            budget[0] -= cached[1]
+            return cached[0]
         if fm.is_basis():
             result = self.single(fm)
-            self._nf_cache[fm] = result
+            self._nf_cache[fm] = (result, 0)
             return result
         if budget[0] <= 0:
             raise FuelExhausted('rewrite fuel exhausted', stuck=fm)
+        start = budget[0]
         budget[0] -= 1
         gs = fm.gamma_factors()
         if fm.epow:
@@ -406,7 +414,7 @@ class BordismRing:
             result = self._rule_pair(fm, gs, budget)
         else:
             result = self._rule_order(fm, gs, budget)
-        self._nf_cache[fm] = result
+        self._nf_cache[fm] = (result, start - budget[0])
         return result
 
     def _nf_alpha(self, i, n, fm, budget):
@@ -597,16 +605,38 @@ class BordismRing:
           type-B monomial and is finite. Localization is injective on the
           basis, so a solution there is nf(x), and no solution means t is
           not a localization.
+
+        The window depends only on (d, max(t0, -1)), so its candidates and
+        their eliminated localizations are built once per session; the
+        preimage is unique, so the answer does not depend on what was
+        asked before.
         """
         self.laurent._require_laurent(target, 'membership target')
         if not target:
             return self.zero()
         if not target.homogeneous():
             raise ContractViolation('membership target must be homogeneous')
-        t_max = max(target.max_inv_exp(), -1)
-        cands = self.basis_monomials_window(target.degree(), t_max)
-        images = [self.localize(self.single(fm)) for fm in cands]
-        flags = solve_gf2(images, target)
+        cands, echelon = self._window(target.degree(), max(target.max_inv_exp(), -1))
+        flags = echelon.solve(target.terms)
         if flags is None:
             return None
         return Presentation(self.table, (fm for fm, f in zip(cands, flags) if f))
+
+    def _window(self, d, t_max):
+        """basis_monomials_window(d, t_max) with its localizations eliminated, cached.
+
+        Only a finished build is stored, so a CapacityError leaves nothing
+        behind.
+        """
+        key = (d, t_max)
+        window = self._window_cache.get(key)
+        if window is None:
+            cands = self.basis_monomials_window(d, t_max)
+            images = [self.localize(self.single(fm)) for fm in cands]
+            if any(x and x.degree() != d for x in images):
+                raise ContractViolation('inputs are not homogeneous of one degree')
+            table = self.table
+            window = (cands, Echelon([x.terms for x in images],
+                                     key=lambda m: mono_key(table, m)))
+            self._window_cache[key] = window
+        return window

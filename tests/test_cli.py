@@ -77,6 +77,19 @@ def test_manifold_dimension_cap(capsys):
     assert (code, out.strip()) == (0, 'b1^17 + b17')
 
 
+def test_presentation_degree_cap(capsys):
+    # a term's degree plus its e power stays within X17's 17 under cap 16
+    code, out = run(capsys, 'nf', 'X2^400')
+    assert code == 3
+    assert '800 exceeds 17' in out
+    for text in ('X9*X9', 'X2^9', '(1 + X2)^9', 'G(16,2)', 'Gamma(X17)', 'e^3*X9*X9'):
+        code, _ = run(capsys, 'nf', text)
+        assert code == 3, text
+    for text in ('X2^8', 'G(15,2)', 'e^100000000'):
+        code, _ = run(capsys, 'nf', text)
+        assert code == 0, text
+
+
 def test_closed_stdout_gives_no_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / 'src'))
     proc = subprocess.Popen(

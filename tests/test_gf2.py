@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bordcalc import gf2
 from bordcalc.charnum import CohomClass, ProjBundle, RP
 from bordcalc.errors import ContractViolation
-from bordcalc.gf2 import (GradedPoly, parity, partitions, poly_rank, rank_sets,
+from bordcalc.gf2 import (Echelon, GradedPoly, parity, partitions, poly_rank, rank_sets,
                           solve_gf2, solve_sets, standard_table)
 from test_coefficients import _partition_count
 
@@ -180,3 +181,41 @@ def test_rank_and_solve_over_sets():
     assert rank_sets(rows, key=lambda x: x) == 2
     assert solve_sets(rows, frozenset({1, 3}), key=lambda x: x) == [1, 1, 0]
     assert solve_sets(rows, frozenset({1}), key=lambda x: x) is None
+    # one elimination, many targets; a column no row holds answers None
+    ech = Echelon(rows + [frozenset()], lambda x: x)
+    assert ech.rank == 2
+    assert ech.solve(frozenset()) == [0, 0, 0, 0]
+    assert ech.solve(frozenset({1, 3})) == [1, 1, 0, 0]
+    assert ech.solve(frozenset({1, 4})) is None
+    assert ech.solve(frozenset({1})) is None
+
+
+def _widened(rows, target, key):
+    """(rank, flags) as solve_sets found them with the target's monomials as columns too."""
+    universe = sorted(frozenset().union(target, *rows), key=key)
+    pos = {m: len(universe) - 1 - i for i, m in enumerate(universe)}
+    pivots = gf2._eliminate([sum(1 << pos[m] for m in row) for row in rows])
+    tmask, combo = gf2._reduce_mask(sum(1 << pos[m] for m in target), 0, pivots)
+    flags = None if tmask else [(combo >> r) & 1 for r in range(len(rows))]
+    return len(pivots), flags
+
+
+# rows draw from 0..7, targets from 0..10, so a target may hold a column
+# no row has; rows may be empty and may repeat
+_rows = st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=8)
+_target = st.frozensets(st.integers(0, 10), max_size=6)
+_KEYS = [lambda m: m, lambda m: -m, lambda m: (m * 5) % 11]
+
+
+@given(_rows, _target, st.sampled_from(_KEYS))
+def test_echelon_matches_widened_elimination(rows, target, key):
+    rank, flags = _widened(rows, target, key)
+    ech = Echelon(rows, key)
+    assert ech.rank == rank == rank_sets(rows, key)
+    assert ech.solve(target) == flags == solve_sets(rows, target, key)
+    if flags is not None:
+        acc = frozenset()
+        for row, f in zip(rows, flags):
+            if f:
+                acc ^= row
+        assert acc == target

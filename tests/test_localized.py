@@ -1,9 +1,8 @@
-"""The Laurent model: localization of projective classes, clearing, windows."""
+"""The Laurent model: localization of projective classes, clearing."""
 
 import pytest
 
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.localized import Window, WindowBasis
 
 
 def test_loc_p_values(sess):
@@ -52,28 +51,3 @@ def test_eval_cleared_rejects_foreign_support(sess):
     L = sess.laurent
     with pytest.raises(ContractViolation):
         L.eval_cleared(L.c(1))
-
-
-def test_window(sess):
-    L = sess.laurent
-    w = Window(2, -2, 0)
-    assert w.admits(L.zero())
-    assert w.admits(L.e(-2))
-    assert not w.admits(L.loc_P(3))
-    with pytest.raises(ContractViolation):
-        Window(2, -3, 0)
-    with pytest.raises(ContractViolation):
-        Window(2, 1, 0)
-
-
-def test_window_basis(sess):
-    L = sess.laurent
-    w = Window(2, -2, 0)
-    basis = WindowBasis(L, w, [L.loc_P(2), sess.coef.a(2)])
-    assert basis.rank == 2
-    assert basis.expand(L.loc_P(2) + sess.coef.a(2)) == [1, 1]
-    assert basis.expand(L.e(-2)) is None
-    with pytest.raises(ContractViolation):
-        basis.expand(L.e(-3) * L.c(1))
-    with pytest.raises(ContractViolation):
-        WindowBasis(L, w, [L.e(-1)])

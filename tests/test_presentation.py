@@ -9,6 +9,7 @@ from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
 from bordcalc.gf2 import GradedPoly, poly_rank
 from bordcalc.parsing import parse_laurent
 from bordcalc.presentation import UNDECIDED, BordismRing, QuotientElem
+from bordcalc.session import Session
 
 
 def test_constructors(sess):
@@ -100,6 +101,29 @@ def test_fuel_exhaustion(sess):
     mo = BordismRing(sess.laurent)
     with pytest.raises(FuelExhausted):
         mo.normal_form(mo.G(1, 2) * mo.G(1, 3), fuel=1)
+
+
+def test_fuel_does_not_depend_on_history():
+    # a cache hit charges the steps its entry cost, so a warmed session
+    # runs out at the same step, at the same monomial, as a fresh one
+    def attempt(session, fuel):
+        mo = session.mo
+        try:
+            mo.normal_form(mo.G(2, 5) * mo.G(1, 3) * mo.X(2), fuel=fuel)
+        except FuelExhausted as exc:
+            return exc.stuck
+        return 'done'
+
+    def warmed():
+        session = Session()
+        mo = session.mo
+        mo.normal_form(mo.G(2, 5) * mo.G(1, 3) * mo.X(2))
+        return session
+
+    assert attempt(Session(), 3) != 'done'
+    for fuel in range(10):
+        assert attempt(warmed(), fuel) == attempt(Session(), fuel), fuel
+    assert attempt(Session(), 9) == 'done'
 
 
 def test_huge_e_power(sess):
@@ -231,6 +255,53 @@ def test_member_non_member_inside_the_cap(sess):
     # inside the cap 16, and four exponents more would leave it
     target = parse_laurent('a5*c8*e + a5*c6*e^-1 + a5*e^-7', sess.laurent)
     assert sess.mo.member(target) is None
+
+
+def _window_questions(session):
+    # members and non-members at the windows (3, -1), (3, 0) and (3, 1),
+    # which share a degree; a non-member adds mu*c_{n-1}*e^-1 with a
+    # nonzero boundary of mu*b_n
+    mo, L, geo = session.mo, session.laurent, session.geometry
+
+    def non_member(d):
+        return next(mu * L.c(n - 1) * L.e(-1)
+                    for n in range(1, d + 1)
+                    for mu in session.coef.monomials_of_degree(d - n)
+                    if geo.delta(mu * geo.b(n)))
+
+    a2, a4 = (mo.iota(session.coef.a(d)) for d in (2, 4))
+    members = [mo.G(1, 2), mo.e(1) * mo.X(2) * mo.X(2), mo.e(1) * mo.X(4),
+               mo.e(1) * a2 * mo.X(2), mo.e(2) * mo.X(5), mo.e(1) * a4]
+    out = []
+    for x in members:
+        t = mo.localize(x)
+        out.append((t, mo.normal_form(x)))
+        out.append((t + non_member(t.degree()), None))
+    return out
+
+
+def test_member_answers_do_not_depend_on_history():
+    fresh = Session()
+    questions = _window_questions(fresh)
+    assert [(t.degree(), max(t.max_inv_exp(), -1)) for t, _ in questions[::4]] == [
+        (3, -1), (3, 0), (3, 1)]
+    for _ in range(2):
+        # fresh, then warmed at the same windows
+        assert [fresh.mo.member(t) for t, _ in questions] == [
+            want for _, want in questions]
+    other = Session()
+    questions = _window_questions(other)
+    assert [other.mo.member(t) for t, _ in reversed(questions)] == [
+        want for _, want in reversed(questions)]
+
+
+def test_member_window_past_the_cap_raises_every_time():
+    # degree 14, top exponent 3: the window needs coefficient degree 17
+    mo = Session().mo
+    target = mo.localize(mo.e(5) * mo.X(9) * mo.X(10))
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            mo.member(target)
 
 
 def test_member_recovers_every_basis_monomial(sess):
