@@ -75,8 +75,6 @@ def _build_parser():
     p.add_argument('--min', dest='dmin', type=int, default=0)
     p.add_argument('--max', dest='dmax', type=int, default=4)
     p.add_argument('--e-cap', dest='e_cap', type=int)
-    p.add_argument('--strict', action='store_true',
-                   help='require strictly larger X factors')
     return parser
 
 
@@ -262,7 +260,7 @@ def _handle_basis_table(s, args, expr):
     lines = []
     table = {}
     for d in range(args.dmin, args.dmax + 1):
-        fms = s.mo.basis_monomials(d, e_cap=args.e_cap, strict=args.strict)
+        fms = s.mo.basis_monomials(d, e_cap=args.e_cap)
         texts = [s.mo.single(fm).to_text() for fm in fms]
         table[str(d)] = texts
         lines.append('degree %d: %d monomials' % (d, len(texts)))

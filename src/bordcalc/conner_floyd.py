@@ -22,7 +22,7 @@ its tautological class in N_*(BO(1)) by Stiefel-Whitney numbers.
 from dataclasses import dataclass
 
 from .charnum import CohomClass, RP, ProjBundle, Product, identify_in_n, identify_in_nbo1
-from .errors import ContractViolation
+from .errors import CapacityError, ContractViolation
 from .gf2 import FreeModuleElem, GradedPoly, mono_mul, mono_of, partitions
 
 
@@ -146,7 +146,7 @@ class Geometry:
         if i < 1:
             raise ContractViolation('b_i needs i >= 1')
         if i > self.coef.max_degree + 1:
-            raise ContractViolation('b%d exceeds the degree cap' % i)
+            raise CapacityError('b%d exceeds the degree cap %d' % (i, self.coef.max_degree))
         return GradedPoly.var(self.table, self._b_names[i])
 
     def is_bundle(self, poly):

@@ -1,8 +1,9 @@
 """Text grammars for ring elements, manifold expressions, and spaces.
 
 All grammars share one tokenizer (names, integers, and the punctuation
-^ * + - ( ) , ;) and the usual precedence: ^ binds tightest, then *, then
-+. Integers reduce mod 2. Specific atoms per grammar:
+^ * + - ( ) , ;). The five expression grammars share one sum/product/power
+engine with the usual precedence: ^ binds tightest, then *, then +.
+Integers reduce mod 2. Specific atoms per grammar:
 
   presentation:  a<d>, X<n>, G(i,n), Gamma(expr), iota(expr), e
   laurent:       a<d>, c<j>, e (the only class allowed negative powers)
@@ -79,7 +80,13 @@ class _Tokens:
 
 
 class _ElementParser:
-    """Sum-of-products parser over a ring with atom hooks per grammar."""
+    """The one sum/product/power engine; each grammar supplies its atoms.
+
+    +, * and ^ go through the add, mul and power hooks, every product and
+    atom through capped, and every sum through finish, so a grammar changes
+    what its values are and how far they may grow without copying the
+    precedence rules.
+    """
 
     def __init__(self, toks):
         self.toks = toks
@@ -88,14 +95,14 @@ class _ElementParser:
         acc = self.parse_term()
         while self.toks.at_punct('+'):
             self.toks.advance()
-            acc = acc + self.parse_term()
-        return acc
+            acc = self.add(acc, self.parse_term())
+        return self.finish(acc)
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.toks.at_punct('*'):
             self.toks.advance()
-            acc = self.capped(acc * self.parse_factor())
+            acc = self.capped(self.mul(acc, self.parse_factor()))
         return acc
 
     def parse_factor(self):
@@ -104,22 +111,29 @@ class _ElementParser:
         if not self.toks.at_punct('^'):
             return atom
         self.toks.advance()
-        negative = False
+        sign = 1
         if self.toks.at_punct('-'):
             _, _, pos = self.toks.advance()
             if not invertible:
                 raise ParseError(pos, ('a nonnegative exponent',), found='-')
-            negative = True
-        k = self.toks.expect_int()
-        if negative:
-            return self.power(atom, -k)
-        return self.power(atom, k)
+            sign = -1
+        return self.power(atom, sign * self.toks.expect_int())
+
+    def add(self, x, y):
+        return x + y
+
+    def mul(self, x, y):
+        return x * y
 
     def power(self, atom, k):
         return atom ** k
 
     def capped(self, x):
         """x, once it passes the grammar's size cap (none by default)."""
+        return x
+
+    def finish(self, x):
+        """The value of a whole sum (x itself by default)."""
         return x
 
     def parse_atom(self):
@@ -135,13 +149,32 @@ class _ElementParser:
         if kind == 'name':
             self.toks.advance()
             return self.named_atom(text, pos)
-        raise ParseError(pos, self.atom_expected(), found=text or None)
+        raise ParseError(pos, self.expected, found=text or None)
+
+    def parse_call(self):
+        """The parenthesized sum after a function name."""
+        self.toks.expect_punct('(')
+        inner = self.parse_sum()
+        self.toks.expect_punct(')')
+        return inner
 
 
-class _PresentationParser(_ElementParser):
-    def __init__(self, toks, ring):
+_INDEXED = re.compile(r'([A-Za-z])([0-9]+)')
+
+
+class _PolyParser(_ElementParser):
+    """Polynomial grammars: indexed atoms <letter><int> from a constructor map.
+
+    ring gives zero() and one(). When e is given (the Laurent grammar), the
+    name e is the grammar's one invertible atom, and e^-k parses to e(-k).
+    """
+
+    def __init__(self, toks, ring, letters, expected, e=None):
         super().__init__(toks)
         self.ring = ring
+        self.letters = letters
+        self.expected = expected
+        self.e = e
 
     def zero(self):
         return self.ring.zero()
@@ -149,9 +182,28 @@ class _PresentationParser(_ElementParser):
     def one(self):
         return self.ring.one()
 
-    def atom_expected(self):
-        return ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e',
-                'an integer', '(')
+    def named_atom(self, text, pos):
+        if text == 'e' and self.e is not None:
+            return self.e(1), True
+        m = _INDEXED.fullmatch(text)
+        if m and m.group(1) in self.letters:
+            return self.letters[m.group(1)](int(m.group(2))), False
+        raise ParseError(pos, self.expected, found=text)
+
+    def power(self, atom, k):
+        # a negative k only follows the invertible atom e
+        return self.e(k) if k < 0 else atom ** k
+
+
+def _coefficient_parser(toks, coef):
+    return _PolyParser(toks, coef, {'a': coef.a}, ('a<d>', 'an integer', '('))
+
+
+class _PresentationParser(_PolyParser):
+    def __init__(self, toks, ring):
+        super().__init__(
+            toks, ring, {'a': lambda d: ring.iota(ring.coef.a(d)), 'X': ring.X},
+            ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '('))
 
     def _size(self, x):
         # a term's degree plus its e power: the dimension of the manifold
@@ -187,138 +239,13 @@ class _PresentationParser(_ElementParser):
             self.toks.expect_punct(')')
             return self.ring.G(i, n), False
         if text == 'Gamma':
-            self.toks.expect_punct('(')
-            inner = self.parse_sum()
-            self.toks.expect_punct(')')
-            return self.ring.gamma(inner), False
+            return self.ring.gamma(self.parse_call()), False
         if text == 'iota':
-            self.toks.expect_punct('(')
-            inner = self.parse_sum()
-            self.toks.expect_punct(')')
+            inner = self.parse_call()
             if not inner.is_coefficient_only():
                 raise ParseError(pos, ('a coefficient expression inside iota',))
             return inner, False
-        m = re.fullmatch(r'a([0-9]+)', text)
-        if m:
-            return self.ring.iota(self.ring.coef.a(int(m.group(1)))), False
-        m = re.fullmatch(r'X([0-9]+)', text)
-        if m:
-            return self.ring.X(int(m.group(1))), False
-        raise ParseError(pos, self.atom_expected(), found=text)
-
-
-class _LaurentParser(_ElementParser):
-    def __init__(self, toks, laurent):
-        super().__init__(toks)
-        self.laurent = laurent
-
-    def zero(self):
-        return self.laurent.zero()
-
-    def one(self):
-        return self.laurent.one()
-
-    def atom_expected(self):
-        return ('a<d>', 'c<j>', 'e', 'an integer', '(')
-
-    def named_atom(self, text, pos):
-        if text == 'e':
-            return self.laurent.e(1), True
-        m = re.fullmatch(r'a([0-9]+)', text)
-        if m:
-            return self.laurent.coef.a(int(m.group(1))), False
-        m = re.fullmatch(r'c([0-9]+)', text)
-        if m:
-            return self.laurent.c(int(m.group(1))), False
-        raise ParseError(pos, self.atom_expected(), found=text)
-
-    def power(self, atom, k):
-        if k < 0:
-            # only reachable for e itself
-            kexp = next(iter(atom.terms))[0][1]
-            return self.laurent.e(kexp * k)
-        return atom ** k
-
-
-class _CoefficientParser(_ElementParser):
-    def __init__(self, toks, coef):
-        super().__init__(toks)
-        self.coef = coef
-
-    def zero(self):
-        return self.coef.zero()
-
-    def one(self):
-        return self.coef.one()
-
-    def atom_expected(self):
-        return ('a<d>', 'an integer', '(')
-
-    def named_atom(self, text, pos):
-        m = re.fullmatch(r'a([0-9]+)', text)
-        if m:
-            return self.coef.a(int(m.group(1))), False
-        raise ParseError(pos, self.atom_expected(), found=text)
-
-
-class _BundleParser(_ElementParser):
-    def __init__(self, toks, geometry):
-        super().__init__(toks)
-        self.geometry = geometry
-
-    def zero(self):
-        return GradedPoly.zero(self.geometry.table)
-
-    def one(self):
-        return GradedPoly.one(self.geometry.table)
-
-    def atom_expected(self):
-        return ('a<d>', 'b<i>', 'an integer', '(')
-
-    def named_atom(self, text, pos):
-        m = re.fullmatch(r'a([0-9]+)', text)
-        if m:
-            return self.geometry.coef.a(int(m.group(1))), False
-        m = re.fullmatch(r'b([0-9]+)', text)
-        if m:
-            return self.geometry.b(int(m.group(1))), False
-        raise ParseError(pos, self.atom_expected(), found=text)
-
-
-def parse_presentation(text, ring):
-    """Parse a presentation-ring expression."""
-    toks = _Tokens(text)
-    parser = _PresentationParser(toks, ring)
-    out = parser.parse_sum()
-    toks.expect_end()
-    return out
-
-
-def parse_laurent(text, laurent):
-    """Parse a Laurent-model expression."""
-    toks = _Tokens(text)
-    parser = _LaurentParser(toks, laurent)
-    out = parser.parse_sum()
-    toks.expect_end()
-    return out
-
-
-def parse_coefficient(text, coef):
-    """Parse a coefficient-ring expression."""
-    toks = _Tokens(text)
-    parser = _CoefficientParser(toks, coef)
-    out = parser.parse_sum()
-    toks.expect_end()
-    return out
-
-
-def parse_bundle(text, geometry):
-    """Parse a bundle-algebra expression."""
-    toks = _Tokens(text)
-    parser = _BundleParser(toks, geometry)
-    out = parser.parse_sum()
-    toks.expect_end()
-    return out
+        return super().named_atom(text, pos)
 
 
 def _parity_list(exprs):
@@ -331,43 +258,31 @@ def _parity_list(exprs):
     return [x for x in order if acc[x]]
 
 
-class _ManifoldParser:
-    """Formal GF(2) sums of manifold expressions, kept as lists."""
+class _ManifoldParser(_ElementParser):
+    """Formal GF(2) sums of manifold expressions, kept as parity-reduced lists."""
+
+    expected = ('P(n)', 'S(j)', 'gamma(...)', 'triv(...)', 'an integer', '(')
 
     def __init__(self, toks, coef):
-        self.toks = toks
+        super().__init__(toks)
         self.coef = coef
 
-    def parse_sum(self):
-        acc = self.parse_term()
-        while self.toks.at_punct('+'):
-            self.toks.advance()
-            acc = acc + self.parse_term()
-        return _parity_list(acc)
+    def zero(self):
+        return []
 
-    def parse_term(self):
-        acc = self.parse_factor()
-        while self.toks.at_punct('*'):
-            self.toks.advance()
-            rhs = self.parse_factor()
-            acc = self._capped([_product(x, y) for x in acc for y in rhs])
-        return acc
+    def one(self):
+        return [Trivial(GradedPoly.one(self.coef.table))]
 
-    def parse_factor(self):
-        atoms = self._capped(self.parse_atom())
-        if not self.toks.at_punct('^'):
-            return atoms
-        self.toks.advance()
-        if self.toks.at_punct('-'):
-            _, _, pos = self.toks.peek()
-            raise ParseError(pos, ('a nonnegative exponent',), found='-')
-        k = self.toks.expect_int()
-        acc = [Trivial(GradedPoly.one(self.coef.table))]
+    def mul(self, xs, ys):
+        return [_product(x, y) for x in xs for y in ys]
+
+    def power(self, atoms, k):
+        acc = self.one()
         for _ in range(k):
-            acc = self._capped([_product(x, y) for x in acc for y in atoms])
+            acc = self.capped(self.mul(acc, atoms))
         return _parity_list(acc)
 
-    def _capped(self, terms):
+    def capped(self, terms):
         # P(max_degree + 1) is the largest manifold the session admits
         top = self.coef.max_degree + 1
         for t in terms:
@@ -376,45 +291,23 @@ class _ManifoldParser:
                                     'degree cap %d' % (t.dim, top, self.coef.max_degree))
         return terms
 
-    def parse_atom(self):
-        kind, text, pos = self.toks.peek()
-        if kind == 'int':
-            self.toks.advance()
-            one = Trivial(GradedPoly.one(self.coef.table))
-            return [one] if int(text) % 2 else []
-        if kind == 'punct' and text == '(':
-            self.toks.advance()
-            inner = self.parse_sum()
-            self.toks.expect_punct(')')
-            return inner
-        if kind != 'name':
-            raise ParseError(pos, self._expected(), found=text or None)
-        self.toks.advance()
-        if text == 'P':
+    def finish(self, terms):
+        return _parity_list(terms)
+
+    def named_atom(self, text, pos):
+        if text in ('P', 'S'):
             self.toks.expect_punct('(')
             n = self.toks.expect_int()
             self.toks.expect_punct(')')
-            return [Proj(n)]
-        if text == 'S':
-            self.toks.expect_punct('(')
-            j = self.toks.expect_int()
-            self.toks.expect_punct(')')
-            return [AntipodalSphere(j)]
+            return [Proj(n) if text == 'P' else AntipodalSphere(n)], False
         if text == 'gamma':
-            self.toks.expect_punct('(')
-            inner = self.parse_sum()
-            self.toks.expect_punct(')')
-            return _parity_list(GammaOf(x) for x in inner)
+            return _parity_list(GammaOf(x) for x in self.parse_call()), False
         if text == 'triv':
             self.toks.expect_punct('(')
-            parser = _CoefficientParser(self.toks, self.coef)
-            poly = parser.parse_sum()
+            poly = _coefficient_parser(self.toks, self.coef).parse_sum()
             self.toks.expect_punct(')')
-            return [Trivial(poly)] if poly else []
-        raise ParseError(pos, self._expected(), found=text)
-
-    def _expected(self):
-        return ('P(n)', 'S(j)', 'gamma(...)', 'triv(...)', 'an integer', '(')
+            return ([Trivial(poly)] if poly else []), False
+        raise ParseError(pos, self.expected, found=text)
 
 
 def _product(x, y):
@@ -433,13 +326,42 @@ def _product(x, y):
     return ProductOf(tuple(kept))
 
 
-def parse_manifold(text, coef):
-    """Parse a manifold expression to a parity-reduced list of terms."""
+def _parse(text, entry):
+    """entry(tokens) over the whole of text: tokenize, parse, require the end."""
     toks = _Tokens(text)
-    parser = _ManifoldParser(toks, coef)
-    out = parser.parse_sum()
+    out = entry(toks)
     toks.expect_end()
     return out
+
+
+def parse_presentation(text, ring):
+    """Parse a presentation-ring expression."""
+    return _parse(text, lambda toks: _PresentationParser(toks, ring).parse_sum())
+
+
+def parse_laurent(text, laurent):
+    """Parse a Laurent-model expression."""
+    return _parse(text, lambda toks: _PolyParser(
+        toks, laurent, {'a': laurent.coef.a, 'c': laurent.c},
+        ('a<d>', 'c<j>', 'e', 'an integer', '('), e=laurent.e).parse_sum())
+
+
+def parse_coefficient(text, coef):
+    """Parse a coefficient-ring expression."""
+    return _parse(text, lambda toks: _coefficient_parser(toks, coef).parse_sum())
+
+
+def parse_bundle(text, geometry):
+    """Parse a bundle-algebra expression."""
+    coef = geometry.coef
+    return _parse(text, lambda toks: _PolyParser(
+        toks, coef, {'a': coef.a, 'b': geometry.b},
+        ('a<d>', 'b<i>', 'an integer', '(')).parse_sum())
+
+
+def parse_manifold(text, coef):
+    """Parse a manifold expression to a parity-reduced list of terms."""
+    return _parse(text, lambda toks: _ManifoldParser(toks, coef).parse_sum())
 
 
 class _SpaceParser:
@@ -516,8 +438,4 @@ class _SpaceParser:
 
 def parse_space(text):
     """Parse a space description: RP, Dold, products, projectivizations."""
-    toks = _Tokens(text)
-    parser = _SpaceParser(toks)
-    out = parser.parse_space()
-    toks.expect_end()
-    return out
+    return _parse(text, lambda toks: _SpaceParser(toks).parse_space())

@@ -72,16 +72,14 @@ class FormalMonomial:
     def gamma_weight(self):
         return sum(i for i, _ in self.gammas)
 
-    def is_basis(self, strict=False):
-        """Basis shape: no G factor, or exactly one with the X's above it."""
+    def is_basis(self):
+        """Basis shape: no G factor, or exactly one with the X's at or above it."""
         gs = self.gamma_factors()
         if not gs:
             return True
         if len(gs) > 1 or self.epow:
             return False
         j = gs[0][1]
-        if strict:
-            return all(m > j for m in self.x_indices())
         return all(m >= j for m in self.x_indices())
 
     def degree(self, table):
@@ -523,7 +521,7 @@ class BordismRing:
     def _coef_monomials(self, d):
         return [next(iter(p.terms)) for p in self.coef.monomials_of_degree(d)]
 
-    def basis_monomials(self, d, e_cap=None, strict=False):
+    def basis_monomials(self, d, e_cap=None):
         """Additive basis monomials of degree d with e powers capped.
 
         The default cap max(0, -d) + 4 makes the degree-(d+1) slice map
@@ -542,7 +540,7 @@ class BordismRing:
                     for coef in self._coef_monomials(v):
                         out.append(FormalMonomial(
                             coef, tuple((0, n) for n in sorted(parts)), k))
-        out.extend(self._type_b(d, strict))
+        out.extend(self._type_b(d))
         out.sort(key=fm_key)
         return out
 
@@ -565,19 +563,18 @@ class BordismRing:
                     for coef in self._coef_monomials(v):
                         out.append(FormalMonomial(
                             coef, tuple((0, p + 1) for p in sorted(parts)), k))
-        out.extend(self._type_b(d, False))
+        out.extend(self._type_b(d))
         out.sort(key=fm_key)
         return out
 
-    def _type_b(self, d, strict):
+    def _type_b(self, d):
         out = []
         maxn = self.coef.max_degree + 1
         for j in range(2, min(d - 1, maxn) + 1):
             for i in range(1, d - j + 1):
                 rest = d - i - j
-                low = j + 1 if strict else j
                 for w in range(rest + 1):
-                    for parts in partitions(w, range(low, maxn + 1)):
+                    for parts in partitions(w, range(j, maxn + 1)):
                         for coef in self._coef_monomials(rest - w):
                             out.append(FormalMonomial(
                                 coef,
@@ -610,13 +607,28 @@ class BordismRing:
         their eliminated localizations are built once per session; the
         preimage is unique, so the answer does not depend on what was
         asked before.
+
+        A target whose degree d or largest e-free degree d + t0 exceeds
+        max_degree + 1 raises CapacityError before any window is built.
+        This never refuses the localization of a class the session admits:
+        every admissible term has degree at most its size (degree plus e
+        power), and its size is at most max_degree + 1; localization never
+        raises a term's e-free degree above that size, since coefficients
+        keep theirs, e^k gives 0, and each X_n or G(i, n) factor gives at
+        most its size minus 1.
         """
         self.laurent._require_laurent(target, 'membership target')
         if not target:
             return self.zero()
         if not target.homogeneous():
             raise ContractViolation('membership target must be homogeneous')
-        cands, echelon = self._window(target.degree(), max(target.max_inv_exp(), -1))
+        d, t0 = target.degree(), target.max_inv_exp()
+        top = self.coef.max_degree + 1
+        if max(d, d + t0) > top:
+            raise CapacityError('membership target of degree %d and e-free degree %d '
+                                'exceeds %d, the largest under the degree cap %d'
+                                % (d, d + t0, top, top - 1))
+        cands, echelon = self._window(d, max(t0, -1))
         flags = echelon.solve(target.terms)
         if flags is None:
             return None

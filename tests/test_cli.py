@@ -48,6 +48,21 @@ def test_exit_code_capacity(capsys):
     code, out = run(capsys, 'nf', '--fuel', '1', 'G(1,2)*G(1,3)')
     assert code == 3
     assert 'fuel' in out
+    # b17 is the largest bundle generator under the default degree cap 16
+    code, out = run(capsys, 'delta', 'b18')
+    assert code == 3
+    assert 'b18' in out
+
+
+def test_member_cap_exits_at_once():
+    # these targets used to hang while the window enumerated degree 800 or
+    # 400; a subprocess with a timeout makes such a hang fail the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / 'src'))
+    for text in ('c2^400', 'a2^400', 'e^-400'):
+        proc = subprocess.run([sys.executable, '-m', 'bordcalc', 'member', text],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 3, text
+        assert b'exceeds 17' in proc.stdout + proc.stderr, text
 
 
 def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):

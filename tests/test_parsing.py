@@ -5,9 +5,15 @@ import pytest
 from bordcalc.charnum import Dold, Product, ProjBundle, RP
 from bordcalc.conner_floyd import (AntipodalSphere, GammaOf, Proj, ProductOf,
                                    Trivial)
-from bordcalc.errors import ParseError
+from bordcalc.errors import CapacityError, ParseError
 from bordcalc.parsing import (parse_bundle, parse_coefficient, parse_laurent,
                               parse_manifold, parse_presentation, parse_space)
+
+
+def _syntax_error(parse, text, ring):
+    with pytest.raises(ParseError) as err:
+        parse(text, ring)
+    return err.value
 
 
 def test_presentation_expressions(sess):
@@ -36,6 +42,8 @@ def test_presentation_errors(sess):
     with pytest.raises(ParseError) as err:
         parse_presentation('e^-1', mo)
     assert err.value.position == 2
+    err = _syntax_error(parse_presentation, 'X2^-1', mo)
+    assert (err.position, err.expected) == (3, ('a nonnegative exponent',))
     with pytest.raises(ParseError):
         parse_presentation('q2', mo)
     with pytest.raises(ParseError):
@@ -52,18 +60,21 @@ def test_laurent_expressions(sess):
     assert parse_laurent('a2*e^3', L) == sess.coef.a(2) * L.e(3)
     x = L.loc_P(4) * L.loc_P(2) + sess.coef.a(4) * L.e(-2)
     assert parse_laurent(x.to_text(), L) == x
+    assert parse_laurent('e^-400', L) == L.e(-400)
     with pytest.raises(ParseError):
         parse_laurent('X2', L)
-    with pytest.raises(ParseError):
-        parse_laurent('c1^-1', L)
+    err = _syntax_error(parse_laurent, 'c1^-1', L)
+    assert (err.position, err.expected) == (3, ('a nonnegative exponent',))
+    err = _syntax_error(parse_laurent, 'c', L)
+    assert (err.position, err.expected) == (0, ('a<d>', 'c<j>', 'e', 'an integer', '('))
 
 
 def test_coefficient_expressions(sess):
     coef = sess.coef
     assert parse_coefficient('a2^2 + a4', coef) == coef.a(2) ** 2 + coef.a(4)
     assert parse_coefficient('1', coef) == coef.one()
-    with pytest.raises(ParseError):
-        parse_coefficient('e', coef)
+    err = _syntax_error(parse_coefficient, 'e', coef)
+    assert (err.position, err.expected) == (0, ('a<d>', 'an integer', '('))
 
 
 def test_bundle_expressions(sess):
@@ -72,6 +83,10 @@ def test_bundle_expressions(sess):
         geo.b(1) * geo.b(2) + sess.coef.a(2) * geo.b(1))
     with pytest.raises(ParseError):
         parse_bundle('c1', geo)
+    err = _syntax_error(parse_bundle, 'e', geo)
+    assert (err.position, err.expected) == (0, ('a<d>', 'b<i>', 'an integer', '('))
+    err = _syntax_error(parse_bundle, 'b1^-1', geo)
+    assert (err.position, err.expected) == (3, ('a nonnegative exponent',))
 
 
 def test_manifold_expressions(sess):
@@ -88,10 +103,28 @@ def test_manifold_expressions(sess):
     assert parse_manifold('gamma(P(2) + P(3))', coef) == [
         GammaOf(Proj(2)), GammaOf(Proj(3))]
     assert parse_manifold('1*P(2)', coef) == [Proj(2)]
-    with pytest.raises(ParseError):
-        parse_manifold('P(2)^-1', coef)
+    # the first occurrence fixes a term's place; each sum is reduced once
+    assert parse_manifold('P(2)+P(2)+P(3)+P(2)', coef) == [Proj(2), Proj(3)]
+    assert parse_manifold('P(2)+P(3)+P(2)+P(3)+P(3)', coef) == [Proj(3)]
+    p2, p3 = Proj(2), Proj(3)
+    assert parse_manifold('(P(2)+P(3))*(P(3)+P(2))', coef) == [
+        ProductOf((p2, p3)), ProductOf((p2, p2)), ProductOf((p3, p3)),
+        ProductOf((p3, p2))]
+    err = _syntax_error(parse_manifold, 'P(2)^-1', coef)
+    assert (err.position, err.expected) == (5, ('a nonnegative exponent',))
     with pytest.raises(ParseError):
         parse_manifold('RP(2)', coef)
+    err = _syntax_error(parse_manifold, 'P(2)*', coef)
+    assert (err.position, err.found) == (5, None)
+    assert err.expected == ('P(n)', 'S(j)', 'gamma(...)', 'triv(...)', 'an integer', '(')
+    # triv takes a coefficient expression
+    err = _syntax_error(parse_manifold, 'triv(e)', coef)
+    assert (err.position, err.expected) == (5, ('a<d>', 'an integer', '('))
+    # P(17) is the largest manifold under the default degree cap 16
+    for text in ('P(9)^2', 'triv(a2*a16)*P(2)'):
+        with pytest.raises(CapacityError, match='dimension 18'):
+            parse_manifold(text, coef)
+    assert len(parse_manifold('P(8)^2', coef)) == 1
 
 
 def test_space_expressions():
