@@ -19,10 +19,11 @@ one bit per monomial, with the pivot order fixed by the term ordering, so
 results are exact and deterministic. An Echelon eliminates a fixed family
 once and then solves for any number of targets.
 
-The pieces every GF(2) sum in the package shares live here too: parity
-(the monomials of a product, duplicates cancelled), square-and-multiply
-powers, the partition enumerator, and free modules over N_* with
-polynomial components.
+The pieces every GF(2) sum in the package shares live here too: the sum
+core SparseSum (polynomials and presentations differ only in their kind
+of monomial), parity (the monomials of a product, duplicates cancelled),
+square-and-multiply powers, the partition enumerator, and free modules
+over N_* with polynomial components.
 """
 
 from collections import Counter
@@ -179,8 +180,14 @@ def mono_text(table, m):
     return '*'.join(parts)
 
 
-class GradedPoly:
-    """A set of monomials over a shared VarTable, coefficients implicitly 1."""
+class SparseSum:
+    """A GF(2) sum: a finite set of monomials over a shared VarTable.
+
+    The sum protocol is written once here. A subclass names its kind of
+    monomial through mono_mul (the product of two monomials),
+    mono_degree(table, m) and unit (the monomial of 1); operands of +
+    and * must be of one subclass over one table.
+    """
 
     __slots__ = ('table', 'terms')
 
@@ -190,46 +197,36 @@ class GradedPoly:
 
     @classmethod
     def zero(cls, table):
-        """The zero polynomial."""
+        """The empty sum."""
         return cls(table)
 
     @classmethod
     def one(cls, table):
-        """The unit polynomial."""
-        return cls(table, (MONO_ONE,))
-
-    @classmethod
-    def var(cls, table, name, exp=1):
-        """A single variable raised to exp (invertible variable only for exp < 0)."""
-        idx = table.index(name)
-        if exp == 0:
-            return cls.one(table)
-        if exp < 0 and idx != table.invertible:
-            raise ContractViolation('%s is not invertible' % name)
-        return cls(table, (((idx, exp),),))
+        """The sum holding only the unit monomial."""
+        return cls(table, (cls.unit,))
 
     def _check_peer(self, other):
-        if not isinstance(other, GradedPoly):
-            raise ContractViolation('expected a polynomial, got %r' % (other,))
-        if other.table is not self.table:
-            raise ContractViolation('operands use different variable tables')
+        if type(other) is not type(self) or other.table is not self.table:
+            raise ContractViolation('operands are not %s values over one table'
+                                    % type(self).__name__)
 
     def __add__(self, other):
         self._check_peer(other)
-        return GradedPoly(self.table, self.terms ^ other.terms)
+        return type(self)(self.table, self.terms ^ other.terms)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         self._check_peer(other)
-        return GradedPoly(self.table, parity(
-            mono_mul(m1, m2) for m1 in self.terms for m2 in other.terms))
+        mul = self.mono_mul
+        return type(self)(self.table, parity(
+            mul(m1, m2) for m1 in self.terms for m2 in other.terms))
 
     def __pow__(self, n):
-        return power(self, n, GradedPoly.one(self.table))
+        return power(self, n, self.one(self.table))
 
     def __eq__(self, other):
-        return (isinstance(other, GradedPoly) and self.table is other.table
+        return (type(other) is type(self) and self.table is other.table
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -246,16 +243,35 @@ class GradedPoly:
 
     def homogeneous(self):
         """True when all terms share one degree (vacuously for zero)."""
-        return len({mono_degree(self.table, m) for m in self.terms}) <= 1
+        return len({self.mono_degree(self.table, m) for m in self.terms}) <= 1
 
     def degree(self):
-        """Degree of a homogeneous polynomial; None for zero."""
-        degs = {mono_degree(self.table, m) for m in self.terms}
+        """Degree of a homogeneous sum; None for zero."""
+        degs = {self.mono_degree(self.table, m) for m in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
-            raise ContractViolation('polynomial is not homogeneous')
+            raise ContractViolation('element is not homogeneous')
         return degs.pop()
+
+
+class GradedPoly(SparseSum):
+    """A polynomial: a sum of exponent tuples, coefficients implicitly 1."""
+
+    __slots__ = ()
+    mono_mul = staticmethod(mono_mul)
+    mono_degree = staticmethod(mono_degree)
+    unit = MONO_ONE
+
+    @classmethod
+    def var(cls, table, name, exp=1):
+        """A single variable raised to exp (invertible variable only for exp < 0)."""
+        idx = table.index(name)
+        if exp == 0:
+            return cls.one(table)
+        if exp < 0 and idx != table.invertible:
+            raise ContractViolation('%s is not invertible' % name)
+        return cls(table, (((idx, exp),),))
 
     def degree_decompose(self):
         """Split into homogeneous pieces, as a degree -> polynomial map."""

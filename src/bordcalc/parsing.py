@@ -22,7 +22,7 @@ import re
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
 from .errors import CapacityError, ParseError
-from .gf2 import GradedPoly
+from .gf2 import GradedPoly, mono_degree
 
 _TOKEN = re.compile(r'\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)'
                     r'|(?P<punct>[-^*+(),;]))')
@@ -205,27 +205,31 @@ class _PresentationParser(_PolyParser):
             toks, ring, {'a': lambda d: ring.iota(ring.coef.a(d)), 'X': ring.X},
             ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '('))
 
-    def _size(self, x):
-        # a term's degree plus its e power: the dimension of the manifold
-        # before the e factors, additive under products
+    def _check(self, x, k=1):
+        # refuse x^k when a term's size (degree plus e power, the dimension
+        # before the e factors) would pass X_{max_degree + 1}'s, or its
+        # coefficient degree the cap; both add under products, so x^k tops
+        # out at k times x (leading parts multiply in a polynomial ring)
         table = self.ring.table
-        return max((fm.degree(table) + fm.epow for fm in x.monos), default=0)
-
-    def _check(self, size):
-        # X_{max_degree + 1} is the largest generator the session admits
-        top = self.ring.coef.max_degree + 1
-        if size > top:
+        cap = self.ring.coef.max_degree
+        size = coef = 0
+        for fm in x.terms:
+            v = mono_degree(table, fm.coef)
+            size = max(size, v + sum(i + n for i, n in fm.gammas))
+            coef = max(coef, v)
+        if k * size > cap + 1:
             raise CapacityError('degree plus e power %d exceeds %d, the largest under '
-                                'the degree cap %d' % (size, top, top - 1))
+                                'the degree cap %d' % (k * size, cap + 1, cap))
+        if k * coef > cap:
+            raise CapacityError('coefficient degree %d exceeds the degree cap %d'
+                                % (k * coef, cap))
 
     def capped(self, x):
-        self._check(self._size(x))
+        self._check(x)
         return x
 
     def power(self, atom, k):
-        # the top term of atom^k has k times the size of atom's top term
-        # (leading parts multiply in a polynomial ring), so refuse up front
-        self._check(k * self._size(atom))
+        self._check(atom, k)  # before atom^k is built
         return atom ** k
 
     def named_atom(self, text, pos):

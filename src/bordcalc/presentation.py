@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 from . import charnum
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, mono_degree, mono_key,
-                  mono_mul, mono_of, mono_text, parity, partitions, power)
+from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, SparseSum, mono_degree,
+                  mono_key, mono_mul, mono_of, mono_text, parity, partitions)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -97,76 +97,22 @@ def fm_key(fm):
     return (fm.gammas, fm.epow, fm.coef)
 
 
-def rewrite_measure(fm):
-    """(Gamma count, Gamma weight, ordering violations), the termination measure."""
-    gs = fm.gamma_factors()
-    xs = fm.x_indices()
-    violations = sum(1 for _, j in gs for m in xs if m < j)
-    return (len(gs), fm.gamma_weight(), violations)
-
-
-class Presentation:
+class Presentation(SparseSum):
     """A GF(2) sum of formal monomials over a shared variable table."""
 
-    __slots__ = ('table', 'monos')
+    __slots__ = ()
+    mono_mul = staticmethod(fm_mul)
+    mono_degree = staticmethod(lambda table, fm: fm.degree(table))
+    unit = FormalMonomial(MONO_ONE, (), 0)
 
-    def __init__(self, table, monos=()):
-        self.table = table
-        self.monos = monos if isinstance(monos, frozenset) else frozenset(monos)
-
-    def _check_peer(self, other):
-        if not isinstance(other, Presentation) or other.table is not self.table:
-            raise ContractViolation('operands are not presentations over one table')
-
-    def __add__(self, other):
-        self._check_peer(other)
-        return Presentation(self.table, self.monos ^ other.monos)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        self._check_peer(other)
-        return Presentation(self.table, parity(
-            fm_mul(f1, f2) for f1 in self.monos for f2 in other.monos))
-
-    def __pow__(self, n):
-        one = Presentation(self.table, (FormalMonomial(MONO_ONE, (), 0),))
-        return power(self, n, one)
-
-    def __eq__(self, other):
-        return (isinstance(other, Presentation) and self.table is other.table
-                and self.monos == other.monos)
-
-    def __hash__(self):
-        return hash(self.monos)
-
-    def __bool__(self):
-        return bool(self.monos)
-
-    def __len__(self):
-        return len(self.monos)
-
-    def degree(self):
-        """Degree of a homogeneous element; None for zero."""
-        degs = {fm.degree(self.table) for fm in self.monos}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ContractViolation('element is not homogeneous')
-        return degs.pop()
-
-    def homogeneous(self):
-        return len({fm.degree(self.table) for fm in self.monos}) <= 1
+    @property
+    def monos(self):
+        """The formal monomials; read-only alias of terms."""
+        return self.terms
 
     def is_coefficient_only(self):
         """True when no monomial carries a G factor or an e power."""
-        return all(not fm.gammas and not fm.epow for fm in self.monos)
-
-    def coefficient(self):
-        """The underlying N_* element of a coefficient-only presentation."""
-        if not self.is_coefficient_only():
-            raise ContractViolation('element has G factors or e powers')
-        return GradedPoly(self.table, frozenset(fm.coef for fm in self.monos))
+        return all(not fm.gammas and not fm.epow for fm in self.terms)
 
     def _factor_text(self, fm):
         parts = []
@@ -180,13 +126,10 @@ class Presentation:
 
     def to_text(self):
         """Canonical text form."""
-        if not self.monos:
+        if not self.terms:
             return '0'
-        monos = sorted(self.monos, key=fm_key, reverse=True)
+        monos = sorted(self.terms, key=fm_key, reverse=True)
         return ' + '.join(self._factor_text(fm) for fm in monos)
-
-    def __repr__(self):
-        return self.to_text()
 
 
 # member decides exactly and no longer returns UNDECIDED; the sentinel
@@ -236,7 +179,7 @@ class BordismRing:
         return Presentation(self.table)
 
     def one(self):
-        return Presentation(self.table, (FormalMonomial(MONO_ONE, (), 0),))
+        return Presentation.one(self.table)
 
     def e(self, k=1):
         """Euler class power e^k, k >= 0."""
@@ -270,10 +213,7 @@ class BordismRing:
         # multiply a presentation by an N_* polynomial
         return Presentation(self.table, parity(
             FormalMonomial(mono_mul(fm.coef, m), fm.gammas, fm.epow)
-            for m in c.terms for fm in x.monos))
-
-    def _mono_scale(self, x, fm):
-        return Presentation(self.table, frozenset(fm_mul(fm, g) for g in x.monos))
+            for m in c.terms for fm in x.terms))
 
     def single(self, fm):
         """The presentation with one monomial."""
@@ -283,15 +223,24 @@ class BordismRing:
 
     def alpha(self, x):
         """Augmentation to N_*: e -> 0, G(i, n) -> alpha(G(i, n)), multiplicative."""
+        return self._evaluate(x, None, self._alpha_gamma)
+
+    def _evaluate(self, x, e_power, factor_value):
+        """The ring map fixing N_* with e^k -> e_power(k) and G(i, n) -> factor_value(i, n).
+
+        e_power None sends e to 0, so terms with an e power are skipped.
+        """
         acc = GradedPoly.zero(self.table)
-        for fm in x.monos:
-            if fm.epow:
+        for fm in x.terms:
+            if fm.epow and e_power is None:
                 continue
             val = GradedPoly(self.table, (fm.coef,))
+            if fm.epow:
+                val = val * e_power(fm.epow)
             for i, n in fm.gammas:
-                if not val:
+                if not val.terms:
                     break
-                val = val * self._alpha_gamma(i, n)
+                val = val * factor_value(i, n)
             acc = acc + val
         return acc
 
@@ -326,7 +275,7 @@ class BordismRing:
     def gamma(self, x):
         """The Gamma operator: the unique y with e*y = x + bar(x)."""
         acc = self.zero()
-        for fm in x.monos:
+        for fm in x.terms:
             acc = acc + self._gamma_mono(fm)
         return acc
 
@@ -351,7 +300,7 @@ class BordismRing:
         g = self._gamma_xlist(tuple(sorted(fm.x_indices())))
         return Presentation(self.table, frozenset(
             FormalMonomial(mono_mul(fm.coef, h.coef), h.gammas, h.epow)
-            for h in g.monos))
+            for h in g.terms))
 
     def _gamma_xlist(self, xs):
         # Gamma(X_{n1} * rest) = G(1, n1)*rest + rho(n1)*Gamma(rest),
@@ -385,7 +334,7 @@ class BordismRing:
 
     def _nf_pres(self, x, budget):
         acc = self.zero()
-        for fm in x.monos:
+        for fm in x.terms:
             acc = acc + self._nf_mono(fm, budget)
         return acc
 
@@ -408,10 +357,11 @@ class BordismRing:
         gs = fm.gamma_factors()
         if fm.epow:
             result = self._rule_euler(fm, gs, budget)
-        elif len(gs) >= 2:
-            result = self._rule_pair(fm, gs, budget)
         else:
-            result = self._rule_order(fm, gs, budget)
+            # the second Gamma factor, or else the smallest X_m below the first
+            u = gs[0]
+            v = gs[1] if len(gs) >= 2 else (0, min(m for m in fm.x_indices() if m < u[1]))
+            result = self._rule_product(fm, u, v, budget)
         self._nf_cache[fm] = (result, start - budget[0])
         return result
 
@@ -431,32 +381,19 @@ class BordismRing:
         second = FormalMonomial(fm.coef, tuple(pool), fm.epow - 1)
         return self._nf_mono(first, budget) + self._nf_alpha(i - 1, n, second, budget)
 
-    def _rule_pair(self, fm, gs, budget):
-        # G(i, m)G(j, n) = Gamma(G(i-1, m)G(j, n)) + alpha(G(i-1, m)) G(j+1, n)
-        (i, m), (j, n) = gs[0], gs[1]
+    def _rule_product(self, fm, u, v, budget):
+        # u*v = Gamma(G(i-1, m) v) + alpha(G(i-1, m)) G(j+1, n)
+        # for u = G(i, m), i >= 1, and v = G(j, n)
+        (i, m), (j, n) = u, v
         pool = list(fm.gammas)
-        pool.remove((i, m))
-        pool.remove((j, n))
-        rest = FormalMonomial(fm.coef, tuple(pool), 0)
-        inner = FormalMonomial(MONO_ONE, tuple(sorted([(i - 1, m), (j, n)])), 0)
+        pool.remove(u)
+        pool.remove(v)
+        rest = self.single(FormalMonomial(fm.coef, tuple(pool), 0))
+        inner = FormalMonomial(MONO_ONE, tuple(sorted([(i - 1, m), v])), 0)
         g = self.gamma(self._nf_mono(inner, budget))
         second = FormalMonomial(fm.coef, tuple(sorted(pool + [(j + 1, n)])), 0)
-        return (self._nf_pres(self._mono_scale(g, rest), budget)
+        return (self._nf_pres(g * rest, budget)
                 + self._nf_alpha(i - 1, m, second, budget))
-
-    def _rule_order(self, fm, gs, budget):
-        # G(j, n)X_m = Gamma(G(j-1, n)X_m) + alpha(G(j-1, n)) G(1, m)  for m < n
-        j, n = gs[0]
-        m0 = min(m for m in fm.x_indices() if m < n)
-        pool = list(fm.gammas)
-        pool.remove((j, n))
-        pool.remove((0, m0))
-        rest = FormalMonomial(fm.coef, tuple(pool), 0)
-        inner = FormalMonomial(MONO_ONE, tuple(sorted([(j - 1, n), (0, m0)])), 0)
-        g = self.gamma(self._nf_mono(inner, budget))
-        second = FormalMonomial(fm.coef, tuple(sorted(pool + [(1, m0)])), 0)
-        return (self._nf_pres(self._mono_scale(g, rest), budget)
-                + self._nf_alpha(j - 1, n, second, budget))
 
     def complication(self, x):
         """Diagnostic count of e-Gamma coincidences, min(epow, Gamma weight) per term.
@@ -464,21 +401,13 @@ class BordismRing:
         One reading of an ambiguous statistic; reported for diagnostics only
         and never used by the termination argument.
         """
-        return sum(min(fm.epow, fm.gamma_weight()) for fm in x.monos)
+        return sum(min(fm.epow, fm.gamma_weight()) for fm in x.terms)
 
     # --- localization -----------------------------------------------------
 
     def localize(self, x):
         """Image in the Laurent model: X_n -> loc_P(n), G(i, n) -> _loc_gamma(i, n)."""
-        acc = GradedPoly.zero(self.table)
-        for fm in x.monos:
-            val = GradedPoly(self.table, (fm.coef,))
-            if fm.epow:
-                val = val * self.laurent.e(fm.epow)
-            for i, n in fm.gammas:
-                val = val * self._loc_gamma(i, n)
-            acc = acc + val
-        return acc
+        return self._evaluate(x, self.laurent.e, self._loc_gamma)
 
     def _loc_gamma(self, i, n):
         """loc(G(i, n)) = e^-1 (loc(G(i-1, n)) + alpha(G(i-1, n))): e*Gamma(x) = x + xbar."""
@@ -495,12 +424,12 @@ class BordismRing:
 
     def is_geometric(self, x):
         """True when the normal form of x is free of e powers."""
-        return all(fm.epow == 0 for fm in self.normal_form(x).monos)
+        return all(fm.epow == 0 for fm in self.normal_form(x).terms)
 
     def quotient_reduce(self, x):
         """Image in the quotient by geometric classes, as a QuotientElem."""
         parts = {}
-        for fm in self.normal_form(x).monos:
+        for fm in self.normal_form(x).terms:
             if not fm.epow:
                 continue
             xs = mono_of(self.table.index('X%d' % n) for n in fm.x_indices())
@@ -608,27 +537,36 @@ class BordismRing:
         preimage is unique, so the answer does not depend on what was
         asked before.
 
-        A target whose degree d or largest e-free degree d + t0 exceeds
-        max_degree + 1 raises CapacityError before any window is built.
-        This never refuses the localization of a class the session admits:
-        every admissible term has degree at most its size (degree plus e
-        power), and its size is at most max_degree + 1; localization never
-        raises a term's e-free degree above that size, since coefficients
-        keep theirs, e^k gives 0, and each X_n or G(i, n) factor gives at
-        most its size minus 1.
+        A target raises CapacityError before any window is built when its
+        degree d exceeds max_degree + 1, or when its largest e-free degree
+        d + max(t0, -1), the largest coefficient degree its window asks for,
+        exceeds max_degree. This never refuses the localization of a class
+        the session admits. An admitted term has coefficient degree v at
+        most max_degree and size (degree plus e power) at most
+        max_degree + 1, so its degree is at most max_degree + 1.
+        Localization keeps the coefficient's degree, gives e^k e-free
+        degree 0, and gives each X_n or G(i, n) factor e-free degree at most
+        its size minus 1 (loc_P(n) = c_{n-1} e^-1 + e^-n, and by induction
+        loc(G(i, n)) = e^-1 (loc(G(i-1, n)) + alpha(G(i-1, n)))). So a term
+        with r >= 1 factors localizes to e-free degree at most size - r <=
+        max_degree, and a term with none to v <= max_degree. Hence
+        d + t0 <= max_degree, d - 1 <= max_degree covers t0 < -1, and no
+        window asks for coefficients past the cap.
         """
         self.laurent._require_laurent(target, 'membership target')
         if not target:
             return self.zero()
         if not target.homogeneous():
             raise ContractViolation('membership target must be homogeneous')
-        d, t0 = target.degree(), target.max_inv_exp()
-        top = self.coef.max_degree + 1
-        if max(d, d + t0) > top:
-            raise CapacityError('membership target of degree %d and e-free degree %d '
-                                'exceeds %d, the largest under the degree cap %d'
-                                % (d, d + t0, top, top - 1))
-        cands, echelon = self._window(d, max(t0, -1))
+        d, t_max = target.degree(), max(target.max_inv_exp(), -1)
+        cap = self.coef.max_degree
+        if d > cap + 1:
+            raise CapacityError('membership target of degree %d exceeds %d, the largest '
+                                'under the degree cap %d' % (d, cap + 1, cap))
+        if d + t_max > cap:
+            raise CapacityError('membership target of e-free degree %d exceeds the '
+                                'degree cap %d' % (d + t_max, cap))
+        cands, echelon = self._window(d, t_max)
         flags = echelon.solve(target.terms)
         if flags is None:
             return None

@@ -3,13 +3,20 @@
 perfbench/tracer.py replaces functions by name at each module that
 imports them, and perfbench/child.py imports names of its own; a rename
 or deletion there breaks benchmark runs without failing any other test.
+The benchmark's oracle, perfbench/workloads.py, reads the answer types
+too, so its check of a short query mix runs here as well.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from bordcalc.errors import BordcalcError
+from bordcalc.parsing import parse_laurent, parse_presentation
+from bordcalc.session import Session
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +49,34 @@ def test_child_answers_traced_queries(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)['results']
     assert [r[0] for r in results] == ['found', 'none', 'ok']
+
+
+def test_oracle_accepts_the_answers():
+    # perfbench/workloads.py reads Presentation.monos, FormalMonomial and
+    # QuotientElem(table, parts); answer as perfbench/child.py does
+    spec = importlib.util.spec_from_file_location(
+        'workloads', ROOT / 'perfbench' / 'workloads.py')
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    oracle = workloads.Oracle()
+    session = Session()
+    mo = session.mo
+
+    def answer(op, text):
+        if op == 'nf':
+            return 'ok', mo.normal_form(parse_presentation(text, mo)).to_text()
+        if op == 'quotient':
+            return 'ok', mo.quotient_reduce(parse_presentation(text, mo)).to_text()
+        found = mo.member(parse_laurent(text, session.laurent))
+        if found is None:
+            return 'none', ''
+        return 'found', mo.normal_form(found).to_text()
+
+    queries = oracle.query_mix(1, 40)
+    assert {q['op'] for q in queries} == {'nf', 'quotient', 'member'}
+    for query in queries:
+        try:
+            status, text = answer(query['op'], query['text'])
+        except BordcalcError as exc:
+            status, text = type(exc).__name__, str(exc)
+        assert oracle.check_query(query, status, text) == 'ok', query

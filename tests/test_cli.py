@@ -97,10 +97,12 @@ def test_presentation_degree_cap(capsys):
     code, out = run(capsys, 'nf', 'X2^400')
     assert code == 3
     assert '800 exceeds 17' in out
-    for text in ('X9*X9', 'X2^9', '(1 + X2)^9', 'G(16,2)', 'Gamma(X17)', 'e^3*X9*X9'):
+    # a2*a2*a13 has size 17, but its coefficient N_17 would need the absent a17
+    for text in ('X9*X9', 'X2^9', '(1 + X2)^9', 'G(16,2)', 'Gamma(X17)', 'e^3*X9*X9',
+                 'a2*a2*a13', 'iota(a2*a2*a13)'):
         code, _ = run(capsys, 'nf', text)
         assert code == 3, text
-    for text in ('X2^8', 'G(15,2)', 'e^100000000'):
+    for text in ('X2^8', 'G(15,2)', 'e^100000000', 'a2*a2*a12'):
         code, _ = run(capsys, 'nf', text)
         assert code == 0, text
 

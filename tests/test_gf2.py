@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from bordcalc import gf2
 from bordcalc.charnum import CohomClass, ProjBundle, RP
 from bordcalc.errors import ContractViolation
-from bordcalc.gf2 import (Echelon, GradedPoly, parity, partitions, poly_rank, rank_sets,
-                          solve_gf2, solve_sets, standard_table)
+from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, parity, partitions, poly_rank,
+                          rank_sets, solve_gf2, solve_sets, standard_table)
+from bordcalc.presentation import FormalMonomial, Presentation
 from test_coefficients import _partition_count
 
 TABLE = standard_table((2, 4, 5), 6)
@@ -34,25 +35,50 @@ _POOL = [(), mono(('a2', 1)), mono(('c1', 1)), mono(('e', -1)),
 polys = st.sets(st.sampled_from(_POOL), max_size=7).map(
     lambda ms: GradedPoly(TABLE, ms))
 
+# 1, e, X2, G(1,2) and a2*X3: presentations share the sum core
+_FM_POOL = [FormalMonomial(MONO_ONE, (), 0), FormalMonomial(MONO_ONE, (), 1),
+            FormalMonomial(MONO_ONE, ((0, 2),), 0), FormalMonomial(MONO_ONE, ((1, 2),), 0),
+            FormalMonomial(mono(('a2', 1)), ((0, 3),), 0)]
 
-@given(polys, polys, polys)
-def test_ring_axioms(p, q, r):
-    assert p + q == q + p
-    assert (p + q) + r == p + (q + r)
-    assert p + p == GradedPoly.zero(TABLE)
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert p * GradedPoly.one(TABLE) == p
-    assert p * GradedPoly.zero(TABLE) == GradedPoly.zero(TABLE)
+presentations = st.sets(st.sampled_from(_FM_POOL), max_size=5).map(
+    lambda ms: Presentation(TABLE, ms))
 
 
-@given(polys, st.integers(min_value=0, max_value=4))
-def test_pow_matches_repeated_product(p, k):
-    expected = GradedPoly.one(TABLE)
-    for _ in range(k):
-        expected = expected * p
-    assert p ** k == expected
+@given(polys, polys, polys, st.tuples(presentations, presentations, presentations))
+def test_ring_axioms(p, q, r, xs):
+    for p, q, r in ((p, q, r), xs):
+        one, zero = type(p).one(TABLE), type(p).zero(TABLE)
+        assert p + q == q + p
+        assert (p + q) + r == p + (q + r)
+        assert p + p == zero
+        assert p * q == q * p
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert p * one == p
+        assert p * zero == zero
+
+
+@given(polys, presentations, st.integers(min_value=0, max_value=4))
+def test_pow_matches_repeated_product(p, x, k):
+    for p in (p, x):
+        expected = type(p).one(TABLE)
+        for _ in range(k):
+            expected = expected * p
+        assert p ** k == expected
+
+
+def test_polynomials_and_presentations_do_not_mix():
+    x = Presentation(TABLE, _FM_POOL[2:3])
+    for p in (GradedPoly.one(TABLE), X2):
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ContractViolation):
+                op(p, x)
+            with pytest.raises(ContractViolation):
+                op(x, p)
+        assert p != x and x != p
+        assert not p == x and not x == p
+    # the same terms do not make a presentation equal a polynomial
+    assert Presentation(TABLE) != GradedPoly.zero(TABLE)
 
 
 def test_negative_power_rejected_off_the_invertible():

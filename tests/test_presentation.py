@@ -34,6 +34,10 @@ def test_normal_form_pinned_values(sess):
     assert mo.normal_form(mo.G(1, 2) ** 2) == a2 * mo.G(2, 2) + mo.G(2, 2) * mo.X(2)
     assert (mo.normal_form(mo.G(1, 3) * mo.X(2))
             == a2 * mo.G(1, 3) + mo.G(1, 2) * mo.X(3))
+    # the product rule fires on the Gamma pair and on G(j, n) X_m, m < n
+    assert (mo.normal_form(mo.G(2, 5) * mo.G(1, 3) * mo.X(2)).to_text()
+            == 'a2*a5*G(1,5) + a2*G(3,3)*X5 + a4*G(1,3)*X5 + a2^2*G(1,3)*X5'
+               ' + G(3,2)*X3*X5')
 
 
 def test_normal_form_fixes_basis_monomials(sess):
@@ -294,12 +298,21 @@ def test_member_answers_do_not_depend_on_history():
 
 
 def test_member_window_past_the_cap_raises_every_time():
-    # degree 14, top exponent 3: the window needs coefficient degree 17
+    # degree 14, top exponent 3: e-free degree 17 passes the cap 16, so the
+    # window would need coefficient degree 17; refused before any build
     mo = Session().mo
     target = mo.localize(mo.e(5) * mo.X(9) * mo.X(10))
     for _ in range(2):
         with pytest.raises(CapacityError):
             mo.member(target)
+
+
+def test_member_past_the_cap_builds_no_window():
+    # degree 17, top exponent 0: its window would ask for the absent a17
+    s = Session()
+    with pytest.raises(CapacityError, match='membership target'):
+        s.mo.member(parse_laurent('c16*c1', s.laurent))
+    assert s.mo._window_cache == {}
 
 
 def test_member_recovers_every_basis_monomial(sess):
