@@ -361,6 +361,19 @@ class CohomClass:
         return self.to_text()
 
 
+def fixed_bundle(bmult, trivial=0):
+    """P(L_1 + ... + L_r + R^trivial) over RP(i_1 - 1) x ... x RP(i_r - 1).
+
+    bmult lists i_1, ..., i_r, and L_k is the tautological line of factor
+    k: the total space delta (trivial = 0) and the mapping torus
+    (trivial = 2) identify for the bundle monomial b_{i_1} ... b_{i_r}, and
+    alpha(G(i, n)) its fixed component's Q with bmult (n,), trivial i + 1.
+    """
+    base = Product([RP(i - 1) for i in bmult])
+    lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]
+    return ProjBundle(base, lines + [CohomClass.zero(base)] * trivial)
+
+
 def pair(x, space):
     """Pair a class against the fundamental class."""
     return (x.terms & space.pairing()).bit_count() & 1

@@ -7,10 +7,11 @@ non-divisible class), 2 for usage or parse problems, 3 when a degree cap
 or the rewrite fuel is hit. Membership is decided exactly: a preimage or
 exit 1.
 
-Config files hold `key = value` lines (# comments allowed) with keys
-max_degree, fuel, coef.max_degree, and coef.generators (auto or a
-comma-separated list of degrees). The BORDCALC_CONFIG environment
-variable names a default config file; --config overrides it.
+Config files hold `key = value` lines (# comments allowed) with the keys
+max_degree (the degree cap, default 16) and fuel. The BORDCALC_CONFIG
+environment variable names a default config file; --config overrides it.
+Every parsed expression, Gamma or divide-e result and membership target
+passes the cap's one rule, CoefRing.check_size, or exits 3 unbuilt.
 """
 
 import argparse
@@ -79,8 +80,7 @@ def _build_parser():
 
 
 def _load_config(path):
-    keys = {'max_degree': int, 'fuel': int,
-            'coef.max_degree': int, 'coef.generators': str}
+    keys = {'max_degree': int, 'fuel': int}
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -102,20 +102,12 @@ def _load_config(path):
 
 
 def _session_from(args):
-    cfg = {}
     path = args.config or os.environ.get('BORDCALC_CONFIG')
-    if path:
-        cfg = _load_config(path)
-    kwargs = {}
-    if 'max_degree' in cfg:
-        kwargs['max_degree'] = cfg['max_degree']
-    if 'coef.max_degree' in cfg:
-        kwargs['coef_max_degree'] = cfg['coef.max_degree']
-    if 'coef.generators' in cfg and cfg['coef.generators'] != 'auto':
-        degrees = tuple(int(part) for part in cfg['coef.generators'].split(','))
-        kwargs['generator_degrees'] = degrees
-    kwargs['fuel'] = args.fuel if args.fuel is not None else cfg.get('fuel', 500000)
-    return Session(**kwargs)
+    cfg = _load_config(path) if path else {}
+    # the config keys are Session's parameters
+    if args.fuel is not None:
+        cfg['fuel'] = args.fuel
+    return Session(**cfg)
 
 
 def _handle_nf(s, args, expr):
@@ -137,16 +129,22 @@ def _handle_alpha(s, args, expr):
     return 0, {'alpha': out.to_text()}, [out.to_text()]
 
 
+def _capped(s, x):
+    # Gamma can raise a term's size by one, so its result passes the rule again
+    s.coef.check_size('degree plus e power', *x.size())
+    return x
+
+
 def _handle_gamma(s, args, expr):
     x = parse_presentation(expr, s.mo)
-    out = s.mo.normal_form(s.mo.gamma(x))
+    out = s.mo.normal_form(_capped(s, s.mo.gamma(x)))
     return 0, {'gamma': out.to_text()}, [out.to_text()]
 
 
 def _handle_divide_e(s, args, expr):
     x = parse_presentation(expr, s.mo)
     try:
-        out = s.mo.normal_form(s.mo.divide_e(x))
+        out = s.mo.normal_form(_capped(s, s.mo.divide_e(x)))
     except NotDivisible as exc:
         detail = 'not divisible: augmentation is %s' % exc.remainder.to_text()
         return 1, {'divisible': False,
@@ -349,10 +347,7 @@ def _main(argv):
     args = parser.parse_args(argv)
     try:
         session = _session_from(args)
-    except (OSError, ValueError) as exc:
-        print('error: %s' % exc, file=sys.stderr)
-        return 2
-    except ContractViolation as exc:
+    except (OSError, ValueError, ContractViolation) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
     needs_expr = args.command in _EXPR_COMMANDS

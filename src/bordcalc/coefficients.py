@@ -41,23 +41,13 @@ def generator_rep(d):
 
 
 class CoefRing:
-    """N_* up to a degree cap, plus the shared variable table."""
+    """N_* up to max_degree, the session's one cap, and the shared variable table."""
 
-    def __init__(self, max_degree=16, generator_degrees=None):
+    def __init__(self, max_degree=16):
         if max_degree < 0:
             raise ContractViolation('max_degree must be nonnegative')
         self.max_degree = max_degree
-        if generator_degrees is None:
-            generator_degrees = allowed_degrees(max_degree)
-        else:
-            generator_degrees = sorted(generator_degrees)
-            for d in generator_degrees:
-                if d < 2 or is_power_of_two(d + 1):
-                    raise ContractViolation('%d is not a polynomial generator degree' % d)
-            if generator_degrees and generator_degrees[-1] > max_degree:
-                raise CapacityError('generator degree %d exceeds cap %d'
-                                    % (generator_degrees[-1], max_degree))
-        self.generator_degrees = tuple(generator_degrees)
+        self.generator_degrees = tuple(allowed_degrees(max_degree))
         self.table = standard_table(self.generator_degrees, max_degree)
         self._a_names = {d: 'a%d' % d for d in self.generator_degrees}
         self._mono_cache = {}
@@ -69,6 +59,21 @@ class CoefRing:
         self.reference_rows = {}
         self.nbo1_reference_rows = {}
 
+    def check_size(self, what, size, coef_degree):
+        """The one cap rule: CapacityError past it, what naming the size.
+
+        A term's size (its dimension, or for a presentation its degree plus
+        e power) may reach max_degree + 1, that of P(max_degree + 1), and its
+        N_* part max_degree, as far as N_* is held. Both add under products.
+        """
+        cap = self.max_degree
+        if size > cap + 1:
+            raise CapacityError('%s %d exceeds %d, the largest under the degree cap %d'
+                                % (what, size, cap + 1, cap))
+        if coef_degree > cap:
+            raise CapacityError('%s %d: coefficient degree %d exceeds the degree cap %d'
+                                % (what, size, coef_degree, cap))
+
     def zero(self):
         return GradedPoly.zero(self.table)
 
@@ -78,8 +83,6 @@ class CoefRing:
     def a(self, d):
         """The generator a_d."""
         if d not in self._a_names:
-            if 2 <= d <= self.max_degree and not is_power_of_two(d + 1):
-                raise ContractViolation('a%d is not a generator of this ring' % d)
             if d > self.max_degree:
                 raise CapacityError('a%d exceeds the degree cap %d' % (d, self.max_degree))
             raise ContractViolation('there is no generator in degree %d' % d)

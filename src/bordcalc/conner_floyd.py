@@ -21,7 +21,7 @@ its tautological class in N_*(BO(1)) by Stiefel-Whitney numbers.
 
 from dataclasses import dataclass
 
-from .charnum import CohomClass, RP, ProjBundle, Product, identify_in_n, identify_in_nbo1
+from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
 from .gf2 import FreeModuleElem, GradedPoly, mono_mul, mono_of, partitions
 
@@ -101,18 +101,6 @@ def gamma_depth(expr):
     if isinstance(expr, ProductOf):
         return max((gamma_depth(f) for f in expr.factors), default=0)
     return 0
-
-
-def fixed_bundle(bmult, trivial=0):
-    """P(L_1 + ... + L_r + R^trivial) over RP(i_1 - 1) x ... x RP(i_r - 1).
-
-    bmult lists i_1, ..., i_r, and L_k is the tautological line of factor
-    k: the total space delta (trivial = 0) and the mapping torus
-    (trivial = 2) identify for the bundle monomial b_{i_1} ... b_{i_r}.
-    """
-    base = Product([RP(i - 1) for i in bmult])
-    lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]
-    return ProjBundle(base, lines + [CohomClass.zero(base)] * trivial)
 
 
 class FreeBZ2Elem(FreeModuleElem):

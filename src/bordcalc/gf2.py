@@ -26,6 +26,7 @@ square-and-multiply powers, the partition enumerator, and free modules
 over N_* with polynomial components.
 """
 
+import operator
 from collections import Counter
 
 from .errors import ContractViolation
@@ -86,17 +87,17 @@ def parity(monos):
     return frozenset(odd)
 
 
-def power(x, n, one):
-    """x**n by square-and-multiply; one is the unit of the ring x lives in."""
+def power(x, n, one, mul=operator.mul):
+    """x**n by square-and-multiply, O(log n) calls of mul; one is the unit."""
     if n < 0:
         raise ContractViolation('powers must be nonnegative')
     result = one
     while n:
         if n & 1:
-            result = result * x
+            result = mul(result, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return result
 
 

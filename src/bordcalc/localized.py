@@ -28,12 +28,11 @@ class LaurentRing:
     def __init__(self, coef):
         self.coef = coef
         self.table = coef.table
-        self.max_degree = coef.max_degree
         self._laurent_names = set(coef._a_names.values())
-        self._laurent_names.update('c%d' % j for j in range(1, self.max_degree + 1))
+        self._laurent_names.update('c%d' % j for j in range(1, self.coef.max_degree + 1))
         self._laurent_names.add('e')
         self._cleared_names = set(coef._a_names.values())
-        self._cleared_names.update('X%d' % n for n in range(2, self.max_degree + 2))
+        self._cleared_names.update('X%d' % n for n in range(2, self.coef.max_degree + 2))
         self._cleared_names.add('e')
         self._loc_cache = {}
 
@@ -53,8 +52,8 @@ class LaurentRing:
             raise ContractViolation('c_j needs j >= 0')
         if j == 0:
             return self.one()
-        if j > self.max_degree:
-            raise CapacityError('c%d exceeds the degree cap %d' % (j, self.max_degree))
+        if j > self.coef.max_degree:
+            raise CapacityError('c%d exceeds the degree cap %d' % (j, self.coef.max_degree))
         return GradedPoly.var(self.table, 'c%d' % j)
 
     def X(self, n):
@@ -63,8 +62,8 @@ class LaurentRing:
             raise ContractViolation('X_n needs n >= 1')
         if n == 1:
             return self.zero()
-        if n > self.max_degree + 1:
-            raise CapacityError('X%d exceeds the degree cap %d' % (n, self.max_degree))
+        if n > self.coef.max_degree + 1:
+            raise CapacityError('X%d exceeds the degree cap %d' % (n, self.coef.max_degree))
         return GradedPoly.var(self.table, 'X%d' % n)
 
     def loc_P(self, n):

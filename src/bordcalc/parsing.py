@@ -15,14 +15,17 @@ Integers reduce mod 2. Specific atoms per grammar:
 Manifold expressions parse to a parity-reduced list standing for a formal
 GF(2) sum, with products distributed over sums and gamma applied
 factorwise. Space products flatten to a single Product.
+The expression grammars but the Laurent one (member checks its targets)
+obey the degree cap through CoefRing.check_size, given their terms' maxima.
 """
 
 import re
 
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
-from .errors import CapacityError, ParseError
-from .gf2 import GradedPoly, mono_degree
+from .errors import ParseError
+from .gf2 import GradedPoly, power
+from .presentation import Presentation
 
 _TOKEN = re.compile(r'\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)'
                     r'|(?P<punct>[-^*+(),;]))')
@@ -82,14 +85,17 @@ class _Tokens:
 class _ElementParser:
     """The one sum/product/power engine; each grammar supplies its atoms.
 
-    +, * and ^ go through the add, mul and power hooks, every product and
-    atom through capped, and every sum through finish, so a grammar changes
-    what its values are and how far they may grow without copying the
-    precedence rules.
+    +, * and ^ go through the add, mul and power hooks, and every sum
+    through finish, so a grammar changes its values without copying the
+    precedence rules. Given a CoefRing coef, every atom, product, and x^k
+    before it is built pass coef.check_size with their terms' maxima.
     """
 
-    def __init__(self, toks):
+    what = 'dimension'  # the size named in CapacityError messages
+
+    def __init__(self, toks, coef=None):
         self.toks = toks
+        self.coef = coef
 
     def parse_sum(self):
         acc = self.parse_term()
@@ -117,7 +123,8 @@ class _ElementParser:
             if not invertible:
                 raise ParseError(pos, ('a nonnegative exponent',), found='-')
             sign = -1
-        return self.power(atom, sign * self.toks.expect_int())
+        k = sign * self.toks.expect_int()
+        return self.power(self.capped(atom, k), k)
 
     def add(self, x, y):
         return x + y
@@ -128,8 +135,11 @@ class _ElementParser:
     def power(self, atom, k):
         return atom ** k
 
-    def capped(self, x):
-        """x, once it passes the grammar's size cap (none by default)."""
+    def capped(self, x, k=1):
+        """x, once x^k passes the degree cap: sizes add under products."""
+        if self.coef is not None:
+            size, coef_degree = self.maxima(x)
+            self.coef.check_size(self.what, k * size, k * coef_degree)
         return x
 
     def finish(self, x):
@@ -167,14 +177,17 @@ class _PolyParser(_ElementParser):
 
     ring gives zero() and one(). When e is given (the Laurent grammar), the
     name e is the grammar's one invertible atom, and e^-k parses to e(-k).
+    A capped term's size is its degree, and its N_* part leaves out the
+    variables whose indices are in outside.
     """
 
-    def __init__(self, toks, ring, letters, expected, e=None):
-        super().__init__(toks)
+    def __init__(self, toks, ring, letters, expected, e=None, coef=None, outside=()):
+        super().__init__(toks, coef)
         self.ring = ring
         self.letters = letters
         self.expected = expected
         self.e = e
+        self.outside = outside
 
     def zero(self):
         return self.ring.zero()
@@ -194,43 +207,29 @@ class _PolyParser(_ElementParser):
         # a negative k only follows the invertible atom e
         return self.e(k) if k < 0 else atom ** k
 
+    def maxima(self, x):
+        deg = x.table.degrees
+        size = coef = 0
+        for m in x.terms:
+            d = sum(e * deg[i] for i, e in m)
+            size = max(size, d)
+            coef = max(coef, d - sum(e * deg[i] for i, e in m if i in self.outside))
+        return size, coef
+
 
 def _coefficient_parser(toks, coef):
-    return _PolyParser(toks, coef, {'a': coef.a}, ('a<d>', 'an integer', '('))
+    return _PolyParser(toks, coef, {'a': coef.a}, ('a<d>', 'an integer', '('), coef=coef)
 
 
 class _PresentationParser(_PolyParser):
+    what = 'degree plus e power'
+    maxima = staticmethod(Presentation.size)
+
     def __init__(self, toks, ring):
         super().__init__(
             toks, ring, {'a': lambda d: ring.iota(ring.coef.a(d)), 'X': ring.X},
-            ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '('))
-
-    def _check(self, x, k=1):
-        # refuse x^k when a term's size (degree plus e power, the dimension
-        # before the e factors) would pass X_{max_degree + 1}'s, or its
-        # coefficient degree the cap; both add under products, so x^k tops
-        # out at k times x (leading parts multiply in a polynomial ring)
-        table = self.ring.table
-        cap = self.ring.coef.max_degree
-        size = coef = 0
-        for fm in x.terms:
-            v = mono_degree(table, fm.coef)
-            size = max(size, v + sum(i + n for i, n in fm.gammas))
-            coef = max(coef, v)
-        if k * size > cap + 1:
-            raise CapacityError('degree plus e power %d exceeds %d, the largest under '
-                                'the degree cap %d' % (k * size, cap + 1, cap))
-        if k * coef > cap:
-            raise CapacityError('coefficient degree %d exceeds the degree cap %d'
-                                % (k * coef, cap))
-
-    def capped(self, x):
-        self._check(x)
-        return x
-
-    def power(self, atom, k):
-        self._check(atom, k)  # before atom^k is built
-        return atom ** k
+            ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '('),
+            coef=ring.coef)
 
     def named_atom(self, text, pos):
         if text == 'e':
@@ -267,10 +266,6 @@ class _ManifoldParser(_ElementParser):
 
     expected = ('P(n)', 'S(j)', 'gamma(...)', 'triv(...)', 'an integer', '(')
 
-    def __init__(self, toks, coef):
-        super().__init__(toks)
-        self.coef = coef
-
     def zero(self):
         return []
 
@@ -278,22 +273,19 @@ class _ManifoldParser(_ElementParser):
         return [Trivial(GradedPoly.one(self.coef.table))]
 
     def mul(self, xs, ys):
-        return [_product(x, y) for x in xs for y in ys]
+        return [p for p in (_product(x, y) for x in xs for y in ys) if p is not None]
 
     def power(self, atoms, k):
-        acc = self.one()
-        for _ in range(k):
-            acc = self.capped(self.mul(acc, atoms))
-        return _parity_list(acc)
+        return power(atoms, k, self.one(), lambda xs, ys: _parity_list(self.mul(xs, ys)))
 
-    def capped(self, terms):
-        # P(max_degree + 1) is the largest manifold the session admits
-        top = self.coef.max_degree + 1
+    def maxima(self, terms):
+        # the N_* part is the triv factors; gamma(M)'s size check covers M's
+        size = coef = 0
         for t in terms:
-            if t.dim > top:
-                raise CapacityError('dimension %d exceeds %d, the largest under the '
-                                    'degree cap %d' % (t.dim, top, self.coef.max_degree))
-        return terms
+            size = max(size, t.dim)
+            factors = t.factors if isinstance(t, ProductOf) else (t,)
+            coef = max(coef, sum(f.dim for f in factors if isinstance(f, Trivial)))
+        return size, coef
 
     def finish(self, terms):
         return _parity_list(terms)
@@ -323,6 +315,8 @@ def _product(x, y):
             factors.append(part)
     kept = [f for f in factors
             if not (isinstance(f, Trivial) and f.coef == GradedPoly.one(f.coef.table))]
+    if kept.count(AntipodalSphere(0)) > 1:
+        return None  # S(0) x S(0) is two copies of S(0): the product cancels
     if not kept:
         return Trivial(GradedPoly.one(factors[0].coef.table))
     if len(kept) == 1:
@@ -360,7 +354,8 @@ def parse_bundle(text, geometry):
     coef = geometry.coef
     return _parse(text, lambda toks: _PolyParser(
         toks, coef, {'a': coef.a, 'b': geometry.b},
-        ('a<d>', 'b<i>', 'an integer', '(')).parse_sum())
+        ('a<d>', 'b<i>', 'an integer', '('), coef=coef,
+        outside=geometry._b_index).parse_sum())
 
 
 def parse_manifold(text, coef):

@@ -9,10 +9,8 @@ from .presentation import BordismRing
 class Session:
     """A coefficient ring, its localization, the bordism ring, and geometry."""
 
-    def __init__(self, max_degree=16, fuel=500000,
-                 coef_max_degree=None, generator_degrees=None):
-        cap = max_degree if coef_max_degree is None else coef_max_degree
-        self.coef = CoefRing(cap, generator_degrees)
+    def __init__(self, max_degree=16, fuel=500000):
+        self.coef = CoefRing(max_degree)
         self.laurent = LaurentRing(self.coef)
         self.mo = BordismRing(self.laurent, fuel=fuel)
         self.geometry = Geometry(self.mo)

@@ -54,15 +54,25 @@ def test_exit_code_capacity(capsys):
     assert 'b18' in out
 
 
-def test_member_cap_exits_at_once():
+def test_member_cap_exits_at_once(run_cli):
     # these targets used to hang while the window enumerated degree 800 or
-    # 400; a subprocess with a timeout makes such a hang fail the suite
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / 'src'))
+    # 400
     for text in ('c2^400', 'a2^400', 'e^-400'):
-        proc = subprocess.run([sys.executable, '-m', 'bordcalc', 'member', text],
-                              capture_output=True, env=env, timeout=60)
+        proc = run_cli('member', text)
         assert proc.returncode == 3, text
         assert b'exceeds 17' in proc.stdout + proc.stderr, text
+
+
+def test_huge_powers_end_at_once(run_cli):
+    # each used to run for more than 20 s; a power costs O(log k) products,
+    # and S(0) x S(0), two copies of S(0), cancels
+    for command, text, code, out in (('delta', '(1+b1)^100000000', 3, b'exceeds 17'),
+                                     ('phi', '1^100000000', 0, b'1'),
+                                     ('phi', 'triv(0)^100000000', 0, b'0'),
+                                     ('phi', 'S(0)^100000000', 0, b'0')):
+        proc = run_cli(command, text)
+        assert proc.returncode == code, text
+        assert out in proc.stdout, text
 
 
 def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):
@@ -82,7 +92,7 @@ def test_manifold_dimension_cap(capsys):
     # P(17) is the largest manifold under the default degree cap 16
     code, out = run(capsys, 'phi', 'P(2)^3000')
     assert code == 3
-    assert 'dimension 18' in out
+    assert 'dimension 6000' in out
     code, _ = run(capsys, 'phi', 'P(16)*P(2)')
     assert code == 3
     # a trivial class of mixed degrees counts with its largest one
@@ -105,6 +115,32 @@ def test_presentation_degree_cap(capsys):
     for text in ('X2^8', 'G(15,2)', 'e^100000000', 'a2*a2*a12'):
         code, _ = run(capsys, 'nf', text)
         assert code == 0, text
+
+
+# per command: the largest inputs the degree cap 16 admits (exit 0) and the
+# smallest it refuses (exit 3), all through CoefRing.check_size
+CAP_EDGES = [
+    ('nf', ['X17'], ['X9*X9']),
+    ('gamma', ['X16'], ['X17']),
+    ('divide-e', [], ['X17']),
+    ('phi', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
+    ('compare', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
+    ('delta', ['a16*b1'], ['a16*b2', 'a2^400*b1']),
+    # the localization of X17 (degree 17, top exponent -1)
+    ('member', ['c16*e^-1 + e^-17'], ['c16*c1']),
+]
+
+
+@pytest.mark.parametrize('command,admitted,refused', CAP_EDGES,
+                         ids=[edge[0] for edge in CAP_EDGES])
+def test_one_cap_rule(capsys, command, admitted, refused):
+    for text in admitted:
+        code, out = run(capsys, command, text)
+        assert code == 0, (text, out)
+    for text in refused:
+        code, out = run(capsys, command, text)
+        assert code == 3, (text, out)
+        assert 'exceeds' in out, text
 
 
 def test_closed_stdout_gives_no_traceback():
@@ -220,7 +256,7 @@ def test_stdin_batch(capsys, monkeypatch):
 
 def test_config_file(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / 'small.cfg'
-    cfg.write_text('# small ring\ncoef.max_degree = 4\nmax_degree = 4\n')
+    cfg.write_text('# small ring\nmax_degree = 4\n')
     code, _ = run(capsys, 'nf', '--config', str(cfg), 'X6')
     assert code == 3
     code, _ = run(capsys, 'nf', '--config', str(cfg), 'X4')
@@ -229,9 +265,15 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     code, _ = run(capsys, 'nf', 'X6')
     assert code == 3
     wide = tmp_path / 'wide.cfg'
-    wide.write_text('coef.max_degree = 12\nmax_degree = 12\n')
+    wide.write_text('max_degree = 12\n')
     code, _ = run(capsys, 'nf', '--config', str(wide), 'X6')
     assert code == 0
+    # the cap is one setting
+    old = tmp_path / 'old.cfg'
+    old.write_text('coef.max_degree = 8\n')
+    code = main(['nf', '--config', str(old), 'X6'])
+    assert code == 2
+    assert 'unknown key coef.max_degree' in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -249,12 +291,3 @@ def test_config_file_errors(tmp_path, capsys):
     code = main(['member', '--config', str(old), 'e^-1'])
     assert code == 2
     assert 'unknown key slack' in capsys.readouterr().err
-
-
-def test_config_generators(capsys, tmp_path):
-    cfg = tmp_path / 'gens.cfg'
-    cfg.write_text('coef.generators = 2,4\nmax_degree = 8\ncoef.max_degree = 8\n')
-    code, out = run(capsys, 'alpha', '--config', str(cfg), 'X2')
-    assert (code, out.strip()) == (0, 'a2')
-    code, _ = run(capsys, 'nf', '--config', str(cfg), 'a5')
-    assert code == 2

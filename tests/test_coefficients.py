@@ -2,8 +2,8 @@
 
 import pytest
 
-from bordcalc.coefficients import (CoefRing, allowed_degrees, dold_indices,
-                                   generator_rep, is_power_of_two)
+from bordcalc.coefficients import (allowed_degrees, dold_indices, generator_rep,
+                                   is_power_of_two)
 from bordcalc.errors import CapacityError, ContractViolation
 
 
@@ -90,13 +90,3 @@ def test_mono_degrees(sess):
     assert coef.mono_degrees(coef.one()) == []
     with pytest.raises(ContractViolation):
         coef.mono_degrees(coef.a(2) + coef.a(4))
-
-
-def test_custom_generator_degrees():
-    ring = CoefRing(8, generator_degrees=(2, 4))
-    assert ring.generator_degrees == (2, 4)
-    assert ring.rank(6) == 2
-    with pytest.raises(ContractViolation):
-        CoefRing(8, generator_degrees=(3,))
-    with pytest.raises(CapacityError):
-        CoefRing(4, generator_degrees=(6,))
