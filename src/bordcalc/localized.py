@@ -31,6 +31,9 @@ class LaurentRing:
         self._laurent_names = set(coef._a_names.values())
         self._laurent_names.update('c%d' % j for j in range(1, self.coef.max_degree + 1))
         self._laurent_names.add('e')
+        # c_j's variable index -> j
+        self._c_index = {self.table.index('c%d' % j): j
+                         for j in range(1, self.coef.max_degree + 1)}
         self._cleared_names = set(coef._a_names.values())
         self._cleared_names.update('X%d' % n for n in range(2, self.coef.max_degree + 2))
         self._cleared_names.add('e')

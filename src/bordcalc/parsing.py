@@ -15,8 +15,8 @@ Integers reduce mod 2. Specific atoms per grammar:
 Manifold expressions parse to a parity-reduced list standing for a formal
 GF(2) sum, with products distributed over sums and gamma applied
 factorwise. Space products flatten to a single Product.
-The expression grammars but the Laurent one (member checks its targets)
-obey the degree cap through CoefRing.check_size, given their terms' maxima.
+The expression grammars obey the degree cap through CoefRing.check_size,
+given their terms' maxima.
 """
 
 import re
@@ -177,12 +177,16 @@ class _PolyParser(_ElementParser):
 
     ring gives zero() and one(). When e is given (the Laurent grammar), the
     name e is the grammar's one invertible atom, and e^-k parses to e(-k).
-    A capped term's size is its degree, and its N_* part leaves out the
-    variables whose indices are in outside.
+    A capped term's size is its degree without its e power (its e-free
+    degree, which adds under products), and its N_* part also leaves out
+    the variables whose indices are in outside; what names the size.
     """
 
-    def __init__(self, toks, ring, letters, expected, e=None, coef=None, outside=()):
+    def __init__(self, toks, ring, letters, expected, e=None, coef=None, outside=(),
+                 what=None):
         super().__init__(toks, coef)
+        if what is not None:
+            self.what = what
         self.ring = ring
         self.letters = letters
         self.expected = expected
@@ -208,12 +212,19 @@ class _PolyParser(_ElementParser):
         return self.e(k) if k < 0 else atom ** k
 
     def maxima(self, x):
+        # plain loops: every parsed atom and product passes
         deg = x.table.degrees
+        inv, outside = x.table.invertible, self.outside
         size = coef = 0
         for m in x.terms:
-            d = sum(e * deg[i] for i, e in m)
-            size = max(size, d)
-            coef = max(coef, d - sum(e * deg[i] for i, e in m if i in self.outside))
+            s = c = 0
+            for i, e in m:
+                if i != inv:
+                    s += e * deg[i]
+                    if i not in outside:
+                        c += e * deg[i]
+            size = s if s > size else size
+            coef = c if c > coef else coef
         return size, coef
 
 
@@ -341,7 +352,8 @@ def parse_laurent(text, laurent):
     """Parse a Laurent-model expression."""
     return _parse(text, lambda toks: _PolyParser(
         toks, laurent, {'a': laurent.coef.a, 'c': laurent.c},
-        ('a<d>', 'c<j>', 'e', 'an integer', '('), e=laurent.e).parse_sum())
+        ('a<d>', 'c<j>', 'e', 'an integer', '('), e=laurent.e, coef=laurent.coef,
+        outside=laurent._c_index, what='e-free degree').parse_sum())
 
 
 def parse_coefficient(text, coef):

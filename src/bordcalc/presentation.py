@@ -492,7 +492,8 @@ class BordismRing:
 
         A monomial without a G(i >= 1) factor is taken when its top
         e-exponent, epow - #X, is at most t_max. Every type-B monomial is
-        taken: its localization lies in exponents <= -1 (see member).
+        taken: its localization lies in exponents <= -1 (see member, which
+        peels the levels >= 0 and so asks only for t_max = -1).
         """
         out = []
         maxn = self.coef.max_degree + 1
@@ -528,72 +529,99 @@ class BordismRing:
     def member(self, target):
         """Preimage of a Laurent class under localization, or None.
 
-        One solve over basis_monomials_window(d, max(t0, -1)), where t0 is
-        the top e-exponent of the target, decides membership exactly:
+        A preimage is a class x of degree d in normal form, a sum of basis
+        monomials. Peel the residual's top level, starting from the target,
+        while it is 0 or more, then solve once:
 
         - A type-A monomial (no G(i >= 1) factor) mu X_{n1}...X_{nr} e^k
           localizes to mu e^k prod(c_{ni-1} e^-1 + e^-ni). Its top term
-          mu prod c_{ni-1} e^{k-r} determines the monomial, and every other
-          term lies strictly lower, because ni >= 2.
-        - A type-B monomial (one G(i, j) with i >= 1, no e) localizes into
-          exponents <= -1: loc_P(n) does, and by induction so does
-          loc(G(i, j)) = e^-1 (loc(G(i-1, j)) + alpha(G(i-1, j))).
-        - Let t = loc(x) and let L >= 0 be the largest top exponent of a
-          type-A monomial of nf(x). The top terms at e^L are distinct and
-          nothing else reaches e^L, so they survive in t, and L <= t0.
-        - So nf(x) lies in the window at max(t0, -1), which holds every
-          type-B monomial and is finite. Localization is injective on the
-          basis, so a solution there is nf(x), and no solution means t is
-          not a localization.
+          mu prod c_{ni-1} e^{k-r} determines it, and every other term lies
+          strictly lower, because ni >= 2. A type-B monomial (one G(i, j)
+          with i >= 1, no e) localizes into exponents <= -1: loc_P(n) does,
+          and by induction so does loc(G(i, j)) = e^-1 (loc(G(i-1, j)) +
+          alpha(G(i-1, j))).
+        - Peel. At the residual's top level L >= 0, each term
+          mu c_{j1}...c_{jr} e^L is the top term of exactly one basis
+          monomial, mu X_{j1+1}...X_{jr+1} e^{L+r}, and nothing else of x
+          reaches e^L; so if the residual is loc(x), these monomials are
+          the ones of x topping out at e^L. Adding their localizations
+          clears level L and everything above it, so the next level peeled
+          is the residual's own top, strictly below L.
+        - Solve. The residual now lies in exponents <= -1, and what is left
+          of x is type-A monomials topping out at or below e^-1 and type-B
+          monomials: the finite window basis_monomials_window(d, -1), built
+          and eliminated once per degree and session. Localization is
+          injective on the basis, so a solution there together with the
+          peeled monomials is x. No solution means the target is not a
+          localization, since a solution would make it loc(peeled + solved).
 
-        The window depends only on (d, max(t0, -1)), so its candidates and
-        their eliminated localizations are built once per session; the
-        preimage is unique, so the answer does not depend on what was
+        The preimage is unique, so the answer does not depend on what was
         asked before.
 
         CoefRing.check_size, given size d and coefficient degree
-        d + max(t0, -1) (the most its window asks for), refuses a target
-        before any window is built. This never refuses the localization of
-        a class the session admits. An admitted term has coefficient degree
-        v at most max_degree and size (degree plus e power) at most
-        max_degree + 1, so its degree is at most max_degree + 1.
-        Localization keeps the coefficient's degree, gives e^k e-free
-        degree 0, and gives each X_n or G(i, n) factor e-free degree at most
-        its size minus 1 (loc_P(n) = c_{n-1} e^-1 + e^-n, and by induction
-        loc(G(i, n)) = e^-1 (loc(G(i-1, n)) + alpha(G(i-1, n)))). So a term
-        with r >= 1 factors localizes to e-free degree at most size - r <=
-        max_degree, and a term with none to v <= max_degree. Hence
-        d + t0 <= max_degree, d - 1 <= max_degree covers t0 < -1, and no
-        window asks for coefficients past the cap.
+        d + max(t0, -1) (d + t0 is the e-free degree of the target's top
+        terms), refuses a target that no class the session admits
+        localizes to, before any peel or window build. An admitted term has
+        coefficient degree v at most max_degree and size (degree plus e
+        power) at most max_degree + 1, so its degree is at most
+        max_degree + 1. Localization keeps the coefficient's degree, gives
+        e^k e-free degree 0, and gives each X_n or G(i, n) factor e-free
+        degree at most its size minus 1 (loc_P(n) = c_{n-1} e^-1 + e^-n,
+        and by induction loc(G(i, n)) = e^-1 (loc(G(i-1, n)) +
+        alpha(G(i-1, n)))). So a term with r >= 1 factors localizes to
+        e-free degree at most size - r <= max_degree, and a term with none
+        to v <= max_degree. Hence d + t0 <= max_degree, and d - 1 <=
+        max_degree covers t0 < -1; the window at d asks for coefficients
+        of degree at most d - 1 and so stays inside the cap.
         """
         self.laurent._require_laurent(target, 'membership target')
         if not target:
             return self.zero()
         if not target.homogeneous():
             raise ContractViolation('membership target must be homogeneous')
-        d, t_max = target.degree(), max(target.max_inv_exp(), -1)
-        self.coef.check_size('membership target of degree', d, d + t_max)
-        cands, echelon = self._window(d, t_max)
-        flags = echelon.solve(target.terms)
+        d, t0 = target.degree(), target.max_inv_exp()
+        self.coef.check_size('membership target of degree', d, d + max(t0, -1))
+        peeled, residual = [], target
+        while residual and (level := residual.max_inv_exp()) >= 0:
+            tops = self._top_monomials(residual, level)
+            peeled += tops
+            residual = residual + self.localize(Presentation(self.table, tops))
+        cands, echelon = self._window(d)
+        flags = echelon.solve(residual.terms)
         if flags is None:
             return None
-        return Presentation(self.table, (fm for fm, f in zip(cands, flags) if f))
+        return Presentation(self.table, peeled + [fm for fm, f in zip(cands, flags) if f])
 
-    def _window(self, d, t_max):
-        """basis_monomials_window(d, t_max) with its localizations eliminated, cached.
+    def _top_monomials(self, t, level):
+        """The type-A monomials whose localizations top out at t's terms at e^level.
+
+        A term mu c_{j1}...c_{jr} e^level is the top term of
+        mu X_{j1+1}...X_{jr+1} e^{level+r}.
+        """
+        inv, c_index = self.table.invertible, self.laurent._c_index
+        out = []
+        for m in t.terms:
+            if dict(m).get(inv, 0) != level:
+                continue
+            xs = tuple((0, c_index[i] + 1) for i, x in m if i in c_index for _ in range(x))
+            coef = tuple((i, x) for i, x in m if i != inv and i not in c_index)
+            out.append(FormalMonomial(coef, xs, level + len(xs)))
+        return out
+
+    def _window(self, d):
+        """basis_monomials_window(d, -1) with its localizations eliminated, cached per degree.
 
         Only a finished build is stored, so a CapacityError leaves nothing
         behind.
         """
-        key = (d, t_max)
-        window = self._window_cache.get(key)
+        window = self._window_cache.get(d)
         if window is None:
-            cands = self.basis_monomials_window(d, t_max)
+            cands = self.basis_monomials_window(d, -1)
             images = [self.localize(self.single(fm)) for fm in cands]
             if any(x and x.degree() != d for x in images):
                 raise ContractViolation('inputs are not homogeneous of one degree')
             table = self.table
             window = (cands, Echelon([x.terms for x in images],
                                      key=lambda m: mono_key(table, m)))
-            self._window_cache[key] = window
+            self._window_cache[d] = window
         return window

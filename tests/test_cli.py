@@ -69,7 +69,12 @@ def test_huge_powers_end_at_once(run_cli):
     for command, text, code, out in (('delta', '(1+b1)^100000000', 3, b'exceeds 17'),
                                      ('phi', '1^100000000', 0, b'1'),
                                      ('phi', 'triv(0)^100000000', 0, b'0'),
-                                     ('phi', 'S(0)^100000000', 0, b'0')):
+                                     ('phi', 'S(0)^100000000', 0, b'0'),
+                                     ('member', '(c1+c2+c3+c4+c5)^100000000', 3,
+                                      b'exceeds 17'),
+                                     ('member', 'e^100000000', 0, b'e^100000000'),
+                                     ('member', 'c1*e^99999999 + e^99999998', 0,
+                                      b'X2*e^100000000')):
         proc = run_cli(command, text)
         assert proc.returncode == code, text
         assert out in proc.stdout, text
@@ -106,7 +111,7 @@ def test_presentation_degree_cap(capsys):
     # a term's degree plus its e power stays within X17's 17 under cap 16
     code, out = run(capsys, 'nf', 'X2^400')
     assert code == 3
-    assert '800 exceeds 17' in out
+    assert 'degree plus e power 800 exceeds 17' in out
     # a2*a2*a13 has size 17, but its coefficient N_17 would need the absent a17
     for text in ('X9*X9', 'X2^9', '(1 + X2)^9', 'G(16,2)', 'Gamma(X17)', 'e^3*X9*X9',
                  'a2*a2*a13', 'iota(a2*a2*a13)'):
@@ -127,7 +132,7 @@ CAP_EDGES = [
     ('compare', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
     ('delta', ['a16*b1'], ['a16*b2', 'a2^400*b1']),
     # the localization of X17 (degree 17, top exponent -1)
-    ('member', ['c16*e^-1 + e^-17'], ['c16*c1']),
+    ('member', ['c16*e^-1 + e^-17'], ['c16*c1', '(c1+c2+c3+c4+c5)^100000000']),
 ]
 
 

@@ -1,0 +1,111 @@
+"""member's top-term peel against one solve over the whole window.
+
+The reference below is one Echelon over basis_monomials_window(d,
+max(t0, -1)), which holds every basis monomial of degree d that a class
+topping out at e^t0 can use. It never peels, so a level the peel reads
+off wrongly shows up as a different preimage, or as a member on one side
+and None on the other.
+"""
+
+import functools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bordcalc.gf2 import Echelon, mono_key
+from bordcalc.presentation import Presentation
+
+DEGREES = range(-2, 13)
+TOPS = range(-1, 4)
+# delta(b_n) costs seconds past n = 10
+NONMEMBER_MAX_N = 10
+
+
+@functools.lru_cache(maxsize=None)
+def _image(mo, fm):
+    return mo.localize(mo.single(fm))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_window(mo, d, t):
+    cands = mo.basis_monomials_window(d, t)
+    table = mo.table
+    return cands, Echelon([_image(mo, fm).terms for fm in cands],
+                          key=lambda m: mono_key(table, m))
+
+
+def window_member(mo, target):
+    """The preimage by one solve over the window at (d, max(t0, -1)), or None."""
+    if not target:
+        return mo.zero()
+    cands, echelon = _reference_window(mo, target.degree(), max(target.max_inv_exp(), -1))
+    flags = echelon.solve(target.terms)
+    if flags is None:
+        return None
+    return Presentation(mo.table, (fm for fm, f in zip(cands, flags) if f))
+
+
+@functools.lru_cache(maxsize=None)
+def _extras(session, d):
+    """mu*c_{n-1}*e^-1 with delta(mu*b_n) != 0: no closed manifold localizes to it."""
+    L, geo = session.laurent, session.geometry
+    return [mu * L.c(n - 1) * L.e(-1)
+            for n in range(1, min(d, NONMEMBER_MAX_N) + 1)
+            for mu in session.coef.monomials_of_degree(d - n)
+            if geo.delta(mu * geo.b(n))]
+
+
+def member_target(mo, rng, d, t, most=3):
+    """localize of 1..most basis monomials of degree d, one topping out at e^t.
+
+    The window at (d, t) holds exactly the basis monomials topping out at
+    or below e^t.
+    """
+    below = _reference_window(mo, d, t)[0]
+    exact = [fm for fm in below if _image(mo, fm).max_inv_exp() == t]
+    if not exact:
+        return None
+    first = rng.choice(exact)
+    rest = [fm for fm in below if fm != first]
+    picks = [first] + rng.sample(rest, min(len(rest), rng.randint(0, most - 1)))
+    return mo.localize(Presentation(mo.table, picks))
+
+
+def targets(session, rng, d, t):
+    """A member topping out at e^t and, where degree d has one, a non-member."""
+    target = member_target(session.mo, rng, d, t)
+    if target is None:
+        return []
+    extras = _extras(session, d)
+    if not extras:
+        return [(target, True)]
+    return [(target, True), (target + rng.choice(extras), False)]
+
+
+def test_peel_agrees_with_one_window_solve(sess):
+    rng = random.Random(11)
+    mo = sess.mo
+    asked = set()
+    for d in DEGREES:
+        for t in TOPS:
+            for _ in range(2):
+                for target, is_member in targets(sess, rng, d, t):
+                    found = mo.member(target)
+                    assert found == window_member(mo, target), (d, t, target)
+                    assert (found is not None) == is_member, (d, t, target)
+                    if found is not None:
+                        assert mo.localize(found) == target
+                    asked.add((t, is_member))
+    # members and non-members at every top, the peeled levels 0..3 included
+    assert asked == {(t, m) for t in TOPS for m in (True, False)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEGREES), st.sampled_from(TOPS), st.integers(0, 2 ** 32 - 1))
+def test_peel_matches_the_window_property(sess, d, t, seed):
+    mo = sess.mo
+    for target, is_member in targets(sess, random.Random(seed), d, t):
+        found = mo.member(target)
+        assert found == window_member(mo, target)
+        assert (found is not None) == is_member

@@ -61,6 +61,11 @@ def test_laurent_expressions(sess):
     x = L.loc_P(4) * L.loc_P(2) + sess.coef.a(4) * L.e(-2)
     assert parse_laurent(x.to_text(), L) == x
     assert parse_laurent('e^-400', L) == L.e(-400)
+    # the e-free degree adds under products and is capped like a size
+    assert parse_laurent('c16*c1*e^-3', L) == L.c(16) * L.c(1) * L.e(-3)
+    for text in ('c16*c2*e^-20', '(c1 + c2)^9', '(c1+c2+c3+c4+c5)^100000000'):
+        with pytest.raises(CapacityError, match='e-free degree'):
+            parse_laurent(text, L)
     with pytest.raises(ParseError):
         parse_laurent('X2', L)
     err = _syntax_error(parse_laurent, 'c1^-1', L)

@@ -253,16 +253,18 @@ def test_member(sess):
 
 
 def test_member_non_member_inside_the_cap(sess):
-    # degree 12, top exponent 1: the window reaches coefficient degree 13,
-    # inside the cap 16, and four exponents more would leave it
+    # degree 12, top exponent 1: e-free degree 13 at the top, inside the
+    # cap 16; member peels e^1, and the window of degree 12 finds
+    # no preimage of what is left
     target = parse_laurent('a5*c8*e + a5*c6*e^-1 + a5*e^-7', sess.laurent)
     assert sess.mo.member(target) is None
 
 
 def _window_questions(session):
-    # members and non-members at the windows (3, -1), (3, 0) and (3, 1),
-    # which share a degree; a non-member adds mu*c_{n-1}*e^-1 with a
-    # nonzero boundary of mu*b_n
+    # members and non-members of degree 3 topping out at e^-1, e^0 and e^1:
+    # member peels the tops 0 and 1, and all of them share the one window
+    # of degree 3; a non-member adds mu*c_{n-1}*e^-1 with a nonzero
+    # boundary of mu*b_n
     mo, L, geo = session.mo, session.laurent, session.geometry
 
     def non_member(d):
@@ -288,9 +290,10 @@ def test_member_answers_do_not_depend_on_history():
     assert [(t.degree(), max(t.max_inv_exp(), -1)) for t, _ in questions[::4]] == [
         (3, -1), (3, 0), (3, 1)]
     for _ in range(2):
-        # fresh, then warmed at the same windows
+        # fresh, then warmed at the same window
         assert [fresh.mo.member(t) for t, _ in questions] == [
             want for _, want in questions]
+        assert list(fresh.mo._window_cache) == [3]
     other = Session()
     questions = _window_questions(other)
     assert [other.mo.member(t) for t, _ in reversed(questions)] == [
@@ -298,8 +301,8 @@ def test_member_answers_do_not_depend_on_history():
 
 
 def test_member_window_past_the_cap_raises_every_time():
-    # degree 14, top exponent 3: e-free degree 17 passes the cap 16, so the
-    # window would need coefficient degree 17; refused before any build
+    # degree 14, top exponent 3: e-free degree 17 passes the cap 16, so no
+    # class the session admits localizes to it; refused before any peel
     mo = Session().mo
     target = mo.localize(mo.e(5) * mo.X(9) * mo.X(10))
     for _ in range(2):
@@ -308,7 +311,7 @@ def test_member_window_past_the_cap_raises_every_time():
 
 
 def test_member_past_the_cap_builds_no_window():
-    # degree 17, top exponent 0: its window would ask for the absent a17
+    # degree 17, top exponent 0: e-free degree 17 at e^0 passes the cap 16
     s = Session()
     with pytest.raises(CapacityError, match='membership target'):
         s.mo.member(parse_laurent('c16*c1', s.laurent))
