@@ -10,8 +10,9 @@ exit 1.
 Config files hold `key = value` lines (# comments allowed) with the keys
 max_degree (the degree cap, default 16) and fuel. The BORDCALC_CONFIG
 environment variable names a default config file; --config overrides it.
-Every parsed expression, Gamma or divide-e result and membership target
-passes the cap's one rule, CoefRing.check_size, or exits 3 unbuilt.
+Every parsed expression or space, Gamma or divide-e result, augmentation,
+membership target and verify degree passes the cap's one rule,
+CoefRing.check_size, or exits 3 unbuilt.
 """
 
 import argparse
@@ -216,7 +217,7 @@ def _handle_compare(s, args, expr):
 
 
 def _handle_charnum(s, args, expr):
-    space = parse_space(expr)
+    space = parse_space(expr, s.coef)
     ref = space.gen(args.ref) if args.ref else None
     numbers = sw_numbers(space, ref)
     named = {}

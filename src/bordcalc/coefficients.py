@@ -107,7 +107,7 @@ class CoefRing:
         if d not in self._mono_cache:
             index = {g: self.table.index(name) for g, name in self._a_names.items()}
             self._mono_cache[d] = [
-                GradedPoly(self.table, (mono_of(index[g] for g in part),))
+                GradedPoly(self.table, (mono_of(self.table, (index[g] for g in part)),))
                 for part in partitions(d, self.generator_degrees)]
         return list(self._mono_cache[d])
 
@@ -121,11 +121,11 @@ class CoefRing:
 
     def mono_degrees(self, poly):
         """Generator degrees, with multiplicity, of a single-monomial element."""
-        if len(poly.terms) != 1:
+        if len(poly) != 1:
             raise ContractViolation('expected a single monomial')
         by_name = {name: d for d, name in self._a_names.items()}
         out = []
-        for idx, exp in next(iter(poly.terms)):
+        for idx, exp in self.table.exponents(next(iter(poly.monos))):
             name = self.table.names[idx]
             if name not in by_name:
                 raise ContractViolation('monomial uses %s, not a generator' % name)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import FreeModuleElem, GradedPoly, mono_mul, mono_of, partitions
+from .gf2 import FreeModuleElem, GradedPoly, mono_of, partitions
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,14 @@ class Geometry:
     def bundle_monomials(self, d):
         """All bundle-algebra monomials of degree d, coefficient included."""
         out = []
-        index = {i: self.table.index(name) for i, name in self._b_names.items()}
+        table = self.table
+        index = {i: table.index(name) for i, name in self._b_names.items()}
         for v in range(d + 1):
             for parts in partitions(d - v, index):
-                bmono = mono_of(index[i] for i in parts)
+                bmono = mono_of(table, (index[i] for i in parts))
                 for mu in self.coef.monomials_of_degree(v):
                     out.append(GradedPoly(
-                        self.table, (mono_mul(next(iter(mu.terms)), bmono),)))
+                        table, table.checked((next(iter(mu.monos)) + bmono,))))
         return out
 
     # --- the maps -----------------------------------------------------------
@@ -237,7 +238,7 @@ class Geometry:
         if not self.is_bundle(poly):
             raise ContractViolation('delta takes bundle-algebra elements')
         acc = FreeBZ2Elem(self.table)
-        for mono in poly.terms:
+        for mono in poly.monos:
             apart, bmult = self._split_b(mono)
             if bmult:
                 acc = acc + self._delta_monomial(bmult).scale(apart)
@@ -247,13 +248,13 @@ class Geometry:
         """A bundle monomial as (N_* part, sorted b indices with repeats)."""
         apart = []
         bmult = []
-        for idx, exp in mono:
+        for idx, exp in self.table.exponents(mono):
             i = self._b_index.get(idx)
             if i is None:
                 apart.append((idx, exp))
             else:
                 bmult.extend([i] * exp)
-        return GradedPoly(self.table, (tuple(apart),)), tuple(sorted(bmult))
+        return GradedPoly(self.table, (self.table.pack(apart),)), tuple(sorted(bmult))
 
     def _delta_monomial(self, bmult):
         if bmult not in self._delta_cache:
@@ -275,7 +276,7 @@ class Geometry:
         components of M. The components are read off phi(expr).
         """
         acc = GradedPoly.zero(self.table)
-        for mono in self.phi(expr).terms:
+        for mono in self.phi(expr).monos:
             apart, bmult = self._split_b(mono)
             # a rank-0 component contributes F x RP(1), which bounds
             if bmult:

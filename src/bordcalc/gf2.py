@@ -6,13 +6,32 @@ needs no bookkeeping. Variables live in a VarTable which assigns each one
 a nonzero integer degree; exactly one variable per table may be flagged
 invertible and is the only one allowed to carry negative exponents.
 
-A monomial is a sorted tuple of (variable index, exponent) pairs with zero
-exponents dropped, so monomials are hashable and compare cheaply. The
-canonical text form joins terms with " + ", each term being the "*"-joined
+A monomial is one Python int of fixed-width fields, laid out by its
+VarTable as
+
+    v = k * 2^K + rest,
+
+where k is the exponent of the invertible variable e, the top, signed
+part, and rest < 2^K holds one field per other variable, the first
+variable of the table in the most significant field, and below them all
+a field holding the monomial's e-free degree (the degree without e).
+Fields never carry into each other: every monomial's e-free degree is at
+most the table's limit L = 2^j - 1, the exponent field of a variable of
+degree g is wide enough for twice L // g, and the degree field has one
+bit to spare, its guard bit. So the product of two monomials is their
+sum, and the product overflowed exactly when the guard bit is set; a
+product, or a variable, past L raises CapacityError. The invertible
+variable has no field, so e^100000000 is as cheap as e.
+
+The term order compares ints: a larger int is a larger e exponent, or
+the same and then larger exponents of the other variables in table order.
+The leading term is the largest int. The canonical text form decodes: it
+joins terms with " + ", largest first, each term being the "*"-joined
 "var^exp" factors with exponent 1 omitted and the invertible variable
-printed last, for example "c1*e^-1 + e^-2". Terms are ordered by exponent
-of the invertible variable descending, then by the exponents of the
-remaining variables in table order, descending.
+printed last, for example "c1*e^-1 + e^-2". The decoded form of a
+monomial, a sorted tuple of (variable index, exponent) pairs with zero
+exponents dropped, is what GradedPoly.terms shows to callers outside the
+package.
 
 Linear algebra (rank, subset solving) works on Python integer bitmasks,
 one bit per monomial, with the pivot order fixed by the term ordering, so
@@ -27,43 +46,72 @@ over N_* with polynomial components.
 """
 
 import operator
-from collections import Counter
+from functools import reduce
 
-from .errors import ContractViolation
+from .errors import CapacityError, ContractViolation
 
-MONO_ONE = ()
+MONO_ONE = 0
+
+# Echelon's column key for packed monomials: the leading (largest) one first
+mono_key = operator.neg
 
 
 class VarTable:
-    """Append-only ordered table of graded variables.
+    """The session's graded variables, in a fixed order, and their monomial layout.
 
-    Appending never reorders existing entries, so monomial orderings and
-    canonical text stay stable for the life of a session.
+    A table is built once with all of its variables, so monomial orderings
+    and canonical text stay stable for the life of a session. limit is
+    the largest e-free degree a monomial may reach, rounded up to 2^j - 1.
     """
 
-    __slots__ = ('names', 'degrees', 'invertible', '_index')
+    __slots__ = ('names', 'degrees', 'invertible', 'limit', 'units', 'efree_mask',
+                 'e_shift', 'e_degree', '_index', '_shifts', '_owner', '_guard',
+                 '_fields_mask')
 
-    def __init__(self):
-        self.names = []
-        self.degrees = []
-        self.invertible = None  # index of the invertible variable, if any
+    def __init__(self, variables, limit, invertible=None):
+        """variables: (name, degree) pairs in table order, degrees positive but
+        the invertible variable's, which is named by invertible and comes last.
+        """
+        self.names = [name for name, _ in variables]
+        self.degrees = [degree for _, degree in variables]
         self._index = {}
-
-    def add(self, name, degree, invertible=False):
-        """Append a variable and return its index."""
-        if name in self._index:
-            raise ContractViolation('duplicate variable %r' % name)
-        if degree == 0:
-            raise ContractViolation('variable %r must have nonzero degree' % name)
-        if invertible and self.invertible is not None:
-            raise ContractViolation('table already has an invertible variable')
-        idx = len(self.names)
-        self._index[name] = idx
-        self.names.append(name)
-        self.degrees.append(degree)
-        if invertible:
-            self.invertible = idx
-        return idx
+        for idx, (name, degree) in enumerate(variables):
+            if name in self._index:
+                raise ContractViolation('duplicate variable %r' % name)
+            if degree == 0:
+                raise ContractViolation('variable %r must have nonzero degree' % name)
+            self._index[name] = idx
+        self.invertible = None if invertible is None else self._index[invertible]
+        if self.invertible not in (None, len(variables) - 1):
+            raise ContractViolation('the invertible variable comes last')
+        bits = max(limit, 1).bit_length()
+        self.limit = (1 << bits) - 1
+        self._guard = 1 << bits
+        # the degree field holds up to twice the limit: bits + 1 bits
+        self.efree_mask = (1 << (bits + 1)) - 1
+        self.units = [0] * len(variables)
+        self._shifts = [0] * len(variables)
+        self._owner = [None] * (bits + 1)
+        shift = bits + 1
+        # fields upwards from the degree field: the last variable lowest
+        for idx in reversed(range(len(variables))):
+            if idx == self.invertible:
+                continue
+            degree = self.degrees[idx]
+            if degree < 0:
+                raise ContractViolation('only the invertible variable may have '
+                                        'negative degree')
+            width = (self.limit // degree).bit_length() + 1
+            self._shifts[idx] = shift
+            self.units[idx] = (1 << shift) + degree
+            self._owner.extend([idx] * width)
+            shift += width
+        self._fields_mask = (1 << shift) - 1 - self.efree_mask
+        self.e_shift = shift
+        self.e_degree = 0
+        if self.invertible is not None:
+            self.units[self.invertible] = 1 << shift
+            self.e_degree = self.degrees[self.invertible]
 
     def index(self, name):
         """Index of a variable; KeyError if absent."""
@@ -74,6 +122,52 @@ class VarTable:
 
     def __len__(self):
         return len(self.names)
+
+    def pack(self, pairs):
+        """The monomial of (index, exponent) pairs; a repeated index adds up."""
+        inv, degrees, units = self.invertible, self.degrees, self.units
+        m = efree = 0
+        for idx, x in pairs:
+            if idx != inv:
+                if x < 0:
+                    raise ContractViolation('%s is not invertible' % self.names[idx])
+                efree += x * degrees[idx]
+            m += x * units[idx]
+        if efree > self.limit:
+            raise CapacityError('a monomial of e-free degree %d exceeds %d, the most '
+                                'the variable table holds' % (efree, self.limit))
+        return m
+
+    def exponents(self, m):
+        """The (index, exponent) pairs of a monomial by index, zero exponents left out."""
+        owner, shifts = self._owner, self._shifts
+        out = []
+        rest = m & self._fields_mask
+        while rest:
+            idx = owner[rest.bit_length() - 1]
+            shift = shifts[idx]
+            x = rest >> shift
+            out.append((idx, x))
+            rest -= x << shift
+        k = m >> self.e_shift
+        if k:
+            out.append((self.invertible, k))
+        return tuple(out)
+
+    def text(self, m):
+        """Canonical text of one monomial: the invertible variable last."""
+        if not m:
+            return '1'
+        names = self.names
+        return '*'.join(names[i] if x == 1 else '%s^%d' % (names[i], x)
+                        for i, x in self.exponents(m))
+
+    def checked(self, monos):
+        """monos, the sums of valid monomials, unless one overflowed: CapacityError."""
+        if reduce(operator.or_, monos, 0) & self._guard:
+            raise CapacityError('a product exceeds e-free degree %d, the most the '
+                                'variable table holds' % self.limit)
+        return monos
 
 
 def parity(monos):
@@ -129,72 +223,32 @@ def partitions(total, parts=None):
     return out
 
 
-def mono_of(indices):
+def mono_of(table, indices):
     """The monomial multiplying the variables of the given indices, repeats counted."""
-    return tuple(sorted(Counter(indices).items()))
-
-
-def mono_mul(m1, m2):
-    """Product of two exponent tuples (variables may be any sortable keys)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for i, x in m2:
-        y = exps.get(i, 0) + x
-        if y:
-            exps[i] = y
-        else:
-            del exps[i]
-    return tuple(sorted(exps.items()))
+    return table.pack((i, 1) for i in indices)
 
 
 def mono_degree(table, m):
-    """Total degree of an exponent tuple."""
-    deg = table.degrees
-    return sum(x * deg[i] for i, x in m)
-
-
-def mono_key(table, m):
-    """Sort key placing the leading term first under the term ordering."""
-    exps = [0] * len(table)
-    for i, x in m:
-        exps[i] = x
-    inv = table.invertible
-    einv = exps[inv] if inv is not None else 0
-    rest = tuple(-exps[i] for i in range(len(table)) if i != inv)
-    return (-einv, rest)
-
-
-def mono_text(table, m):
-    """Canonical text of one exponent tuple."""
-    if not m:
-        return '1'
-    inv = table.invertible
-    head = [(i, x) for i, x in m if i != inv]
-    tail = [(i, x) for i, x in m if i == inv]
-    parts = []
-    for i, x in head + tail:
-        name = table.names[i]
-        parts.append(name if x == 1 else '%s^%d' % (name, x))
-    return '*'.join(parts)
+    """Total degree of a monomial: its degree field plus that of its e power."""
+    return (m & table.efree_mask) + table.e_degree * (m >> table.e_shift)
 
 
 class SparseSum:
     """A GF(2) sum: a finite set of monomials over a shared VarTable.
 
     The sum protocol is written once here. A subclass names its kind of
-    monomial through mono_mul (the product of two monomials),
-    mono_degree(table, m) and unit (the monomial of 1); operands of +
-    and * must be of one subclass over one table.
+    monomial through mono_degree(table, m), unit (the monomial of 1),
+    mono_mul (the product of two monomials, commutative and one-to-one in
+    each argument) and _checked(monos) (the products of one multiplication,
+    passed on unless one overflowed a packed field); operands of + and *
+    must be of one subclass over one table.
     """
 
-    __slots__ = ('table', 'terms')
+    __slots__ = ('table', 'monos')
 
-    def __init__(self, table, terms=()):
+    def __init__(self, table, monos=()):
         self.table = table
-        self.terms = terms if isinstance(terms, frozenset) else frozenset(terms)
+        self.monos = monos if isinstance(monos, frozenset) else frozenset(monos)
 
     @classmethod
     def zero(cls, table):
@@ -213,42 +267,55 @@ class SparseSum:
 
     def __add__(self, other):
         self._check_peer(other)
-        return type(self)(self.table, self.terms ^ other.terms)
+        return type(self)(self.table, self.monos ^ other.monos)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         self._check_peer(other)
         mul = self.mono_mul
-        return type(self)(self.table, parity(
-            mul(m1, m2) for m1 in self.terms for m2 in other.terms))
+        # mul commutes, so the smaller operand gives the rows; it is
+        # one-to-one in each argument, so a row has no repeats and the rows
+        # cancel by symmetric difference
+        rows, cols = self.monos, other.monos
+        if len(rows) > len(cols):
+            rows, cols = cols, rows
+        odd = set()
+        for m1 in rows:
+            odd ^= {mul(m1, m2) for m2 in cols}
+        return type(self)(self.table, self._checked(odd))
 
     def __pow__(self, n):
         return power(self, n, self.one(self.table))
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.table is other.table
-                and self.terms == other.terms)
+                and self.monos == other.monos)
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(self.monos)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.monos)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.monos)
 
     def __repr__(self):
         return self.to_text()
 
+    def degrees(self):
+        """The set of the terms' degrees, empty for zero."""
+        table, degree = self.table, self.mono_degree
+        return {degree(table, m) for m in self.monos}
+
     def homogeneous(self):
         """True when all terms share one degree (vacuously for zero)."""
-        return len({self.mono_degree(self.table, m) for m in self.terms}) <= 1
+        return len(self.degrees()) <= 1
 
     def degree(self):
         """Degree of a homogeneous sum; None for zero."""
-        degs = {self.mono_degree(self.table, m) for m in self.terms}
+        degs = self.degrees()
         if not degs:
             return None
         if len(degs) > 1:
@@ -257,12 +324,15 @@ class SparseSum:
 
 
 class GradedPoly(SparseSum):
-    """A polynomial: a sum of exponent tuples, coefficients implicitly 1."""
+    """A polynomial: a sum of packed monomials, coefficients implicitly 1."""
 
     __slots__ = ()
-    mono_mul = staticmethod(mono_mul)
     mono_degree = staticmethod(mono_degree)
+    mono_mul = staticmethod(operator.add)
     unit = MONO_ONE
+
+    def _checked(self, monos):
+        return self.table.checked(monos)
 
     @classmethod
     def var(cls, table, name, exp=1):
@@ -270,37 +340,34 @@ class GradedPoly(SparseSum):
         idx = table.index(name)
         if exp == 0:
             return cls.one(table)
-        if exp < 0 and idx != table.invertible:
-            raise ContractViolation('%s is not invertible' % name)
-        return cls(table, (((idx, exp),),))
+        return cls(table, (table.pack(((idx, exp),)),))
+
+    @property
+    def terms(self):
+        """The monomials decoded to (index, exponent) tuples, by VarTable.exponents."""
+        exponents = self.table.exponents
+        return frozenset(exponents(m) for m in self.monos)
 
     def degree_decompose(self):
         """Split into homogeneous pieces, as a degree -> polynomial map."""
         pieces = {}
-        for m in self.terms:
+        for m in self.monos:
             pieces.setdefault(mono_degree(self.table, m), set()).add(m)
         return {d: GradedPoly(self.table, ms) for d, ms in sorted(pieces.items())}
 
-    def inv_exponents(self):
-        """Exponents of the invertible variable across terms (0 when absent)."""
-        inv = self.table.invertible
-        out = []
-        for m in self.terms:
-            out.append(next((x for i, x in m if i == inv), 0))
-        return out
-
     def min_inv_exp(self):
-        exps = self.inv_exponents()
-        return min(exps) if exps else None
+        # the e power is the top part of a monomial: the least int has the least
+        return min(self.monos) >> self.table.e_shift if self.monos else None
 
     def max_inv_exp(self):
-        exps = self.inv_exponents()
-        return max(exps) if exps else None
+        return max(self.monos) >> self.table.e_shift if self.monos else None
 
     def support(self):
         """Names of the variables that actually occur."""
-        names = self.table.names
-        return {names[i] for m in self.terms for i, _ in m}
+        # a field of the or of all terms is nonzero where some term's is
+        table = self.table
+        union = reduce(operator.or_, self.monos, 0)
+        return {table.names[i] for i, _ in table.exponents(union)}
 
     def uses_only(self, names):
         """True when every occurring variable is in names."""
@@ -325,10 +392,10 @@ class GradedPoly(SparseSum):
             return powers[(i, x)]
 
         acc = GradedPoly.zero(table)
-        for m in self.terms:
-            kept = tuple((i, x) for i, x in m if i not in idx_map)
-            piece = GradedPoly(table, (kept,))
-            for i, x in m:
+        for m in self.monos:
+            pairs = table.exponents(m)
+            piece = GradedPoly(table, (table.pack(p for p in pairs if p[0] not in idx_map),))
+            for i, x in pairs:
                 if i in idx_map:
                     piece = piece * power(i, x)
             acc = acc + piece
@@ -336,10 +403,9 @@ class GradedPoly(SparseSum):
 
     def to_text(self):
         """Canonical text form."""
-        if not self.terms:
+        if not self.monos:
             return '0'
-        key = lambda m: mono_key(self.table, m)
-        return ' + '.join(mono_text(self.table, m) for m in sorted(self.terms, key=key))
+        return ' + '.join(map(self.table.text, sorted(self.monos, reverse=True)))
 
 
 class FreeModuleElem:
@@ -375,14 +441,14 @@ class FreeModuleElem:
 
     def support(self):
         """The set of keys (j, monomial) carrying a nonzero bit."""
-        return frozenset((j, m) for j, p in self.parts.items() for m in p.terms)
+        return frozenset((j, m) for j, p in self.parts.items() for m in p.monos)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.table is other.table
                 and self.parts == other.parts)
 
     def __hash__(self):
-        return hash(tuple(sorted((j, p.terms) for j, p in self.parts.items())))
+        return hash(tuple(sorted((j, p.monos) for j, p in self.parts.items())))
 
     def __bool__(self):
         return bool(self.parts)
@@ -407,25 +473,21 @@ class FreeModuleElem:
 
 
 def standard_table(generator_degrees, max_degree):
-    """The session-wide alphabet, in a fixed order.
+    """The session-wide alphabet, in a fixed order, and its monomial layout.
 
     Coefficient generators a_d come first, then stable classes c_j, the
     projective classes X_n, the bundle classes b_i, and finally the Euler
     class e of degree -1, the unique invertible variable. Ranges are sized
     so that c_j -> e*X_{j+1} + e^-j and b_i -> c_{i-1}*e^-1 never fall off
-    the table.
+    the table. The cap admits terms of e-free degree up to max_degree + 1,
+    so the fields hold twice that, a product of two admitted terms.
     """
-    table = VarTable()
-    for d in generator_degrees:
-        table.add('a%d' % d, d)
-    for j in range(1, max_degree + 1):
-        table.add('c%d' % j, j)
-    for n in range(2, max_degree + 2):
-        table.add('X%d' % n, n)
-    for i in range(1, max_degree + 2):
-        table.add('b%d' % i, i)
-    table.add('e', -1, invertible=True)
-    return table
+    variables = [('a%d' % d, d) for d in generator_degrees]
+    variables += [('c%d' % j, j) for j in range(1, max_degree + 1)]
+    variables += [('X%d' % n, n) for n in range(2, max_degree + 2)]
+    variables += [('b%d' % i, i) for i in range(1, max_degree + 2)]
+    variables.append(('e', -1))
+    return VarTable(variables, 2 * (max_degree + 1), invertible='e')
 
 
 def _reduce_mask(mask, combo, pivots):
@@ -520,7 +582,7 @@ def poly_rank(vectors):
     if table is None:
         return 0
     _check_same_degree(vectors)
-    return rank_sets([v.terms for v in vectors], key=lambda m: mono_key(table, m))
+    return rank_sets([v.monos for v in vectors], mono_key)
 
 
 def solve_gf2(vectors, target):
@@ -529,7 +591,6 @@ def solve_gf2(vectors, target):
     Returns a list of 0/1 selection flags, or None when target is outside
     the span.
     """
-    table = _common_table(list(vectors) + [target])
+    _common_table(list(vectors) + [target])
     _check_same_degree(list(vectors) + [target])
-    return solve_sets([v.terms for v in vectors], target.terms,
-                      key=lambda m: mono_key(table, m))
+    return solve_sets([v.monos for v in vectors], target.monos, mono_key)

@@ -16,7 +16,8 @@ Manifold expressions parse to a parity-reduced list standing for a formal
 GF(2) sum, with products distributed over sums and gamma applied
 factorwise. Space products flatten to a single Product.
 The expression grammars obey the degree cap through CoefRing.check_size,
-given their terms' maxima.
+given their terms' maxima, and the space grammar given each space's
+dimension before the space is built.
 """
 
 import re
@@ -213,16 +214,16 @@ class _PolyParser(_ElementParser):
 
     def maxima(self, x):
         # plain loops: every parsed atom and product passes
-        deg = x.table.degrees
-        inv, outside = x.table.invertible, self.outside
+        table, outside = x.table, self.outside
+        mask, deg = table.efree_mask, table.degrees
         size = coef = 0
-        for m in x.terms:
-            s = c = 0
-            for i, e in m:
-                if i != inv:
-                    s += e * deg[i]
-                    if i not in outside:
-                        c += e * deg[i]
+        for m in x.monos:
+            # the degree field is the e-free degree
+            s = c = m & mask
+            if outside:
+                for i, k in table.exponents(m):
+                    if i in outside:
+                        c -= k * deg[i]
             size = s if s > size else size
             coef = c if c > coef else coef
         return size, coef
@@ -376,8 +377,15 @@ def parse_manifold(text, coef):
 
 
 class _SpaceParser:
-    def __init__(self, toks):
+    """Spaces, each refused through coef.check_size before it is built."""
+
+    def __init__(self, toks, coef):
         self.toks = toks
+        self.coef = coef
+
+    def capped(self, dim):
+        # a space has no N_* part; its dimension is its size
+        self.coef.check_size('dimension', dim, 0)
 
     def parse_space(self):
         factors = [self.parse_atom()]
@@ -392,6 +400,7 @@ class _SpaceParser:
                 flat.extend(f.factors)
             else:
                 flat.append(f)
+        self.capped(sum(f.dim for f in flat))
         return Product(flat)
 
     def parse_atom(self):
@@ -409,6 +418,7 @@ class _SpaceParser:
             self.toks.expect_punct('(')
             n = self.toks.expect_int()
             self.toks.expect_punct(')')
+            self.capped(n)
             return RP(n)
         if text == 'Dold':
             self.toks.expect_punct('(')
@@ -416,6 +426,7 @@ class _SpaceParser:
             self.toks.expect_punct(',')
             n = self.toks.expect_int()
             self.toks.expect_punct(')')
+            self.capped(m + 2 * n)
             return Dold(m, n)
         if text == 'PB':
             self.toks.expect_punct('(')
@@ -426,6 +437,7 @@ class _SpaceParser:
                 self.toks.advance()
                 lines.append(self.parse_line(base))
             self.toks.expect_punct(')')
+            self.capped(base.dim + len(lines) - 1)
             return ProjBundle(base, lines)
         raise ParseError(pos, ('RP(n)', 'Dold(m,n)', 'PB(base; lines)'), found=text)
 
@@ -447,6 +459,6 @@ class _SpaceParser:
             return acc
 
 
-def parse_space(text):
+def parse_space(text, coef):
     """Parse a space description: RP, Dold, products, projectivizations."""
-    return _parse(text, lambda toks: _SpaceParser(toks).parse_space())
+    return _parse(text, lambda toks: _SpaceParser(toks, coef).parse_space())

@@ -41,16 +41,16 @@ from dataclasses import dataclass
 from . import charnum
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, SparseSum, mono_degree,
-                  mono_key, mono_mul, mono_of, mono_text, parity, partitions)
+                  mono_key, mono_of, parity, partitions)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
 
 @dataclass(frozen=True)
 class FormalMonomial:
-    """One monomial: coefficient exponents, G(i, n) factors, Euler power."""
+    """One monomial: packed N_* coefficient monomial, G(i, n) factors, Euler power."""
 
-    coef: tuple
+    coef: int
     gammas: tuple
     epow: int
 
@@ -88,13 +88,21 @@ class FormalMonomial:
 
 
 def fm_mul(f1, f2):
-    return FormalMonomial(mono_mul(f1.coef, f2.coef),
+    return FormalMonomial(f1.coef + f2.coef,
                           tuple(sorted(f1.gammas + f2.gammas)),
                           f1.epow + f2.epow)
 
 
-def fm_key(fm):
-    return (fm.gammas, fm.epow, fm.coef)
+def _checked(table, fms):
+    """fms, unless a coefficient among them overflowed its packed fields."""
+    table.checked(fm.coef for fm in fms)
+    return fms
+
+
+def fm_key(table, fm):
+    # the coefficient compares decoded, as the exponent tuples it was
+    # before it was packed, so the text's term order stays the same
+    return (fm.gammas, fm.epow, table.exponents(fm.coef))
 
 
 class Presentation(SparseSum):
@@ -105,20 +113,17 @@ class Presentation(SparseSum):
     mono_degree = staticmethod(lambda table, fm: fm.degree(table))
     unit = FormalMonomial(MONO_ONE, (), 0)
 
-    @property
-    def monos(self):
-        """The formal monomials; read-only alias of terms."""
-        return self.terms
+    def _checked(self, monos):
+        return _checked(self.table, monos)
 
     def size(self):
         """(largest size, largest coefficient degree), for CoefRing.check_size."""
         # plain loops, four times faster: every parsed atom and product passes
-        deg = self.table.degrees
+        mask = self.table.efree_mask
         size = coef = 0
-        for fm in self.terms:
-            v = 0
-            for i, x in fm.coef:
-                v += x * deg[i]
+        for fm in self.monos:
+            # a coefficient has no e power: its degree is its degree field
+            v = fm.coef & mask
             t = v
             for i, n in fm.gammas:
                 t += i + n
@@ -128,12 +133,12 @@ class Presentation(SparseSum):
 
     def is_coefficient_only(self):
         """True when no monomial carries a G factor or an e power."""
-        return all(not fm.gammas and not fm.epow for fm in self.terms)
+        return all(not fm.gammas and not fm.epow for fm in self.monos)
 
     def _factor_text(self, fm):
         parts = []
         if fm.coef:
-            parts.append(mono_text(self.table, fm.coef))
+            parts.append(self.table.text(fm.coef))
         for i, n in sorted(fm.gammas, key=lambda g: (-g[0], g[1])):
             parts.append('X%d' % n if i == 0 else 'G(%d,%d)' % (i, n))
         if fm.epow:
@@ -142,9 +147,10 @@ class Presentation(SparseSum):
 
     def to_text(self):
         """Canonical text form."""
-        if not self.terms:
+        if not self.monos:
             return '0'
-        monos = sorted(self.terms, key=fm_key, reverse=True)
+        table = self.table
+        monos = sorted(self.monos, key=lambda fm: fm_key(table, fm), reverse=True)
         return ' + '.join(self._factor_text(fm) for fm in monos)
 
 
@@ -223,13 +229,13 @@ class BordismRing:
             raise ContractViolation('coefficient uses a foreign variable table')
         if not self.coef.is_coefficient(c):
             raise ContractViolation('iota takes N_* elements only')
-        return Presentation(self.table, (FormalMonomial(m, (), 0) for m in c.terms))
+        return Presentation(self.table, (FormalMonomial(m, (), 0) for m in c.monos))
 
     def _coef_scale(self, x, c):
         # multiply a presentation by an N_* polynomial
-        return Presentation(self.table, parity(
-            FormalMonomial(mono_mul(fm.coef, m), fm.gammas, fm.epow)
-            for m in c.terms for fm in x.terms))
+        return Presentation(self.table, parity(_checked(self.table, [
+            FormalMonomial(fm.coef + m, fm.gammas, fm.epow)
+            for m in c.monos for fm in x.monos])))
 
     def single(self, fm):
         """The presentation with one monomial."""
@@ -238,7 +244,16 @@ class BordismRing:
     # --- the exact sequence maps ----------------------------------------
 
     def alpha(self, x):
-        """Augmentation to N_*: e -> 0, G(i, n) -> alpha(G(i, n)), multiplicative."""
+        """Augmentation to N_*: e -> 0, G(i, n) -> alpha(G(i, n)), multiplicative.
+
+        The augmentation lies in N_*, which the session holds up to the cap,
+        so an e-free term of degree past the cap is refused through
+        CoefRing.check_size before anything is computed.
+        """
+        table = self.table
+        top = max((fm.degree(table) for fm in x.monos if not fm.epow), default=0)
+        self.coef.check_size('augmentation, which must lie in N_* up to the cap, has degree',
+                             top, top)
         return self._evaluate(x, None, self._alpha_gamma)
 
     def _evaluate(self, x, e_power, factor_value):
@@ -247,14 +262,14 @@ class BordismRing:
         e_power None sends e to 0, so terms with an e power are skipped.
         """
         acc = GradedPoly.zero(self.table)
-        for fm in x.terms:
+        for fm in x.monos:
             if fm.epow and e_power is None:
                 continue
             val = GradedPoly(self.table, (fm.coef,))
             if fm.epow:
                 val = val * e_power(fm.epow)
             for i, n in fm.gammas:
-                if not val.terms:
+                if not val.monos:
                     break
                 val = val * factor_value(i, n)
             acc = acc + val
@@ -289,7 +304,7 @@ class BordismRing:
     def gamma(self, x):
         """The Gamma operator: the unique y with e*y = x + bar(x)."""
         acc = self.zero()
-        for fm in x.terms:
+        for fm in x.monos:
             acc = acc + self._gamma_mono(fm)
         return acc
 
@@ -312,9 +327,9 @@ class BordismRing:
                 acc = acc + self._coef_scale(rest, a)
             return acc
         g = self._gamma_xlist(tuple(sorted(fm.x_indices())))
-        return Presentation(self.table, frozenset(
-            FormalMonomial(mono_mul(fm.coef, h.coef), h.gammas, h.epow)
-            for h in g.terms))
+        return Presentation(self.table, frozenset(_checked(self.table, [
+            FormalMonomial(fm.coef + h.coef, h.gammas, h.epow)
+            for h in g.monos])))
 
     def _gamma_xlist(self, xs):
         # Gamma(X_{n1} * rest) = G(1, n1)*rest + rho(n1)*Gamma(rest),
@@ -348,7 +363,7 @@ class BordismRing:
 
     def _nf_pres(self, x, budget):
         acc = self.zero()
-        for fm in x.terms:
+        for fm in x.monos:
             acc = acc + self._nf_mono(fm, budget)
         return acc
 
@@ -415,7 +430,7 @@ class BordismRing:
         One reading of an ambiguous statistic; reported for diagnostics only
         and never used by the termination argument.
         """
-        return sum(min(fm.epow, fm.gamma_weight()) for fm in x.terms)
+        return sum(min(fm.epow, fm.gamma_weight()) for fm in x.monos)
 
     # --- localization -----------------------------------------------------
 
@@ -438,18 +453,19 @@ class BordismRing:
 
     def is_geometric(self, x):
         """True when the normal form of x is free of e powers."""
-        return all(fm.epow == 0 for fm in self.normal_form(x).terms)
+        return all(fm.epow == 0 for fm in self.normal_form(x).monos)
 
     def quotient_reduce(self, x):
         """Image in the quotient by geometric classes, as a QuotientElem."""
+        table = self.table
         parts = {}
-        for fm in self.normal_form(x).terms:
+        for fm in self.normal_form(x).monos:
             if not fm.epow:
                 continue
-            xs = mono_of(self.table.index('X%d' % n) for n in fm.x_indices())
-            parts.setdefault(fm.epow, []).append(mono_mul(fm.coef, xs))
-        return QuotientElem(self.table, {
-            k: GradedPoly(self.table, parity(ms)) for k, ms in parts.items()})
+            xs = mono_of(table, (table.index('X%d' % n) for n in fm.x_indices()))
+            parts.setdefault(fm.epow, []).append(fm.coef + xs)
+        return QuotientElem(table, {
+            k: GradedPoly(table, parity(table.checked(ms))) for k, ms in parts.items()})
 
     def euler(self, m, k):
         """The class e^k on the m-th suspension leg: e^k when m = 0, else 0."""
@@ -462,7 +478,7 @@ class BordismRing:
     # --- basis enumeration and membership ----------------------------------
 
     def _coef_monomials(self, d):
-        return [next(iter(p.terms)) for p in self.coef.monomials_of_degree(d)]
+        return [next(iter(p.monos)) for p in self.coef.monomials_of_degree(d)]
 
     def basis_monomials(self, d, e_cap=None):
         """Additive basis monomials of degree d with e powers capped.
@@ -484,7 +500,7 @@ class BordismRing:
                         out.append(FormalMonomial(
                             coef, tuple((0, n) for n in sorted(parts)), k))
         out.extend(self._type_b(d))
-        out.sort(key=fm_key)
+        out.sort(key=lambda fm: fm_key(self.table, fm))
         return out
 
     def basis_monomials_window(self, d, t_max):
@@ -508,7 +524,7 @@ class BordismRing:
                         out.append(FormalMonomial(
                             coef, tuple((0, p + 1) for p in sorted(parts)), k))
         out.extend(self._type_b(d))
-        out.sort(key=fm_key)
+        out.sort(key=lambda fm: fm_key(self.table, fm))
         return out
 
     def _type_b(self, d):
@@ -577,9 +593,10 @@ class BordismRing:
         self.laurent._require_laurent(target, 'membership target')
         if not target:
             return self.zero()
-        if not target.homogeneous():
+        degrees = target.degrees()
+        if len(degrees) > 1:
             raise ContractViolation('membership target must be homogeneous')
-        d, t0 = target.degree(), target.max_inv_exp()
+        d, t0 = degrees.pop(), target.max_inv_exp()
         self.coef.check_size('membership target of degree', d, d + max(t0, -1))
         peeled, residual = [], target
         while residual and (level := residual.max_inv_exp()) >= 0:
@@ -587,7 +604,7 @@ class BordismRing:
             peeled += tops
             residual = residual + self.localize(Presentation(self.table, tops))
         cands, echelon = self._window(d)
-        flags = echelon.solve(residual.terms)
+        flags = echelon.solve(residual.monos)
         if flags is None:
             return None
         return Presentation(self.table, peeled + [fm for fm, f in zip(cands, flags) if f])
@@ -598,13 +615,15 @@ class BordismRing:
         A term mu c_{j1}...c_{jr} e^level is the top term of
         mu X_{j1+1}...X_{jr+1} e^{level+r}.
         """
-        inv, c_index = self.table.invertible, self.laurent._c_index
+        table, c_index = self.table, self.laurent._c_index
+        inv, shift = table.invertible, table.e_shift
         out = []
-        for m in t.terms:
-            if dict(m).get(inv, 0) != level:
+        for m in t.monos:
+            if m >> shift != level:
                 continue
-            xs = tuple((0, c_index[i] + 1) for i, x in m if i in c_index for _ in range(x))
-            coef = tuple((i, x) for i, x in m if i != inv and i not in c_index)
+            pairs = table.exponents(m)
+            xs = tuple((0, c_index[i] + 1) for i, x in pairs if i in c_index for _ in range(x))
+            coef = table.pack(p for p in pairs if p[0] != inv and p[0] not in c_index)
             out.append(FormalMonomial(coef, xs, level + len(xs)))
         return out
 
@@ -620,8 +639,6 @@ class BordismRing:
             images = [self.localize(self.single(fm)) for fm in cands]
             if any(x and x.degree() != d for x in images):
                 raise ContractViolation('inputs are not homogeneous of one degree')
-            table = self.table
-            window = (cands, Echelon([x.terms for x in images],
-                                     key=lambda m: mono_key(table, m)))
+            window = (cands, Echelon([x.monos for x in images], mono_key))
             self._window_cache[d] = window
         return window

@@ -26,9 +26,22 @@ SUITES = ('loc', 'seq', 'basis', 'gamma', 'geomcomp', 'trobs',
           'cf-exact', 'compare')
 
 
+# how far past the verify degree each suite asks for coefficients: the e
+# cap of the basis monomials it takes, 2 for seq, basis_monomials' default
+# 4 for basis
+COEF_REACH = {'seq': 2, 'basis': 4, 'all': 4}
+
+
 def verify(session, suite='all', max_degree=None):
-    """Run one suite (or all of them); returns a list of Check results."""
-    dmax = session.max_degree if max_degree is None else max_degree
+    """Run one suite (or all of them) through max_degree; returns a list of Check results.
+
+    A suite asks for coefficients up to max_degree plus its COEF_REACH, so
+    a degree past the cap minus that reach is refused up front through
+    CoefRing.check_size, and the default is the largest degree admitted.
+    """
+    reach = COEF_REACH.get(suite, 0)
+    dmax = session.max_degree - reach if max_degree is None else max_degree
+    session.coef.check_size('verify degree', dmax, dmax + reach)
     if suite == 'all':
         checks = []
         for name in SUITES:

@@ -74,7 +74,14 @@ def test_huge_powers_end_at_once(run_cli):
                                       b'exceeds 17'),
                                      ('member', 'e^100000000', 0, b'e^100000000'),
                                      ('member', 'c1*e^99999999 + e^99999998', 0,
-                                      b'X2*e^100000000')):
+                                      b'X2*e^100000000'),
+                                     # RP(200) ran past 5 s; verify at 13 ran 2 s
+                                     # before the basis suite met the cap
+                                     ('charnum', 'RP(200)', 3, b'exceeds 17'),
+                                     ('alpha', 'G(15,2)', 3, b'must lie in N_*'),
+                                     ('divide-e', 'G(15,2)', 3, b'must lie in N_*'),
+                                     ('verify', '--degree=13', 3,
+                                      b'coefficient degree 17 exceeds')):
         proc = run_cli(command, text)
         assert proc.returncode == code, text
         assert out in proc.stdout, text
@@ -127,23 +134,31 @@ def test_presentation_degree_cap(capsys):
 CAP_EDGES = [
     ('nf', ['X17'], ['X9*X9']),
     ('gamma', ['X16'], ['X17']),
-    ('divide-e', [], ['X17']),
+    ('alpha', ['G(14,2)'], ['G(15,2)', 'X17']),
+    ('divide-e', ['e*X16'], ['X17', 'G(15,2)']),
     ('phi', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
     ('compare', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
     ('delta', ['a16*b1'], ['a16*b2', 'a2^400*b1']),
     # the localization of X17 (degree 17, top exponent -1)
     ('member', ['c16*e^-1 + e^-17'], ['c16*c1', '(c1+c2+c3+c4+c5)^100000000']),
+    ('charnum', ['RP(17)', 'RP(16)*RP(1)'], ['RP(18)', 'RP(200)', 'Dold(2,8)']),
+    # each suite asks for coefficients up to d plus its reach: 4 for basis
+    # (and so for all), 2 for seq, 0 for the rest; the whole sweep at its
+    # largest degree, 12, takes seconds, so only its refusal runs here
+    ('verify', [('--suite=trobs', '--degree=16'), ('--suite=seq', '--degree=14')],
+     ['--degree=13', ('--suite=seq', '--degree=15'), ('--suite=trobs', '--degree=17')]),
 ]
 
 
 @pytest.mark.parametrize('command,admitted,refused', CAP_EDGES,
                          ids=[edge[0] for edge in CAP_EDGES])
 def test_one_cap_rule(capsys, command, admitted, refused):
+    # an input is one argument, or a tuple of them
     for text in admitted:
-        code, out = run(capsys, command, text)
+        code, out = run(capsys, command, *(text if isinstance(text, tuple) else (text,)))
         assert code == 0, (text, out)
     for text in refused:
-        code, out = run(capsys, command, text)
+        code, out = run(capsys, command, *(text if isinstance(text, tuple) else (text,)))
         assert code == 3, (text, out)
         assert 'exceeds' in out, text
 

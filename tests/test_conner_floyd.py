@@ -5,6 +5,7 @@ import pytest
 from bordcalc.conner_floyd import (AntipodalSphere, FreeBZ2Elem, GammaOf,
                                    Proj, ProductOf, Trivial, gamma_depth)
 from bordcalc.errors import ContractViolation
+from bordcalc.gf2 import MONO_ONE
 
 
 def test_dimensions_and_depth(sess):
@@ -27,7 +28,7 @@ def test_free_module_elements(sess):
     assert x.to_text() == 'a2*s0 + s2'
     assert x + x == FreeBZ2Elem(table)
     assert x.scale(sess.coef.a(2)).parts[2] == sess.coef.a(2)
-    assert x.support() == {(0, next(iter(sess.coef.a(2).terms))), (2, ())}
+    assert x.support() == {(0, next(iter(sess.coef.a(2).monos))), (2, MONO_ONE)}
     with pytest.raises(ContractViolation):
         FreeBZ2Elem(table, {-1: one})
 

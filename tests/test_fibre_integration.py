@@ -132,7 +132,7 @@ def _fixed_data_targets(geo, max_degree):
     found = set()
     for d in range(1, max_degree + 1):
         for poly in geo.bundle_monomials(d):
-            _, bmult = geo._split_b(next(iter(poly.terms)))
+            _, bmult = geo._split_b(next(iter(poly.monos)))
             if bmult:
                 found.add(bmult)
     return sorted(found)
@@ -159,8 +159,8 @@ def test_delta_and_torus_targets_through_degree_8(sess):
     'PB(PB(RP(1)*RP(1); u1 + u2, u2); t + u1, 0)',
     'PB(RP(1); u, 0)*RP(2)*PB(RP(1); 0, u)',  # bundles as product factors
 ])
-def test_parsed_spaces(text):
-    space = parse_space(text)
+def test_parsed_spaces(sess, text):
+    space = parse_space(text, sess.coef)
     reference = TotalSpace(space)
     assert sw_numbers(space) == reference.numbers()
     for name, deg in space.gens:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bordcalc import gf2
 from bordcalc.charnum import CohomClass, ProjBundle, RP
-from bordcalc.errors import ContractViolation
-from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, parity, partitions, poly_rank,
-                          rank_sets, solve_gf2, solve_sets, standard_table)
+from bordcalc.errors import CapacityError, ContractViolation
+from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, mono_degree, parity, partitions,
+                          poly_rank, rank_sets, solve_gf2, solve_sets, standard_table)
 from bordcalc.presentation import FormalMonomial, Presentation
 from test_coefficients import _partition_count
 
@@ -26,10 +26,10 @@ def e(k=1):
 
 
 def mono(*pairs):
-    return tuple(sorted((TABLE.index(name), exp) for name, exp in pairs))
+    return TABLE.pack((TABLE.index(name), exp) for name, exp in pairs)
 
 
-_POOL = [(), mono(('a2', 1)), mono(('c1', 1)), mono(('e', -1)),
+_POOL = [mono(), mono(('a2', 1)), mono(('c1', 1)), mono(('e', -1)),
          mono(('e', 2)), mono(('a2', 1), ('e', -2)), mono(('c1', 2))]
 
 polys = st.sets(st.sampled_from(_POOL), max_size=7).map(
@@ -65,6 +65,113 @@ def test_pow_matches_repeated_product(p, x, k):
         for _ in range(k):
             expected = expected * p
         assert p ** k == expected
+
+
+# The exponent tuples the packed monomials replaced: sorted (index,
+# exponent) pairs, multiplied through a dict, ordered and printed as the
+# term order and canonical text define. Kept as the reference the packed
+# ints must agree with.
+
+def tuple_mul(m1, m2):
+    exps = dict(m1)
+    for i, x in m2:
+        y = exps.get(i, 0) + x
+        if y:
+            exps[i] = y
+        else:
+            del exps[i]
+    return tuple(sorted(exps.items()))
+
+
+def tuple_key(table, m):
+    exps = [0] * len(table)
+    for i, x in m:
+        exps[i] = x
+    inv = table.invertible
+    return (-exps[inv], tuple(-exps[i] for i in range(len(table)) if i != inv))
+
+
+def tuple_text(table, m):
+    if not m:
+        return '1'
+    inv = table.invertible
+    ordered = [(i, x) for i, x in m if i != inv] + [(i, x) for i, x in m if i == inv]
+    return '*'.join(table.names[i] if x == 1 else '%s^%d' % (table.names[i], x)
+                    for i, x in ordered)
+
+
+def tuple_degree(table, m):
+    return sum(x * table.degrees[i] for i, x in m)
+
+
+def efree_degree(table, m):
+    return sum(x * table.degrees[i] for i, x in m if i != table.invertible)
+
+
+_PLAIN = [i for i in range(len(TABLE)) if i != TABLE.invertible]
+
+
+@st.composite
+def tuple_monos(draw):
+    """An exponent tuple inside TABLE's limit, often with a variable at its field limit."""
+    budget = TABLE.limit
+    exps = {}
+    for i in draw(st.lists(st.sampled_from(_PLAIN), max_size=4, unique=True)):
+        deg = TABLE.degrees[i]
+        if budget >= deg:
+            exps[i] = draw(st.sampled_from([1, budget // deg]) | st.integers(1, budget // deg))
+            budget -= exps[i] * deg
+    k = draw(st.sampled_from([10 ** 8, -10 ** 8, 10 ** 8 - 1]) | st.integers(-3, 3))
+    if k:
+        exps[TABLE.invertible] = k
+    return tuple(sorted(exps.items()))
+
+
+@given(tuple_monos(), tuple_monos())
+def test_packed_monomials_match_the_tuple_reference(t1, t2):
+    m1, m2 = TABLE.pack(t1), TABLE.pack(t2)
+    for t, m in ((t1, m1), (t2, m2)):
+        assert TABLE.exponents(m) == t
+        assert GradedPoly(TABLE, (m,)).terms == frozenset([t])
+        assert TABLE.text(m) == tuple_text(TABLE, t)
+        assert mono_degree(TABLE, m) == tuple_degree(TABLE, t)
+    # the int order is the term order, the leading term largest
+    assert (m1 > m2) == (tuple_key(TABLE, t1) < tuple_key(TABLE, t2))
+    assert (m1 == m2) == (t1 == t2)
+    p1, p2 = GradedPoly(TABLE, (m1,)), GradedPoly(TABLE, (m2,))
+    product = tuple_mul(t1, t2)
+    if efree_degree(TABLE, product) <= TABLE.limit:
+        assert (p1 * p2).monos == {m1 + m2}
+        assert TABLE.exponents(m1 + m2) == product
+        assert (p1 * p2).to_text() == tuple_text(TABLE, product)
+    else:
+        with pytest.raises(CapacityError):
+            p1 * p2
+
+
+def test_overflow_raises_capacity_error():
+    limit = TABLE.limit
+    # a single variable, a product and a power past the fields' limit
+    with pytest.raises(CapacityError):
+        GradedPoly.var(TABLE, 'a2', 10 ** 6)
+    with pytest.raises(CapacityError):
+        GradedPoly.var(TABLE, 'c1', limit + 1)
+    top = GradedPoly.var(TABLE, 'c1', limit)
+    assert top.degree() == limit
+    for x, y in ((top, C1), (C1, top), (top + A2, C1 + e(5))):
+        with pytest.raises(CapacityError):
+            x * y
+    with pytest.raises(CapacityError):
+        (C1 + A2) ** (10 ** 8)
+    # a presentation's coefficients are packed the same way
+    a2_top = Presentation(TABLE, [FormalMonomial(mono(('a2', limit // 2)), (), 0)])
+    with pytest.raises(CapacityError):
+        a2_top * Presentation(TABLE, [FormalMonomial(mono(('a2', 1)), ((0, 2),), 1)])
+    # the e power has no field: any power is one addition away
+    huge = e(10 ** 8)
+    assert huge * e(-10 ** 8) == GradedPoly.one(TABLE)
+    assert (huge * top).to_text() == 'c1^%d*e^100000000' % limit
+    assert (e(-1) ** (10 ** 8)).to_text() == 'e^-100000000'
 
 
 def test_polynomials_and_presentations_do_not_mix():

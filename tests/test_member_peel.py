@@ -30,9 +30,7 @@ def _image(mo, fm):
 @functools.lru_cache(maxsize=None)
 def _reference_window(mo, d, t):
     cands = mo.basis_monomials_window(d, t)
-    table = mo.table
-    return cands, Echelon([_image(mo, fm).terms for fm in cands],
-                          key=lambda m: mono_key(table, m))
+    return cands, Echelon([_image(mo, fm).monos for fm in cands], mono_key)
 
 
 def window_member(mo, target):
@@ -40,7 +38,7 @@ def window_member(mo, target):
     if not target:
         return mo.zero()
     cands, echelon = _reference_window(mo, target.degree(), max(target.max_inv_exp(), -1))
-    flags = echelon.solve(target.terms)
+    flags = echelon.solve(target.monos)
     if flags is None:
         return None
     return Presentation(mo.table, (fm for fm, f in zip(cands, flags) if f))

@@ -132,23 +132,32 @@ def test_manifold_expressions(sess):
     assert len(parse_manifold('P(8)^2', coef)) == 1
 
 
-def test_space_expressions():
-    rp = parse_space('RP(4)')
+def test_space_expressions(sess):
+    coef = sess.coef
+    rp = parse_space('RP(4)', coef)
     assert isinstance(rp, RP) and rp.n == 4
-    space = parse_space('RP(2)*Dold(1,2)')
+    space = parse_space('RP(2)*Dold(1,2)', coef)
     assert isinstance(space, Product)
     assert [f.dim for f in space.factors] == [2, 5]
-    pb = parse_space('PB(RP(2); u, 0)')
+    pb = parse_space('PB(RP(2); u, 0)', coef)
     assert isinstance(pb, ProjBundle)
     assert pb.rank == 2
     assert pb.dim == 3
     assert pb.lines[0] == pb.base.gen('u')
-    nested = parse_space('PB(RP(1)*RP(1); u1 + u2, 0)')
+    nested = parse_space('PB(RP(1)*RP(1); u1 + u2, 0)', coef)
     assert nested.rank == 2
     with pytest.raises(ParseError):
-        parse_space('PB(RP(2))')
+        parse_space('PB(RP(2))', coef)
     with pytest.raises(ParseError):
-        parse_space('X(2)')
+        parse_space('X(2)', coef)
+    # dimension 17 is the largest under the default degree cap 16, as for
+    # manifolds; a space past it is refused before it is built
+    for text in ('RP(17)', 'Dold(1,8)', 'RP(9)*RP(8)', 'PB(RP(15); u, 0, 0)'):
+        assert parse_space(text, coef).dim == 17
+    for text in ('RP(18)', 'Dold(2,8)', 'RP(9)*RP(9)', 'PB(RP(16); u, 0, 0)',
+                 '(RP(6)*RP(6))*RP(6)'):
+        with pytest.raises(CapacityError, match='dimension 18'):
+            parse_space(text, coef)
 
 
 def test_parse_error_reporting(sess):
