@@ -448,6 +448,7 @@ def _nbo1_reference(coef, n):
     """
     cached = coef.nbo1_reference_rows.get(n)
     if cached is None:
+        coef.check_size('N_*(BO(1)) reference rows of dimension', n, n)
         rows = []
         labels = []
         for j in range(n + 1):

@@ -114,8 +114,7 @@ def _session_from(args):
 def _handle_nf(s, args, expr):
     x = parse_presentation(expr, s.mo)
     nf = s.mo.normal_form(x)
-    return 0, {'normal_form': nf.to_text(),
-               'complication': s.mo.complication(x)}, [nf.to_text()]
+    return 0, {'normal_form': nf.to_text()}, [nf.to_text()]
 
 
 def _handle_loc(s, args, expr):

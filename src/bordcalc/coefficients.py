@@ -8,11 +8,12 @@ RP(n) is a_n for even n and 0 for odd n (odd projective spaces bound).
 
 A CoefRing instance fixes the degree cap and owns the session-wide
 variable table, so every ring built on top of it shares one stable term
-ordering. Elements are GradedPoly values supported on the a_d variables.
+ordering. Elements are GradedPoly values supported on the a_d variables,
+the table's family a, which the table names and enumerates.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, mono_of, partitions, standard_table
+from .gf2 import GradedPoly, standard_table
 
 
 def is_power_of_two(n):
@@ -49,7 +50,8 @@ class CoefRing:
         self.max_degree = max_degree
         self.generator_degrees = tuple(allowed_degrees(max_degree))
         self.table = standard_table(self.generator_degrees, max_degree)
-        self._a_names = {d: 'a%d' % d for d in self.generator_degrees}
+        # the a_d variable indices, largest degree first
+        self.generators = tuple(reversed(self.table.family['a'].values()))
         self._mono_cache = {}
         # Stiefel-Whitney number rows keyed by dimension d, each built once
         # by charnum as (Echelon, labels) and checked independent:
@@ -82,11 +84,11 @@ class CoefRing:
 
     def a(self, d):
         """The generator a_d."""
-        if d not in self._a_names:
-            if d > self.max_degree:
-                raise CapacityError('a%d exceeds the degree cap %d' % (d, self.max_degree))
+        if d > self.max_degree:
+            raise CapacityError('a%d exceeds the degree cap %d' % (d, self.max_degree))
+        if d not in self.table.family['a']:
             raise ContractViolation('there is no generator in degree %d' % d)
-        return GradedPoly.var(self.table, self._a_names[d])
+        return GradedPoly.var_of(self.table, 'a', d)
 
     def rho(self, n):
         """Class of RP(n): a_n for even n, 0 for odd n."""
@@ -99,16 +101,14 @@ class CoefRing:
         return self.a(n)
 
     def monomials_of_degree(self, d):
-        """All monomials of N_d in a fixed order, largest generators first."""
+        """All monomials of N_d, largest generators first: gf2.partitions' order."""
         if d < 0:
             return []
         if d > self.max_degree:
             raise CapacityError('degree %d exceeds the cap %d' % (d, self.max_degree))
         if d not in self._mono_cache:
-            index = {g: self.table.index(name) for g, name in self._a_names.items()}
-            self._mono_cache[d] = [
-                GradedPoly(self.table, (mono_of(self.table, (index[g] for g in part)),))
-                for part in partitions(d, self.generator_degrees)]
+            self._mono_cache[d] = [GradedPoly(self.table, (m,))
+                                   for m in self.table.monomials(d, self.generators)]
         return list(self._mono_cache[d])
 
     def rank(self, d):
@@ -117,17 +117,17 @@ class CoefRing:
 
     def is_coefficient(self, poly):
         """True when poly is supported on the a_d variables only."""
-        return poly.uses_only(self._a_names.values())
+        return poly.uses_only('a')
 
     def mono_degrees(self, poly):
         """Generator degrees, with multiplicity, of a single-monomial element."""
         if len(poly) != 1:
             raise ContractViolation('expected a single monomial')
-        by_name = {name: d for d, name in self._a_names.items()}
+        degree_of = self.table.subscripts['a']
         out = []
         for idx, exp in self.table.exponents(next(iter(poly.monos))):
-            name = self.table.names[idx]
-            if name not in by_name:
-                raise ContractViolation('monomial uses %s, not a generator' % name)
-            out.extend([by_name[name]] * exp)
+            if idx not in degree_of:
+                raise ContractViolation('monomial uses %s, not a generator'
+                                        % self.table.names[idx])
+            out.extend([degree_of[idx]] * exp)
         return sorted(out, reverse=True)

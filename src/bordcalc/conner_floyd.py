@@ -7,9 +7,10 @@ finite products.
 
 phi sends an expression to the bundle algebra N_*[b_1, b_2, ...], where
 b_i records the class of (RP(i-1), tautological line) and the grading is
-by total-space dimension (b_i has degree i). The dictionary substitution
-b_i -> c_{i-1} e^{-1} carries bundle classes to the Laurent model, where
-they agree with the localization of the point classes.
+by total-space dimension (b_i has degree i), the table's family b. The
+dictionary b_i -> c_{i-1} e^{-1}, monomial to monomial, carries bundle
+classes to the Laurent model, where they agree with the localization of
+the point classes.
 
 delta is the boundary map to the free N_* module on classes s_0, s_1, ...
 (s_j has degree j, and a degree-d bundle class lands in degree d - 1). On
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import FreeModuleElem, GradedPoly, mono_of, partitions
+from .gf2 import FreeModuleElem, GradedPoly
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,12 @@ class Geometry:
         self.coef = mo.coef
         self.laurent = mo.laurent
         self.table = mo.table
-        self._b_names = {}
-        for i in range(1, self.coef.max_degree + 2):
-            self._b_names[i] = 'b%d' % i
-        self._b_index = {self.table.index(name): i for i, name in self._b_names.items()}
-        self._dict_map = None
+        table = self.table
+        c, e = table.family['c'], table.units[table.invertible]
+        # the dictionary adds c_{i-1} e^-1 - b_i to a monomial per b_i (c_0 = 1)
+        self._dict_step = {idx: (table.units[c[i - 1]] if i > 1 else 0) - e - table.units[idx]
+                           for idx, i in table.subscripts['b'].items()}
+        self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
         self._delta_cache = {}
         self._torus_cache = {}
 
@@ -135,25 +137,16 @@ class Geometry:
             raise ContractViolation('b_i needs i >= 1')
         if i > self.coef.max_degree + 1:
             raise CapacityError('b%d exceeds the degree cap %d' % (i, self.coef.max_degree))
-        return GradedPoly.var(self.table, self._b_names[i])
+        return GradedPoly.var_of(self.table, 'b', i)
 
     def is_bundle(self, poly):
         """True when poly is supported on the a_d and b_i variables."""
-        names = set(self._b_names.values()) | set(self.coef._a_names.values())
-        return poly.uses_only(names)
+        return poly.uses_only('ab')
 
     def bundle_monomials(self, d):
         """All bundle-algebra monomials of degree d, coefficient included."""
-        out = []
-        table = self.table
-        index = {i: table.index(name) for i, name in self._b_names.items()}
-        for v in range(d + 1):
-            for parts in partitions(d - v, index):
-                bmono = mono_of(table, (index[i] for i in parts))
-                for mu in self.coef.monomials_of_degree(v):
-                    out.append(GradedPoly(
-                        table, table.checked((next(iter(mu.monos)) + bmono,))))
-        return out
+        self.coef.check_size('bundle monomials of degree', d, d)
+        return [GradedPoly(self.table, (m,)) for m in self.table.monomials(d, self._bundle_vars)]
 
     # --- the maps -----------------------------------------------------------
 
@@ -224,14 +217,15 @@ class Geometry:
         raise ContractViolation('not a manifold expression: %r' % (expr,))
 
     def dictionary(self, poly):
-        """Translate bundle classes to the Laurent model, b_i -> c_{i-1} e^{-1}."""
+        """Translate bundle classes to the Laurent model, b_i -> c_{i-1} e^{-1}.
+
+        b_i^x goes to c_{i-1}^x e^{-x}, monomials one to one: nothing cancels.
+        """
         if not self.is_bundle(poly):
             raise ContractViolation('dictionary takes bundle-algebra elements')
-        if self._dict_map is None:
-            L = self.laurent
-            self._dict_map = {
-                name: L.c(i - 1) * L.e(-1) for i, name in self._b_names.items()}
-        return poly.substitute(self._dict_map)
+        exponents, step = self.table.exponents, self._dict_step
+        return GradedPoly(self.table, frozenset(
+            m + sum(x * step[i] for i, x in exponents(m) if i in step) for m in poly.monos))
 
     def delta(self, poly):
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
@@ -248,8 +242,9 @@ class Geometry:
         """A bundle monomial as (N_* part, sorted b indices with repeats)."""
         apart = []
         bmult = []
+        b_of = self.table.subscripts['b']
         for idx, exp in self.table.exponents(mono):
-            i = self._b_index.get(idx)
+            i = b_of.get(idx)
             if i is None:
                 apart.append((idx, exp))
             else:

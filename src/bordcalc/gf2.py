@@ -38,11 +38,12 @@ one bit per monomial, with the pivot order fixed by the term ordering, so
 results are exact and deterministic. An Echelon eliminates a fixed family
 once and then solves for any number of targets.
 
-The pieces every GF(2) sum in the package shares live here too: the sum
-core SparseSum (polynomials and presentations differ only in their kind
-of monomial), parity (the monomials of a product, duplicates cancelled),
-square-and-multiply powers, the partition enumerator, and free modules
-over N_* with polynomial components.
+The pieces every GF(2) sum in the package shares live here too: the
+session's alphabet (standard_table), the sum core SparseSum (polynomials
+and presentations differ only in their kind of monomial), parity (the
+monomials of a product, duplicates cancelled), square-and-multiply
+powers, the partition enumerator, and free modules over N_* with
+polynomial components.
 """
 
 import operator
@@ -62,25 +63,35 @@ class VarTable:
     A table is built once with all of its variables, so monomial orderings
     and canonical text stay stable for the life of a session. limit is
     the largest e-free degree a monomial may reach, rounded up to 2^j - 1.
+
+    A variable is named by its family letter and subscript (a2), or the
+    letter alone (e). family[letter] maps a family's subscripts to indices,
+    subscripts[letter] indices to subscripts; only the table spells names.
     """
 
     __slots__ = ('names', 'degrees', 'invertible', 'limit', 'units', 'efree_mask',
                  'e_shift', 'e_degree', '_index', '_shifts', '_owner', '_guard',
-                 '_fields_mask')
+                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials')
 
     def __init__(self, variables, limit, invertible=None):
-        """variables: (name, degree) pairs in table order, degrees positive but
-        the invertible variable's, which is named by invertible and comes last.
+        """variables: (family, subscript, degree) triples in table order, the
+        subscript None for a family of one variable, degrees positive but the
+        invertible variable's, which is named by invertible and comes last.
         """
-        self.names = [name for name, _ in variables]
-        self.degrees = [degree for _, degree in variables]
+        self.names = [family if sub is None else '%s%d' % (family, sub)
+                      for family, sub, _ in variables]
+        self.degrees = [degree for _, _, degree in variables]
         self._index = {}
-        for idx, (name, degree) in enumerate(variables):
+        self.family = {}
+        self.subscripts = {}
+        for idx, (name, (family, sub, degree)) in enumerate(zip(self.names, variables)):
             if name in self._index:
                 raise ContractViolation('duplicate variable %r' % name)
             if degree == 0:
                 raise ContractViolation('variable %r must have nonzero degree' % name)
             self._index[name] = idx
+            self.family.setdefault(family, {})[sub] = idx
+            self.subscripts.setdefault(family, {})[idx] = sub
         self.invertible = None if invertible is None else self._index[invertible]
         if self.invertible not in (None, len(variables) - 1):
             raise ContractViolation('the invertible variable comes last')
@@ -112,13 +123,37 @@ class VarTable:
         if self.invertible is not None:
             self.units[self.invertible] = 1 << shift
             self.e_degree = self.degrees[self.invertible]
+        self._masks = {}
+        self._monomials = {}
+
+    def mask(self, letters):
+        """The bits of the named families' fields; e's are every bit of its power."""
+        if letters not in self._masks:
+            idxs = {i for letter in letters for i in self.subscripts[letter]}
+            self._masks[letters] = (sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
+                                    | (-1 << self.e_shift if self.invertible in idxs else 0))
+        return self._masks[letters]
+
+    def monomials(self, d, indices):
+        """The monomials of e-free degree d in the variables of the tuple indices,
+        the first one's largest power first, then recursively; each answer is kept."""
+        if d > self.limit:
+            raise CapacityError('degree %d exceeds the table limit %d' % (d, self.limit))
+        key = (d, indices)
+        out = self._monomials.get(key)
+        if out is None:
+            if not indices:
+                out = (MONO_ONE,) if d == 0 else ()
+            else:
+                degree, unit, rest = self.degrees[indices[0]], self.units[indices[0]], indices[1:]
+                out = tuple(p * unit + m for p in range(d // degree, -1, -1)
+                            for m in self.monomials(d - p * degree, rest))
+            self._monomials[key] = out
+        return out
 
     def index(self, name):
         """Index of a variable; KeyError if absent."""
         return self._index[name]
-
-    def __contains__(self, name):
-        return name in self._index
 
     def __len__(self):
         return len(self.names)
@@ -221,11 +256,6 @@ def partitions(total, parts=None):
 
     rec(total, 0, [])
     return out
-
-
-def mono_of(table, indices):
-    """The monomial multiplying the variables of the given indices, repeats counted."""
-    return table.pack((i, 1) for i in indices)
 
 
 def mono_degree(table, m):
@@ -342,6 +372,11 @@ class GradedPoly(SparseSum):
             return cls.one(table)
         return cls(table, (table.pack(((idx, exp),)),))
 
+    @classmethod
+    def var_of(cls, table, family, subscript):
+        """The variable of a family with the given subscript; KeyError if absent."""
+        return cls(table, (table.units[table.family[family][subscript]],))
+
     @property
     def terms(self):
         """The monomials decoded to (index, exponent) tuples, by VarTable.exponents."""
@@ -362,32 +397,26 @@ class GradedPoly(SparseSum):
     def max_inv_exp(self):
         return max(self.monos) >> self.table.e_shift if self.monos else None
 
-    def support(self):
-        """Names of the variables that actually occur."""
+    def uses_only(self, letters):
+        """True when every occurring variable belongs to one of the named families."""
         # a field of the or of all terms is nonzero where some term's is
         table = self.table
-        union = reduce(operator.or_, self.monos, 0)
-        return {table.names[i] for i, _ in table.exponents(union)}
+        return not (reduce(operator.or_, self.monos, 0)
+                    & ~(table.mask(letters) | table.efree_mask))
 
-    def uses_only(self, names):
-        """True when every occurring variable is in names."""
-        return self.support() <= set(names)
-
-    def substitute(self, mapping):
-        """Replace variables by polynomials; unmapped variables pass through.
+    def substitute(self, idx_map):
+        """Replace variables, keyed by index, by polynomials; the others pass through.
 
         Mapped variables must occur with nonnegative exponents only.
         """
         table = self.table
-        idx_map = {table.index(name): poly for name, poly in mapping.items()}
-        for poly in idx_map.values():
-            self._check_peer(poly)
         powers = {}
 
         def power(i, x):
             if x < 0:
                 raise ContractViolation('cannot substitute into a negative power')
             if (i, x) not in powers:
+                self._check_peer(idx_map[i])
                 powers[(i, x)] = idx_map[i] ** x
             return powers[(i, x)]
 
@@ -479,14 +508,16 @@ def standard_table(generator_degrees, max_degree):
     projective classes X_n, the bundle classes b_i, and finally the Euler
     class e of degree -1, the unique invertible variable. Ranges are sized
     so that c_j -> e*X_{j+1} + e^-j and b_i -> c_{i-1}*e^-1 never fall off
-    the table. The cap admits terms of e-free degree up to max_degree + 1,
-    so the fields hold twice that, a product of two admitted terms.
+    the table. Each variable's family is its letter, its subscript the
+    degree: a_d, c_j, X_n and b_i have degree d, j, n and i. The cap admits
+    terms of e-free degree up to max_degree + 1, so the fields hold twice
+    that, a product of two admitted terms.
     """
-    variables = [('a%d' % d, d) for d in generator_degrees]
-    variables += [('c%d' % j, j) for j in range(1, max_degree + 1)]
-    variables += [('X%d' % n, n) for n in range(2, max_degree + 2)]
-    variables += [('b%d' % i, i) for i in range(1, max_degree + 2)]
-    variables.append(('e', -1))
+    variables = [('a', d, d) for d in generator_degrees]
+    variables += [('c', j, j) for j in range(1, max_degree + 1)]
+    variables += [('X', n, n) for n in range(2, max_degree + 2)]
+    variables += [('b', i, i) for i in range(1, max_degree + 2)]
+    variables.append(('e', None, -1))
     return VarTable(variables, 2 * (max_degree + 1), invertible='e')
 
 

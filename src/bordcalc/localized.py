@@ -13,7 +13,8 @@ component contributing its stable class times e^-k. In particular
 loc_P(1) = e^-1 + e^-1 = 0.
 
 A homogeneous element of degree d has every e-exponent >= -d, since the
-e-free part of a term has nonnegative degree.
+e-free part of a term has nonnegative degree. The variables are the
+table's families a, c, X and e, and membership in them is a mask test.
 """
 
 from .errors import CapacityError, ContractViolation
@@ -28,16 +29,9 @@ class LaurentRing:
     def __init__(self, coef):
         self.coef = coef
         self.table = coef.table
-        self._laurent_names = set(coef._a_names.values())
-        self._laurent_names.update('c%d' % j for j in range(1, self.coef.max_degree + 1))
-        self._laurent_names.add('e')
-        # c_j's variable index -> j
-        self._c_index = {self.table.index('c%d' % j): j
-                         for j in range(1, self.coef.max_degree + 1)}
-        self._cleared_names = set(coef._a_names.values())
-        self._cleared_names.update('X%d' % n for n in range(2, self.coef.max_degree + 2))
-        self._cleared_names.add('e')
         self._loc_cache = {}
+        # the substitutions of clear_denominators and eval_cleared, by family
+        self._images = {}
 
     def zero(self):
         return GradedPoly.zero(self.table)
@@ -57,7 +51,7 @@ class LaurentRing:
             return self.one()
         if j > self.coef.max_degree:
             raise CapacityError('c%d exceeds the degree cap %d' % (j, self.coef.max_degree))
-        return GradedPoly.var(self.table, 'c%d' % j)
+        return GradedPoly.var_of(self.table, 'c', j)
 
     def X(self, n):
         """The symbol X_n used by cleared polynomials; X_1 = 0."""
@@ -67,7 +61,7 @@ class LaurentRing:
             return self.zero()
         if n > self.coef.max_degree + 1:
             raise CapacityError('X%d exceeds the degree cap %d' % (n, self.coef.max_degree))
-        return GradedPoly.var(self.table, 'X%d' % n)
+        return GradedPoly.var_of(self.table, 'X', n)
 
     def loc_P(self, n):
         """Localization c_{n-1}*e^-1 + e^-n of the class of P(n*tau + sigma)."""
@@ -79,7 +73,7 @@ class LaurentRing:
 
     def is_laurent(self, x):
         """True when x is supported on a_d, c_j and e only."""
-        return x.uses_only(self._laurent_names)
+        return x.uses_only('ace')
 
     def _require_laurent(self, x, what='element'):
         if x.table is not self.table:
@@ -102,21 +96,22 @@ class LaurentRing:
             return 0, x
         n1 = max(0, -x.min_inv_exp())
         y = self.e(n1) * x if n1 else x
-        cs = sorted(name for name in y.support() if name.startswith('c'))
-        if cs:
-            mapping = {}
-            for name in cs:
-                j = int(name[1:])
-                mapping[name] = self.e(1) * self.X(j + 1) + self.e(-j)
-            y = y.substitute(mapping)
+        if not y.uses_only('ae'):
+            y = y.substitute(self._substitution(
+                'c', lambda j: self.e(1) * self.X(j + 1) + self.e(-j)))
         n2 = max(0, -y.min_inv_exp()) if y else 0
         p = self.e(n2) * y if n2 else y
         return n1 + n2, p
 
     def eval_cleared(self, p):
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
-        if not p.uses_only(self._cleared_names):
+        if not p.uses_only('aXe'):
             raise ContractViolation('not a polynomial in e, X_n over N_*')
-        mapping = {name: self.loc_P(int(name[1:]))
-                   for name in p.support() if name.startswith('X')}
-        return p.substitute(mapping) if mapping else p
+        return p if p.uses_only('ae') else p.substitute(self._substitution('X', self.loc_P))
+
+    def _substitution(self, family, image):
+        """The map from the family's variable indices to image(subscript), built once."""
+        if family not in self._images:
+            self._images[family] = {idx: image(sub)
+                                    for idx, sub in self.table.subscripts[family].items()}
+        return self._images[family]

@@ -180,7 +180,8 @@ class _PolyParser(_ElementParser):
     name e is the grammar's one invertible atom, and e^-k parses to e(-k).
     A capped term's size is its degree without its e power (its e-free
     degree, which adds under products), and its N_* part also leaves out
-    the variables whose indices are in outside; what names the size.
+    the variables of outside, a family's index -> subscript map from the
+    variable table; what names the size.
     """
 
     def __init__(self, toks, ring, letters, expected, e=None, coef=None, outside=(),
@@ -354,7 +355,7 @@ def parse_laurent(text, laurent):
     return _parse(text, lambda toks: _PolyParser(
         toks, laurent, {'a': laurent.coef.a, 'c': laurent.c},
         ('a<d>', 'c<j>', 'e', 'an integer', '('), e=laurent.e, coef=laurent.coef,
-        outside=laurent._c_index, what='e-free degree').parse_sum())
+        outside=laurent.table.subscripts['c'], what='e-free degree').parse_sum())
 
 
 def parse_coefficient(text, coef):
@@ -368,7 +369,7 @@ def parse_bundle(text, geometry):
     return _parse(text, lambda toks: _PolyParser(
         toks, coef, {'a': coef.a, 'b': geometry.b},
         ('a<d>', 'b<i>', 'an integer', '('), coef=coef,
-        outside=geometry._b_index).parse_sum())
+        outside=coef.table.subscripts['b']).parse_sum())
 
 
 def parse_manifold(text, coef):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from . import charnum
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, SparseSum, mono_degree,
-                  mono_key, mono_of, parity, partitions)
+                  mono_key, parity)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -68,9 +68,6 @@ class FormalMonomial:
     def x_indices(self):
         """Indices n of the plain X_n factors."""
         return [n for i, n in self.gammas if i == 0]
-
-    def gamma_weight(self):
-        return sum(i for i, _ in self.gammas)
 
     def is_basis(self):
         """Basis shape: no G factor, or exactly one with the X's at or above it."""
@@ -139,8 +136,9 @@ class Presentation(SparseSum):
         parts = []
         if fm.coef:
             parts.append(self.table.text(fm.coef))
+        names, xs = self.table.names, self.table.family['X']
         for i, n in sorted(fm.gammas, key=lambda g: (-g[0], g[1])):
-            parts.append('X%d' % n if i == 0 else 'G(%d,%d)' % (i, n))
+            parts.append(names[xs[n]] if i == 0 else 'G(%d,%d)' % (i, n))
         if fm.epow:
             parts.append('e' if fm.epow == 1 else 'e^%d' % fm.epow)
         return '*'.join(parts) if parts else '1'
@@ -194,6 +192,7 @@ class BordismRing:
         self._gamma_cache = {}
         self._alpha_cache = {}
         self._loc_cache = {}
+        self._x_cache = {}
 
     # --- constructors ---------------------------------------------------
 
@@ -424,14 +423,6 @@ class BordismRing:
         return (self._nf_pres(g * rest, budget)
                 + self._nf_alpha(i - 1, m, second, budget))
 
-    def complication(self, x):
-        """Diagnostic count of e-Gamma coincidences, min(epow, Gamma weight) per term.
-
-        One reading of an ambiguous statistic; reported for diagnostics only
-        and never used by the termination argument.
-        """
-        return sum(min(fm.epow, fm.gamma_weight()) for fm in x.monos)
-
     # --- localization -----------------------------------------------------
 
     def localize(self, x):
@@ -462,7 +453,7 @@ class BordismRing:
         for fm in self.normal_form(x).monos:
             if not fm.epow:
                 continue
-            xs = mono_of(table, (table.index('X%d' % n) for n in fm.x_indices()))
+            xs = table.pack((table.family['X'][n], 1) for n in fm.x_indices())
             parts.setdefault(fm.epow, []).append(fm.coef + xs)
         return QuotientElem(table, {
             k: GradedPoly(table, parity(table.checked(ms))) for k, ms in parts.items()})
@@ -477,28 +468,17 @@ class BordismRing:
 
     # --- basis enumeration and membership ----------------------------------
 
-    def _coef_monomials(self, d):
-        return [next(iter(p.monos)) for p in self.coef.monomials_of_degree(d)]
-
     def basis_monomials(self, d, e_cap=None):
         """Additive basis monomials of degree d with e powers capped.
 
         The default cap max(0, -d) + 4 makes the degree-(d+1) slice map
-        into the degree-d slice under multiplication by e.
-        """
+        into the degree-d slice under multiplication by e. Coefficients reach
+        degree d + e_cap."""
         if e_cap is None:
             e_cap = max(0, -d) + 4
-        out = []
-        maxn = self.coef.max_degree + 1
-        for k in range(e_cap + 1):
-            content = d + k
-            if content < 0:
-                continue
-            for v in range(content + 1):
-                for parts in partitions(content - v, range(2, maxn + 1)):
-                    for coef in self._coef_monomials(v):
-                        out.append(FormalMonomial(
-                            coef, tuple((0, n) for n in sorted(parts)), k))
+        self.coef.check_size('basis monomials of degree plus e power', d + e_cap, d + e_cap)
+        out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
+               for coef, xs in self._coef_and_xs(d + k, 2)]
         out.extend(self._type_b(d))
         out.sort(key=lambda fm: fm_key(self.table, fm))
         return out
@@ -511,36 +491,40 @@ class BordismRing:
         taken: its localization lies in exponents <= -1 (see member, which
         peels the levels >= 0 and so asks only for t_max = -1).
         """
+        table, gens = self.table, self.coef.generators
         out = []
-        maxn = self.coef.max_degree + 1
-        # type A: leading e-exponent is epow - (number of X factors)
-        for s in range(t_max + d + 1):
-            for v in range(s + 1):
-                for parts in partitions(s - v, range(1, maxn)):
-                    k = s + len(parts) - d
-                    if k < 0:
-                        continue
-                    for coef in self._coef_monomials(v):
-                        out.append(FormalMonomial(
-                            coef, tuple((0, p + 1) for p in sorted(parts)), k))
+        # type A: coefficient degree v, X factors of degree w, e power
+        # v + w - d >= 0, top e-exponent v + w - d - #X; each X_n has n >= 2
+        for w in range(2 * (t_max + d) + 1):
+            for xs in self._x_factors(w, 2):
+                for v in range(max(0, d - w), t_max + d - w + len(xs) + 1):
+                    out.extend(FormalMonomial(coef, xs, v + w - d)
+                               for coef in table.monomials(v, gens))
         out.extend(self._type_b(d))
-        out.sort(key=lambda fm: fm_key(self.table, fm))
+        out.sort(key=lambda fm: fm_key(table, fm))
         return out
 
     def _type_b(self, d):
-        out = []
-        maxn = self.coef.max_degree + 1
-        for j in range(2, min(d - 1, maxn) + 1):
-            for i in range(1, d - j + 1):
-                rest = d - i - j
-                for w in range(rest + 1):
-                    for parts in partitions(w, range(j, maxn + 1)):
-                        for coef in self._coef_monomials(rest - w):
-                            out.append(FormalMonomial(
-                                coef,
-                                tuple(sorted([(i, j)] + [(0, n) for n in parts])),
-                                0))
-        return out
+        # one G(i, j), i >= 1, and X_n factors with n >= j, no e power
+        return [FormalMonomial(coef, xs + ((i, j),), 0)
+                for j in range(2, min(d - 1, self.coef.max_degree + 1) + 1)
+                for i in range(1, d - j + 1)
+                for coef, xs in self._coef_and_xs(d - i - j, j)]
+
+    def _x_factors(self, w, least):
+        """The factor tuples X_n..., each n >= least, of total degree w, n ascending; kept."""
+        if (w, least) not in self._x_cache:
+            table, n_of = self.table, self.table.subscripts['X']
+            self._x_cache[w, least] = tuple(
+                tuple((0, n_of[i]) for i, x in table.exponents(m) for _ in range(x))
+                for m in table.monomials(w, tuple(i for i, n in n_of.items() if n >= least)))
+        return self._x_cache[w, least]
+
+    def _coef_and_xs(self, total, least):
+        """(N_* coefficient, X factors) pairs of e-free degree total, each X_n with n >= least."""
+        gens = self.coef.generators
+        return [(coef, xs) for w in range(total + 1) for xs in self._x_factors(w, least)
+                for coef in self.table.monomials(total - w, gens)]
 
     def member(self, target):
         """Preimage of a Laurent class under localization, or None.
@@ -615,15 +599,15 @@ class BordismRing:
         A term mu c_{j1}...c_{jr} e^level is the top term of
         mu X_{j1+1}...X_{jr+1} e^{level+r}.
         """
-        table, c_index = self.table, self.laurent._c_index
+        table, j_of = self.table, self.table.subscripts['c']
         inv, shift = table.invertible, table.e_shift
         out = []
         for m in t.monos:
             if m >> shift != level:
                 continue
             pairs = table.exponents(m)
-            xs = tuple((0, c_index[i] + 1) for i, x in pairs if i in c_index for _ in range(x))
-            coef = table.pack(p for p in pairs if p[0] != inv and p[0] not in c_index)
+            xs = tuple((0, j_of[i] + 1) for i, x in pairs if i in j_of for _ in range(x))
+            coef = table.pack(p for p in pairs if p[0] != inv and p[0] not in j_of)
             out.append(FormalMonomial(coef, xs, level + len(xs)))
         return out
 

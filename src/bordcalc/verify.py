@@ -12,7 +12,7 @@ so threads would only make the work done depend on timing.
 from dataclasses import dataclass
 
 from .conner_floyd import GammaOf, Proj
-from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
+from .gf2 import GradedPoly, poly_rank, rank_sets
 
 
 @dataclass
@@ -71,16 +71,10 @@ def _sweep(fn, degrees):
 
 def ac_monomials(laurent, degree):
     """All monomials of the given degree in the a_d and c_j variables."""
-    coef = laurent.coef
-    out = []
-    for v in range(degree + 1):
-        for parts in partitions(degree - v, range(1, coef.max_degree + 1)):
-            cpart = GradedPoly.one(laurent.table)
-            for j in parts:
-                cpart = cpart * laurent.c(j)
-            for mu in coef.monomials_of_degree(v):
-                out.append(mu * cpart)
-    return out
+    table = laurent.table
+    laurent.coef.check_size('a_d, c_j monomials of degree', degree, degree)
+    variables = laurent.coef.generators + tuple(table.family['c'].values())
+    return [GradedPoly(table, (m,)) for m in table.monomials(degree, variables)]
 
 
 def _suite_loc(s, dmax):
@@ -215,8 +209,7 @@ def _suite_trobs(s, dmax):
     ok = True
     count = 0
     for n in range(2, min(dmax, 6) + 1):
-        expect_poly = (GradedPoly.var(s.table, 'X%d' % n)
-                       + s.coef.rho(n))
+        expect_poly = s.laurent.X(n) + s.coef.rho(n)
         for k in range(1, 4):
             count += 1
             q = mo.quotient_reduce(mo.e(k) * mo.G(1, n))

@@ -141,7 +141,9 @@ CAP_EDGES = [
     ('delta', ['a16*b1'], ['a16*b2', 'a2^400*b1']),
     # the localization of X17 (degree 17, top exponent -1)
     ('member', ['c16*e^-1 + e^-17'], ['c16*c1', '(c1+c2+c3+c4+c5)^100000000']),
-    ('charnum', ['RP(17)', 'RP(16)*RP(1)'], ['RP(18)', 'RP(200)', 'Dold(2,8)']),
+    # identifying in N_*(BO(1)) needs N_n, so --ref admits one dimension less
+    ('charnum', ['RP(17)', 'RP(16)*RP(1)', ('--ref', 'u', 'RP(16)')],
+     ['RP(18)', 'RP(200)', 'Dold(2,8)', ('--ref', 'u', 'RP(17)')]),
     # each suite asks for coefficients up to d plus its reach: 4 for basis
     # (and so for all), 2 for seq, 0 for the rest; the whole sweep at its
     # largest degree, 12, takes seconds, so only its refusal runs here
@@ -161,6 +163,30 @@ def test_one_cap_rule(capsys, command, admitted, refused):
         code, out = run(capsys, command, *(text if isinstance(text, tuple) else (text,)))
         assert code == 3, (text, out)
         assert 'exceeds' in out, text
+
+
+def test_reference_rows_refused_by_the_one_rule(capsys):
+    # CAP_EDGES admits RP(16) with --ref; RP(17) needs N_17
+    code, out = run(capsys, 'charnum', '--ref', 'u', 'RP(17)')
+    assert code == 3
+    assert 'coefficient degree 17 exceeds the degree cap 16' in out
+
+
+GOLDEN = Path(__file__).resolve().parent / 'golden'
+
+
+@pytest.mark.parametrize('argv,golden', [
+    (('verify', '--suite', 'all', '--degree', '8'), 'verify_all_d8.json'),
+    (('basis-table', '--max', '8'), 'basis_table_max8.json'),
+])
+def test_json_reports_match_golden(capsys, argv, golden):
+    # the reports as they stood before the variable families moved into
+    # the table, elapsed_ms dropped
+    code, out = run(capsys, *argv, '--json')
+    assert code == 0
+    report = json.loads(out)
+    del report['elapsed_ms']
+    assert json.dumps(report, sort_keys=True, indent=1) + '\n' == (GOLDEN / golden).read_text()
 
 
 def test_closed_stdout_gives_no_traceback():

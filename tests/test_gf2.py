@@ -220,19 +220,37 @@ def test_degree_decompose():
 
 def test_support_and_windows():
     x = A2 * e(-2) + C1 * e(-1)
-    assert x.support() == {'a2', 'c1', 'e'}
-    assert x.uses_only({'a2', 'c1', 'e'})
-    assert not x.uses_only({'a2', 'e'})
+    assert x.uses_only('ace')
+    assert not x.uses_only('ae')
+    assert not x.uses_only('ac')
+    assert (A2 * e(3)).uses_only('ae') and not (A2 * e(3)).uses_only('a')
+    assert A2.uses_only('a') and GradedPoly.one(TABLE).uses_only('')
     assert x.min_inv_exp() == -2
     assert x.max_inv_exp() == -1
 
 
+def test_families_and_the_one_enumerator():
+    assert TABLE.family['a'] == {2: TABLE.index('a2'), 4: TABLE.index('a4'),
+                                 5: TABLE.index('a5')}
+    assert TABLE.subscripts['X'] == {i: n for n, i in TABLE.family['X'].items()}
+    assert TABLE.family['e'] == {None: TABLE.invertible}
+    assert GradedPoly.var_of(TABLE, 'c', 1) == C1
+    a2, a4, c1 = TABLE.index('a2'), TABLE.index('a4'), TABLE.index('c1')
+    # the first variable's largest power first
+    assert TABLE.monomials(4, (a2, a4)) == (mono(('a2', 2)), mono(('a4', 1)))
+    assert TABLE.monomials(4, (a4, a2)) == (mono(('a4', 1)), mono(('a2', 2)))
+    assert TABLE.monomials(3, (a2, c1)) == (mono(('a2', 1), ('c1', 1)), mono(('c1', 3)))
+    assert TABLE.monomials(0, ()) == (MONO_ONE,) and TABLE.monomials(-1, (a2,)) == ()
+    with pytest.raises(CapacityError):
+        TABLE.monomials(TABLE.limit + 1, (c1,))
+
+
 def test_substitute():
     x = C1 * e(1) + A2
-    image = x.substitute({'c1': e(1) * X2 + e(-1)})
+    image = x.substitute({TABLE.index('c1'): e(1) * X2 + e(-1)})
     assert image == e(2) * X2 + GradedPoly.one(TABLE) + A2
     with pytest.raises(ContractViolation):
-        e(-1).substitute({'e': C1})
+        e(-1).substitute({TABLE.index('e'): C1})
 
 
 _DEG2 = [mono(('a2', 1)), mono(('c1', 2)), mono(('X2', 1)),

@@ -341,10 +341,3 @@ def test_member_rejects_conner_floyd_non_members(sess):
             assert mo.member(extra) is None
             for fm in mo.basis_monomials(d, e_cap=2):
                 assert mo.member(mo.localize(mo.single(fm)) + extra) is None
-
-
-def test_complication_is_a_count(sess):
-    mo = sess.mo
-    assert mo.complication(mo.X(2)) == 0
-    assert mo.complication(mo.e(2) * mo.G(1, 2)) == 1
-    assert mo.complication(mo.e(1) * mo.G(2, 3)) == 1
