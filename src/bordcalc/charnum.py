@@ -25,11 +25,9 @@ top-degree monomials that pair to 1, so a Stiefel-Whitney number is one
 product and the parity of a mask.
 """
 
-from functools import lru_cache
-
 from .coefficients import generator_rep
 from .errors import CapacityError, ContractViolation, IntegrityError
-from .gf2 import Echelon, GradedPoly, partitions, power
+from .gf2 import Echelon, GradedPoly, power
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import rank_sets, solve_sets
 
@@ -380,13 +378,13 @@ def pair(x, space):
 
 
 def sw_numbers(space, ref=None):
-    """Stiefel-Whitney numbers, keyed by (partition, reference power).
+    """The Stiefel-Whitney numbers that are 1, as a frozenset of keys.
 
-    With a reference class the numbers <w_omega ref^k, [M]> run over all
-    k from 0 to the dimension; without one only k = 0 appears. The
-    products w_omega come from a depth-first walk over the partitions,
-    each one multiplication from its parent, and a zero product ends its
-    branch.
+    A key is (partition, reference power). With a reference class the
+    numbers <w_omega ref^k, [M]> run over all k from 0 to the dimension;
+    without one only k = 0 appears. The products w_omega come from a
+    depth-first walk over the partitions, each one multiplication from
+    its parent, and a zero product ends its branch.
     """
     if ref is not None and ref.space is not space:
         raise ContractViolation('the reference class lives on another space')
@@ -399,29 +397,19 @@ def sw_numbers(space, ref=None):
     if ref is not None:
         for _ in range(n):
             ref_powers.append(mul(ref_powers[-1], ref.terms))
-    found = {}
+    found = set()
 
     def walk(cls, omega, room):
-        if ref is not None or not room:
-            found[(omega, room)] = (mul(cls, ref_powers[room]) & top).bit_count() & 1
+        if ((ref is not None or not room)
+                and (mul(cls, ref_powers[room]) & top).bit_count() & 1):
+            found.add((omega, room))
         for p in range(min(omega[-1] if omega else n, room), 0, -1):
             prod = mul(cls, parts[p])
             if prod:
                 walk(prod, omega + (p,), room - p)
 
     walk(1, (), n)
-    return {key: found.get(key, 0) for key in _number_keys(n, ref is not None)}
-
-
-@lru_cache(maxsize=64)
-def _number_keys(n, with_ref):
-    """The keys of sw_numbers in dimension n, in order."""
-    return tuple((omega, k) for k in (range(n + 1) if with_ref else (0,))
-                 for omega in partitions(n - k))
-
-
-def _support(numbers):
-    return frozenset(key for key, bit in numbers.items() if bit)
+    return frozenset(found)
 
 
 def _same(item):
@@ -439,29 +427,49 @@ def space_for(coef, poly, extra=()):
     return Product(factors) if factors else RP(0)
 
 
-def _nbo1_reference(coef, n):
-    """Eliminated number rows of (representative of mu) x RP(j), j + |mu| = n, built once.
+# the ring a space is identified in, by whether it carries a reference line
+_RING = {False: 'N_*', True: 'N_*(BO(1))'}
 
-    Like the plain rows of _n_reference they depend only on the ring and
-    the dimension, so they live on the ring, eliminated and checked
-    independent, as (Echelon, labels).
+
+def _reference(coef, n, line):
+    """Eliminated number rows of dimension n, built once: (Echelon, labels).
+
+    The row labelled (j, mu) holds the numbers of the representative of mu
+    times RP(j), with the tautological line of RP(j) as reference when
+    line is set, for j + |mu| = n; without a line j is 0. The rows depend
+    only on the ring, n and line, so they live on the ring, eliminated and
+    checked independent.
     """
-    cached = coef.nbo1_reference_rows.get(n)
+    cached = coef.reference_rows.get((n, line))
     if cached is None:
-        coef.check_size('N_*(BO(1)) reference rows of dimension', n, n)
+        coef.check_size('%s reference rows of dimension' % _RING[line], n, n)
         rows = []
         labels = []
-        for j in range(n + 1):
+        for j in range(n + 1) if line else (0,):
             for mu in coef.monomials_of_degree(n - j):
-                row_space = space_for(coef, mu, extra=[RP(j)])
-                row_ref = row_space.factor_gen(len(row_space.factors), 'u')
-                rows.append(_support(sw_numbers(row_space, row_ref)))
+                space = space_for(coef, mu, extra=[RP(j)] if line else ())
+                ref = space.factor_gen(len(space.factors), 'u') if line else None
+                rows.append(sw_numbers(space, ref))
                 labels.append((j, mu))
         echelon = Echelon(rows, _same)
         if echelon.rank != len(rows):
-            raise IntegrityError('reference basis is not independent at dimension %d' % n)
-        cached = coef.nbo1_reference_rows[n] = (echelon, labels)
+            raise IntegrityError('%s reference rows are not independent at dimension %d'
+                                 % (_RING[line], n))
+        cached = coef.reference_rows[(n, line)] = (echelon, labels)
     return cached
+
+
+def _identify(space, numbers, coef, line):
+    """Solve a space's numbers against the reference rows: N_* coefficient by j."""
+    echelon, labels = _reference(coef, space.dim, line)
+    flags = echelon.solve(numbers)
+    if flags is None:
+        raise IntegrityError('class not recognized in %s' % _RING[line])
+    out = {}
+    for (j, mu), flag in zip(labels, flags):
+        if flag:
+            out[j] = out.get(j, GradedPoly.zero(coef.table)) + mu
+    return out
 
 
 def identify_in_nbo1(space, ref, coef, numbers=None):
@@ -473,35 +481,8 @@ def identify_in_nbo1(space, ref, coef, numbers=None):
     maps j to its N_* coefficient. numbers, when the caller has them
     already, are sw_numbers(space, ref).
     """
-    echelon, labels = _nbo1_reference(coef, space.dim)
-    if numbers is None:
-        numbers = sw_numbers(space, ref)
-    flags = echelon.solve(_support(numbers))
-    if flags is None:
-        raise IntegrityError('class not recognized in N_*(BO(1))')
-    out = {}
-    for (j, mu), flag in zip(labels, flags):
-        if flag:
-            out[j] = out.get(j, GradedPoly.zero(coef.table)) + mu
-    return {j: p for j, p in out.items() if p}
-
-
-def _n_reference(coef, n):
-    """Eliminated plain number rows of the coefficient monomials of degree n, built once.
-
-    The rows depend only on the ring and the dimension, so they live on
-    the ring, eliminated and checked independent, as (Echelon, labels).
-    """
-    cached = coef.reference_rows.get(n)
-    if cached is None:
-        labels = coef.monomials_of_degree(n)
-        echelon = Echelon([_support(sw_numbers(space_for(coef, mu))) for mu in labels],
-                          _same)
-        if echelon.rank != len(labels):
-            raise IntegrityError(
-                'representative basis is not independent at dimension %d' % n)
-        cached = coef.reference_rows[n] = (echelon, labels)
-    return cached
+    return _identify(space, sw_numbers(space, ref) if numbers is None else numbers,
+                     coef, True)
 
 
 def identify_in_n(space, coef):
@@ -512,12 +493,4 @@ def identify_in_n(space, coef):
     coefficient monomials have independent number systems, so matching
     plain (k = 0) numbers yields the expansion.
     """
-    echelon, labels = _n_reference(coef, space.dim)
-    flags = echelon.solve(_support(sw_numbers(space)))
-    if flags is None:
-        raise IntegrityError('class not recognized in the coefficient ring')
-    out = GradedPoly.zero(coef.table)
-    for mu, flag in zip(labels, flags):
-        if flag:
-            out = out + mu
-    return out
+    return _identify(space, sw_numbers(space), coef, False).get(0, GradedPoly.zero(coef.table))

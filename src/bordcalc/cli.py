@@ -29,7 +29,7 @@ from .gf2 import GradedPoly
 from .parsing import (parse_bundle, parse_laurent, parse_manifold,
                       parse_presentation, parse_space)
 from .session import Session
-from .verify import SUITES, verify
+from .verify import SUITES, default_degree, verify
 
 _EXPR_COMMANDS = ('nf', 'loc', 'alpha', 'gamma', 'divide-e', 'member',
                   'geometric', 'quotient', 'phi', 'delta', 'compare', 'charnum')
@@ -72,7 +72,8 @@ def _build_parser():
     p.add_argument('--ref', help='degree-1 generator used as reference line')
     p = add('verify', 'run internal consistency suites')
     p.add_argument('--suite', default='all', choices=SUITES + ('all',))
-    p.add_argument('--degree', type=int, default=6)
+    p.add_argument('--degree', type=int,
+                   help='sweep through this degree (default: the largest the cap admits)')
     p = add('basis-table', 'list additive basis monomials by degree')
     p.add_argument('--min', dest='dmin', type=int, default=0)
     p.add_argument('--max', dest='dmax', type=int, default=4)
@@ -220,13 +221,8 @@ def _handle_charnum(s, args, expr):
     ref = space.gen(args.ref) if args.ref else None
     numbers = sw_numbers(space, ref)
     named = {}
-    for (omega, k), bit in sorted(numbers.items()):
-        if not bit:
-            continue
-        name = 'w[%s]' % ','.join(str(p) for p in omega)
-        if k:
-            name += '*r^%d' % k
-        named[name] = 1
+    for omega, k in numbers:
+        named['w[%s]' % ','.join(map(str, omega)) + ('*r^%d' % k if k else '')] = 1
     lines = ['%s = 1' % name for name in sorted(named)] or ['all zero']
     outputs = {'dimension': space.dim, 'numbers': named}
     if ref is not None:
@@ -285,11 +281,13 @@ _HANDLERS = {
 }
 
 
-def _describe_inputs(args, expr):
+def _describe_inputs(session, args, expr):
     if args.command == 'euler':
         return {'m': args.m, 'k': args.k}
     if args.command == 'verify':
-        return {'suite': args.suite, 'degree': args.degree}
+        degree = args.degree
+        return {'suite': args.suite,
+                'degree': default_degree(session, args.suite) if degree is None else degree}
     if args.command == 'basis-table':
         return {'min': args.dmin, 'max': args.dmax}
     inputs = {'expr': expr}
@@ -320,7 +318,7 @@ def _run_one(session, args, expr):
     elapsed = int((time.monotonic() - start) * 1000)
     if args.json:
         report = {'schema': 'bordcalc.report/1', 'command': args.command,
-                  'inputs': _describe_inputs(args, expr), 'outputs': outputs,
+                  'inputs': _describe_inputs(session, args, expr), 'outputs': outputs,
                   'checks': checks, 'elapsed_ms': elapsed}
         print(json.dumps(report, sort_keys=True))
     else:

@@ -53,13 +53,12 @@ class CoefRing:
         # the a_d variable indices, largest degree first
         self.generators = tuple(reversed(self.table.family['a'].values()))
         self._mono_cache = {}
-        # Stiefel-Whitney number rows keyed by dimension d, each built once
-        # by charnum as (Echelon, labels) and checked independent:
-        # reference_rows holds the plain rows of the degree-d monomials
-        # (identify_in_n), and nbo1_reference_rows the rows of mu x RP(j),
-        # j + |mu| = d, with the line of RP(j) as reference (identify_in_nbo1)
+        # Stiefel-Whitney number rows keyed by (dimension d, line), each built
+        # once by charnum's one builder as (Echelon, labels) and checked
+        # independent: the rows of mu x RP(j), j + |mu| = d, with the line of
+        # RP(j) as reference when line is set (identify_in_nbo1), and the
+        # plain rows of the degree-d monomials, j = 0, when not (identify_in_n)
         self.reference_rows = {}
-        self.nbo1_reference_rows = {}
 
     def check_size(self, what, size, coef_degree):
         """The one cap rule: CapacityError past it, what naming the size.

@@ -95,15 +95,6 @@ class AntipodalSphere:
         return self.j
 
 
-def gamma_depth(expr):
-    """Deepest nesting of the twisted circle construction in an expression."""
-    if isinstance(expr, GammaOf):
-        return 1 + gamma_depth(expr.inner)
-    if isinstance(expr, ProductOf):
-        return max((gamma_depth(f) for f in expr.factors), default=0)
-    return 0
-
-
 class FreeBZ2Elem(FreeModuleElem):
     """An element of the free N_* module on s_0, s_1, ..."""
 
@@ -158,20 +149,7 @@ class Geometry:
         b_1 * (underlying(M) + phi(M)); delta o phi = 0 on every closed
         manifold (Conner-Floyd).
         """
-        if isinstance(expr, Proj):
-            return self.b(expr.n) + self.b(1) ** expr.n
-        if isinstance(expr, GammaOf):
-            return self.b(1) * (self.underlying(expr.inner) + self.phi(expr.inner))
-        if isinstance(expr, ProductOf):
-            acc = GradedPoly.one(self.table)
-            for f in expr.factors:
-                acc = acc * self.phi(f)
-            return acc
-        if isinstance(expr, Trivial):
-            return expr.coef
-        if isinstance(expr, AntipodalSphere):
-            return GradedPoly.zero(self.table)
-        raise ContractViolation('not a manifold expression: %r' % (expr,))
+        return self._walk(expr, False)[0]
 
     # phi computes every mapping torus; exact_phi is kept as a second name
     exact_phi = phi
@@ -180,22 +158,38 @@ class Geometry:
         """Class of the underlying manifold in N_*, forgetting the action.
 
         The underlying manifold of gamma(M) is the mapping torus of the
-        involution of M; torus_class computes its class from fixed data.
+        involution of M; its class is read off the fixed data phi(M).
+        """
+        return self._walk(expr, True)[1]
+
+    def _walk(self, expr, under):
+        """(phi(expr), underlying(expr) if under else None), in one pass.
+
+        gamma(M) asks for both parts of M. An underlying class is computed
+        only where a gamma above it or the caller needs it: the torus of an
+        n-manifold lives in N_{n+1}, which may lie past the cap.
         """
         if isinstance(expr, Proj):
-            return self.coef.rho(expr.n)
+            return (self.b(expr.n) + self.b(1) ** expr.n,
+                    self.coef.rho(expr.n) if under else None)
         if isinstance(expr, GammaOf):
-            return self.torus_class(expr.inner)
+            fixed, inner = self._walk(expr.inner, True)
+            return self.b(1) * (inner + fixed), self._torus(fixed) if under else None
         if isinstance(expr, ProductOf):
-            acc = GradedPoly.one(self.table)
+            fixed = cls = GradedPoly.one(self.table)
             for f in expr.factors:
-                acc = acc * self.underlying(f)
-            return acc
+                f_fixed, f_cls = self._walk(f, under)
+                fixed = fixed * f_fixed
+                if under:
+                    cls = cls * f_cls
+            return fixed, cls if under else None
         if isinstance(expr, Trivial):
-            return expr.coef
+            return expr.coef, expr.coef if under else None
         if isinstance(expr, AntipodalSphere):
-            # spheres double-cover RP(j), which carries all their classes
-            return GradedPoly.zero(self.table)
+            # free actions have no fixed data, and spheres double-cover
+            # RP(j), which carries all their classes
+            zero = GradedPoly.zero(self.table)
+            return zero, zero if under else None
         raise ContractViolation('not a manifold expression: %r' % (expr,))
 
     def pt_class(self, expr):
@@ -261,17 +255,21 @@ class Geometry:
     # --- the mapping torus ----------------------------------------------------
 
     def torus_class(self, expr):
-        """Class in N_* of the underlying mapping torus of gamma(expr).
+        """Class in N_* of the underlying mapping torus of gamma(expr)."""
+        return self._torus(self.phi(expr))
+
+    def _torus(self, fixed):
+        """The mapping torus class read off fixed data.
 
         Removing a tubular neighborhood of the fixed set and quotienting
         shows any closed involution is bordant to the projectivizations
         P(nu + R) of its fixed data, so the torus gamma(M), whose fixed set
         is M with a trivial normal line plus the fixed set of M thickened
         by a line, has underlying class sum of P(nu_F + R^2) over the fixed
-        components of M. The components are read off phi(expr).
+        components of M, the monomials of fixed = phi(M).
         """
         acc = GradedPoly.zero(self.table)
-        for mono in self.phi(expr).monos:
+        for mono in fixed.monos:
             apart, bmult = self._split_b(mono)
             # a rank-0 component contributes F x RP(1), which bounds
             if bmult:

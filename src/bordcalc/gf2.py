@@ -235,7 +235,9 @@ def partitions(total, parts=None):
 
     Each partition is a non-increasing tuple, and the list runs in
     descending lexicographic order; () is the one partition of 0, and a
-    negative total has none.
+    negative total has none. The package enumerates through
+    VarTable.monomials and sw_numbers' walk; this is the reference the
+    tests pin their orders against.
     """
     if total < 0:
         return []

@@ -12,6 +12,7 @@ so threads would only make the work done depend on timing.
 from dataclasses import dataclass
 
 from .conner_floyd import GammaOf, Proj
+from .errors import ContractViolation
 from .gf2 import GradedPoly, poly_rank, rank_sets
 
 
@@ -32,16 +33,23 @@ SUITES = ('loc', 'seq', 'basis', 'gamma', 'geomcomp', 'trobs',
 COEF_REACH = {'seq': 2, 'basis': 4, 'all': 4}
 
 
+def default_degree(session, suite='all'):
+    """The largest verify degree the cap admits for a suite."""
+    return session.max_degree - COEF_REACH.get(suite, 0)
+
+
 def verify(session, suite='all', max_degree=None):
     """Run one suite (or all of them) through max_degree; returns a list of Check results.
 
     A suite asks for coefficients up to max_degree plus its COEF_REACH, so
     a degree past the cap minus that reach is refused up front through
     CoefRing.check_size, and the default is the largest degree admitted.
+    A negative degree is refused too: its sweeps would pass vacuously.
     """
-    reach = COEF_REACH.get(suite, 0)
-    dmax = session.max_degree - reach if max_degree is None else max_degree
-    session.coef.check_size('verify degree', dmax, dmax + reach)
+    dmax = default_degree(session, suite) if max_degree is None else max_degree
+    if dmax < 0:
+        raise ContractViolation('verify degree must be nonnegative, got %d' % dmax)
+    session.coef.check_size('verify degree', dmax, dmax + COEF_REACH.get(suite, 0))
     if suite == 'all':
         checks = []
         for name in SUITES:

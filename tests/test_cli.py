@@ -136,8 +136,9 @@ CAP_EDGES = [
     ('gamma', ['X16'], ['X17']),
     ('alpha', ['G(14,2)'], ['G(15,2)', 'X17']),
     ('divide-e', ['e*X16'], ['X17', 'G(15,2)']),
-    ('phi', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
-    ('compare', ['P(17)', 'triv(a2*a2*a12)'], ['triv(a2*a2*a13)']),
+    # the torus of P(16) would need N_17: phi and compare never ask for it
+    ('phi', ['P(17)', 'triv(a2*a2*a12)', 'gamma(P(16))'], ['triv(a2*a2*a13)']),
+    ('compare', ['P(17)', 'triv(a2*a2*a12)', 'gamma(P(16))'], ['triv(a2*a2*a13)']),
     ('delta', ['a16*b1'], ['a16*b2', 'a2^400*b1']),
     # the localization of X17 (degree 17, top exponent -1)
     ('member', ['c16*e^-1 + e^-17'], ['c16*c1', '(c1+c2+c3+c4+c5)^100000000']),
@@ -170,6 +171,17 @@ def test_reference_rows_refused_by_the_one_rule(capsys):
     code, out = run(capsys, 'charnum', '--ref', 'u', 'RP(17)')
     assert code == 3
     assert 'coefficient degree 17 exceeds the degree cap 16' in out
+
+
+def test_verify_degree_default_and_negative(capsys):
+    # a negative degree used to pass 9 vacuous checks
+    code, out = run(capsys, 'verify', '--degree', '-1')
+    assert code == 2
+    assert 'nonnegative' in out
+    # without --degree the report names the largest degree the cap admits
+    code, out = run(capsys, 'verify', '--suite', 'trobs', '--json')
+    assert code == 0
+    assert json.loads(out)['inputs'] == {'degree': 16, 'suite': 'trobs'}
 
 
 GOLDEN = Path(__file__).resolve().parent / 'golden'

@@ -1,9 +1,12 @@
 """The bundle algebra: phi, delta, the dictionary, mapping tori."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from bordcalc.conner_floyd import (AntipodalSphere, FreeBZ2Elem, GammaOf,
-                                   Proj, ProductOf, Trivial, gamma_depth)
+                                   Proj, ProductOf, Trivial)
 from bordcalc.errors import ContractViolation
 from bordcalc.gf2 import MONO_ONE
 
@@ -15,10 +18,6 @@ def test_dimensions_and_depth(sess):
     assert ProductOf((Proj(2), Proj(3))).dim == 5
     assert Trivial(a2).dim == 2
     assert AntipodalSphere(3).dim == 3
-    tower = GammaOf(GammaOf(Proj(2)))
-    assert gamma_depth(tower) == 2
-    assert gamma_depth(ProductOf((tower, GammaOf(Proj(3))))) == 2
-    assert gamma_depth(Proj(4)) == 0
 
 
 def test_free_module_elements(sess):
@@ -125,8 +124,7 @@ def test_torus_classes(sess):
 def test_exact_phi_agrees_below_depth_three(sess):
     geo = sess.geometry
     for x in geo.catalog_expressions(6):
-        if gamma_depth(x) <= 2:
-            assert geo.exact_phi(x) == geo.phi(x)
+        assert geo.exact_phi(x) == geo.phi(x)
 
 
 def test_delta_kills_exact_phi(sess):
@@ -181,3 +179,27 @@ def test_catalog(sess):
     assert GammaOf(GammaOf(GammaOf(Proj(2)))) in catalog
     assert AntipodalSphere(6) in catalog
     assert any(isinstance(x, ProductOf) for x in catalog)
+
+
+GOLDEN = Path(__file__).resolve().parent / 'golden' / 'fixed_data.json'
+
+
+def fixed_data(sess):
+    """The values read off fixed data, as text: the boundary of every bundle
+    monomial of degree <= 10, phi and the underlying class of every catalog
+    expression of dimension <= 8, and alpha(G(i, n)) for i + n <= 12."""
+    geo, mo = sess.geometry, sess.mo
+    return {
+        'delta': {m.to_text(): geo.delta(m).to_text()
+                  for d in range(11) for m in geo.bundle_monomials(d)},
+        'phi_underlying': [[repr(x), geo.phi(x).to_text(), geo.underlying(x).to_text()]
+                           for x in geo.catalog_expressions(8)],
+        'alpha_G': {'G(%d,%d)' % (i, n): mo.alpha(mo.G(i, n)).to_text()
+                    for n in range(1, 13) for i in range(13 - n)},
+    }
+
+
+def test_fixed_data_matches_golden(sess):
+    # generated before phi and the underlying class shared one walk and the
+    # two kinds of reference rows one builder
+    assert json.dumps(fixed_data(sess), indent=1) + '\n' == GOLDEN.read_text()

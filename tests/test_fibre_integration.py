@@ -127,6 +127,11 @@ class TotalSpace:
         return out
 
 
+def _ones(numbers):
+    """The keys of the numbers that are 1, the form sw_numbers returns."""
+    return {key for key, bit in numbers.items() if bit}
+
+
 def _fixed_data_targets(geo, max_degree):
     """The b-index lists of every bundle monomial through max_degree."""
     found = set()
@@ -143,9 +148,9 @@ def test_delta_and_torus_targets_through_degree_8(sess):
     assert len(targets) == sum(len(partitions(d)) for d in range(1, 9))
     for bmult in targets:
         pb = fixed_bundle(bmult)
-        assert sw_numbers(pb, pb.fiber_class()) == TotalSpace(pb).numbers(pb.fiber_class())
+        assert sw_numbers(pb, pb.fiber_class()) == _ones(TotalSpace(pb).numbers(pb.fiber_class()))
         torus = fixed_bundle(bmult, 2)
-        assert sw_numbers(torus) == TotalSpace(torus).numbers()
+        assert sw_numbers(torus) == _ones(TotalSpace(torus).numbers())
 
 
 @pytest.mark.parametrize('text', [
@@ -162,8 +167,8 @@ def test_delta_and_torus_targets_through_degree_8(sess):
 def test_parsed_spaces(sess, text):
     space = parse_space(text, sess.coef)
     reference = TotalSpace(space)
-    assert sw_numbers(space) == reference.numbers()
+    assert sw_numbers(space) == _ones(reference.numbers())
     for name, deg in space.gens:
         if deg == 1:
             ref = space.gen(name)
-            assert sw_numbers(space, ref) == reference.numbers(ref), name
+            assert sw_numbers(space, ref) == _ones(reference.numbers(ref)), name
