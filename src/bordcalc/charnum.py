@@ -388,6 +388,8 @@ def sw_numbers(space, ref=None):
     """
     if ref is not None and ref.space is not space:
         raise ContractViolation('the reference class lives on another space')
+    if ref is not None and ref.terms & ~space.degree_mask(1):
+        raise ContractViolation('the reference class must have degree 1')
     n = space.dim
     mul = space._mul
     top = space.pairing()

@@ -95,6 +95,14 @@ class AntipodalSphere:
         return self.j
 
 
+def tower(i, n):
+    """The expression gamma^i(P(n))."""
+    expr = Proj(n)
+    for _ in range(i):
+        expr = GammaOf(expr)
+    return expr
+
+
 class FreeBZ2Elem(FreeModuleElem):
     """An element of the free N_* module on s_0, s_1, ..."""
 
@@ -254,10 +262,6 @@ class Geometry:
 
     # --- the mapping torus ----------------------------------------------------
 
-    def torus_class(self, expr):
-        """Class in N_* of the underlying mapping torus of gamma(expr)."""
-        return self._torus(self.phi(expr))
-
     def _torus(self, fixed):
         """The mapping torus class read off fixed data.
 
@@ -290,11 +294,7 @@ class Geometry:
         factors = []
         if fm.coef:
             factors.append(Trivial(GradedPoly(self.table, (fm.coef,))))
-        for i, n in fm.gammas:
-            expr = Proj(n)
-            for _ in range(i):
-                expr = GammaOf(expr)
-            factors.append(expr)
+        factors.extend(tower(i, n) for i, n in fm.gammas)
         if not factors:
             return Trivial(GradedPoly.one(self.table))
         if len(factors) == 1:
@@ -309,11 +309,7 @@ class Geometry:
                 out.append(Trivial(mu))
             if d >= 1:
                 out.append(Proj(d))
-            for n in range(2, d):
-                expr = Proj(n)
-                for _ in range(d - n):
-                    expr = GammaOf(expr)
-                out.append(expr)
+            out.extend(tower(d - n, n) for n in range(2, d))
             for n1 in range(1, d + 1):
                 n2 = d - n1
                 if n2 < n1:

@@ -520,7 +520,12 @@ def standard_table(generator_degrees, max_degree):
     variables += [('X', n, n) for n in range(2, max_degree + 2)]
     variables += [('b', i, i) for i in range(1, max_degree + 2)]
     variables.append(('e', None, -1))
-    return VarTable(variables, 2 * (max_degree + 1), invertible='e')
+    table = VarTable(variables, 2 * (max_degree + 1), invertible='e')
+    # a low cap leaves a family without variables: it is still a family
+    for letter in 'acXb':
+        table.family.setdefault(letter, {})
+        table.subscripts.setdefault(letter, {})
+    return table
 
 
 def _reduce_mask(mask, combo, pivots):

@@ -28,26 +28,20 @@ from .errors import ParseError
 from .gf2 import GradedPoly, power
 from .presentation import Presentation
 
+# bad catches any other character, so the matches cover the whole text
 _TOKEN = re.compile(r'\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)'
-                    r'|(?P<punct>[-^*+(),;]))')
+                    r'|(?P<punct>[-^*+(),;])|(?P<bad>\S))')
 
 
 class _Tokens:
     def __init__(self, text):
         self.items = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ParseError(at, ('a name, an integer, or punctuation',),
-                                 found=stripped[0])
+        for m in _TOKEN.finditer(text):
             kind = m.lastgroup
+            if kind == 'bad':
+                raise ParseError(m.start(kind), ('a name, an integer, or punctuation',),
+                                 found=m.group(kind))
             self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
         self.items.append(('end', '', len(text)))
         self.idx = 0
 

@@ -14,7 +14,16 @@ G(i, n) = Gamma^i(X_n) for the operator Gamma characterized by
 alpha being the augmentation to N_* (forget the action, then take the
 underlying class) and iota the trivial-action section. Multiplication by
 e is injective, so Gamma is well defined. Gamma(u*v) = Gamma(u)*v +
-ubar*Gamma(v), since both sides times e give u*v + bar(u*v).
+ubar*Gamma(v), since both sides times e give u*v + bar(u*v). gamma
+unrolls it once over a monomial, with Gamma(G(i, n)) = G(i+1, n) and
+Gamma(e*z) = z:
+
+    Gamma(c u_1...u_r) = sum_k c ubar_1...ubar_{k-1} Gamma(u_k) u_{k+1}...u_r
+
+The factors come in one fixed order, the G(i >= 1) ascending, then the X's
+ascending. Another order gives the same class but another formal sum, and
+the rewrite rules below apply Gamma to formal sums, so the order fixes
+what normal_form rewrites.
 
 alpha(G(i, n)) is the class of the underlying manifold of the tower, the
 mapping torus of the involution on G(i-1, n). It is read off the fixed
@@ -189,7 +198,6 @@ class BordismRing:
         self.fuel = fuel
         self._nf_cache = {}
         self._window_cache = {}
-        self._gamma_cache = {}
         self._alpha_cache = {}
         self._loc_cache = {}
         self._x_cache = {}
@@ -312,39 +320,22 @@ class BordismRing:
             # x = e*z has bar(x) = 0 and e-multiplication is injective, so
             # Gamma(e*z) = z
             return self.single(FormalMonomial(fm.coef, fm.gammas, fm.epow - 1))
-        gs = fm.gamma_factors()
-        if gs:
-            # split off a Gamma factor u: Gamma(u*v) = Gamma(u)*v + bar(u)*Gamma(v)
-            i, n = min(gs)
-            pool = list(fm.gammas)
-            pool.remove((i, n))
-            acc = self.single(FormalMonomial(
-                fm.coef, tuple(sorted(pool + [(i + 1, n)])), 0))
-            a = self._alpha_gamma(i, n)
-            if a:
-                rest = self._gamma_mono(FormalMonomial(fm.coef, tuple(pool), 0))
-                acc = acc + self._coef_scale(rest, a)
-            return acc
-        g = self._gamma_xlist(tuple(sorted(fm.x_indices())))
-        return Presentation(self.table, frozenset(_checked(self.table, [
-            FormalMonomial(fm.coef + h.coef, h.gammas, h.epow)
-            for h in g.monos])))
-
-    def _gamma_xlist(self, xs):
-        # Gamma(X_{n1} * rest) = G(1, n1)*rest + rho(n1)*Gamma(rest),
-        # always splitting at the smallest index
-        if not xs:
-            return self.zero()
-        if xs not in self._gamma_cache:
-            n, rest = xs[0], xs[1:]
-            head = FormalMonomial(
-                MONO_ONE, tuple(sorted([(1, n)] + [(0, m) for m in rest])), 0)
-            acc = self.single(head)
-            r = self.coef.rho(n)
-            if r:
-                acc = acc + self._coef_scale(self._gamma_xlist(rest), r)
-            self._gamma_cache[xs] = acc
-        return self._gamma_cache[xs]
+        # the product rule unrolled, in the order the module docstring fixes;
+        # head is c*ubar_1*...*ubar_k, and the last factor's ubar is not needed
+        factors = fm.gamma_factors() + [(0, n) for n in fm.x_indices()]
+        head = GradedPoly(self.table, (fm.coef,))
+        out = []
+        for k, (i, n) in enumerate(factors):
+            rest = factors[k + 1:]
+            gammas = tuple(sorted(rest + [(i + 1, n)]))
+            out.extend(FormalMonomial(m, gammas, 0) for m in head.monos)
+            if not rest:
+                break
+            head = head * self._alpha_gamma(i, n)
+            if not head:
+                break
+        # the terms of different k differ in their factor count: none cancel
+        return Presentation(self.table, out)
 
     def divide_e(self, x):
         """The exact quotient x / e, which exists iff alpha(x) = 0."""
@@ -476,6 +467,8 @@ class BordismRing:
         degree d + e_cap."""
         if e_cap is None:
             e_cap = max(0, -d) + 4
+        if e_cap < 0:
+            raise ContractViolation('the e cap must be nonnegative, got %d' % e_cap)
         self.coef.check_size('basis monomials of degree plus e power', d + e_cap, d + e_cap)
         out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
                for coef, xs in self._coef_and_xs(d + k, 2)]

@@ -11,7 +11,7 @@ so threads would only make the work done depend on timing.
 
 from dataclasses import dataclass
 
-from .conner_floyd import GammaOf, Proj
+from .conner_floyd import tower
 from .errors import ContractViolation
 from .gf2 import GradedPoly, poly_rank, rank_sets
 
@@ -47,6 +47,9 @@ def verify(session, suite='all', max_degree=None):
     A negative degree is refused too: its sweeps would pass vacuously.
     """
     dmax = default_degree(session, suite) if max_degree is None else max_degree
+    if dmax < 0 and max_degree is None:
+        raise ContractViolation('the degree cap %d admits no degree of verify suite %s'
+                                % (session.max_degree, suite))
     if dmax < 0:
         raise ContractViolation('verify degree must be nonnegative, got %d' % dmax)
     session.coef.check_size('verify degree', dmax, dmax + COEF_REACH.get(suite, 0))
@@ -174,19 +177,11 @@ def _suite_gamma(s, dmax):
              for i in range(1, min(dmax, 4))]
     # alpha(G(i-1,n)) recomputed from the geometry: the tower's underlying class
     ok = all(mo.normal_form(mo.e(1) * mo.G(i, n))
-             == mo.normal_form(mo.G(i - 1, n) + mo.iota(geo.underlying(_tower(i - 1, n))))
+             == mo.normal_form(mo.G(i - 1, n) + mo.iota(geo.underlying(tower(i - 1, n))))
              for i, n in pairs)
     checks.append(Check('gamma: e*G(i,n) = G(i-1,n) + alpha(G(i-1,n))', ok,
                         '%d pairs' % len(pairs)))
     return checks
-
-
-def _tower(i, n):
-    """The expression gamma^i(P(n))."""
-    expr = Proj(n)
-    for _ in range(i):
-        expr = GammaOf(expr)
-    return expr
 
 
 def _suite_geomcomp(s, dmax):

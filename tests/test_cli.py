@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -133,7 +134,7 @@ def test_presentation_degree_cap(capsys):
 # smallest it refuses (exit 3), all through CoefRing.check_size
 CAP_EDGES = [
     ('nf', ['X17'], ['X9*X9']),
-    ('gamma', ['X16'], ['X17']),
+    ('gamma', ['X16'], ['X17', 'G(15,2)']),
     ('alpha', ['G(14,2)'], ['G(15,2)', 'X17']),
     ('divide-e', ['e*X16'], ['X17', 'G(15,2)']),
     # the torus of P(16) would need N_17: phi and compare never ask for it
@@ -166,6 +167,16 @@ def test_one_cap_rule(capsys, command, admitted, refused):
         assert 'exceeds' in out, text
 
 
+def test_gamma_refuses_before_the_augmentation(capsys):
+    # Gamma(G(15,2)) = G(16,2) needs no alpha(G(15,2)), whose N_17 rows the
+    # cap would refuse first
+    code, out = run(capsys, 'gamma', 'G(15,2)')
+    assert code == 3
+    assert 'degree plus e power 18 exceeds 17' in out
+    code, out = run(capsys, 'gamma', 'X16')
+    assert (code, out.strip()) == (0, 'G(1,16)')
+
+
 def test_reference_rows_refused_by_the_one_rule(capsys):
     # CAP_EDGES admits RP(16) with --ref; RP(17) needs N_17
     code, out = run(capsys, 'charnum', '--ref', 'u', 'RP(17)')
@@ -182,6 +193,74 @@ def test_verify_degree_default_and_negative(capsys):
     code, out = run(capsys, 'verify', '--suite', 'trobs', '--json')
     assert code == 0
     assert json.loads(out)['inputs'] == {'degree': 16, 'suite': 'trobs'}
+
+
+# (argv, exit code, expected output line or None) at caps 0 and 1: no
+# family a has a variable there, and at cap 0 no family c or X either
+LOW_CAP_ANSWERS = {
+    0: [(('nf', 'e'), 0, 'e'), (('delta', 'b1'), 0, 's0'),
+        (('member', 'c1*e^-1 + e^-2'), 3, None), (('gamma', 'X2'), 3, None),
+        (('verify',), 2, 'error: the degree cap 0 admits no degree of verify suite all')],
+    1: [(('nf', 'e'), 0, 'e'), (('delta', 'b1'), 0, 's0'),
+        (('member', 'c1*e^-1 + e^-2'), 0, 'X2'), (('gamma', 'X2'), 3, None),
+        (('verify',), 2, 'error: the degree cap 1 admits no degree of verify suite all')],
+}
+LOW_CAP_OTHERS = [('loc', 'e'), ('alpha', 'e'), ('divide-e', 'e^2'), ('geometric', 'e'),
+                  ('quotient', 'e'), ('euler', '0', '1'), ('phi', 'P(1)'),
+                  ('compare', 'P(1)*S(0)'), ('charnum', 'RP(1)'),
+                  ('charnum', '--ref', 'u', 'RP(1)'), ('verify', '--degree', '0'),
+                  ('basis-table', '--max', '0', '--e-cap', '0'), ('nf', 'X2*a2')]
+
+
+@pytest.mark.parametrize('cap', [0, 1])
+def test_low_caps_answer_without_traceback(capsys, tmp_path, run_cli, cap):
+    cfg = tmp_path / 'low.cfg'
+    cfg.write_text('max_degree = %d\n' % cap)
+    for argv, want, line in LOW_CAP_ANSWERS[cap]:
+        code, out = run(capsys, *argv, '--config', str(cfg))
+        assert code == want, (argv, out)
+        assert line is None or line in out.splitlines(), (argv, out)
+    # every command exits with an answer or a refusal
+    for argv in LOW_CAP_OTHERS:
+        code, out = run(capsys, *argv, '--config', str(cfg))
+        assert code in (0, 1, 3), (argv, out)
+        assert 'Traceback' not in out
+    # the command that used to crash, in a process of its own
+    proc = run_cli('nf', '--config', str(cfg), 'e')
+    assert (proc.returncode, proc.stdout) == (0, b'e\n')
+    assert b'Traceback' not in proc.stderr
+
+
+def test_nonsense_inputs_are_usage_errors(capsys):
+    # d has degree 2, so its powers met the wrong numbers: w[3,2] = 1 and
+    # class a5*s0 came out with exit 0
+    code, out = run(capsys, 'charnum', '--ref', 'd', 'Dold(1,2)')
+    assert code == 2
+    assert 'degree 1' in out
+    # a negative e cap listed G(1,2) and dropped every monomial without one
+    code, out = run(capsys, 'basis-table', '--max', '3', '--e-cap', '-1')
+    assert code == 2
+    assert 'e cap' in out
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / 'README.md').read_text()
+    block = text.split('## Command line', 1)[1].split('```sh\n', 1)[1].split('```', 1)[0]
+    return [line for line in block.splitlines() if line.startswith('bordcalc ')]
+
+
+def test_readme_examples_run(capsys):
+    # each example's trailing comment is a line of its output; one without
+    # a comment succeeds
+    lines = _readme_commands()
+    assert len(lines) >= 11
+    for line in lines:
+        command, _, comment = line.partition('#')
+        code, out = run(capsys, *shlex.split(command)[1:])
+        if comment.strip():
+            assert comment.strip() in out.splitlines(), (line, out)
+        else:
+            assert code == 0, (line, out)
 
 
 GOLDEN = Path(__file__).resolve().parent / 'golden'

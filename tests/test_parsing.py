@@ -170,3 +170,6 @@ def test_parse_error_reporting(sess):
     with pytest.raises(ParseError) as err:
         parse_presentation('X2 ?', sess.mo)
     assert err.value.position == 3
+    # a bad character after whitespace is reported where it stands
+    err = _syntax_error(parse_presentation, 'X2 + $', sess.mo)
+    assert (err.position, err.found) == (5, '$')

@@ -1,14 +1,14 @@
 """Normal forms, the Gamma operator, bases, membership, the quotient."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
                              NotDivisible)
 from bordcalc.gf2 import GradedPoly, poly_rank
 from bordcalc.parsing import parse_laurent
-from bordcalc.presentation import UNDECIDED, BordismRing, QuotientElem
+from bordcalc.presentation import UNDECIDED, BordismRing, FormalMonomial, QuotientElem
 from bordcalc.session import Session
 
 
@@ -175,6 +175,48 @@ def test_localization_separates_basis(sess):
     for d in range(-1, 5):
         images = [mo.localize(mo.single(fm)) for fm in mo.basis_monomials(d)]
         assert poly_rank(images) == len(images)
+
+
+def _gamma_by_splitting(mo, fm):
+    """Gamma of a monomial by the recursion gamma unrolls, as a reference.
+
+    Gamma(u*v) = Gamma(u)*v + ubar*Gamma(v), split at the smallest
+    G(i >= 1) factor u while there is one, then at the smallest X_n.
+    """
+    if fm.epow:
+        return mo.single(FormalMonomial(fm.coef, fm.gammas, fm.epow - 1))
+    gs = fm.gamma_factors()
+    if gs:
+        i, n = min(gs)
+        ubar = mo._alpha_gamma(i, n)
+    elif fm.gammas:
+        i, n = min(fm.gammas)
+        ubar = mo.coef.rho(n)
+    else:
+        return mo.zero()
+    pool = list(fm.gammas)
+    pool.remove((i, n))
+    acc = mo.single(FormalMonomial(fm.coef, tuple(sorted(pool + [(i + 1, n)])), 0))
+    if ubar:
+        rest = _gamma_by_splitting(mo, FormalMonomial(fm.coef, tuple(pool), 0))
+        acc = acc + mo._coef_scale(rest, ubar)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(2, 6)), max_size=3),
+       st.lists(st.sampled_from((2, 4, 5)), max_size=2), st.integers(0, 2))
+def test_unrolled_gamma_matches_the_split(sess, factors, coef_degrees, epow):
+    # the same formal sum, not only the same normal form
+    mo = sess.mo
+    assume(sum(coef_degrees) + sum(i + n for i, n in factors) <= 12)
+    coef = sess.coef.one()
+    for d in coef_degrees:
+        coef = coef * sess.coef.a(d)
+    fm = FormalMonomial(next(iter(coef.monos)), tuple(sorted(factors)), epow)
+    x = mo.single(fm)
+    assert mo.gamma(x) == _gamma_by_splitting(mo, fm)
+    assert mo.normal_form(mo.e(1) * mo.gamma(x)) == mo.normal_form(x + mo.bar(x))
 
 
 _FACTORS = ('e', 'X2', 'X3', 'G(1,2)', 'G(1,3)', 'G(2,2)', 'a2')
