@@ -23,6 +23,11 @@ Stiefel-Whitney class of E (Conner-Floyd, Differentiable Periodic Maps,
 push forward one fibre at a time. Each space computes once the set of
 top-degree monomials that pair to 1, so a Stiefel-Whitney number is one
 product and the parity of a mask.
+
+This is the route of the charnum command, which prints the numbers, and
+of the sw-oracle verify suite, the independent check of the Boardman
+tables (module boardman) through which delta, the mapping torus and
+alpha identify their classes.
 """
 
 from .coefficients import generator_rep
@@ -363,9 +368,12 @@ def fixed_bundle(bmult, trivial=0):
     """P(L_1 + ... + L_r + R^trivial) over RP(i_1 - 1) x ... x RP(i_r - 1).
 
     bmult lists i_1, ..., i_r, and L_k is the tautological line of factor
-    k: the total space delta (trivial = 0) and the mapping torus
-    (trivial = 2) identify for the bundle monomial b_{i_1} ... b_{i_r}, and
-    alpha(G(i, n)) its fixed component's Q with bmult (n,), trivial i + 1.
+    k: the total space whose class is delta (trivial = 0) or the mapping
+    torus (trivial = 2) of the bundle monomial b_{i_1} ... b_{i_r}, and
+    alpha(G(i, n))'s fixed component Q with bmult (n,), trivial i + 1.
+    Those classes come from boardman.Boardman.bundle_in_nbo1 and
+    bundle_in_n; the sw-oracle suite identifies this space by its
+    Stiefel-Whitney numbers to check them.
     """
     base = Product([RP(i - 1) for i in bmult])
     lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]

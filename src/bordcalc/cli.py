@@ -29,7 +29,7 @@ from .gf2 import GradedPoly
 from .parsing import (parse_bundle, parse_laurent, parse_manifold,
                       parse_presentation, parse_space)
 from .session import Session
-from .verify import SUITES, default_degree, verify
+from .verify import ORACLE_SUITES, SUITES, default_degree, verify
 
 _EXPR_COMMANDS = ('nf', 'loc', 'alpha', 'gamma', 'divide-e', 'member',
                   'geometric', 'quotient', 'phi', 'delta', 'compare', 'charnum')
@@ -71,7 +71,7 @@ def _build_parser():
     p = add('charnum', 'Stiefel-Whitney numbers of a space', 'space expression')
     p.add_argument('--ref', help='degree-1 generator used as reference line')
     p = add('verify', 'run internal consistency suites')
-    p.add_argument('--suite', default='all', choices=SUITES + ('all',))
+    p.add_argument('--suite', default='all', choices=SUITES + ('all',) + ORACLE_SUITES)
     p.add_argument('--degree', type=int,
                    help='sweep through this degree (default: the largest the cap admits)')
     p = add('basis-table', 'list additive basis monomials by degree')
@@ -286,6 +286,7 @@ def _describe_inputs(session, args, expr):
         return {'m': args.m, 'k': args.k}
     if args.command == 'verify':
         degree = args.degree
+        # None when the cap admits no degree, and verify refuses to run
         return {'suite': args.suite,
                 'degree': default_degree(session, args.suite) if degree is None else degree}
     if args.command == 'basis-table':

@@ -57,8 +57,12 @@ class CoefRing:
         # once by charnum's one builder as (Echelon, labels) and checked
         # independent: the rows of mu x RP(j), j + |mu| = d, with the line of
         # RP(j) as reference when line is set (identify_in_nbo1), and the
-        # plain rows of the degree-d monomials, j = 0, when not (identify_in_n)
+        # plain rows of the degree-d monomials, j = 0, when not (identify_in_n).
+        # Only the CLI's charnum and the sw-oracle suite build them: delta,
+        # the mapping torus and alpha identify through the Boardman tables
         self.reference_rows = {}
+        # boardman.Boardman, made at first use by boardman.tables
+        self.boardman = None
 
     def check_size(self, what, size, coef_degree):
         """The one cap rule: CapacityError past it, what naming the size.

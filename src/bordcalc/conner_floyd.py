@@ -14,17 +14,22 @@ the point classes.
 
 delta is the boundary map to the free N_* module on classes s_0, s_1, ...
 (s_j has degree j, and a degree-d bundle class lands in degree d - 1). On
-a monomial b_{i_1} ... b_{i_r} it is computed geometrically: form the
+a monomial b_{i_1} ... b_{i_r} it is computed geometrically: the
 projectivization of the corresponding sum of lines over
-RP(i_1 - 1) x ... x RP(i_r - 1) and identify the resulting manifold with
-its tautological class in N_*(BO(1)) by Stiefel-Whitney numbers.
+RP(i_1 - 1) x ... x RP(i_r - 1), with its tautological class, identified
+in N_*(BO(1)) through the Boardman map (module boardman), a product of
+one-variable series F_{i_1} ... F_{i_r}. The mapping torus reads its
+classes off the same series. Stiefel-Whitney numbers (module charnum)
+are the CLI's charnum route and the sw-oracle suite's independent check.
 """
 
 from dataclasses import dataclass
 
-from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
+from .boardman import tables
+# not called here any more; kept bound for profilers that patch them by name
+from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import FreeModuleElem, GradedPoly
+from .gf2 import FreeModuleElem, GradedPoly, parity
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,8 @@ class Geometry:
         self._dict_step = {idx: (table.units[c[i - 1]] if i > 1 else 0) - e - table.units[idx]
                            for idx, i in table.subscripts['b'].items()}
         self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
+        self._b_fields = table.mask('b')
+        # both keyed by the b fields of a monomial: (the b monomial, its value)
         self._delta_cache = {}
         self._torus_cache = {}
 
@@ -233,32 +240,35 @@ class Geometry:
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
         if not self.is_bundle(poly):
             raise ContractViolation('delta takes bundle-algebra elements')
-        acc = FreeBZ2Elem(self.table)
+        parts = {}
         for mono in poly.monos:
-            apart, bmult = self._split_b(mono)
-            if bmult:
-                acc = acc + self._delta_monomial(bmult).scale(apart)
-        return acc
+            # a monomial without b's is a closed manifold, and bounds nothing
+            if mono & self._b_fields:
+                bmono, value = self._fixed_value(self._delta_cache, mono, self._delta_monomial)
+                for j, coef in value.items():
+                    parts.setdefault(j, []).extend(m + mono - bmono for m in coef.monos)
+        table = self.table
+        return FreeBZ2Elem(table, {j: GradedPoly(table, parity(table.checked(ms)))
+                                   for j, ms in parts.items()})
 
-    def _split_b(self, mono):
-        """A bundle monomial as (N_* part, sorted b indices with repeats)."""
-        apart = []
-        bmult = []
+    def _fixed_value(self, cache, mono, compute):
+        """(the b part of mono as a monomial, compute(its b indices)), kept in cache."""
+        fields = mono & self._b_fields
+        entry = cache.get(fields)
+        if entry is None:
+            bmult = self._bmult(fields)
+            # a packed monomial is its fields plus its degree
+            entry = cache[fields] = (fields + sum(bmult), compute(bmult))
+        return entry
+
+    def _bmult(self, mono):
+        """The b indices of a monomial, sorted, with repeats."""
         b_of = self.table.subscripts['b']
-        for idx, exp in self.table.exponents(mono):
-            i = b_of.get(idx)
-            if i is None:
-                apart.append((idx, exp))
-            else:
-                bmult.extend([i] * exp)
-        return GradedPoly(self.table, (self.table.pack(apart),)), tuple(sorted(bmult))
+        return tuple(sorted(b_of[idx] for idx, x in self.table.exponents(mono)
+                            if idx in b_of for _ in range(x)))
 
     def _delta_monomial(self, bmult):
-        if bmult not in self._delta_cache:
-            pb = fixed_bundle(bmult)
-            parts = identify_in_nbo1(pb, pb.fiber_class(), self.coef)
-            self._delta_cache[bmult] = FreeBZ2Elem(self.table, parts)
-        return self._delta_cache[bmult]
+        return tables(self.coef).bundle_in_nbo1(bmult)
 
     # --- the mapping torus ----------------------------------------------------
 
@@ -272,18 +282,16 @@ class Geometry:
         by a line, has underlying class sum of P(nu_F + R^2) over the fixed
         components of M, the monomials of fixed = phi(M).
         """
-        acc = GradedPoly.zero(self.table)
+        out = []
         for mono in fixed.monos:
-            apart, bmult = self._split_b(mono)
             # a rank-0 component contributes F x RP(1), which bounds
-            if bmult:
-                acc = acc + apart * self._torus_monomial(bmult)
-        return acc
+            if mono & self._b_fields:
+                bmono, value = self._fixed_value(self._torus_cache, mono, self._torus_monomial)
+                out.extend(m + mono - bmono for m in value.monos)
+        return GradedPoly(self.table, parity(self.table.checked(out)))
 
     def _torus_monomial(self, bmult):
-        if bmult not in self._torus_cache:
-            self._torus_cache[bmult] = identify_in_n(fixed_bundle(bmult, 2), self.coef)
-        return self._torus_cache[bmult]
+        return tables(self.coef).bundle_in_n(bmult, 2)
 
     # --- catalogs -------------------------------------------------------------
 

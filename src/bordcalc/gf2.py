@@ -216,6 +216,21 @@ def parity(monos):
     return frozenset(odd)
 
 
+def product_monos(rows, cols, mul=operator.add):
+    """The monomials of the product of two sums, as a set.
+
+    mul commutes, so the smaller operand gives the rows; it is one-to-one
+    in each argument, so a row has no repeats and the rows cancel by
+    symmetric difference.
+    """
+    if len(rows) > len(cols):
+        rows, cols = cols, rows
+    odd = set()
+    for m1 in rows:
+        odd ^= {mul(m1, m2) for m2 in cols}
+    return odd
+
+
 def power(x, n, one, mul=operator.mul):
     """x**n by square-and-multiply, O(log n) calls of mul; one is the unit."""
     if n < 0:
@@ -237,7 +252,8 @@ def partitions(total, parts=None):
     descending lexicographic order; () is the one partition of 0, and a
     negative total has none. The package enumerates through
     VarTable.monomials and sw_numbers' walk; this is the reference the
-    tests pin their orders against.
+    tests pin their orders against, and the sw-oracle suite's list of
+    b-multisets.
     """
     if total < 0:
         return []
@@ -305,17 +321,8 @@ class SparseSum:
 
     def __mul__(self, other):
         self._check_peer(other)
-        mul = self.mono_mul
-        # mul commutes, so the smaller operand gives the rows; it is
-        # one-to-one in each argument, so a row has no repeats and the rows
-        # cancel by symmetric difference
-        rows, cols = self.monos, other.monos
-        if len(rows) > len(cols):
-            rows, cols = cols, rows
-        odd = set()
-        for m1 in rows:
-            odd ^= {mul(m1, m2) for m2 in cols}
-        return type(self)(self.table, self._checked(odd))
+        return type(self)(self.table, self._checked(
+            product_monos(self.monos, other.monos, self.mono_mul)))
 
     def __pow__(self, n):
         return power(self, n, self.one(self.table))
@@ -442,8 +449,8 @@ class GradedPoly(SparseSum):
 class FreeModuleElem:
     """A sum of components p_j * <symbol>j, j >= least, p_j in a GradedPoly ring.
 
-    Additive only, with scaling by polynomials; zero components are
-    dropped. Subclasses set the class attributes symbol and least.
+    Additive only; zero components are dropped. Subclasses set the class
+    attributes symbol and least.
     """
 
     __slots__ = ('table', 'parts')
@@ -465,10 +472,6 @@ class FreeModuleElem:
         return type(self)(self.table, {
             j: self.parts.get(j, zero) + other.parts.get(j, zero)
             for j in set(self.parts) | set(other.parts)})
-
-    def scale(self, poly):
-        """Multiply every component by a polynomial."""
-        return type(self)(self.table, {j: poly * p for j, p in self.parts.items()})
 
     def support(self):
         """The set of keys (j, monomial) carrying a nonzero bit."""

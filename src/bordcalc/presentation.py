@@ -28,8 +28,9 @@ what normal_form rewrites.
 alpha(G(i, n)) is the class of the underlying manifold of the tower, the
 mapping torus of the involution on G(i-1, n). It is read off the fixed
 data (Conner-Floyd): a closed involution is bordant, as a manifold, to
-the sum of RP(nu_F + R) over its fixed components F. It need not
-vanish: alpha(G(2, 2)) = a2^2 + a4.
+the sum of RP(nu_F + R) over its fixed components F, each identified
+through the Boardman tables. It need not vanish: alpha(G(2, 2)) =
+a2^2 + a4.
 
 normal_form rewrites onto the additive basis: monomials with no G(i >= 1)
 factor (any e power), and e-free monomials with exactly one factor
@@ -47,7 +48,7 @@ lexicographically, and a fuel cap backs that argument up at runtime.
 
 from dataclasses import dataclass
 
-from . import charnum
+from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, SparseSum, mono_degree,
                   mono_key, parity)
@@ -290,6 +291,9 @@ class BordismRing:
         RP(n-1) with normal L + R^i adds Q = [RP(L + R^{i+1}) over RP(n-1)],
         the isolated point adds rho(n+i), and the trivial component
         alpha(G(k, n)) with normal R^{i-k} adds alpha(G(k, n)) rho(i-k).
+        Q is read off the Boardman map as the coefficient [F_1^{i+1} F_n] of
+        degree n + i (boardman.Boardman.bundle_in_n); the sw-oracle suite
+        checks it against Q's Stiefel-Whitney numbers.
         """
         key = (i, n)
         val = self._alpha_cache.get(key)
@@ -297,7 +301,7 @@ class BordismRing:
             if i == 0:
                 val = self.coef.rho(n)
             else:
-                val = charnum.identify_in_n(charnum.fixed_bundle((n,), i + 1), self.coef)
+                val = tables(self.coef).bundle_in_n((n,), i + 1)
                 val = val + self.coef.rho(n + i)
                 for k in range(i):
                     val = val + self._alpha_gamma(k, n) * self.coef.rho(i - k)

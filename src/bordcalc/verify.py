@@ -5,15 +5,21 @@ trips, the exact sequence, basis independence, the Gamma contract, the
 geometric comparison, the obstruction quotient, exactness of the boundary
 sequence, and the bundle-dictionary comparison). Degree sweeps run one
 degree after another: the rings memoize shared values (augmentations,
-number rows, torus classes) without locks, and the work holds the GIL,
+Boardman tables, torus classes) without locks, and the work holds the GIL,
 so threads would only make the work done depend on timing.
+
+The sw-oracle suite is not part of all: it recomputes the classes that
+delta, the mapping torus and alpha read off the Boardman tables by
+Stiefel-Whitney numbers instead, a route that shares none of that code.
 """
 
 from dataclasses import dataclass
 
+from .boardman import tables
+from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .conner_floyd import tower
 from .errors import ContractViolation
-from .gf2 import GradedPoly, poly_rank, rank_sets
+from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
 
 
 @dataclass
@@ -26,16 +32,20 @@ class Check:
 SUITES = ('loc', 'seq', 'basis', 'gamma', 'geomcomp', 'trobs',
           'cf-exact', 'compare')
 
+# suites run only by name, never by all
+ORACLE_SUITES = ('sw-oracle',)
+
 
 # how far past the verify degree each suite asks for coefficients: the e
 # cap of the basis monomials it takes, 2 for seq, basis_monomials' default
-# 4 for basis
-COEF_REACH = {'seq': 2, 'basis': 4, 'all': 4}
+# 4 for basis; the torus of a degree-d bundle class lies in N_{d+1}
+COEF_REACH = {'seq': 2, 'basis': 4, 'all': 4, 'sw-oracle': 1}
 
 
 def default_degree(session, suite='all'):
-    """The largest verify degree the cap admits for a suite."""
-    return session.max_degree - COEF_REACH.get(suite, 0)
+    """The largest verify degree the cap admits for a suite, None when it admits none."""
+    degree = session.max_degree - COEF_REACH.get(suite, 0)
+    return degree if degree >= 0 else None
 
 
 def verify(session, suite='all', max_degree=None):
@@ -47,7 +57,7 @@ def verify(session, suite='all', max_degree=None):
     A negative degree is refused too: its sweeps would pass vacuously.
     """
     dmax = default_degree(session, suite) if max_degree is None else max_degree
-    if dmax < 0 and max_degree is None:
+    if dmax is None:
         raise ContractViolation('the degree cap %d admits no degree of verify suite %s'
                                 % (session.max_degree, suite))
     if dmax < 0:
@@ -67,6 +77,7 @@ def verify(session, suite='all', max_degree=None):
         'trobs': _suite_trobs,
         'cf-exact': _suite_cf,
         'compare': _suite_compare,
+        'sw-oracle': _suite_sw_oracle,
     }.get(suite)
     if fn is None:
         raise ValueError('unknown suite %r' % suite)
@@ -288,3 +299,32 @@ def _suite_compare(s, dmax):
                       else '%d of %d failed' % (bad, len(exprs)))]
 
     return _sweep(at_degree, range(dmax + 1))
+
+
+def _suite_sw_oracle(s, dmax):
+    coef = s.coef
+    boardman = tables(coef)
+
+    def at_degree(d):
+        bmults = [tuple(sorted(p)) for p in partitions(d)]
+        bad_delta = bad_torus = 0
+        for bmult in bmults:
+            pb = fixed_bundle(bmult)
+            if boardman.bundle_in_nbo1(bmult) != identify_in_nbo1(pb, pb.fiber_class(), coef):
+                bad_delta += 1
+            if boardman.bundle_in_n(bmult, 2) != identify_in_n(fixed_bundle(bmult, 2), coef):
+                bad_torus += 1
+        # alpha(G(i, n)), i + n = d, reads off P(L + R^(i+1)) over RP(n - 1)
+        pairs = [(i, d - i) for i in range(1, d - 1)]
+        bad_alpha = sum(1 for i, n in pairs if boardman.bundle_in_n((n,), i + 1)
+                        != identify_in_n(fixed_bundle((n,), i + 1), coef))
+        out = []
+        for what, bad, count in (('delta', bad_delta, len(bmults)),
+                                 ('mapping torus', bad_torus, len(bmults)),
+                                 ('alpha(G(i,n))', bad_alpha, len(pairs))):
+            out.append(Check('sw-oracle: Boardman %s matches Stiefel-Whitney numbers at degree %d'
+                             % (what, d), bad == 0,
+                             '%d bundles' % count if not bad else '%d of %d failed' % (bad, count)))
+        return out
+
+    return _sweep(at_degree, range(1, dmax + 1))

@@ -2,10 +2,10 @@
 
 import pytest
 
-from bordcalc.charnum import (CohomClass, Dold, Product, ProjBundle, RP,
+from bordcalc.charnum import (CohomClass, Dold, Product, ProjBundle, RP, fixed_bundle,
                               identify_in_n, identify_in_nbo1, pair, space_for,
                               sw_numbers)
-from bordcalc.conner_floyd import FreeBZ2Elem, fixed_bundle
+from bordcalc.conner_floyd import FreeBZ2Elem
 from bordcalc.errors import CapacityError, ContractViolation
 from bordcalc.gf2 import partitions
 from bordcalc.session import Session

@@ -195,6 +195,15 @@ def test_verify_degree_default_and_negative(capsys):
     assert json.loads(out)['inputs'] == {'degree': 16, 'suite': 'trobs'}
 
 
+def test_verify_report_without_an_admitted_degree(capsys, tmp_path):
+    # the report named degree -4, the default of a cap that admits none
+    cfg = tmp_path / 'zero.cfg'
+    cfg.write_text('max_degree = 0\n')
+    code, out = run(capsys, 'verify', '--json', '--config', str(cfg))
+    assert code == 2
+    assert json.loads(out)['inputs'] == {'degree': None, 'suite': 'all'}
+
+
 # (argv, exit code, expected output line or None) at caps 0 and 1: no
 # family a has a variable there, and at cap 0 no family c or X either
 LOW_CAP_ANSWERS = {

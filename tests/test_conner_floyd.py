@@ -26,7 +26,6 @@ def test_free_module_elements(sess):
     x = FreeBZ2Elem(table, {0: sess.coef.a(2), 2: one})
     assert x.to_text() == 'a2*s0 + s2'
     assert x + x == FreeBZ2Elem(table)
-    assert x.scale(sess.coef.a(2)).parts[2] == sess.coef.a(2)
     assert x.support() == {(0, next(iter(sess.coef.a(2).monos))), (2, MONO_ONE)}
     with pytest.raises(ContractViolation):
         FreeBZ2Elem(table, {-1: one})

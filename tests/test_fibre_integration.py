@@ -11,8 +11,7 @@ pairs to 1 with the fundamental class when it contains the top one.
 
 import pytest
 
-from bordcalc.charnum import Dold, Product, ProjBundle, RP, sw_numbers
-from bordcalc.conner_floyd import fixed_bundle
+from bordcalc.charnum import Dold, Product, ProjBundle, RP, fixed_bundle, sw_numbers
 from bordcalc.gf2 import parity, partitions
 from bordcalc.parsing import parse_space
 
@@ -137,7 +136,7 @@ def _fixed_data_targets(geo, max_degree):
     found = set()
     for d in range(1, max_degree + 1):
         for poly in geo.bundle_monomials(d):
-            _, bmult = geo._split_b(next(iter(poly.monos)))
+            bmult = geo._bmult(next(iter(poly.monos)))
             if bmult:
                 found.add(bmult)
     return sorted(found)
