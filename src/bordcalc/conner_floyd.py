@@ -12,9 +12,12 @@ dictionary b_i -> c_{i-1} e^{-1}, monomial to monomial, carries bundle
 classes to the Laurent model, where they agree with the localization of
 the point classes.
 
-delta is the boundary map to the free N_* module on classes s_0, s_1, ...
-(s_j has degree j, and a degree-d bundle class lands in degree d - 1). On
-a monomial b_{i_1} ... b_{i_r} it is computed geometrically: the
+delta is the boundary map to N_*(BO(1)), the free N_* module on classes
+s_0, s_1, ..., s_j the class of (RP(j), tautological line). That is the
+stable class c_j (c_0 = 1), so a value is a polynomial in the a_d and the
+c_j, linear in the c_j, printed with s_j (FreeBZ2Elem); a degree-d
+bundle class lands in degree d - 1. On a monomial b_{i_1} ... b_{i_r} it
+is computed geometrically: the
 projectivization of the corresponding sum of lines over
 RP(i_1 - 1) x ... x RP(i_r - 1), with its tautological class, identified
 in N_*(BO(1)) through the Boardman map (module boardman), a product of
@@ -29,7 +32,7 @@ from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import FreeModuleElem, GradedPoly, parity
+from .gf2 import GradedPoly, ModulePoly, parity
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class Trivial:
     @property
     def dim(self):
         """The dimension; the largest one when the class mixes degrees."""
-        return max(self.coef.degree_decompose(), default=0)
+        return max(self.coef.degrees(), default=0)
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,11 @@ def tower(i, n):
     return expr
 
 
-class FreeBZ2Elem(FreeModuleElem):
-    """An element of the free N_* module on s_0, s_1, ..."""
+class FreeBZ2Elem(ModulePoly):
+    """An element of N_*(BO(1)), free over N_* on the s_j = c_j (s_0 = 1)."""
 
     __slots__ = ()
+    family = 'c'
     symbol = 's'
     least = 0
 
@@ -240,26 +244,24 @@ class Geometry:
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
         if not self.is_bundle(poly):
             raise ContractViolation('delta takes bundle-algebra elements')
-        parts = {}
-        for mono in poly.monos:
-            # a monomial without b's is a closed manifold, and bounds nothing
-            if mono & self._b_fields:
-                bmono, value = self._fixed_value(self._delta_cache, mono, self._delta_monomial)
-                for j, coef in value.items():
-                    parts.setdefault(j, []).extend(m + mono - bmono for m in coef.monos)
-        table = self.table
-        return FreeBZ2Elem(table, {j: GradedPoly(table, parity(table.checked(ms)))
-                                   for j, ms in parts.items()})
+        # a monomial without b's is a closed manifold, and bounds nothing
+        return self._over_fixed(poly, self._delta_cache, self._delta_monomial, FreeBZ2Elem)
 
-    def _fixed_value(self, cache, mono, compute):
-        """(the b part of mono as a monomial, compute(its b indices)), kept in cache."""
-        fields = mono & self._b_fields
-        entry = cache.get(fields)
-        if entry is None:
-            bmult = self._bmult(fields)
-            # a packed monomial is its fields plus its degree
-            entry = cache[fields] = (fields + sum(bmult), compute(bmult))
-        return entry
+    def _over_fixed(self, fixed, cache, compute, result):
+        """The sum over fixed's monomials with a b part of compute(its b indices)
+        times the rest; cache keeps, by b fields, the b part and compute's monomials."""
+        out = []
+        for mono in fixed.monos:
+            fields = mono & self._b_fields
+            if fields:
+                entry = cache.get(fields)
+                if entry is None:
+                    bmult = self._bmult(fields)
+                    # a packed monomial is its fields plus its degree
+                    entry = cache[fields] = (fields + sum(bmult), compute(bmult))
+                bmono, value = entry
+                out.extend(m + mono - bmono for m in value)
+        return result(self.table, parity(self.table.checked(out)))
 
     def _bmult(self, mono):
         """The b indices of a monomial, sorted, with repeats."""
@@ -268,7 +270,7 @@ class Geometry:
                             if idx in b_of for _ in range(x)))
 
     def _delta_monomial(self, bmult):
-        return tables(self.coef).bundle_in_nbo1(bmult)
+        return FreeBZ2Elem(self.table, tables(self.coef).bundle_in_nbo1(bmult)).monos
 
     # --- the mapping torus ----------------------------------------------------
 
@@ -282,16 +284,11 @@ class Geometry:
         by a line, has underlying class sum of P(nu_F + R^2) over the fixed
         components of M, the monomials of fixed = phi(M).
         """
-        out = []
-        for mono in fixed.monos:
-            # a rank-0 component contributes F x RP(1), which bounds
-            if mono & self._b_fields:
-                bmono, value = self._fixed_value(self._torus_cache, mono, self._torus_monomial)
-                out.extend(m + mono - bmono for m in value.monos)
-        return GradedPoly(self.table, parity(self.table.checked(out)))
+        # a rank-0 component contributes F x RP(1), which bounds
+        return self._over_fixed(fixed, self._torus_cache, self._torus_monomial, GradedPoly)
 
     def _torus_monomial(self, bmult):
-        return tables(self.coef).bundle_in_n(bmult, 2)
+        return tables(self.coef).bundle_in_n(bmult, 2).monos
 
     # --- catalogs -------------------------------------------------------------
 

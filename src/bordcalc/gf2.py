@@ -42,8 +42,10 @@ The pieces every GF(2) sum in the package shares live here too: the
 session's alphabet (standard_table), the sum core SparseSum (polynomials
 and presentations differ only in their kind of monomial), parity (the
 monomials of a product, duplicates cancelled), square-and-multiply
-powers, the partition enumerator, and free modules over N_* with
-polynomial components.
+powers, the partition enumerator, and free N_* modules as polynomials
+linear in one family of generators (ModulePoly): delta's values are
+polynomials in the a_d and c_j printed with s_j, obstruction classes
+polynomials in the a_d, X_n and e^k (k >= 1) printed with x_k.
 """
 
 import operator
@@ -392,13 +394,6 @@ class GradedPoly(SparseSum):
         exponents = self.table.exponents
         return frozenset(exponents(m) for m in self.monos)
 
-    def degree_decompose(self):
-        """Split into homogeneous pieces, as a degree -> polynomial map."""
-        pieces = {}
-        for m in self.monos:
-            pieces.setdefault(mono_degree(self.table, m), set()).add(m)
-        return {d: GradedPoly(self.table, ms) for d, ms in sorted(pieces.items())}
-
     def min_inv_exp(self):
         # the e power is the top part of a monomial: the least int has the least
         return min(self.monos) >> self.table.e_shift if self.monos else None
@@ -446,64 +441,66 @@ class GradedPoly(SparseSum):
         return ' + '.join(map(self.table.text, sorted(self.monos, reverse=True)))
 
 
-class FreeModuleElem:
-    """A sum of components p_j * <symbol>j, j >= least, p_j in a GradedPoly ring.
+class ModulePoly(GradedPoly):
+    """A free N_* module value: a polynomial linear in one family of generators.
 
-    Additive only; zero components are dropped. Subclasses set the class
-    attributes symbol and least.
+    Generator j is 1 for j = 0, else the family's variable of subscript j
+    (c_j), or the j-th power of its one variable (e^j); its index is the
+    absolute value of its degree. Subclasses set family, symbol (the
+    printed letter) and least (the least index). A product is refused.
     """
 
-    __slots__ = ('table', 'parts')
+    __slots__ = ()
 
-    def __init__(self, table, parts=()):
-        parts = dict(parts)
-        for j in parts:
-            if j < self.least:
-                raise ContractViolation('%s components are indexed from %d'
-                                        % (type(self).__name__, self.least))
-        self.table = table
-        self.parts = {j: p for j, p in sorted(parts.items()) if p}
+    def __init__(self, table, monos=()):
+        """monos: the monomials, or a dict from j to a coefficient free of the family."""
+        if isinstance(monos, dict):
+            own, out = table.mask(self.family), []
+            for j, p in monos.items():
+                if j < self.least or reduce(operator.or_, p.monos, 0) & own:
+                    raise ContractViolation('%s takes components p_j, j >= %d, with p_j free '
+                                            'of %s' % (type(self).__name__, self.least, self.family))
+                gen = self._generator(table, j)
+                out.extend(m + gen for m in p.monos)
+            monos = table.checked(out)
+        super().__init__(table, monos)
 
-    def __add__(self, other):
-        if type(other) is not type(self) or other.table is not self.table:
-            raise ContractViolation('operands are not %s values over one table'
-                                    % type(self).__name__)
-        zero = GradedPoly.zero(self.table)
-        return type(self)(self.table, {
-            j: self.parts.get(j, zero) + other.parts.get(j, zero)
-            for j in set(self.parts) | set(other.parts)})
+    def _generator(self, table, j):
+        """The monomial of generator j."""
+        variables = table.family[self.family]
+        if not j:
+            return MONO_ONE
+        if None in variables:
+            return j * table.units[variables[None]]
+        if j not in variables:
+            raise CapacityError('%s%d lies past the variable table' % (self.symbol, j))
+        return table.units[variables[j]]
+
+    def __mul__(self, other):
+        raise ContractViolation('%s values are not multiplied' % type(self).__name__)
+
+    __pow__ = __mul__
+
+    @classmethod
+    def one(cls, table):
+        raise ContractViolation('%s values have no unit' % cls.__name__)
 
     def support(self):
-        """The set of keys (j, monomial) carrying a nonzero bit."""
-        return frozenset((j, m) for j, p in self.parts.items() for m in p.monos)
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.table is other.table
-                and self.parts == other.parts)
-
-    def __hash__(self):
-        return hash(tuple(sorted((j, p.monos) for j, p in self.parts.items())))
-
-    def __bool__(self):
-        return bool(self.parts)
+        """The monomials, each a coefficient monomial times one generator."""
+        return self.monos
 
     def to_text(self):
-        if not self.parts:
-            return '0'
+        """The monomials grouped by generator, least index first: p_j*<symbol><j>."""
+        table, own, parts = self.table, self.table.mask(self.family), {}
+        for m in self.monos:
+            gen = table.pack(table.exponents(m & own))
+            parts.setdefault(abs(mono_degree(table, gen)), []).append(m - gen)
         out = []
-        for j, poly in self.parts.items():
-            text = poly.to_text()
-            gen = '%s%d' % (self.symbol, j)
-            if text == '1':
-                out.append(gen)
-            elif len(poly) == 1:
-                out.append('%s*%s' % (text, gen))
-            else:
-                out.append('(%s)*%s' % (text, gen))
-        return ' + '.join(out)
-
-    def __repr__(self):
-        return self.to_text()
+        for j, coefs in sorted(parts.items()):
+            text = GradedPoly(table, coefs).to_text()
+            out.append('%s%d' % (self.symbol, j) if text == '1' else
+                       ('%s*%s%d' if len(coefs) == 1 else '(%s)*%s%d') % (text, self.symbol, j))
+        return ' + '.join(out) or '0'
 
 
 def standard_table(generator_degrees, max_degree):

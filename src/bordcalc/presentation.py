@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import (Echelon, FreeModuleElem, GradedPoly, MONO_ONE, SparseSum, mono_degree,
+from .gf2 import (Echelon, GradedPoly, MONO_ONE, ModulePoly, SparseSum, mono_degree,
                   mono_key, parity)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
@@ -177,16 +177,24 @@ class _Undecided:
 UNDECIDED = _Undecided()
 
 
-class QuotientElem(FreeModuleElem):
+class QuotientElem(ModulePoly):
     """Image in the quotient by the geometric classes: sum of f_k * x_k, k >= 1.
 
-    Components f_k live in N_*[X_n]; the class x_k is the image of e^k, so
-    the k component of a degree-d element has degree d + k.
+    Components f_k live in N_*[X_n]; the class x_k is the image of e^k, and
+    is stored as e^k, so a value of degree d has f_k of degree d + k.
     """
 
     __slots__ = ()
+    family = 'e'
     symbol = 'x'
     least = 1
+
+
+def _fuel(fuel):
+    """fuel, a rewrite step budget, unless it is negative."""
+    if fuel < 0:
+        raise ContractViolation('rewrite fuel must be nonnegative, got %d' % fuel)
+    return fuel
 
 
 class BordismRing:
@@ -196,7 +204,7 @@ class BordismRing:
         self.laurent = laurent
         self.coef = laurent.coef
         self.table = laurent.table
-        self.fuel = fuel
+        self.fuel = _fuel(fuel)
         self._nf_cache = {}
         self._window_cache = {}
         self._alpha_cache = {}
@@ -352,7 +360,7 @@ class BordismRing:
 
     def normal_form(self, x, fuel=None):
         """Rewrite onto the additive basis; raises FuelExhausted when starved."""
-        budget = [self.fuel if fuel is None else fuel]
+        budget = [self.fuel if fuel is None else _fuel(fuel)]
         return self._nf_pres(x, budget)
 
     def _nf_pres(self, x, budget):
@@ -442,16 +450,13 @@ class BordismRing:
         return all(fm.epow == 0 for fm in self.normal_form(x).monos)
 
     def quotient_reduce(self, x):
-        """Image in the quotient by geometric classes, as a QuotientElem."""
+        """Image in the quotient by geometric classes: the e-part of the normal
+        form, whose monomials c*X_n1*...*e^k have no G factor, as a QuotientElem."""
         table = self.table
-        parts = {}
-        for fm in self.normal_form(x).monos:
-            if not fm.epow:
-                continue
-            xs = table.pack((table.family['X'][n], 1) for n in fm.x_indices())
-            parts.setdefault(fm.epow, []).append(fm.coef + xs)
-        return QuotientElem(table, {
-            k: GradedPoly(table, parity(table.checked(ms))) for k, ms in parts.items()})
+        X, e = table.family['X'], table.units[table.invertible]
+        return QuotientElem(table, table.checked([
+            fm.coef + table.pack((X[n], 1) for n in fm.x_indices()) + fm.epow * e
+            for fm in self.normal_form(x).monos if fm.epow]))
 
     def euler(self, m, k):
         """The class e^k on the m-th suspension leg: e^k when m = 0, else 0."""

@@ -20,6 +20,7 @@ from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .conner_floyd import tower
 from .errors import ContractViolation
 from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
+from .presentation import QuotientElem
 
 
 @dataclass
@@ -82,6 +83,14 @@ def verify(session, suite='all', max_degree=None):
     if fn is None:
         raise ValueError('unknown suite %r' % suite)
     return fn(session, dmax)
+
+
+def _catalog_by_dimension(geo, dmax):
+    """The catalog through dmax grouped by dimension, in catalog order within one."""
+    groups = {d: [] for d in range(dmax + 1)}
+    for x in geo.catalog_expressions(dmax):
+        groups[x.dim].append(x)
+    return groups
 
 
 def _sweep(fn, degrees):
@@ -219,29 +228,16 @@ def _suite_geomcomp(s, dmax):
 
 def _suite_trobs(s, dmax):
     mo = s.mo
-    checks = []
-    ok = True
-    count = 0
-    for n in range(2, min(dmax, 6) + 1):
-        expect_poly = s.laurent.X(n) + s.coef.rho(n)
-        for k in range(1, 4):
-            count += 1
-            q = mo.quotient_reduce(mo.e(k) * mo.G(1, n))
-            if k == 1:
-                good = not q
-            else:
-                good = q.parts == {k - 1: expect_poly}
-            ok = ok and good
-    checks.append(Check('trobs: e^k G(1,n) reduces to the k-1 slice', ok,
-                        '%d cases' % count))
-    ok = all(mo.quotient_reduce(mo.e(k)).parts == {k: GradedPoly.one(s.table)}
-             for k in range(1, 5))
+    cases = [(k, n) for n in range(2, min(dmax, 6) + 1) for k in range(1, 4)]
+    # e^k G(1, n) reduces to (X_n + rho(n)) x_{k-1}, and to zero at k = 1
+    ok = all(mo.quotient_reduce(mo.e(k) * mo.G(1, n)) == QuotientElem(
+        s.table, {k - 1: s.laurent.X(n) + s.coef.rho(n)} if k > 1 else {}) for k, n in cases)
+    checks = [Check('trobs: e^k G(1,n) reduces to the k-1 slice', ok, '%d cases' % len(cases))]
+    ok = all(mo.quotient_reduce(mo.e(k))
+             == QuotientElem(s.table, {k: GradedPoly.one(s.table)}) for k in range(1, 5))
     checks.append(Check('trobs: e^k lands on x_k', ok))
-    ok = True
-    for d in range(min(dmax, 6) + 1):
-        for fm in mo.basis_monomials(d, e_cap=0):
-            if mo.quotient_reduce(mo.single(fm)):
-                ok = False
+    ok = not any(mo.quotient_reduce(mo.single(fm)) for d in range(min(dmax, 6) + 1)
+                 for fm in mo.basis_monomials(d, e_cap=0))
     checks.append(Check('trobs: geometric classes vanish in the quotient', ok))
     return checks
 
@@ -249,11 +245,11 @@ def _suite_trobs(s, dmax):
 def _suite_cf(s, dmax):
     mo = s.mo
     geo = s.geometry
-    catalog = geo.catalog_expressions(dmax)
+    catalog = _catalog_by_dimension(geo, dmax)
 
     def at_degree(d):
         out = []
-        exprs = [x for x in catalog if x.dim == d]
+        exprs = catalog[d]
         ok = all(not geo.delta(geo.phi(x)) for x in exprs)
         out.append(Check('cf-exact: delta o phi = 0 at degree %d' % d, ok,
                          '%d expressions' % len(exprs)))
@@ -284,10 +280,10 @@ def _suite_cf(s, dmax):
 def _suite_compare(s, dmax):
     geo = s.geometry
     mo = s.mo
-    catalog = geo.catalog_expressions(dmax)
+    catalog = _catalog_by_dimension(geo, dmax)
 
     def at_degree(d):
-        exprs = [x for x in catalog if x.dim == d]
+        exprs = catalog[d]
         bad = 0
         for x in exprs:
             if geo.dictionary(geo.phi(x)) != mo.localize(geo.pt_class(x)):

@@ -4,16 +4,19 @@ perfbench/tracer.py replaces functions by name at each module that
 imports them, and perfbench/child.py imports names of its own; a rename
 or deletion there breaks benchmark runs without failing any other test.
 The benchmark's oracle, perfbench/workloads.py, reads the answer types
-too, so its check of a short query mix runs here as well.
+and the command line's text, so its checks of a short query mix and of
+the first cli-oneshot questions run here as well.
 """
 
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from bordcalc.cli import main
 from bordcalc.errors import BordcalcError
 from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.session import Session
@@ -51,14 +54,18 @@ def test_child_answers_traced_queries(tmp_path):
     assert [r[0] for r in results] == ['found', 'none', 'ok']
 
 
-def test_oracle_accepts_the_answers():
-    # perfbench/workloads.py reads Presentation.monos, FormalMonomial and
-    # QuotientElem(table, parts); answer as perfbench/child.py does
+def _oracle():
     spec = importlib.util.spec_from_file_location(
         'workloads', ROOT / 'perfbench' / 'workloads.py')
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    oracle = workloads.Oracle()
+    return workloads.Oracle()
+
+
+def test_oracle_accepts_the_answers():
+    # perfbench/workloads.py reads Presentation.monos, FormalMonomial and
+    # QuotientElem(table, parts); answer as perfbench/child.py does
+    oracle = _oracle()
     session = Session()
     mo = session.mo
 
@@ -80,3 +87,17 @@ def test_oracle_accepts_the_answers():
         except BordcalcError as exc:
             status, text = type(exc).__name__, str(exc)
         assert oracle.check_query(query, status, text) == 'ok', query
+
+
+def test_oracle_accepts_the_cli_answers(capsys, monkeypatch):
+    # the cli-oneshot oracle parses the text of delta, charnum --ref, phi,
+    # loc and compare; the questions run in this process through main
+    monkeypatch.delenv('BORDCALC_CONFIG', raising=False)
+    oracle = _oracle()
+    questions = itertools.islice(oracle.cli_oneshot(1), 20)
+    kinds = set()
+    for item in questions:
+        code = main(item['argv'])
+        assert oracle.check_cli(item, code, capsys.readouterr().out) == 'ok', item
+        kinds.add(item['kind'])
+    assert {'delta', 'charnum', 'phi', 'loc', 'compare'} <= kinds

@@ -422,6 +422,20 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     assert 'unknown key coef.max_degree' in capsys.readouterr().err
 
 
+def test_negative_fuel_is_a_usage_error(tmp_path, capsys):
+    code = main(['nf', '--fuel', '-3', 'X2'])
+    assert code == 2
+    assert 'rewrite fuel must be nonnegative' in capsys.readouterr().err
+    cfg = tmp_path / 'fuel.cfg'
+    cfg.write_text('fuel = -7\n')
+    code = main(['nf', '--config', str(cfg), 'X2'])
+    assert code == 2
+    assert 'rewrite fuel must be nonnegative, got -7' in capsys.readouterr().err
+    # no fuel at all still answers what needs no rewriting
+    code, out = run(capsys, 'nf', '--fuel', '0', 'X2')
+    assert (code, out.strip()) == (0, 'X2')
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / 'bad.cfg'
     bad.write_text('mystery = 3\n')

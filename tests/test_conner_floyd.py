@@ -8,7 +8,6 @@ import pytest
 from bordcalc.conner_floyd import (AntipodalSphere, FreeBZ2Elem, GammaOf,
                                    Proj, ProductOf, Trivial)
 from bordcalc.errors import ContractViolation
-from bordcalc.gf2 import MONO_ONE
 
 
 def test_dimensions_and_depth(sess):
@@ -26,7 +25,8 @@ def test_free_module_elements(sess):
     x = FreeBZ2Elem(table, {0: sess.coef.a(2), 2: one})
     assert x.to_text() == 'a2*s0 + s2'
     assert x + x == FreeBZ2Elem(table)
-    assert x.support() == {(0, next(iter(sess.coef.a(2).monos))), (2, MONO_ONE)}
+    # s_j is stored as c_j, and s_0 as 1: the support is the monomials a2 and c2
+    assert x.support() == (sess.coef.a(2) + sess.laurent.c(2)).monos
     with pytest.raises(ContractViolation):
         FreeBZ2Elem(table, {-1: one})
 
@@ -107,6 +107,15 @@ def test_delta_pinned_values(sess):
         assert not geo.delta(geo.phi(Proj(n)))
     with pytest.raises(ContractViolation):
         geo.delta(sess.laurent.e(1))
+
+
+def test_delta_values_are_homogeneous(sess):
+    # s_j is c_j of degree j, so a degree-d bundle class bounds in degree d - 1
+    geo = sess.geometry
+    for d in range(9):
+        for m in geo.bundle_monomials(d):
+            assert geo.delta(m).degree() in (None, d - 1), m
+    assert geo.delta(geo.b(3) * geo.b(5)).degree() == 7
 
 
 def test_torus_classes(sess):

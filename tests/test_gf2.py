@@ -11,7 +11,8 @@ from bordcalc.charnum import CohomClass, ProjBundle, RP
 from bordcalc.errors import CapacityError, ContractViolation
 from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, mono_degree, parity, partitions,
                           poly_rank, rank_sets, solve_gf2, solve_sets, standard_table)
-from bordcalc.presentation import FormalMonomial, Presentation
+from bordcalc.conner_floyd import FreeBZ2Elem
+from bordcalc.presentation import FormalMonomial, Presentation, QuotientElem
 from test_coefficients import _partition_count
 
 TABLE = standard_table((2, 4, 5), 6)
@@ -42,6 +43,86 @@ _FM_POOL = [FormalMonomial(MONO_ONE, (), 0), FormalMonomial(MONO_ONE, (), 1),
 
 presentations = st.sets(st.sampled_from(_FM_POOL), max_size=5).map(
     lambda ms: Presentation(TABLE, ms))
+
+
+class _DictModule:
+    """The free-module values as they were: a dict from index to a nonzero
+    GradedPoly, kept as the reference for the polynomial ones."""
+
+    def __init__(self, parts):
+        assert all(j >= self.least for j in parts)
+        self.parts = {j: p for j, p in sorted(parts.items()) if p}
+
+    def __add__(self, other):
+        zero = GradedPoly.zero(TABLE)
+        return type(self)({j: self.parts.get(j, zero) + other.parts.get(j, zero)
+                           for j in set(self.parts) | set(other.parts)})
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+    def __bool__(self):
+        return bool(self.parts)
+
+    def to_text(self):
+        out = []
+        for j, poly in self.parts.items():
+            text, gen = poly.to_text(), '%s%d' % (self.symbol, j)
+            out.append(gen if text == '1' else '%s*%s' % (text, gen) if len(poly) == 1
+                       else '(%s)*%s' % (text, gen))
+        return ' + '.join(out) or '0'
+
+
+class _DictS(_DictModule):
+    symbol, least = 's', 0
+
+
+class _DictX(_DictModule):
+    symbol, least = 'x', 1
+
+
+# coefficients: polynomials in the a_d and X_n, zero included
+_COEF_POOL = [mono(), mono(('a2', 1)), mono(('a4', 1)), mono(('a2', 2)), mono(('X2', 1)),
+              mono(('X3', 1)), mono(('a2', 1), ('X2', 1)), mono(('a5', 1), ('X2', 2))]
+module_parts = st.dictionaries(
+    st.integers(0, 5), st.sets(st.sampled_from(_COEF_POOL), max_size=4).map(
+        lambda ms: GradedPoly(TABLE, ms)), max_size=4)
+
+
+@given(module_parts, module_parts)
+def test_module_values_match_the_dict_reference(p, q):
+    for cls, ref in ((FreeBZ2Elem, _DictS), (QuotientElem, _DictX)):
+        p1, q1 = ({j + ref.least: v for j, v in d.items()} for d in (p, q))
+        x, y, rx, ry = cls(TABLE, p1), cls(TABLE, q1), ref(p1), ref(q1)
+        assert x.to_text() == rx.to_text()
+        assert (x + y).to_text() == (rx + ry).to_text()
+        assert (x == y) == (rx == ry)
+        assert x + y == cls(TABLE, (rx + ry).parts)
+        assert bool(x) == bool(rx) and bool(x + y) == bool(rx + ry)
+        assert hash(x + y) == hash(y + x)
+
+
+def test_module_values_are_additive_only():
+    x = FreeBZ2Elem(TABLE, {0: A2, 2: GradedPoly.one(TABLE)})
+    q = QuotientElem(TABLE, {1: A2 + X2})
+    for v in (x, q):
+        with pytest.raises(ContractViolation):
+            v * v
+        with pytest.raises(ContractViolation):
+            v ** 2
+        with pytest.raises(ContractViolation):
+            A2 * v
+        with pytest.raises(ContractViolation):
+            type(v).one(TABLE)
+    assert x.degree() == 2 and q.degree() == 1
+    assert x != GradedPoly(TABLE, x.monos)
+    # a coefficient holding the module's own generators is refused
+    with pytest.raises(ContractViolation):
+        FreeBZ2Elem(TABLE, {1: C1})
+    with pytest.raises(ContractViolation):
+        QuotientElem(TABLE, {1: e(-1)})
+    with pytest.raises(CapacityError):
+        FreeBZ2Elem(TABLE, {7: A2})
 
 
 @given(polys, polys, polys, st.tuples(presentations, presentations, presentations))
@@ -207,18 +288,12 @@ def test_square_freeze():
     assert x ** 2 == C1 ** 2 * e(-2) + e(-4)
 
 
-def test_degree_decompose():
-    x = C1 + e(1)
-    pieces = x.degree_decompose()
-    assert set(pieces) == {1, -1}
-    assert pieces[1] == C1
-    assert pieces[-1] == e(1)
-    assert not x.homogeneous()
-    with pytest.raises(ContractViolation):
-        x.degree()
-
-
 def test_support_and_windows():
+    mixed = C1 + e(1)
+    assert mixed.degrees() == {1, -1}
+    assert not mixed.homogeneous()
+    with pytest.raises(ContractViolation):
+        mixed.degree()
     x = A2 * e(-2) + C1 * e(-1)
     assert x.uses_only('ace')
     assert not x.uses_only('ae')

@@ -107,6 +107,13 @@ def test_fuel_exhaustion(sess):
         mo.normal_form(mo.G(1, 2) * mo.G(1, 3), fuel=1)
 
 
+def test_negative_fuel_refused(sess):
+    with pytest.raises(ContractViolation):
+        Session(fuel=-5)
+    with pytest.raises(ContractViolation):
+        sess.mo.normal_form(sess.mo.X(2), fuel=-9)
+
+
 def test_fuel_does_not_depend_on_history():
     # a cache hit charges the steps its entry cost, so a warmed session
     # runs out at the same step, at the same monomial, as a fresh one
