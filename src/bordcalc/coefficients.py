@@ -63,6 +63,9 @@ class CoefRing:
         self.reference_rows = {}
         # boardman.Boardman, made at first use by boardman.tables
         self.boardman = None
+        # parsing's monomial atoms, by grammar and then by text, each built
+        # once by its constructor and kept for later parses
+        self.parsed_atoms = {}
 
     def check_size(self, what, size, coef_degree):
         """The one cap rule: CapacityError past it, what naming the size.

@@ -12,114 +12,202 @@ Integers reduce mod 2. Specific atoms per grammar:
   manifold:      P(n), S(j), gamma(expr), triv(coefficient)
   space:         RP(n), Dold(m,n), PB(space; line, ...)
 
-Manifold expressions parse to a parity-reduced list standing for a formal
-GF(2) sum, with products distributed over sums and gamma applied
-factorwise. Space products flatten to a single Product.
+In the polynomial grammars (all but manifold and space) a product of
+atoms is one monomial: the names, the G(i,n) and the integers are
+monomial atoms, and a run of them, with their powers, adds up exponent
+counts, one packed int (and for a presentation a G(i,n) multiset), built
+into a value once at the end of the term. Only parenthesized factors,
+Gamma(...) and iota(...) are multiplied as sums. Manifold expressions
+parse to a parity-reduced list standing for a formal GF(2) sum, with
+products distributed over sums and gamma applied factorwise. Space
+products flatten to a single Product.
+
 The expression grammars obey the degree cap through CoefRing.check_size,
 given their terms' maxima, and the space grammar given each space's
-dimension before the space is built.
+dimension before the space is built. The tokenizer keeps token strings
+only; the position of a token is found again when a ParseError names it.
 """
 
+import itertools
 import re
 
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
 from .errors import ParseError
 from .gf2 import GradedPoly, power
-from .presentation import Presentation
+from .presentation import FormalMonomial, Presentation
 
-# bad catches any other character, so the matches cover the whole text
-_TOKEN = re.compile(r'\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)'
-                    r'|(?P<punct>[-^*+(),;])|(?P<bad>\S))')
+_TOKEN = re.compile(r'[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-^*+(),;]')
+# any character that is neither whitespace nor part of a token
+_BAD = re.compile(r'[^\sA-Za-z0-9_^*+(),;-]')
 
 
 class _Tokens:
+    """The tokens of a text as strings, read left to right; '' is the end.
+
+    A token's text gives its kind: a name is an identifier, an integer is
+    digits, and punctuation is one character. A token's position is found
+    again, by scanning, only for a ParseError.
+    """
+
+    __slots__ = ('text', 'items', 'idx')
+
     def __init__(self, text):
-        self.items = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == 'bad':
-                raise ParseError(m.start(kind), ('a name, an integer, or punctuation',),
-                                 found=m.group(kind))
-            self.items.append((kind, m.group(kind), m.start(kind)))
-        self.items.append(('end', '', len(text)))
+        bad = _BAD.search(text)
+        if bad:
+            raise ParseError(bad.start(), ('a name, an integer, or punctuation',),
+                             found=bad.group())
+        self.text = text
+        self.items = _TOKEN.findall(text)
+        self.items.append('')
         self.idx = 0
 
-    def peek(self):
-        return self.items[self.idx]
+    def position(self, idx):
+        """Where token idx starts in the text."""
+        if idx == len(self.items) - 1:
+            return len(self.text)
+        return next(itertools.islice(_TOKEN.finditer(self.text), idx, None)).start()
 
-    def advance(self):
+    def error(self, idx, expected):
+        """The ParseError for token idx, when one of expected was due there."""
+        return ParseError(self.position(idx), expected, found=self.items[idx] or None)
+
+    def take(self):
+        """The next token, consumed unless it is the end."""
         tok = self.items[self.idx]
-        if tok[0] != 'end':
+        if tok:
             self.idx += 1
         return tok
 
-    def expect_punct(self, text):
-        kind, found, pos = self.peek()
-        if kind != 'punct' or found != text:
-            raise ParseError(pos, ("'%s'" % text,), found=found or None)
-        return self.advance()
+    def skip(self, punct):
+        """Whether punct comes next; if so it is consumed."""
+        if self.items[self.idx] == punct:
+            self.idx += 1
+            return True
+        return False
+
+    def expect(self, punct):
+        if self.items[self.idx] != punct:
+            raise self.error(self.idx, ("'%s'" % punct,))
+        self.idx += 1
 
     def expect_int(self):
-        kind, found, pos = self.peek()
-        if kind != 'int':
-            raise ParseError(pos, ('an integer',), found=found or None)
-        self.advance()
-        return int(found)
-
-    def at_punct(self, text):
-        kind, found, _ = self.peek()
-        return kind == 'punct' and found == text
+        tok = self.items[self.idx]
+        if not tok.isdigit():
+            raise self.error(self.idx, ('an integer',))
+        self.idx += 1
+        return int(tok)
 
     def expect_end(self):
-        kind, found, pos = self.peek()
-        if kind != 'end':
-            raise ParseError(pos, ('end of input',), found=found)
+        if self.items[self.idx]:
+            raise self.error(self.idx, ('end of input',))
+
+
+class _Monomial:
+    """A monomial atom: its packed int, its G(i, n) factors, its maxima.
+
+    The packed int is a sum of the table's variable units (a presentation's
+    e power on top, as the table lays e out); unit is None for zero.
+    invertible marks the one atom that takes negative powers.
+    """
+
+    __slots__ = ('unit', 'gammas', 'size', 'coef', 'invertible')
+
+    def __init__(self, unit, gammas, size, coef, invertible=False):
+        self.unit = unit
+        self.gammas = gammas
+        self.size = size
+        self.coef = coef
+        self.invertible = invertible
+
+
+_ZERO = _Monomial(None, (), 0, 0)
+_ONE = _Monomial(0, (), 0, 0)
 
 
 class _ElementParser:
     """The one sum/product/power engine; each grammar supplies its atoms.
 
-    +, * and ^ go through the add, mul and power hooks, and every sum
-    through finish, so a grammar changes its values without copying the
-    precedence rules. Given a CoefRing coef, every atom, product, and x^k
-    before it is built pass coef.check_size with their terms' maxima.
+    + and * between sums go through the add and mul hooks, x^k through
+    power, and every sum through finish, so a grammar changes its values
+    without copying the precedence rules. A grammar's atoms are values,
+    or _Monomial atoms that a term adds up as exponent counts and builds
+    into one value through monomial. Given the CoefRing coef, every atom,
+    every x^k before it is built, and every prefix of a product pass
+    coef.check_size with their terms' maxima, as if the product were
+    built factor by factor.
     """
 
     what = 'dimension'  # the size named in CapacityError messages
+    atoms = {}  # the monomial atoms met before, by key; none here
 
-    def __init__(self, toks, coef=None):
+    def __init__(self, toks, coef):
         self.toks = toks
         self.coef = coef
 
     def parse_sum(self):
+        toks = self.toks
         acc = self.parse_term()
-        while self.toks.at_punct('+'):
-            self.toks.advance()
+        while toks.skip('+'):
             acc = self.add(acc, self.parse_term())
         return self.finish(acc)
 
     def parse_term(self):
-        acc = self.parse_factor()
-        while self.toks.at_punct('*'):
-            self.toks.advance()
-            acc = self.capped(self.mul(acc, self.parse_factor()))
-        return acc
+        """A product of factors: its monomial atoms as one monomial times the rest.
 
-    def parse_factor(self):
-        atom, invertible = self.parse_atom()
-        atom = self.capped(atom)
-        if not self.toks.at_punct('^'):
-            return atom
-        self.toks.advance()
-        sign = 1
-        if self.toks.at_punct('-'):
-            _, _, pos = self.toks.advance()
-            if not invertible:
-                raise ParseError(pos, ('a nonnegative exponent',), found='-')
-            sign = -1
-        k = sign * self.toks.expect_int()
-        return self.power(self.capped(atom, k), k)
+        The maxima of a prefix are the counts' plus those of the product
+        of its other factors, or zero once a factor is zero, as the value
+        is; so a zero prefix passes every later prefix check.
+        """
+        toks, check, what = self.toks, self.coef.check_size, self.what
+        unit = size = coef = 0
+        gammas = []
+        other = None  # the product of the factors that are not monomial atoms
+        other_size = other_coef = 0
+        zero, first = False, True
+        while True:
+            atom = self.parse_atom()
+            mono = type(atom) is _Monomial
+            s, c = (atom.size, atom.coef) if mono else self.maxima(atom)
+            check(what, s, c)
+            k = 1
+            if toks.skip('^'):
+                if toks.skip('-'):
+                    if not (mono and atom.invertible):
+                        raise toks.error(toks.idx - 1, ('a nonnegative exponent',))
+                    k = -toks.expect_int()
+                else:
+                    k = toks.expect_int()
+                check(what, k * s, k * c)
+            if not mono:
+                if k != 1:
+                    atom = self.power(atom, k)
+                other = atom if other is None else self.mul(other, atom)
+                if other:
+                    other_size, other_coef = self.maxima(other)
+                else:
+                    zero = True
+            elif atom.unit is None:
+                zero = zero or k != 0
+            else:
+                unit += k * atom.unit
+                size += k * s
+                coef += k * c
+                if atom.gammas:
+                    gammas.extend(atom.gammas * k)
+            if first:
+                first = False
+            elif zero:
+                check(what, 0, 0)
+            else:
+                check(what, size + other_size, coef + other_coef)
+            if not toks.skip('*'):
+                break
+        if zero:
+            return self.zero()
+        if other is None:
+            return self.monomial(unit, gammas)
+        return self.mul(other, self.monomial(unit, gammas)) if unit or gammas else other
 
     def add(self, x, y):
         return x + y
@@ -127,40 +215,39 @@ class _ElementParser:
     def mul(self, x, y):
         return x * y
 
-    def power(self, atom, k):
-        return atom ** k
-
-    def capped(self, x, k=1):
-        """x, once x^k passes the degree cap: sizes add under products."""
-        if self.coef is not None:
-            size, coef_degree = self.maxima(x)
-            self.coef.check_size(self.what, k * size, k * coef_degree)
-        return x
+    def power(self, x, k):
+        return x ** k
 
     def finish(self, x):
         """The value of a whole sum (x itself by default)."""
         return x
 
+    def integer(self, odd):
+        """The atom of an integer, given its parity."""
+        return self.one() if odd else self.zero()
+
     def parse_atom(self):
-        kind, text, pos = self.toks.peek()
-        if kind == 'int':
-            self.toks.advance()
-            return (self.one() if int(text) % 2 else self.zero()), False
-        if kind == 'punct' and text == '(':
-            self.toks.advance()
+        toks = self.toks
+        idx = toks.idx
+        tok = toks.take()
+        atom = self.atoms.get(tok)
+        if atom is not None:
+            return atom
+        if tok == '(':
             inner = self.parse_sum()
-            self.toks.expect_punct(')')
-            return inner, False
-        if kind == 'name':
-            self.toks.advance()
-            return self.named_atom(text, pos)
-        raise ParseError(pos, self.expected, found=text or None)
+            toks.expect(')')
+            return inner
+        if tok.isdigit():
+            return self.integer(int(tok) % 2)
+        if tok.isidentifier():
+            return self.named_atom(tok, idx)
+        raise toks.error(idx, self.expected)
 
     def parse_call(self):
         """The parenthesized sum after a function name."""
-        self.toks.expect_punct('(')
+        self.toks.expect('(')
         inner = self.parse_sum()
-        self.toks.expect_punct(')')
+        self.toks.expect(')')
         return inner
 
 
@@ -170,24 +257,28 @@ _INDEXED = re.compile(r'([A-Za-z])([0-9]+)')
 class _PolyParser(_ElementParser):
     """Polynomial grammars: indexed atoms <letter><int> from a constructor map.
 
-    ring gives zero() and one(). When e is given (the Laurent grammar), the
-    name e is the grammar's one invertible atom, and e^-k parses to e(-k).
-    A capped term's size is its degree without its e power (its e-free
-    degree, which adds under products), and its N_* part also leaves out
-    the variables of outside, a family's index -> subscript map from the
-    variable table; what names the size.
+    ring gives zero() and one(), and grammar names the atoms kept in
+    coef.parsed_atoms across parses; they depend on the cap alone. When e
+    is given (the Laurent grammar), the name e is the grammar's one
+    invertible atom, and e^-k parses to e(-k). A capped term's size is its
+    degree without its e power (its e-free degree, which adds under
+    products), and its N_* part also leaves out the variables of outside,
+    a family's index -> subscript map from the variable table; what names
+    the size.
     """
 
-    def __init__(self, toks, ring, letters, expected, e=None, coef=None, outside=(),
+    def __init__(self, toks, grammar, ring, letters, expected, coef, e=None, outside=(),
                  what=None):
         super().__init__(toks, coef)
         if what is not None:
             self.what = what
         self.ring = ring
+        self.table = coef.table
         self.letters = letters
         self.expected = expected
         self.e = e
         self.outside = outside
+        self.atoms = coef.parsed_atoms.setdefault(grammar, {})
 
     def zero(self):
         return self.ring.zero()
@@ -195,20 +286,42 @@ class _PolyParser(_ElementParser):
     def one(self):
         return self.ring.one()
 
-    def named_atom(self, text, pos):
+    def integer(self, odd):
+        return _ONE if odd else _ZERO
+
+    def named_atom(self, text, idx):
         if text == 'e' and self.e is not None:
-            return self.e(1), True
+            return self.kept(text, self.e(1), invertible=True)
         m = _INDEXED.fullmatch(text)
         if m and m.group(1) in self.letters:
-            return self.letters[m.group(1)](int(m.group(2))), False
-        raise ParseError(pos, self.expected, found=text)
+            return self.kept(text, self.letters[m.group(1)](int(m.group(2))))
+        raise self.toks.error(idx, self.expected)
 
-    def power(self, atom, k):
-        # a negative k only follows the invertible atom e
-        return self.e(k) if k < 0 else atom ** k
+    def kept(self, key, value, invertible=False):
+        """The atom of value, a single term or zero, kept under key for later parses.
+
+        A kept atom's size fits the variable table, so only finitely many
+        G(i, n) are kept.
+        """
+        if not value:
+            atom = _ZERO
+        else:
+            unit, gammas = self.packed(next(iter(value.monos)))
+            atom = _Monomial(unit, gammas, *self.maxima(value), invertible)
+        if atom.size <= self.table.limit:
+            self.atoms[key] = atom
+        return atom
+
+    def packed(self, m):
+        """(packed int, G(i, n) factors) of a term of the ring."""
+        return m, ()
+
+    def monomial(self, unit, gammas):
+        """The value of one term, given its packed int."""
+        return GradedPoly(self.table, frozenset((unit,)))
 
     def maxima(self, x):
-        # plain loops: every parsed atom and product passes
+        # plain loops: every parenthesized factor, and product of them, passes
         table, outside = x.table, self.outside
         mask, deg = table.efree_mask, table.degrees
         size = coef = 0
@@ -225,7 +338,8 @@ class _PolyParser(_ElementParser):
 
 
 def _coefficient_parser(toks, coef):
-    return _PolyParser(toks, coef, {'a': coef.a}, ('a<d>', 'an integer', '('), coef=coef)
+    return _PolyParser(toks, 'coefficient', coef, {'a': coef.a}, ('a<d>', 'an integer', '('),
+                       coef)
 
 
 class _PresentationParser(_PolyParser):
@@ -234,28 +348,39 @@ class _PresentationParser(_PolyParser):
 
     def __init__(self, toks, ring):
         super().__init__(
-            toks, ring, {'a': lambda d: ring.iota(ring.coef.a(d)), 'X': ring.X},
+            toks, 'presentation', ring, {'a': lambda d: ring.iota(ring.coef.a(d)), 'X': ring.X},
             ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '('),
-            coef=ring.coef)
+            ring.coef)
 
-    def named_atom(self, text, pos):
+    def packed(self, fm):
+        # the coefficient has no e power: e's goes on top, where the table puts it
+        return fm.coef + (fm.epow << self.table.e_shift), fm.gammas
+
+    def monomial(self, unit, gammas):
+        epow = unit >> self.table.e_shift
+        fm = FormalMonomial(unit - (epow << self.table.e_shift), tuple(sorted(gammas)), epow)
+        return Presentation(self.table, frozenset((fm,)))
+
+    def named_atom(self, text, idx):
+        toks = self.toks
         if text == 'e':
-            return self.ring.e(1), False
+            return self.kept(text, self.ring.e(1))
         if text == 'G':
-            self.toks.expect_punct('(')
-            i = self.toks.expect_int()
-            self.toks.expect_punct(',')
-            n = self.toks.expect_int()
-            self.toks.expect_punct(')')
-            return self.ring.G(i, n), False
+            toks.expect('(')
+            i = toks.expect_int()
+            toks.expect(',')
+            n = toks.expect_int()
+            toks.expect(')')
+            key = (i, n)
+            return self.atoms.get(key) or self.kept(key, self.ring.G(i, n))
         if text == 'Gamma':
-            return self.ring.gamma(self.parse_call()), False
+            return self.ring.gamma(self.parse_call())
         if text == 'iota':
             inner = self.parse_call()
             if not inner.is_coefficient_only():
-                raise ParseError(pos, ('a coefficient expression inside iota',))
-            return inner, False
-        return super().named_atom(text, pos)
+                raise ParseError(toks.position(idx), ('a coefficient expression inside iota',))
+            return inner
+        return super().named_atom(text, idx)
 
 
 def _parity_list(exprs):
@@ -297,20 +422,21 @@ class _ManifoldParser(_ElementParser):
     def finish(self, terms):
         return _parity_list(terms)
 
-    def named_atom(self, text, pos):
+    def named_atom(self, text, idx):
+        toks = self.toks
         if text in ('P', 'S'):
-            self.toks.expect_punct('(')
-            n = self.toks.expect_int()
-            self.toks.expect_punct(')')
-            return [Proj(n) if text == 'P' else AntipodalSphere(n)], False
+            toks.expect('(')
+            n = toks.expect_int()
+            toks.expect(')')
+            return [Proj(n) if text == 'P' else AntipodalSphere(n)]
         if text == 'gamma':
-            return _parity_list(GammaOf(x) for x in self.parse_call()), False
+            return _parity_list(GammaOf(x) for x in self.parse_call())
         if text == 'triv':
-            self.toks.expect_punct('(')
-            poly = _coefficient_parser(self.toks, self.coef).parse_sum()
-            self.toks.expect_punct(')')
-            return ([Trivial(poly)] if poly else []), False
-        raise ParseError(pos, self.expected, found=text)
+            toks.expect('(')
+            poly = _coefficient_parser(toks, self.coef).parse_sum()
+            toks.expect(')')
+            return [Trivial(poly)] if poly else []
+        raise toks.error(idx, self.expected)
 
 
 def _product(x, y):
@@ -347,8 +473,8 @@ def parse_presentation(text, ring):
 def parse_laurent(text, laurent):
     """Parse a Laurent-model expression."""
     return _parse(text, lambda toks: _PolyParser(
-        toks, laurent, {'a': laurent.coef.a, 'c': laurent.c},
-        ('a<d>', 'c<j>', 'e', 'an integer', '('), e=laurent.e, coef=laurent.coef,
+        toks, 'laurent', laurent, {'a': laurent.coef.a, 'c': laurent.c},
+        ('a<d>', 'c<j>', 'e', 'an integer', '('), laurent.coef, e=laurent.e,
         outside=laurent.table.subscripts['c'], what='e-free degree').parse_sum())
 
 
@@ -361,8 +487,8 @@ def parse_bundle(text, geometry):
     """Parse a bundle-algebra expression."""
     coef = geometry.coef
     return _parse(text, lambda toks: _PolyParser(
-        toks, coef, {'a': coef.a, 'b': geometry.b},
-        ('a<d>', 'b<i>', 'an integer', '('), coef=coef,
+        toks, 'bundle', coef, {'a': coef.a, 'b': geometry.b},
+        ('a<d>', 'b<i>', 'an integer', '('), coef,
         outside=coef.table.subscripts['b']).parse_sum())
 
 
@@ -374,6 +500,8 @@ def parse_manifold(text, coef):
 class _SpaceParser:
     """Spaces, each refused through coef.check_size before it is built."""
 
+    expected = ('RP(n)', 'Dold(m,n)', 'PB(base; lines)')
+
     def __init__(self, toks, coef):
         self.toks = toks
         self.coef = coef
@@ -384,8 +512,7 @@ class _SpaceParser:
 
     def parse_space(self):
         factors = [self.parse_atom()]
-        while self.toks.at_punct('*'):
-            self.toks.advance()
+        while self.toks.skip('*'):
             factors.append(self.parse_atom())
         if len(factors) == 1:
             return factors[0]
@@ -399,59 +526,51 @@ class _SpaceParser:
         return Product(flat)
 
     def parse_atom(self):
-        kind, text, pos = self.toks.peek()
-        if kind == 'punct' and text == '(':
-            self.toks.advance()
+        toks = self.toks
+        idx = toks.idx
+        text = toks.take()
+        if text == '(':
             inner = self.parse_space()
-            self.toks.expect_punct(')')
+            toks.expect(')')
             return inner
-        if kind != 'name':
-            raise ParseError(pos, ('RP(n)', 'Dold(m,n)', 'PB(base; lines)'),
-                             found=text or None)
-        self.toks.advance()
         if text == 'RP':
-            self.toks.expect_punct('(')
-            n = self.toks.expect_int()
-            self.toks.expect_punct(')')
+            toks.expect('(')
+            n = toks.expect_int()
+            toks.expect(')')
             self.capped(n)
             return RP(n)
         if text == 'Dold':
-            self.toks.expect_punct('(')
-            m = self.toks.expect_int()
-            self.toks.expect_punct(',')
-            n = self.toks.expect_int()
-            self.toks.expect_punct(')')
+            toks.expect('(')
+            m = toks.expect_int()
+            toks.expect(',')
+            n = toks.expect_int()
+            toks.expect(')')
             self.capped(m + 2 * n)
             return Dold(m, n)
         if text == 'PB':
-            self.toks.expect_punct('(')
+            toks.expect('(')
             base = self.parse_space()
-            self.toks.expect_punct(';')
+            toks.expect(';')
             lines = [self.parse_line(base)]
-            while self.toks.at_punct(','):
-                self.toks.advance()
+            while toks.skip(','):
                 lines.append(self.parse_line(base))
-            self.toks.expect_punct(')')
+            toks.expect(')')
             self.capped(base.dim + len(lines) - 1)
             return ProjBundle(base, lines)
-        raise ParseError(pos, ('RP(n)', 'Dold(m,n)', 'PB(base; lines)'), found=text)
+        raise toks.error(idx, self.expected)
 
     def parse_line(self, base):
+        toks = self.toks
         acc = CohomClass.zero(base)
         while True:
-            kind, text, pos = self.toks.peek()
-            if kind == 'name':
-                self.toks.advance()
+            idx = toks.idx
+            text = toks.take()
+            if text.isidentifier():
                 acc = acc + base.gen(text)
-            elif kind == 'int' and text == '0':
-                self.toks.advance()
-            else:
-                raise ParseError(pos, ('a degree-1 generator name', '0'),
-                                 found=text or None)
-            if self.toks.at_punct('+'):
-                self.toks.advance()
-                continue
-            return acc
+            elif text != '0':
+                raise toks.error(idx, ('a degree-1 generator name', '0'))
+            if not toks.skip('+'):
+                return acc
 
 
 def parse_space(text, coef):

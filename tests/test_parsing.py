@@ -1,13 +1,18 @@
 """Expression grammars: round trips and error positions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bordcalc import gf2
 from bordcalc.charnum import Dold, Product, ProjBundle, RP
+from bordcalc.coefficients import CoefRing
 from bordcalc.conner_floyd import (AntipodalSphere, GammaOf, Proj, ProductOf,
                                    Trivial)
-from bordcalc.errors import CapacityError, ParseError
+from bordcalc.errors import BordcalcError, CapacityError, ParseError
 from bordcalc.parsing import (parse_bundle, parse_coefficient, parse_laurent,
                               parse_manifold, parse_presentation, parse_space)
+from bordcalc.session import Session
 
 
 def _syntax_error(parse, text, ring):
@@ -173,3 +178,245 @@ def test_parse_error_reporting(sess):
     # a bad character after whitespace is reported where it stands
     err = _syntax_error(parse_presentation, 'X2 + $', sess.mo)
     assert (err.position, err.found) == (5, '$')
+
+
+# --- a product of atoms against ring arithmetic -----------------------------
+#
+# An expression is a list of terms, a term a list of (atom, exponent or
+# None) factors, an atom an int, a name, a G(i, n) pair or a parenthesized
+# expression. The reference builds each term factor by factor with ring
+# arithmetic and applies the cap rule as the grammar states it: to every
+# atom, to x^k before it is built, and to every prefix of a product.
+
+SESSIONS = {cap: Session(cap) for cap in (6, 16)}
+# a3 and a7 do not exist, and a8 past cap 6 and X18 past cap 16 are refused
+A_DEGREES = (2, 3, 4, 5, 6, 7, 8, 9)
+
+
+_POWERS = st.one_of(st.none(), st.integers(0, 3))
+
+
+def _expressions(factors):
+    """Sums of products of the (atom, exponent) factors, nested in parentheses."""
+    def sums(factor):
+        return st.lists(st.lists(factor, min_size=1, max_size=4), min_size=1, max_size=3)
+    return st.recursive(sums(factors), lambda inner: sums(st.one_of(
+        factors, st.tuples(inner.map(lambda x: ('(', x)), _POWERS))), max_leaves=8)
+
+
+PRESENTATIONS = _expressions(st.tuples(st.one_of(
+    st.integers(0, 3),
+    st.sampled_from(['e'] + ['a%d' % d for d in A_DEGREES]
+                    + ['X%d' % n for n in range(1, 19)]),
+    st.tuples(st.integers(0, 4), st.integers(1, 9))), _POWERS))
+# e alone takes negative powers
+LAURENTS = _expressions(st.one_of(
+    st.tuples(st.one_of(st.integers(0, 3),
+                        st.sampled_from(['a%d' % d for d in A_DEGREES]
+                                        + ['c%d' % j for j in range(0, 18)])), _POWERS),
+    st.tuples(st.just('e'), st.one_of(st.none(), st.integers(-3, 3)))))
+
+
+def _text(expr, space):
+    terms = []
+    for factors in expr:
+        words = []
+        for atom, k in factors:
+            if isinstance(atom, int):
+                word = str(atom)
+            elif isinstance(atom, str):
+                word = atom
+            elif atom[0] == '(':
+                word = '(%s)' % _text(atom[1], space)
+            else:
+                word = 'G(%d,%d)' % atom
+            words.append(word if k is None else '%s^%d' % (word, k))
+        terms.append((space + '*' + space).join(words))
+    return (space + '+' + space).join(terms)
+
+
+def _maxima(x, outside):
+    """(size, N_* size) of a sum from its decoded terms, as the cap rule reads them."""
+    table = x.table
+    size = coef = 0
+    for term in x.monos:
+        if isinstance(term, int):
+            pairs, extra = table.exponents(term), 0
+        else:  # a formal monomial: its G(i, n) add to the size, not to N_*
+            pairs, extra = table.exponents(term.coef), sum(i + n for i, n in term.gammas)
+        s = sum(k * table.degrees[i] for i, k in pairs if i != table.invertible)
+        c = s - sum(k * table.degrees[i] for i, k in pairs if i in outside)
+        size, coef = max(size, s + extra), max(coef, c)
+    return size, coef
+
+
+def _reference(expr, atom_value, ring, what, outside):
+    check = ring.coef.check_size
+
+    def capped(x, k=1):
+        size, coef = _maxima(x, outside)
+        check(what, k * size, k * coef)
+
+    def value(expr):
+        acc = ring.zero()
+        for factors in expr:
+            term = None
+            for atom, k in factors:
+                x = value(atom[1]) if isinstance(atom, tuple) and atom[0] == '(' else atom_value(atom)
+                capped(x)
+                if k is not None:
+                    capped(x, k)
+                    x = ring.e(k) if k < 0 else x ** k
+                if term is not None:
+                    term = term * x
+                    capped(term)
+                else:
+                    term = x
+            acc = acc + term
+        return acc
+    return value(expr)
+
+
+def _outcome(build):
+    try:
+        return 'value', build()
+    except BordcalcError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _presentation_atom(mo):
+    def atom(a):
+        if isinstance(a, int):
+            return mo.one() if a % 2 else mo.zero()
+        if isinstance(a, tuple):
+            return mo.G(*a)
+        if a == 'e':
+            return mo.e(1)
+        if a[0] == 'a':
+            return mo.iota(mo.coef.a(int(a[1:])))
+        return mo.X(int(a[1:]))
+    return atom
+
+
+def _laurent_atom(L):
+    def atom(a):
+        if isinstance(a, int):
+            return L.one() if a % 2 else L.zero()
+        if a == 'e':
+            return L.e(1)
+        return (L.coef.a if a[0] == 'a' else L.c)(int(a[1:]))
+    return atom
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SESSIONS)), PRESENTATIONS, st.sampled_from(['', ' ']))
+def test_presentation_terms_match_ring_arithmetic(cap, expr, space):
+    mo = SESSIONS[cap].mo
+    text = _text(expr, space)
+    got = _outcome(lambda: parse_presentation(text, mo))
+    want = _outcome(lambda: _reference(expr, _presentation_atom(mo), mo,
+                                       'degree plus e power', ()))
+    assert got == want, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SESSIONS)), LAURENTS, st.sampled_from(['', ' ']))
+def test_laurent_terms_match_ring_arithmetic(cap, expr, space):
+    L = SESSIONS[cap].laurent
+    text = _text(expr, space)
+    got = _outcome(lambda: parse_laurent(text, L))
+    want = _outcome(lambda: _reference(expr, _laurent_atom(L), L, 'e-free degree',
+                                       L.table.subscripts['c']))
+    assert got == want, text
+
+
+def test_a_product_of_atoms_is_one_monomial(monkeypatch):
+    # a run of monomial atoms multiplies no sums and checks the cap at
+    # every atom, every power and every prefix; the first parse of a
+    # fresh session also builds its atoms. The presentation has size 21,
+    # admitted at cap 24; at cap 16 its last prefix is refused
+    counts = {}
+
+    def counted(name, method):
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(gf2.SparseSum, '__mul__', counted('mul', gf2.SparseSum.__mul__))
+    monkeypatch.setattr(CoefRing, 'check_size', counted('check_size', CoefRing.check_size))
+    big, sess = Session(24), Session()
+    product = 'X3*X3*G(1,3)*G(2,5)*a2^2*e'
+    cases = [(parse_presentation, big.mo, product, 6 + 1 + 5),
+             (parse_presentation, sess.mo, product, 10),
+             (parse_laurent, sess.laurent, 'a2^2*c5*e^-3', 3 + 2 + 2)]
+    values = []
+    for parse, ring, text, checks in cases:
+        for _ in range(2):
+            counts.update(mul=0, check_size=0)
+            values.append(_outcome(lambda: parse(text, ring)))
+            assert counts == {'mul': 0, 'check_size': checks}, text
+    monkeypatch.undo()
+    mo, L = big.mo, sess.laurent
+    assert values[::2] == [
+        ('value', mo.X(3) * mo.X(3) * mo.G(1, 3) * mo.G(2, 5) * mo.iota(big.coef.a(2)) ** 2
+         * mo.e(1)),
+        ('CapacityError', 'degree plus e power 21 exceeds 17, the largest under the '
+                          'degree cap 16'),
+        ('value', sess.coef.a(2) ** 2 * L.c(5) * L.e(-3))]
+    assert values[1::2] == values[::2]
+
+
+@pytest.mark.parametrize('parse,ring', [(parse_presentation, 'mo'), (parse_laurent, 'laurent')])
+def test_error_positions_from_the_tokens(sess, parse, ring):
+    ring = getattr(sess, ring)
+    # a bad character deep in a text, after whitespace runs and long integers
+    text = 'a2 *   1234567 +    a4^10    +  (  a2  +  123456789 )   *  a6 + $ a2'
+    err = _syntax_error(parse, text, ring)
+    assert (err.position, err.found) == (text.index('$'), '$')
+    assert err.position > 40
+    assert err.expected == ('a name, an integer, or punctuation',)
+    # the end of input, after whitespace
+    err = _syntax_error(parse, 'a2 +  ', ring)
+    assert (err.position, err.found) == (6, None)
+    err = _syntax_error(parse, 'a2^  ', ring)
+    assert (err.position, err.found, err.expected) == (5, None, ('an integer',))
+
+
+def test_error_positions_around_g(sess):
+    mo, L = sess.mo, sess.laurent
+    err = _syntax_error(parse_presentation, 'X2 + 11 *  G(12,3)  G(1,2)', mo)
+    assert (err.position, err.found, err.expected) == (20, 'G', ('end of input',))
+    err = _syntax_error(parse_presentation, 'a2 * G(12,3 4)', mo)
+    assert (err.position, err.found, err.expected) == (12, '4', ("')'",))
+    err = _syntax_error(parse_presentation, 'G(1, 2) ^ (', mo)
+    assert (err.position, err.found, err.expected) == (10, '(', ('an integer',))
+    err = _syntax_error(parse_presentation, 'G(1,', mo)
+    assert (err.position, err.found, err.expected) == (4, None, ('an integer',))
+    # G is no Laurent atom; a token after a whole product is unexpected too
+    err = _syntax_error(parse_laurent, 'c1 + G(1,2)', L)
+    assert (err.position, err.found) == (5, 'G')
+    err = _syntax_error(parse_laurent, 'c1*e^-12  c2', L)
+    assert (err.position, err.found, err.expected) == (10, 'c2', ('end of input',))
+    err = _syntax_error(parse_presentation, 'a2 + iota(X2)', mo)
+    assert (err.position, err.found) == (5, None)
+    assert err.expected == ('a coefficient expression inside iota',)
+
+
+def test_refusal_texts(sess):
+    with pytest.raises(CapacityError) as err:
+        parse_presentation('X9*X9', sess.mo)
+    assert str(err.value) == ('degree plus e power 18 exceeds 17, the largest under '
+                              'the degree cap 16')
+    for text, size in (('c16*c2', 18), ('(c1+c2+c3+c4+c5)^100000000', 500000000)):
+        with pytest.raises(CapacityError) as err:
+            parse_laurent(text, sess.laurent)
+        assert str(err.value) == ('e-free degree %d exceeds 17, the largest under '
+                                  'the degree cap 16' % size)
+    # c16*c1 has e-free degree 17, which the grammar admits; membership
+    # refuses its N_* part
+    target = parse_laurent('c16*c1', sess.laurent)
+    with pytest.raises(CapacityError) as err:
+        sess.mo.member(target)
+    assert str(err.value) == ('membership target of degree 17: coefficient degree 17 '
+                              'exceeds the degree cap 16')
