@@ -26,8 +26,6 @@ classes off the same series. Stiefel-Whitney numbers (module charnum)
 are the CLI's charnum route and the sw-oracle suite's independent check.
 """
 
-from dataclasses import dataclass
-
 from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
@@ -35,52 +33,72 @@ from .errors import CapacityError, ContractViolation
 from .gf2 import GradedPoly, ModulePoly, parity
 
 
-@dataclass(frozen=True)
-class Proj:
+class _Expr:
+    """A manifold expression: a value of its type and one field, the one __slots__ names."""
+
+    __slots__ = ()
+
+    def __init__(self, value):
+        setattr(self, self.__slots__[0], value)
+
+    def _fields(self):
+        return (getattr(self, self.__slots__[0]),)
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return '%s(%s=%r)' % (type(self).__name__, self.__slots__[0], *self._fields())
+
+
+class Proj(_Expr):
     """P(n*tau + sigma), dimension n."""
 
-    n: int
+    __slots__ = ('n',)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n):
+        if n < 1:
             raise ContractViolation('Proj(n) needs n >= 1')
+        self.n = n
 
     @property
     def dim(self):
         return self.n
 
 
-@dataclass(frozen=True)
-class GammaOf:
+class GammaOf(_Expr):
     """The twisted circle gamma(M) = M x_{Z/2} S^1."""
 
-    inner: object
+    __slots__ = ('inner',)
 
     @property
     def dim(self):
         return 1 + self.inner.dim
 
 
-@dataclass(frozen=True)
-class ProductOf:
+class ProductOf(_Expr):
     """A finite product of expressions."""
 
-    factors: tuple
+    __slots__ = ('factors',)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors):
+        if not factors:
             raise ContractViolation('empty product')
+        self.factors = factors
 
     @property
     def dim(self):
         return sum(f.dim for f in self.factors)
 
 
-@dataclass(frozen=True)
-class Trivial:
+class Trivial(_Expr):
     """A coefficient class with the trivial involution."""
 
-    coef: GradedPoly
+    __slots__ = ('coef',)
 
     @property
     def dim(self):
@@ -88,15 +106,15 @@ class Trivial:
         return max(self.coef.degrees(), default=0)
 
 
-@dataclass(frozen=True)
-class AntipodalSphere:
+class AntipodalSphere(_Expr):
     """S^j with the antipodal involution."""
 
-    j: int
+    __slots__ = ('j',)
 
-    def __post_init__(self):
-        if self.j < 0:
+    def __init__(self, j):
+        if j < 0:
             raise ContractViolation('AntipodalSphere(j) needs j >= 0')
+        self.j = j
 
     @property
     def dim(self):

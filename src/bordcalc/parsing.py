@@ -33,13 +33,21 @@ import re
 
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .gf2 import GradedPoly, power
 from .presentation import FormalMonomial, Presentation
 
 _TOKEN = re.compile(r'[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-^*+(),;]')
 # any character that is neither whitespace nor part of a token
 _BAD = re.compile(r'[^\sA-Za-z0-9_^*+(),;-]')
+
+
+def _integer(digits):
+    """int(digits); a run too long for int() to read is past every degree cap."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CapacityError('an integer of %d digits is past every cap' % len(digits)) from None
 
 
 class _Tokens:
@@ -96,7 +104,7 @@ class _Tokens:
         if not tok.isdigit():
             raise self.error(self.idx, ('an integer',))
         self.idx += 1
-        return int(tok)
+        return _integer(tok)
 
     def expect_end(self):
         if self.items[self.idx]:
@@ -238,7 +246,7 @@ class _ElementParser:
             toks.expect(')')
             return inner
         if tok.isdigit():
-            return self.integer(int(tok) % 2)
+            return self.integer(int(tok[-1]) % 2)
         if tok.isidentifier():
             return self.named_atom(tok, idx)
         raise toks.error(idx, self.expected)
@@ -294,7 +302,7 @@ class _PolyParser(_ElementParser):
             return self.kept(text, self.e(1), invertible=True)
         m = _INDEXED.fullmatch(text)
         if m and m.group(1) in self.letters:
-            return self.kept(text, self.letters[m.group(1)](int(m.group(2))))
+            return self.kept(text, self.letters[m.group(1)](_integer(m.group(2))))
         raise self.toks.error(idx, self.expected)
 
     def kept(self, key, value, invertible=False):

@@ -46,7 +46,7 @@ the measure (Gamma count, total Gamma weight, ordering violations)
 lexicographically, and a fuel cap backs that argument up at runtime.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
@@ -56,20 +56,18 @@ from .gf2 import (Echelon, GradedPoly, MONO_ONE, ModulePoly, SparseSum, mono_deg
 from .gf2 import solve_gf2
 
 
-@dataclass(frozen=True)
-class FormalMonomial:
+class FormalMonomial(namedtuple('FormalMonomial', 'coef gammas epow')):
     """One monomial: packed N_* coefficient monomial, G(i, n) factors, Euler power."""
 
-    coef: int
-    gammas: tuple
-    epow: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.epow < 0:
+    def __new__(cls, coef, gammas, epow):
+        if epow < 0:
             raise ContractViolation('presentation monomials need e powers >= 0')
-        for i, n in self.gammas:
+        for i, n in gammas:
             if i < 0 or n < 2:
                 raise ContractViolation('bad factor G(%d, %d)' % (i, n))
+        return tuple.__new__(cls, (coef, gammas, epow))
 
     def gamma_factors(self):
         """The factors with i >= 1, in sorted order."""

@@ -13,7 +13,7 @@ delta, the mapping torus and alpha read off the Boardman tables by
 Stiefel-Whitney numbers instead, a route that shares none of that code.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .boardman import tables
 from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
@@ -23,11 +23,7 @@ from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
 from .presentation import QuotientElem
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ''
+Check = namedtuple('Check', 'name passed detail', defaults=('',))
 
 
 SUITES = ('loc', 'seq', 'basis', 'gamma', 'geomcomp', 'trobs',

@@ -88,6 +88,37 @@ def test_huge_powers_end_at_once(run_cli):
         assert out in proc.stdout, text
 
 
+def test_integers_longer_than_int_reads(run_cli):
+    # int() reads at most 4300 digits: each of these crashed with a
+    # traceback; an integer atom needs only its parity, and a subscript or
+    # exponent that long is past every cap
+    digits = '1' * 5000
+    for command, text, code, out in (('nf', digits, 0, b'1\n'),
+                                     ('nf', '2' + digits + '0', 0, b'0\n'),
+                                     ('nf', 'X2^' + digits, 3, b'error: '),
+                                     ('nf', 'a' + digits, 3, b'error: '),
+                                     ('nf', 'G(1,%s)' % digits, 3, b'error: '),
+                                     ('member', 'e^-' + digits, 3, b'error: '),
+                                     ('phi', 'P(%s)' % digits, 3, b'error: '),
+                                     ('charnum', 'RP(%s)' % digits, 3, b'error: ')):
+        proc = run_cli(command, text)
+        assert proc.returncode == code, text[:10]
+        assert proc.stdout.startswith(out), text[:10]
+        assert b'Traceback' not in proc.stderr, text[:10]
+
+
+def test_cli_import_leaves_out_the_heavy_stdlib():
+    # python -S keeps site's .pth files from importing modules of their own
+    code = ('import sys; sys.path.insert(0, %r)\n'
+            'import bordcalc.cli\n'
+            'from bordcalc.session import Session\n'
+            'Session()\n'
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))"
+            % str(Path(__file__).resolve().parents[1] / 'src'))
+    proc = subprocess.run([sys.executable, '-S', '-c', code], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'[]\n', b'')
+
+
 def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):
     code, out = run(capsys, 'nf', '--fuel', '3', 'G(2,5)*G(1,3)*X2')
     assert code == 3
