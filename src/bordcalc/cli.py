@@ -31,9 +31,6 @@ from .parsing import (parse_bundle, parse_laurent, parse_manifold,
 from .session import Session
 from .verify import ORACLE_SUITES, SUITES, default_degree, verify
 
-_EXPR_COMMANDS = ('nf', 'loc', 'alpha', 'gamma', 'divide-e', 'member',
-                  'geometric', 'quotient', 'phi', 'delta', 'compare', 'charnum')
-
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -46,38 +43,22 @@ def _build_parser():
         prog='bordcalc',
         description='exact calculator for Z/2-equivariant unoriented bordism')
     sub = parser.add_subparsers(dest='command', required=True)
-
-    def add(name, help_text, expr_help=None):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if expr_help is not None:
-            p.add_argument('expr', nargs='?', help=expr_help + ' (stdin batch when omitted)')
-        return p
-
-    add('nf', 'rewrite onto the additive basis', 'presentation expression')
-    add('loc', 'localize to the Laurent model', 'presentation expression')
-    add('alpha', 'augment to the coefficient ring', 'presentation expression')
-    add('gamma', 'apply the Gamma operator', 'presentation expression')
-    add('divide-e', 'divide by the Euler class when possible', 'presentation expression')
-    p = add('member', 'find a preimage of a Laurent class', 'laurent expression')
-    add('geometric', 'test membership in the geometric subring', 'presentation expression')
-    add('quotient', 'reduce into the obstruction quotient', 'presentation expression')
-    p = add('euler', 'the Euler class e^k on suspension leg m')
-    p.add_argument('m', type=int)
-    p.add_argument('k', type=int)
-    add('phi', 'bundle-algebra image of a manifold expression', 'manifold expression')
-    add('delta', 'boundary of a bundle class', 'bundle expression')
-    add('compare', 'compare the two localizations of a manifold expression',
-        'manifold expression')
-    p = add('charnum', 'Stiefel-Whitney numbers of a space', 'space expression')
-    p.add_argument('--ref', help='degree-1 generator used as reference line')
-    p = add('verify', 'run internal consistency suites')
-    p.add_argument('--suite', default='all', choices=SUITES + ('all',) + ORACLE_SUITES)
-    p.add_argument('--degree', type=int,
-                   help='sweep through this degree (default: the largest the cap admits)')
-    p = add('basis-table', 'list additive basis monomials by degree')
-    p.add_argument('--min', dest='dmin', type=int, default=0)
-    p.add_argument('--max', dest='dmax', type=int, default=4)
-    p.add_argument('--e-cap', dest='e_cap', type=int)
+    p = {}
+    for name, (help_text, grammar, _) in _COMMANDS.items():
+        p[name] = sub.add_parser(name, parents=[common], help=help_text)
+        if grammar is not None:
+            p[name].add_argument('expr', nargs='?',
+                                 help=grammar + ' expression (stdin batch when omitted)')
+    p['euler'].add_argument('m', type=int)
+    p['euler'].add_argument('k', type=int)
+    p['charnum'].add_argument('--ref', help='degree-1 generator used as reference line')
+    p['verify'].add_argument('--suite', default='all',
+                             choices=SUITES + ('all',) + ORACLE_SUITES)
+    p['verify'].add_argument('--degree', type=int, help='sweep through this degree'
+                             ' (default: the largest the cap admits)')
+    p['basis-table'].add_argument('--min', dest='dmin', type=int, default=0)
+    p['basis-table'].add_argument('--max', dest='dmax', type=int, default=4)
+    p['basis-table'].add_argument('--e-cap', dest='e_cap', type=int)
     return parser
 
 
@@ -112,22 +93,28 @@ def _session_from(args):
     return Session(**cfg)
 
 
-def _handle_nf(s, args, expr):
-    x = parse_presentation(expr, s.mo)
-    nf = s.mo.normal_form(x)
-    return 0, {'normal_form': nf.to_text()}, [nf.to_text()]
+# each grammar's parser over its part of the session; the parsers are
+# looked up when called, so a replacement put on this module is the one used
+_GRAMMARS = {
+    'presentation': lambda s, expr: parse_presentation(expr, s.mo),
+    'laurent': lambda s, expr: parse_laurent(expr, s.laurent),
+    'manifold': lambda s, expr: parse_manifold(expr, s.coef),
+    'bundle': lambda s, expr: parse_bundle(expr, s.geometry),
+    'space': lambda s, expr: parse_space(expr, s.coef),
+}
 
 
-def _handle_loc(s, args, expr):
-    x = parse_presentation(expr, s.mo)
-    loc = s.mo.localize(x)
-    return 0, {'localization': loc.to_text()}, [loc.to_text()]
+def _read(s, args, expr):
+    """The expression parsed in the grammar of args.command."""
+    return _GRAMMARS[_COMMANDS[args.command][1]](s, expr)
 
 
-def _handle_alpha(s, args, expr):
-    x = parse_presentation(expr, s.mo)
-    out = s.mo.alpha(x)
-    return 0, {'alpha': out.to_text()}, [out.to_text()]
+def _answer(key, compute):
+    """A handler whose one output, under key, is the text of compute(session, parsed expr)."""
+    def handle(s, args, expr):
+        out = compute(s, _read(s, args, expr)).to_text()
+        return 0, {key: out}, [out]
+    return handle
 
 
 def _capped(s, x):
@@ -136,14 +123,8 @@ def _capped(s, x):
     return x
 
 
-def _handle_gamma(s, args, expr):
-    x = parse_presentation(expr, s.mo)
-    out = s.mo.normal_form(_capped(s, s.mo.gamma(x)))
-    return 0, {'gamma': out.to_text()}, [out.to_text()]
-
-
 def _handle_divide_e(s, args, expr):
-    x = parse_presentation(expr, s.mo)
+    x = _read(s, args, expr)
     try:
         out = s.mo.normal_form(_capped(s, s.mo.divide_e(x)))
     except NotDivisible as exc:
@@ -154,27 +135,19 @@ def _handle_divide_e(s, args, expr):
 
 
 def _handle_member(s, args, expr):
-    target = parse_laurent(expr, s.laurent)
-    found = s.mo.member(target)
+    # member answers a sum of basis monomials, so it is its own normal form
+    found = s.mo.member(_read(s, args, expr))
     if found is None:
         return 1, {'member': False}, ['not in the image']
-    nf = s.mo.normal_form(found)
-    return 0, {'member': True, 'preimage': nf.to_text()}, [nf.to_text()]
+    return 0, {'member': True, 'preimage': found.to_text()}, [found.to_text()]
 
 
 def _handle_geometric(s, args, expr):
-    x = parse_presentation(expr, s.mo)
+    x = _read(s, args, expr)
     nf = s.mo.normal_form(x)
     ok = s.mo.is_geometric(x)
-    code = 0 if ok else 1
-    return code, {'geometric': ok, 'normal_form': nf.to_text()}, [
+    return (0 if ok else 1), {'geometric': ok, 'normal_form': nf.to_text()}, [
         'geometric' if ok else 'not geometric: %s' % nf.to_text()]
-
-
-def _handle_quotient(s, args, expr):
-    x = parse_presentation(expr, s.mo)
-    q = s.mo.quotient_reduce(x)
-    return 0, {'quotient': q.to_text()}, [q.to_text()]
 
 
 def _handle_euler(s, args, expr):
@@ -182,27 +155,10 @@ def _handle_euler(s, args, expr):
     return 0, {'euler': out.to_text()}, [out.to_text()]
 
 
-def _handle_phi(s, args, expr):
-    terms = parse_manifold(expr, s.coef)
-    total = GradedPoly.zero(s.table)
-    for t in terms:
-        total = total + s.geometry.phi(t)
-    return 0, {'phi': total.to_text()}, [total.to_text()]
-
-
-def _handle_delta(s, args, expr):
-    poly = parse_bundle(expr, s.geometry)
-    out = s.geometry.delta(poly)
-    return 0, {'delta': out.to_text()}, [out.to_text()]
-
-
 def _handle_compare(s, args, expr):
-    terms = parse_manifold(expr, s.coef)
-    bundle = GradedPoly.zero(s.table)
-    point = s.mo.zero()
-    for t in terms:
-        bundle = bundle + s.geometry.phi(t)
-        point = point + s.geometry.pt_class(t)
+    terms = _read(s, args, expr)
+    bundle = sum(map(s.geometry.phi, terms), GradedPoly.zero(s.table))
+    point = sum(map(s.geometry.pt_class, terms), s.mo.zero())
     left = s.geometry.dictionary(bundle)
     right = s.mo.localize(point)
     equal = left == right
@@ -217,7 +173,7 @@ def _handle_compare(s, args, expr):
 
 
 def _handle_charnum(s, args, expr):
-    space = parse_space(expr, s.coef)
+    space = _read(s, args, expr)
     ref = space.gen(args.ref) if args.ref else None
     numbers = sw_numbers(space, ref)
     named = {}
@@ -242,10 +198,9 @@ def _handle_verify(s, args, expr):
                                   ' (%s)' % c.detail if c.detail else ''))
     failed = [c for c in checks if not c.passed]
     lines.append('%d checks, %d failed' % (len(checks), len(failed)))
-    code = 1 if failed else 0
     payload = [{'name': c.name, 'passed': c.passed, 'detail': c.detail}
                for c in checks]
-    return code, {'failed': len(failed), 'total': len(checks)}, lines, payload
+    return (1 if failed else 0), {'failed': len(failed), 'total': len(checks)}, lines, payload
 
 
 def _handle_basis_table(s, args, expr):
@@ -262,23 +217,39 @@ def _handle_basis_table(s, args, expr):
     return 0, {'table': table}, lines
 
 
-_HANDLERS = {
-    'nf': _handle_nf,
-    'loc': _handle_loc,
-    'alpha': _handle_alpha,
-    'gamma': _handle_gamma,
-    'divide-e': _handle_divide_e,
-    'member': _handle_member,
-    'geometric': _handle_geometric,
-    'quotient': _handle_quotient,
-    'euler': _handle_euler,
-    'phi': _handle_phi,
-    'delta': _handle_delta,
-    'compare': _handle_compare,
-    'charnum': _handle_charnum,
-    'verify': _handle_verify,
-    'basis-table': _handle_basis_table,
+# One row per command, in the order of the help text: its help text, the
+# grammar its expression is read in (None when it reads none) and its
+# handler, which returns the exit code, the outputs, the text lines and
+# optionally the checks of the --json report.
+_COMMANDS = {
+    'nf': ('rewrite onto the additive basis', 'presentation',
+           _answer('normal_form', lambda s, x: s.mo.normal_form(x))),
+    'loc': ('localize to the Laurent model', 'presentation',
+            _answer('localization', lambda s, x: s.mo.localize(x))),
+    'alpha': ('augment to the coefficient ring', 'presentation',
+              _answer('alpha', lambda s, x: s.mo.alpha(x))),
+    'gamma': ('apply the Gamma operator', 'presentation',
+              _answer('gamma', lambda s, x: s.mo.normal_form(_capped(s, s.mo.gamma(x))))),
+    'divide-e': ('divide by the Euler class when possible', 'presentation', _handle_divide_e),
+    'member': ('find a preimage of a Laurent class', 'laurent', _handle_member),
+    'geometric': ('test membership in the geometric subring', 'presentation',
+                  _handle_geometric),
+    'quotient': ('reduce into the obstruction quotient', 'presentation',
+                 _answer('quotient', lambda s, x: s.mo.quotient_reduce(x))),
+    'euler': ('the Euler class e^k on suspension leg m', None, _handle_euler),
+    'phi': ('bundle-algebra image of a manifold expression', 'manifold',
+            _answer('phi', lambda s, terms: sum(map(s.geometry.phi, terms),
+                                                GradedPoly.zero(s.table)))),
+    'delta': ('boundary of a bundle class', 'bundle',
+              _answer('delta', lambda s, x: s.geometry.delta(x))),
+    'compare': ('compare the two localizations of a manifold expression', 'manifold',
+                _handle_compare),
+    'charnum': ('Stiefel-Whitney numbers of a space', 'space', _handle_charnum),
+    'verify': ('run internal consistency suites', None, _handle_verify),
+    'basis-table': ('list additive basis monomials by degree', None, _handle_basis_table),
 }
+
+_HANDLERS = {name: handler for name, (_, _, handler) in _COMMANDS.items()}
 
 
 def _describe_inputs(session, args, expr):
@@ -349,7 +320,7 @@ def _main(argv):
     except (OSError, ValueError, ContractViolation) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
-    needs_expr = args.command in _EXPR_COMMANDS
+    needs_expr = _COMMANDS[args.command][1] is not None
     if needs_expr and args.expr is None:
         code = 0
         for raw in sys.stdin:

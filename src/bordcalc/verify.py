@@ -26,23 +26,10 @@ from .presentation import QuotientElem
 Check = namedtuple('Check', 'name passed detail', defaults=('',))
 
 
-SUITES = ('loc', 'seq', 'basis', 'gamma', 'geomcomp', 'trobs',
-          'cf-exact', 'compare')
-
-# suites run only by name, never by all
-ORACLE_SUITES = ('sw-oracle',)
-
-
-# how far past the verify degree each suite asks for coefficients: the e
-# cap of the basis monomials it takes, 2 for seq, basis_monomials' default
-# 4 for basis; the torus of a degree-d bundle class lies in N_{d+1}
-COEF_REACH = {'seq': 2, 'basis': 4, 'all': 4, 'sw-oracle': 1}
-
-
 def default_degree(session, suite='all'):
     """The largest verify degree the cap admits for a suite, None when it admits none."""
-    degree = session.max_degree - COEF_REACH.get(suite, 0)
-    return degree if degree >= 0 else None
+    degree = session.max_degree - COEF_REACH[suite]
+    return degree if degree >= _SUITES[suite].least else None
 
 
 def verify(session, suite='all', max_degree=None):
@@ -51,40 +38,35 @@ def verify(session, suite='all', max_degree=None):
     A suite asks for coefficients up to max_degree plus its COEF_REACH, so
     a degree past the cap minus that reach is refused up front through
     CoefRing.check_size, and the default is the largest degree admitted.
-    A negative degree is refused too: its sweeps would pass vacuously.
+    A degree below the suite's least degree is refused too: its sweeps
+    would pass vacuously.
     """
+    row = _SUITES.get(suite)
+    if row is None:
+        raise ValueError('unknown suite %r' % suite)
     dmax = default_degree(session, suite) if max_degree is None else max_degree
     if dmax is None:
         raise ContractViolation('the degree cap %d admits no degree of verify suite %s'
                                 % (session.max_degree, suite))
     if dmax < 0:
         raise ContractViolation('verify degree must be nonnegative, got %d' % dmax)
-    session.coef.check_size('verify degree', dmax, dmax + COEF_REACH.get(suite, 0))
-    if suite == 'all':
-        checks = []
-        for name in SUITES:
-            checks.extend(verify(session, name, dmax))
-        return checks
-    fn = {
-        'loc': _suite_loc,
-        'seq': _suite_seq,
-        'basis': _suite_basis,
-        'gamma': _suite_gamma,
-        'geomcomp': _suite_geomcomp,
-        'trobs': _suite_trobs,
-        'cf-exact': _suite_cf,
-        'compare': _suite_compare,
-        'sw-oracle': _suite_sw_oracle,
-    }.get(suite)
-    if fn is None:
-        raise ValueError('unknown suite %r' % suite)
-    return fn(session, dmax)
+    if dmax < row.least:
+        raise ContractViolation('verify suite %s sweeps from degree %d, got %d'
+                                % (suite, row.least, dmax))
+    session.coef.check_size('verify degree', dmax, dmax + COEF_REACH[suite])
+    return row.run(session, range(row.least, dmax + 1))
 
 
-def _catalog_by_dimension(geo, dmax):
-    """The catalog through dmax grouped by dimension, in catalog order within one."""
-    groups = {d: [] for d in range(dmax + 1)}
-    for x in geo.catalog_expressions(dmax):
+def _counted(name, bad, total, things):
+    """A check over total things, bad of which failed: the detail counts them."""
+    return Check(name, not bad, '%d %s' % (total, things) if not bad
+                 else '%d of %d failed' % (bad, total))
+
+
+def _catalog_by_dimension(geo, degrees):
+    """The catalog through the top degree grouped by dimension, in catalog order within one."""
+    groups = {d: [] for d in range(degrees[-1] + 1)}
+    for x in geo.catalog_expressions(degrees[-1]):
         groups[x.dim].append(x)
     return groups
 
@@ -104,54 +86,46 @@ def ac_monomials(laurent, degree):
     return [GradedPoly(table, (m,)) for m in table.monomials(degree, variables)]
 
 
-def _suite_loc(s, dmax):
+# Each suite takes the session and the range of degrees it sweeps.
+
+def _suite_loc(s, degrees):
     L = s.laurent
 
     def at_degree(d):
-        total = 0
+        samples = [mono * L.e(t) for mono in ac_monomials(L, d) for t in (0, -1, -d - 1)]
         bad = 0
-        for mono in ac_monomials(L, d):
-            for t in (0, -1, -d - 1):
-                x = mono * L.e(t)
-                n, p = L.clear_denominators(x)
-                total += 1
-                if L.eval_cleared(p) != L.e(n) * x:
-                    bad += 1
-        ok = bad == 0
-        return [Check('loc: round trips at degree %d' % d, ok,
-                      '%d samples' % total if ok else '%d of %d failed' % (bad, total))]
+        for x in samples:
+            n, p = L.clear_denominators(x)
+            if L.eval_cleared(p) != L.e(n) * x:
+                bad += 1
+        return [_counted('loc: round trips at degree %d' % d, bad, len(samples), 'samples')]
 
     checks = [Check('loc: loc_P(1) vanishes', not L.loc_P(1))]
-    checks.extend(_sweep(at_degree, range(dmax + 1)))
+    checks.extend(_sweep(at_degree, degrees))
     return checks
 
 
-def _suite_seq(s, dmax):
+def _suite_seq(s, degrees):
     mo = s.mo
 
     def at_degree(d):
-        out = []
         mus = s.coef.monomials_of_degree(d)
         ok = all(mo.alpha(mo.iota(mu)) == mu for mu in mus)
-        detail = '%d monomials' % len(mus)
-        if d == 0:
-            detail = 'alpha(1) = 1'
-        out.append(Check('seq: alpha splits iota at degree %d' % d, ok, detail))
+        detail = 'alpha(1) = 1' if d == 0 else '%d monomials' % len(mus)
         fms = mo.basis_monomials(d, e_cap=2)
         bad = 0
         for fm in fms:
             b = mo.single(fm)
             if mo.normal_form(mo.e(1) * mo.gamma(b) + b + mo.bar(b)):
                 bad += 1
-        out.append(Check('seq: e*Gamma(x) = x + xbar at degree %d' % d, bad == 0,
-                         '%d basis monomials' % len(fms) if not bad
-                         else '%d of %d failed' % (bad, len(fms))))
-        return out
+        return [Check('seq: alpha splits iota at degree %d' % d, ok, detail),
+                _counted('seq: e*Gamma(x) = x + xbar at degree %d' % d, bad, len(fms),
+                         'basis monomials')]
 
-    return _sweep(at_degree, range(dmax + 1))
+    return _sweep(at_degree, degrees)
 
 
-def _suite_basis(s, dmax):
+def _suite_basis(s, degrees):
     mo = s.mo
 
     def at_degree(d):
@@ -166,29 +140,22 @@ def _suite_basis(s, dmax):
                       idempotent)]
 
     checks = [Check('basis: rank N_0 is 1', s.coef.rank(0) == 1)]
-    checks.extend(_sweep(at_degree, range(dmax + 1)))
+    checks.extend(_sweep(at_degree, degrees))
     return checks
 
 
-def _suite_gamma(s, dmax):
+def _suite_gamma(s, degrees):
     mo = s.mo
     geo = s.geometry
-    checks = []
+    dmax = degrees[-1]
     x2 = mo.X(2)
     a2 = mo.iota(s.coef.a(2))
-    checks.append(Check('gamma: e*G(1,2) rewrites to X2 + a2',
-                        mo.normal_form(mo.e(1) * mo.G(1, 2)) == x2 + a2))
-    checks.append(Check('gamma: Gamma(e*x) strips e',
-                        mo.gamma(mo.e(1) * x2) == x2))
-    ok = True
-    count = 0
-    for d in range(dmax + 1):
-        for mu in s.coef.monomials_of_degree(d):
-            count += 1
-            if mo.gamma(mo.iota(mu)):
-                ok = False
-    checks.append(Check('gamma: Gamma kills trivial classes', ok,
-                        '%d monomials' % count))
+    checks = [Check('gamma: e*G(1,2) rewrites to X2 + a2',
+                    mo.normal_form(mo.e(1) * mo.G(1, 2)) == x2 + a2),
+              Check('gamma: Gamma(e*x) strips e', mo.gamma(mo.e(1) * x2) == x2)]
+    mus = [mu for d in degrees for mu in s.coef.monomials_of_degree(d)]
+    checks.append(Check('gamma: Gamma kills trivial classes',
+                        not any(mo.gamma(mo.iota(mu)) for mu in mus), '%d monomials' % len(mus)))
     pairs = [(i, n) for n in range(2, min(dmax, 5) + 1)
              for i in range(1, min(dmax, 4))]
     # alpha(G(i-1,n)) recomputed from the geometry: the tower's underlying class
@@ -200,7 +167,7 @@ def _suite_gamma(s, dmax):
     return checks
 
 
-def _suite_geomcomp(s, dmax):
+def _suite_geomcomp(s, degrees):
     mo = s.mo
     geo = s.geometry
 
@@ -210,20 +177,17 @@ def _suite_geomcomp(s, dmax):
         for fm in fms:
             x = mo.single(fm)
             expr = geo.manifold_for_basis(fm)
-            if not mo.is_geometric(x):
+            if not mo.is_geometric(x) or geo.dictionary(geo.phi(expr)) != mo.localize(x):
                 bad += 1
-            elif geo.dictionary(geo.phi(expr)) != mo.localize(x):
-                bad += 1
-        ok = bad == 0
-        return [Check('geomcomp: bundle dictionary matches at degree %d' % d, ok,
-                      '%d monomials' % len(fms) if ok
-                      else '%d of %d failed' % (bad, len(fms)))]
+        return [_counted('geomcomp: bundle dictionary matches at degree %d' % d, bad,
+                         len(fms), 'monomials')]
 
-    return _sweep(at_degree, range(dmax + 1))
+    return _sweep(at_degree, degrees)
 
 
-def _suite_trobs(s, dmax):
+def _suite_trobs(s, degrees):
     mo = s.mo
+    dmax = degrees[-1]
     cases = [(k, n) for n in range(2, min(dmax, 6) + 1) for k in range(1, 4)]
     # e^k G(1, n) reduces to (X_n + rho(n)) x_{k-1}, and to zero at k = 1
     ok = all(mo.quotient_reduce(mo.e(k) * mo.G(1, n)) == QuotientElem(
@@ -238,10 +202,10 @@ def _suite_trobs(s, dmax):
     return checks
 
 
-def _suite_cf(s, dmax):
+def _suite_cf(s, degrees):
     mo = s.mo
     geo = s.geometry
-    catalog = _catalog_by_dimension(geo, dmax)
+    catalog = _catalog_by_dimension(geo, degrees)
 
     def at_degree(d):
         out = []
@@ -251,9 +215,8 @@ def _suite_cf(s, dmax):
                          '%d expressions' % len(exprs)))
         # the presentation's augmentation against the geometry's underlying class
         bad = sum(1 for x in exprs if mo.alpha(geo.pt_class(x)) != geo.underlying(x))
-        out.append(Check('cf-exact: alpha o pt_class = underlying at degree %d' % d,
-                         bad == 0, '%d expressions' % len(exprs) if not bad
-                         else '%d of %d failed' % (bad, len(exprs))))
+        out.append(_counted('cf-exact: alpha o pt_class = underlying at degree %d' % d,
+                            bad, len(exprs), 'expressions'))
         monos = geo.bundle_monomials(d)
         rows = [geo.delta(p).support() for p in monos]
         drank = rank_sets(rows, lambda item: item)
@@ -270,30 +233,24 @@ def _suite_cf(s, dmax):
                          ok, 'rank %d' % prank))
         return out
 
-    return _sweep(at_degree, range(dmax + 1))
+    return _sweep(at_degree, degrees)
 
 
-def _suite_compare(s, dmax):
+def _suite_compare(s, degrees):
     geo = s.geometry
     mo = s.mo
-    catalog = _catalog_by_dimension(geo, dmax)
+    catalog = _catalog_by_dimension(geo, degrees)
 
     def at_degree(d):
         exprs = catalog[d]
-        bad = 0
-        for x in exprs:
-            if geo.dictionary(geo.phi(x)) != mo.localize(geo.pt_class(x)):
-                bad += 1
-        ok = bad == 0
-        return [Check('compare: dictionary o phi = localize o point class'
-                      ' at degree %d' % d, ok,
-                      '%d expressions' % len(exprs) if ok
-                      else '%d of %d failed' % (bad, len(exprs)))]
+        bad = sum(1 for x in exprs if geo.dictionary(geo.phi(x)) != mo.localize(geo.pt_class(x)))
+        return [_counted('compare: dictionary o phi = localize o point class'
+                         ' at degree %d' % d, bad, len(exprs), 'expressions')]
 
-    return _sweep(at_degree, range(dmax + 1))
+    return _sweep(at_degree, degrees)
 
 
-def _suite_sw_oracle(s, dmax):
+def _suite_sw_oracle(s, degrees):
     coef = s.coef
     boardman = tables(coef)
 
@@ -310,13 +267,42 @@ def _suite_sw_oracle(s, dmax):
         pairs = [(i, d - i) for i in range(1, d - 1)]
         bad_alpha = sum(1 for i, n in pairs if boardman.bundle_in_n((n,), i + 1)
                         != identify_in_n(fixed_bundle((n,), i + 1), coef))
-        out = []
-        for what, bad, count in (('delta', bad_delta, len(bmults)),
-                                 ('mapping torus', bad_torus, len(bmults)),
-                                 ('alpha(G(i,n))', bad_alpha, len(pairs))):
-            out.append(Check('sw-oracle: Boardman %s matches Stiefel-Whitney numbers at degree %d'
-                             % (what, d), bad == 0,
-                             '%d bundles' % count if not bad else '%d of %d failed' % (bad, count)))
-        return out
+        return [_counted('sw-oracle: Boardman %s matches Stiefel-Whitney numbers at degree %d'
+                         % (what, d), bad, count, 'bundles')
+                for what, bad, count in (('delta', bad_delta, len(bmults)),
+                                         ('mapping torus', bad_torus, len(bmults)),
+                                         ('alpha(G(i,n))', bad_alpha, len(pairs)))]
 
-    return _sweep(at_degree, range(1, dmax + 1))
+    return _sweep(at_degree, degrees)
+
+
+def _suite_all(s, degrees):
+    return [c for name in SUITES for c in verify(s, name, degrees[-1])]
+
+
+Suite = namedtuple('Suite', 'run least reach in_all')
+
+# One row per suite, in the order all runs them: its function, the least
+# degree it sweeps from, how far past the verify degree it asks for
+# coefficients (the e cap of the basis monomials it takes, 2 for seq,
+# basis_monomials' default 4 for basis; the torus of a degree-d bundle
+# class lies in N_{d+1}), and whether all runs it. sw-oracle starts at 1:
+# the one bundle monomial of degree 0 is 1, which has no space to identify.
+_SUITES = {
+    'loc': Suite(_suite_loc, 0, 0, True),
+    'seq': Suite(_suite_seq, 0, 2, True),
+    'basis': Suite(_suite_basis, 0, 4, True),
+    'gamma': Suite(_suite_gamma, 0, 0, True),
+    'geomcomp': Suite(_suite_geomcomp, 0, 0, True),
+    'trobs': Suite(_suite_trobs, 0, 0, True),
+    'cf-exact': Suite(_suite_cf, 0, 0, True),
+    'compare': Suite(_suite_compare, 0, 0, True),
+    'sw-oracle': Suite(_suite_sw_oracle, 1, 1, False),
+}
+SUITES = tuple(name for name, row in _SUITES.items() if row.in_all)
+# suites run only by name, never by all
+ORACLE_SUITES = tuple(name for name, row in _SUITES.items() if not row.in_all)
+# all admits a degree when every suite it runs admits it
+_SUITES['all'] = Suite(_suite_all, max(_SUITES[name].least for name in SUITES),
+                       max(_SUITES[name].reach for name in SUITES), False)
+COEF_REACH = {name: row.reach for name, row in _SUITES.items()}

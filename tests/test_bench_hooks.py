@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bordcalc import cli
 from bordcalc.cli import main
 from bordcalc.errors import BordcalcError
 from bordcalc.parsing import parse_laurent, parse_presentation
@@ -101,3 +102,23 @@ def test_oracle_accepts_the_cli_answers(capsys, monkeypatch):
         assert oracle.check_cli(item, code, capsys.readouterr().out) == 'ok', item
         kinds.add(item['kind'])
     assert {'delta', 'charnum', 'phi', 'loc', 'compare'} <= kinds
+
+
+def test_cli_looks_up_what_the_benchmark_replaces(capsys, monkeypatch):
+    # perfbench/tracer.py and perfbench/launch.py replace these after
+    # import; a table that captured them would bypass the replacements
+    monkeypatch.delenv('BORDCALC_CONFIG', raising=False)
+    called = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(cli._HANDLERS, 'nf', spy('handler', cli._HANDLERS['nf']))
+    monkeypatch.setattr(cli, 'parse_presentation', spy('parse', cli.parse_presentation))
+    monkeypatch.setattr(cli, 'Session', spy('session', cli.Session))
+    assert main(['nf', 'X2']) == 0
+    assert capsys.readouterr().out == 'X2\n'
+    assert called == ['session', 'handler', 'parse']

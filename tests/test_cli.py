@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bordcalc import cli
 from bordcalc.cli import main
 from bordcalc.parsing import parse_presentation
 
@@ -235,6 +236,26 @@ def test_verify_report_without_an_admitted_degree(capsys, tmp_path):
     assert json.loads(out)['inputs'] == {'degree': None, 'suite': 'all'}
 
 
+def test_sw_oracle_refuses_degree_0(capsys, tmp_path):
+    # sw-oracle sweeps from degree 1, so degree 0 passed 0 checks with exit 0
+    code, out = run(capsys, 'verify', '--suite', 'sw-oracle', '--degree', '0')
+    assert code == 2
+    assert out == 'error: verify suite sw-oracle sweeps from degree 1, got 0\n'
+    # at cap 1 the default degree was 0, the same vacuous pass
+    cfg = tmp_path / 'one.cfg'
+    cfg.write_text('max_degree = 1\n')
+    code, out = run(capsys, 'verify', '--suite', 'sw-oracle', '--config', str(cfg))
+    assert code == 2
+    assert out == 'error: the degree cap 1 admits no degree of verify suite sw-oracle\n'
+    code, out = run(capsys, 'verify', '--suite', 'sw-oracle', '--json', '--config', str(cfg))
+    assert code == 2
+    assert json.loads(out)['inputs'] == {'degree': None, 'suite': 'sw-oracle'}
+    # every other suite starts at 0
+    code, out = run(capsys, 'verify', '--degree', '0')
+    assert code == 0
+    assert out.splitlines()[-1] == '20 checks, 0 failed'
+
+
 # (argv, exit code, expected output line or None) at caps 0 and 1: no
 # family a has a variable there, and at cap 0 no family c or X either
 LOW_CAP_ANSWERS = {
@@ -294,13 +315,18 @@ def test_readme_examples_run(capsys):
     # a comment succeeds
     lines = _readme_commands()
     assert len(lines) >= 11
+    shown = set()
     for line in lines:
         command, _, comment = line.partition('#')
-        code, out = run(capsys, *shlex.split(command)[1:])
+        argv = shlex.split(command)[1:]
+        shown.add(argv[0])
+        code, out = run(capsys, *argv)
         if comment.strip():
             assert comment.strip() in out.splitlines(), (line, out)
         else:
             assert code == 0, (line, out)
+    # every command of the CLI has an example
+    assert shown == set(cli._COMMANDS)
 
 
 GOLDEN = Path(__file__).resolve().parent / 'golden'

@@ -94,6 +94,8 @@ def test_peel_agrees_with_one_window_solve(sess):
                     assert (found is not None) == is_member, (d, t, target)
                     if found is not None:
                         assert mo.localize(found) == target
+                        # the CLI prints found without rewriting it again
+                        assert mo.normal_form(found) == found
                     asked.add((t, is_member))
     # members and non-members at every top, the peeled levels 0..3 included
     assert asked == {(t, m) for t in TOPS for m in (True, False)}
