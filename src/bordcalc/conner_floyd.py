@@ -30,7 +30,7 @@ from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, ModulePoly, parity
+from .gf2 import GradedPoly, ModulePoly, map_monos
 
 
 class _Expr:
@@ -153,9 +153,11 @@ class Geometry:
                            for idx, i in table.subscripts['b'].items()}
         self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
         self._b_fields = table.mask('b')
-        # both keyed by the b fields of a monomial: (the b monomial, its value)
+        # both keyed by the b fields of a monomial, as gf2.sum_of_images keeps images
         self._delta_cache = {}
         self._torus_cache = {}
+        # by expression: (phi, underlying class or None when not yet asked for)
+        self._walk_cache = {}
 
     # --- the bundle algebra -----------------------------------------------
 
@@ -200,12 +202,18 @@ class Geometry:
         return self._walk(expr, True)[1]
 
     def _walk(self, expr, under):
-        """(phi(expr), underlying(expr) if under else None), in one pass.
+        """(phi(expr), underlying(expr) if under else None), in one pass, kept by expression.
 
         gamma(M) asks for both parts of M. An underlying class is computed
         only where a gamma above it or the caller needs it: the torus of an
         n-manifold lives in N_{n+1}, which may lie past the cap.
         """
+        entry = self._walk_cache.get(expr)
+        if entry is None or (under and entry[1] is None):
+            entry = self._walk_cache[expr] = self._walk_step(expr, under)
+        return entry
+
+    def _walk_step(self, expr, under):
         if isinstance(expr, Proj):
             return (self.b(expr.n) + self.b(1) ** expr.n,
                     self.coef.rho(expr.n) if under else None)
@@ -262,24 +270,8 @@ class Geometry:
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
         if not self.is_bundle(poly):
             raise ContractViolation('delta takes bundle-algebra elements')
-        # a monomial without b's is a closed manifold, and bounds nothing
-        return self._over_fixed(poly, self._delta_cache, self._delta_monomial, FreeBZ2Elem)
-
-    def _over_fixed(self, fixed, cache, compute, result):
-        """The sum over fixed's monomials with a b part of compute(its b indices)
-        times the rest; cache keeps, by b fields, the b part and compute's monomials."""
-        out = []
-        for mono in fixed.monos:
-            fields = mono & self._b_fields
-            if fields:
-                entry = cache.get(fields)
-                if entry is None:
-                    bmult = self._bmult(fields)
-                    # a packed monomial is its fields plus its degree
-                    entry = cache[fields] = (fields + sum(bmult), compute(bmult))
-                bmono, value = entry
-                out.extend(m + mono - bmono for m in value)
-        return result(self.table, parity(self.table.checked(out)))
+        return FreeBZ2Elem(self.table, map_monos(
+            self.table, poly.monos, self._b_fields, self._delta_cache, self._delta_image))
 
     def _bmult(self, mono):
         """The b indices of a monomial, sorted, with repeats."""
@@ -287,8 +279,11 @@ class Geometry:
         return tuple(sorted(b_of[idx] for idx, x in self.table.exponents(mono)
                             if idx in b_of for _ in range(x)))
 
-    def _delta_monomial(self, bmult):
-        return FreeBZ2Elem(self.table, tables(self.coef).bundle_in_nbo1(bmult)).monos
+    def _delta_image(self, bmono):
+        # a monomial without b's is a closed manifold, and bounds nothing
+        if not bmono:
+            return ()
+        return FreeBZ2Elem(self.table, tables(self.coef).bundle_in_nbo1(self._bmult(bmono))).monos
 
     # --- the mapping torus ----------------------------------------------------
 
@@ -302,11 +297,14 @@ class Geometry:
         by a line, has underlying class sum of P(nu_F + R^2) over the fixed
         components of M, the monomials of fixed = phi(M).
         """
-        # a rank-0 component contributes F x RP(1), which bounds
-        return self._over_fixed(fixed, self._torus_cache, self._torus_monomial, GradedPoly)
+        return GradedPoly(self.table, map_monos(
+            self.table, fixed.monos, self._b_fields, self._torus_cache, self._torus_image))
 
-    def _torus_monomial(self, bmult):
-        return tables(self.coef).bundle_in_n(bmult, 2).monos
+    def _torus_image(self, bmono):
+        # a rank-0 component contributes F x RP(1), which bounds
+        if not bmono:
+            return ()
+        return tables(self.coef).bundle_in_n(self._bmult(bmono), 2).monos
 
     # --- catalogs -------------------------------------------------------------
 

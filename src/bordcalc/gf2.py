@@ -41,7 +41,10 @@ once and then solves for any number of targets.
 The pieces every GF(2) sum in the package shares live here too: the
 session's alphabet (standard_table), the sum core SparseSum (polynomials
 and presentations differ only in their kind of monomial), parity (the
-monomials of a product, duplicates cancelled), square-and-multiply
+monomials of a product, duplicates cancelled), sum_of_images (a map that
+keeps the image of each part of a monomial it acts on: localize and
+alpha) and map_monos (the same for the parts under a mask: the clearing
+substitutions, delta and the mapping torus), square-and-multiply
 powers, the partition enumerator, and free N_* modules as polynomials
 linear in one family of generators (ModulePoly): delta's values are
 polynomials in the a_d and c_j printed with s_j, obstruction classes
@@ -202,9 +205,13 @@ class VarTable:
     def checked(self, monos):
         """monos, the sums of valid monomials, unless one overflowed: CapacityError."""
         if reduce(operator.or_, monos, 0) & self._guard:
-            raise CapacityError('a product exceeds e-free degree %d, the most the '
-                                'variable table holds' % self.limit)
+            raise self.overflow()
         return monos
+
+    def overflow(self):
+        """The error of a product past the limit."""
+        return CapacityError('a product exceeds e-free degree %d, the most the '
+                             'variable table holds' % self.limit)
 
 
 def parity(monos):
@@ -231,6 +238,47 @@ def product_monos(rows, cols, mul=operator.add):
     for m1 in rows:
         odd ^= {mul(m1, m2) for m2 in cols}
     return odd
+
+
+def sum_of_images(table, pieces, cache, image):
+    """The monomials of the sum over (key, m) in pieces of image(key) * (m / part), a frozenset.
+
+    image(key) gives (part, monos): the factor of m that key names, and the
+    monomials of its image. cache keeps them by key, with the image's
+    largest e-free degree less part's, so each image is computed once per
+    cache and each piece costs one shift. Every shift is checked against
+    the limit, since a rest of large degree can carry a kept image past it:
+    a product of valid monomials overflows exactly when their e-free
+    degrees add up past the limit.
+    """
+    efree, limit = table.efree_mask, table.limit
+    odd = set()
+    for key, m in pieces:
+        entry = cache.get(key)
+        if entry is None:
+            part, monos = image(key)
+            # a tuple holds the image in less memory than its set
+            monos = tuple(monos)
+            entry = cache[key] = (part, monos, max(map(efree.__and__, monos), default=0)
+                                  - (part & efree))
+        part, value, top = entry
+        if (m & efree) + top > limit:
+            raise table.overflow()
+        rest = m - part
+        # an image has no repeats, and a shift keeps it so
+        odd ^= {v + rest for v in value}
+    return frozenset(odd)
+
+
+def map_monos(table, monos, mask, cache, image):
+    """sum_of_images for a map acting on the fields of mask, kept by those fields:
+    m goes to image(part) * (m / part), part the monomial of m's fields."""
+    def split(fields):
+        # a packed monomial is its fields plus its degree
+        part = table.pack(table.exponents(fields))
+        return part, image(part)
+
+    return sum_of_images(table, zip(map(mask.__and__, monos), monos), cache, split)
 
 
 def power(x, n, one, mul=operator.mul):
@@ -408,37 +456,45 @@ class GradedPoly(SparseSum):
         return not (reduce(operator.or_, self.monos, 0)
                     & ~(table.mask(letters) | table.efree_mask))
 
-    def substitute(self, idx_map):
-        """Replace variables, keyed by index, by polynomials; the others pass through.
-
-        Mapped variables must occur with nonnegative exponents only.
-        """
-        table = self.table
-        powers = {}
-
-        def power(i, x):
-            if x < 0:
-                raise ContractViolation('cannot substitute into a negative power')
-            if (i, x) not in powers:
-                self._check_peer(idx_map[i])
-                powers[(i, x)] = idx_map[i] ** x
-            return powers[(i, x)]
-
-        acc = GradedPoly.zero(table)
-        for m in self.monos:
-            pairs = table.exponents(m)
-            piece = GradedPoly(table, (table.pack(p for p in pairs if p[0] not in idx_map),))
-            for i, x in pairs:
-                if i in idx_map:
-                    piece = piece * power(i, x)
-            acc = acc + piece
-        return acc
-
     def to_text(self):
         """Canonical text form."""
         if not self.monos:
             return '0'
         return ' + '.join(map(self.table.text, sorted(self.monos, reverse=True)))
+
+
+class Substitution:
+    """The ring map sending each variable of one family to image(subscript), fixing the rest.
+
+    A monomial part * rest, part its factors in the family, goes to
+    image(part) * rest. The image of a part is the product of its
+    variables' images, computed once for the life of the map and kept in
+    _image_cache by the part's fields. Variables of the family must occur
+    with nonnegative exponents only.
+    """
+
+    __slots__ = ('table', 'images', 'mask', '_image_cache')
+
+    def __init__(self, table, family, image):
+        self.table = table
+        self.images = {idx: image(sub) for idx, sub in table.subscripts[family].items()}
+        self.mask = table.mask(family)
+        self._image_cache = {}
+
+    def __call__(self, x):
+        """The image of the polynomial x."""
+        if x.table is not self.table:
+            raise ContractViolation('the polynomial uses a foreign variable table')
+        return GradedPoly(self.table, map_monos(
+            self.table, x.monos, self.mask, self._image_cache, self._image))
+
+    def _image(self, part):
+        out = GradedPoly.one(self.table)
+        for idx, x in self.table.exponents(part):
+            if x < 0:
+                raise ContractViolation('cannot substitute into a negative power')
+            out = out * self.images[idx] ** x
+        return out.monos
 
 
 class ModulePoly(GradedPoly):

@@ -17,8 +17,10 @@ e-free part of a term has nonnegative degree. The variables are the
 table's families a, c, X and e, and membership in them is a mask test.
 """
 
+from functools import cached_property
+
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly
+from .gf2 import GradedPoly, Substitution
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import poly_rank, solve_sets
 
@@ -30,8 +32,6 @@ class LaurentRing:
         self.coef = coef
         self.table = coef.table
         self._loc_cache = {}
-        # the substitutions of clear_denominators and eval_cleared, by family
-        self._images = {}
 
     def zero(self):
         return GradedPoly.zero(self.table)
@@ -97,8 +97,7 @@ class LaurentRing:
         n1 = max(0, -x.min_inv_exp())
         y = self.e(n1) * x if n1 else x
         if not y.uses_only('ae'):
-            y = y.substitute(self._substitution(
-                'c', lambda j: self.e(1) * self.X(j + 1) + self.e(-j)))
+            y = self._clear_c(y)
         n2 = max(0, -y.min_inv_exp()) if y else 0
         p = self.e(n2) * y if n2 else y
         return n1 + n2, p
@@ -107,11 +106,17 @@ class LaurentRing:
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
         if not p.uses_only('aXe'):
             raise ContractViolation('not a polynomial in e, X_n over N_*')
-        return p if p.uses_only('ae') else p.substitute(self._substitution('X', self.loc_P))
+        return p if p.uses_only('ae') else self._eval_X(p)
 
-    def _substitution(self, family, image):
-        """The map from the family's variable indices to image(subscript), built once."""
-        if family not in self._images:
-            self._images[family] = {idx: image(sub)
-                                    for idx, sub in self.table.subscripts[family].items()}
-        return self._images[family]
+    # Each substitution is defined once, here, and keeps the images of the
+    # monomials it has mapped; a memo belongs to one definition.
+
+    @cached_property
+    def _clear_c(self):
+        """c_j -> e*X_{j+1} + e^-j, the substitution of clear_denominators."""
+        return Substitution(self.table, 'c', lambda j: self.e(1) * self.X(j + 1) + self.e(-j))
+
+    @cached_property
+    def _eval_X(self):
+        """X_n -> loc_P(n), the substitution of eval_cleared."""
+        return Substitution(self.table, 'X', self.loc_P)

@@ -46,12 +46,13 @@ the measure (Gamma count, total Gamma weight, ordering violations)
 lexicographically, and a fuel cap backs that argument up at runtime.
 """
 
+import operator
 from collections import namedtuple
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (Echelon, GradedPoly, MONO_ONE, ModulePoly, SparseSum, mono_degree,
-                  mono_key, parity)
+                  mono_key, parity, sum_of_images)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -90,6 +91,11 @@ class FormalMonomial(namedtuple('FormalMonomial', 'coef gammas epow')):
     def degree(self, table):
         return (mono_degree(table, self.coef)
                 + sum(i + n for i, n in self.gammas) - self.epow)
+
+
+# a formal monomial's (gammas, epow) and coef, as the ring maps split it
+_gammas_and_epow = operator.itemgetter(1, 2)
+_coef = operator.itemgetter(0)
 
 
 def fm_mul(f1, f2):
@@ -205,8 +211,12 @@ class BordismRing:
         self.fuel = _fuel(fuel)
         self._nf_cache = {}
         self._window_cache = {}
+        # alpha(G(i, n)) and loc(G(i, n)), by (i, n)
+        self._alpha_gamma_cache = {}
+        self._loc_gamma_cache = {}
+        # the images under alpha and localize of G factors times e^k, by (gammas, k)
         self._alpha_cache = {}
-        self._loc_cache = {}
+        self._localize_cache = {}
         self._x_cache = {}
 
     # --- constructors ---------------------------------------------------
@@ -268,26 +278,33 @@ class BordismRing:
         top = max((fm.degree(table) for fm in x.monos if not fm.epow), default=0)
         self.coef.check_size('augmentation, which must lie in N_* up to the cap, has degree',
                              top, top)
-        return self._evaluate(x, None, self._alpha_gamma)
+        return self._evaluate(x, self._alpha_cache, self._alpha_image)
 
-    def _evaluate(self, x, e_power, factor_value):
-        """The ring map fixing N_* with e^k -> e_power(k) and G(i, n) -> factor_value(i, n).
+    def _evaluate(self, x, cache, image):
+        """The ring map fixing N_* whose image of G factors times e^k is image((gammas, k)).
 
-        e_power None sends e to 0, so terms with an e power are skipped.
+        A monomial c*g goes to c times the image of g, which cache keeps by
+        (gammas, k).
         """
-        acc = GradedPoly.zero(self.table)
-        for fm in x.monos:
-            if fm.epow and e_power is None:
-                continue
-            val = GradedPoly(self.table, (fm.coef,))
-            if fm.epow:
-                val = val * e_power(fm.epow)
-            for i, n in fm.gammas:
-                if not val.monos:
-                    break
-                val = val * factor_value(i, n)
-            acc = acc + val
-        return acc
+        monos = x.monos
+        return GradedPoly(self.table, sum_of_images(
+            self.table, zip(map(_gammas_and_epow, monos), map(_coef, monos)), cache, image))
+
+    def _alpha_image(self, key):
+        gammas, k = key
+        # alpha sends e to 0
+        if k:
+            return MONO_ONE, ()
+        return MONO_ONE, self._times_factors(GradedPoly.one(self.table), gammas,
+                                             self._alpha_gamma)
+
+    def _times_factors(self, val, gammas, factor_value):
+        """The monomials of val times factor_value(i, n) over the factors G(i, n)."""
+        for i, n in gammas:
+            if not val:
+                break
+            val = val * factor_value(i, n)
+        return val.monos
 
     def _alpha_gamma(self, i, n):
         """alpha(G(i, n)), read off the fixed data of loc(G(i, n)) term by term.
@@ -302,7 +319,7 @@ class BordismRing:
         checks it against Q's Stiefel-Whitney numbers.
         """
         key = (i, n)
-        val = self._alpha_cache.get(key)
+        val = self._alpha_gamma_cache.get(key)
         if val is None:
             if i == 0:
                 val = self.coef.rho(n)
@@ -311,7 +328,7 @@ class BordismRing:
                 val = val + self.coef.rho(n + i)
                 for k in range(i):
                     val = val + self._alpha_gamma(k, n) * self.coef.rho(i - k)
-            self._alpha_cache[key] = val
+            self._alpha_gamma_cache[key] = val
         return val
 
     def bar(self, x):
@@ -428,19 +445,23 @@ class BordismRing:
 
     def localize(self, x):
         """Image in the Laurent model: X_n -> loc_P(n), G(i, n) -> _loc_gamma(i, n)."""
-        return self._evaluate(x, self.laurent.e, self._loc_gamma)
+        return self._evaluate(x, self._localize_cache, self._localize_image)
+
+    def _localize_image(self, key):
+        gammas, k = key
+        return MONO_ONE, self._times_factors(self.laurent.e(k), gammas, self._loc_gamma)
 
     def _loc_gamma(self, i, n):
         """loc(G(i, n)) = e^-1 (loc(G(i-1, n)) + alpha(G(i-1, n))): e*Gamma(x) = x + xbar."""
         key = (i, n)
-        val = self._loc_cache.get(key)
+        val = self._loc_gamma_cache.get(key)
         if val is None:
             if i == 0:
                 val = self.laurent.loc_P(n)
             else:
                 val = ((self._loc_gamma(i - 1, n) + self._alpha_gamma(i - 1, n))
                        * self.laurent.e(-1))
-            self._loc_cache[key] = val
+            self._loc_gamma_cache[key] = val
         return val
 
     def is_geometric(self, x):

@@ -18,9 +18,13 @@ from pathlib import Path
 
 from bordcalc import cli
 from bordcalc.cli import main
+from bordcalc.conner_floyd import Geometry
 from bordcalc.errors import BordcalcError
+from bordcalc.gf2 import GradedPoly
+from bordcalc.localized import LaurentRing
 from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.session import Session
+from bordcalc.verify import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,3 +126,47 @@ def test_cli_looks_up_what_the_benchmark_replaces(capsys, monkeypatch):
     assert main(['nf', 'X2']) == 0
     assert capsys.readouterr().out == 'X2\n'
     assert called == ['session', 'handler', 'parse']
+
+
+def test_what_the_tracer_wraps_still_exists(monkeypatch):
+    # perfbench/tracer.py wraps the clearing maps, GradedPoly.__mul__ and
+    # every public Geometry method, and reads the sizes of two caches
+    for attr in ('clear_denominators', 'eval_cleared'):
+        assert callable(vars(LaurentRing)[attr])
+    # inherited from SparseSum; the tracer sets it on GradedPoly itself
+    assert callable(GradedPoly.__mul__)
+    public = {attr for attr, value in vars(Geometry).items()
+              if not attr.startswith('_') and callable(value)}
+    assert {'phi', 'exact_phi', 'underlying', 'delta', 'dictionary', 'pt_class',
+            'bundle_monomials', 'manifold_for_basis', 'catalog_expressions'} <= public
+    session = Session()
+    assert session.mo._nf_cache == {} and session.geometry._delta_cache == {}
+    # verify reaches phi and underlying through the public methods, which
+    # the tracer replaces, and not through the walk's memo directly
+    called = []
+    for attr in ('phi', 'underlying'):
+        def spy(self, expr, _fn=getattr(Geometry, attr), _attr=attr):
+            called.append(_attr)
+            return _fn(self, expr)
+        monkeypatch.setattr(Geometry, attr, spy)
+    assert all(c.passed for c in verify(session, 'cf-exact', 3))
+    assert {'phi', 'underlying'} <= set(called)
+    assert session.geometry._delta_cache
+
+
+def test_each_map_keeps_its_images_in_a_named_cache():
+    # the memos a counter of hits and misses reads, one per ring map
+    session = Session()
+    mo, geo, L = session.mo, session.geometry, session.laurent
+    x = mo.G(1, 2) * mo.X(3) + mo.e(2) * mo.X(2)
+    mo.localize(x)
+    mo.alpha(x)
+    assert len(mo._localize_cache) == 2 and len(mo._alpha_cache) == 2
+    expr = geo.catalog_expressions(4)[-1]
+    geo.underlying(expr)
+    assert expr in geo._walk_cache
+    geo.delta(geo.b(2) * geo.b(1))
+    assert len(geo._delta_cache) == 1 and geo._torus_cache
+    n, p = L.clear_denominators(L.c(2) * L.e(-1))
+    L.eval_cleared(p)
+    assert L._clear_c._image_cache and L._eval_X._image_cache

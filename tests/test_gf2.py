@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from bordcalc import gf2
 from bordcalc.charnum import CohomClass, ProjBundle, RP
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, mono_degree, parity, partitions,
-                          poly_rank, rank_sets, solve_gf2, solve_sets, standard_table)
+from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, Substitution, mono_degree, parity,
+                          partitions, poly_rank, rank_sets, solve_gf2, solve_sets,
+                          standard_table)
 from bordcalc.conner_floyd import FreeBZ2Elem
 from bordcalc.presentation import FormalMonomial, Presentation, QuotientElem
 from test_coefficients import _partition_count
@@ -24,6 +25,11 @@ X2 = GradedPoly.var(TABLE, 'X2')
 
 def e(k=1):
     return GradedPoly.var(TABLE, 'e', k)
+
+
+def _clearing(j):
+    # c_j -> e*X_{j+1} + e^-j, as LaurentRing clears denominators
+    return e(1) * GradedPoly.var_of(TABLE, 'X', j + 1) + e(-j)
 
 
 def mono(*pairs):
@@ -230,6 +236,47 @@ def test_packed_monomials_match_the_tuple_reference(t1, t2):
             p1 * p2
 
 
+# The term-by-term substitution the memoized maps replaced: each monomial's
+# unmapped rest times its mapped variables' images, powered and multiplied
+# one by one, the pieces added up. Kept as the reference for Substitution.
+
+def termwise_substitute(x, images):
+    acc = GradedPoly.zero(TABLE)
+    for m in x.monos:
+        pairs = TABLE.exponents(m)
+        piece = GradedPoly(TABLE, (TABLE.pack(p for p in pairs if p[0] not in images),))
+        for i, k in pairs:
+            if i in images:
+                piece = piece * images[i] ** k
+        acc = acc + piece
+    return acc
+
+
+# one memo per map, shared by every draw; near-limit monomials overflow
+# once mapped, through a cached image or a new one
+_SUBSTITUTIONS = [Substitution(TABLE, 'c', _clearing),
+                  Substitution(TABLE, 'X', lambda n: GradedPoly.var_of(TABLE, 'c', n - 1) * e(-1)
+                               + e(-n)),
+                  Substitution(TABLE, 'a', lambda d: GradedPoly.var(TABLE, 'a%d' % d) + C1 ** d)]
+_SUB_POOL = [mono(), mono(('a2', 1)), mono(('c1', 1)), mono(('c2', 1), ('a2', 1)),
+             mono(('c1', 2), ('e', -1)), mono(('X2', 1)), mono(('X3', 1), ('c1', 1)),
+             mono(('X2', 2), ('a4', 1), ('e', 3)), mono(('e', -2)),
+             mono(('c1', 1), ('a2', 7)), mono(('X2', 1), ('a2', 6), ('c1', 1)),
+             mono(('c1', 15)), mono(('a5', 3))]
+
+
+@given(st.sets(st.sampled_from(_SUB_POOL), max_size=5), st.sampled_from(_SUBSTITUTIONS))
+def test_substitution_matches_the_termwise_reference(ms, sub):
+    x = GradedPoly(TABLE, ms)
+    try:
+        expected = termwise_substitute(x, sub.images)
+    except CapacityError:
+        with pytest.raises(CapacityError):
+            sub(x)
+    else:
+        assert sub(x) == expected
+
+
 def test_overflow_raises_capacity_error():
     limit = TABLE.limit
     # a single variable, a product and a power past the fields' limit
@@ -322,10 +369,27 @@ def test_families_and_the_one_enumerator():
 
 def test_substitute():
     x = C1 * e(1) + A2
-    image = x.substitute({TABLE.index('c1'): e(1) * X2 + e(-1)})
+    image = Substitution(TABLE, 'c', _clearing)(x)
     assert image == e(2) * X2 + GradedPoly.one(TABLE) + A2
     with pytest.raises(ContractViolation):
-        e(-1).substitute({TABLE.index('e'): C1})
+        Substitution(TABLE, 'e', lambda _: C1)(e(-1))
+
+
+def test_substitution_checks_what_its_memo_holds():
+    sub = Substitution(TABLE, 'c', _clearing)
+    assert sub(C1) == e(1) * X2 + e(-1)
+    # the image of c1 is kept; a2^7*c1 fits the table, its image a2^7*X2*e does not
+    top = GradedPoly.var(TABLE, 'a2', TABLE.limit // 2)
+    assert (top * C1).degree() == TABLE.limit
+    with pytest.raises(CapacityError):
+        sub(top * C1)
+    # a negative power of a mapped variable is refused with positive ones kept
+    sub = Substitution(TABLE, 'e', lambda _: C1)
+    assert sub(e(2) + e(1)) == C1 ** 2 + C1
+    with pytest.raises(ContractViolation):
+        sub(e(-1))
+    with pytest.raises(ContractViolation):
+        sub(e(2) * A2 + e(-1))
 
 
 _DEG2 = [mono(('a2', 1)), mono(('c1', 2)), mono(('X2', 1)),

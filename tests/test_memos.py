@@ -1,0 +1,91 @@
+"""The ring maps' per-session memos: answers do not depend on what came before.
+
+localize and alpha keep images by G factors and e power, the clearing
+substitutions by c or X part, delta and the mapping torus by b part, and
+the phi walk by expression. Each answer must be the one a fresh session
+gives, whatever the session asked before; and an image taken from a memo
+must still be refused when the rest it is shifted by carries it past the
+table's limit.
+"""
+
+import pytest
+
+from bordcalc.conner_floyd import GammaOf, ProductOf, Trivial
+from bordcalc.errors import CapacityError
+from bordcalc.gf2 import GradedPoly, SparseSum
+from bordcalc.presentation import FormalMonomial, Presentation
+from bordcalc.session import Session
+from bordcalc.verify import ac_monomials
+
+DEGREE = 8
+
+
+def _inputs(session):
+    """(map, argument) pairs: the degree <= 8 basis, catalog, Laurent samples and
+    bundle monomials, in a fixed order."""
+    geo, mo, L = session.geometry, session.mo, session.laurent
+    exprs = geo.catalog_expressions(DEGREE)
+    basis = [mo.single(fm) for d in range(DEGREE + 1) for fm in mo.basis_monomials(d)]
+    laurent = [mono * L.e(t) for d in range(DEGREE + 1) for mono in ac_monomials(L, d)
+               for t in (0, -1, -d - 1)]
+    bundles = [p for d in range(DEGREE + 1) for p in geo.bundle_monomials(d)]
+    bundles += [geo.phi(x) for x in exprs]
+    return ([('localize', x) for x in basis] + [('alpha', x) for x in basis]
+            + [('phi', x) for x in exprs] + [('underlying', x) for x in exprs]
+            + [('clear', x) for x in laurent]
+            + [('delta', p) for p in bundles] + [('dictionary', p) for p in bundles])
+
+
+def _port(session, x):
+    """x rebuilt over session's table; tables of one cap share their layout."""
+    if isinstance(x, SparseSum):
+        return type(x)(session.table, x.monos)
+    if isinstance(x, Trivial):
+        return Trivial(_port(session, x.coef))
+    if isinstance(x, GammaOf):
+        return GammaOf(_port(session, x.inner))
+    if isinstance(x, ProductOf):
+        return ProductOf(tuple(_port(session, f) for f in x.factors))
+    return x
+
+
+def _answer(session, name, x):
+    geo, mo, L = session.geometry, session.mo, session.laurent
+    x = _port(session, x)
+    if name == 'clear':
+        n, p = L.clear_denominators(x)
+        return n, p.to_text(), L.eval_cleared(p).to_text()
+    fn = {'localize': mo.localize, 'alpha': mo.alpha, 'phi': geo.phi,
+          'underlying': geo.underlying, 'delta': geo.delta, 'dictionary': geo.dictionary}[name]
+    return fn(x).to_text()
+
+
+def test_answers_do_not_depend_on_history():
+    # each input first in a session of its own, then all of them in one
+    # session forwards and in another backwards: the later answers come
+    # from memos the earlier inputs filled
+    inputs = _inputs(Session())
+    assert {name for name, _ in inputs} == {'localize', 'alpha', 'phi', 'underlying',
+                                            'clear', 'delta', 'dictionary'}
+    fresh = [_answer(Session(), name, x) for name, x in inputs]
+    for order in (range(len(inputs)), reversed(range(len(inputs)))):
+        session = Session()
+        for k in order:
+            assert _answer(session, *inputs[k]) == fresh[k], inputs[k]
+
+
+def test_cached_images_are_checked_for_overflow():
+    session = Session()
+    table, mo, geo = session.table, session.mo, session.geometry
+    a2 = table.index('a2')
+    top = table.pack(((a2, table.limit // 2),))
+    # loc(X3) = c2*e^-1 + e^-3: a2^31 times it passes the limit
+    assert mo.localize(mo.X(3)).to_text() == 'c2*e^-1 + e^-3'
+    with pytest.raises(CapacityError):
+        mo.localize(Presentation(table, [FormalMonomial(top, ((0, 3),), 0)]))
+    # the torus of the fixed data b1 is RP(2), a class of one degree more
+    b1 = geo.b(1)
+    assert geo._torus(b1).to_text() == 'a2'
+    fixed = GradedPoly(table, (top,)) * b1
+    with pytest.raises(CapacityError):
+        geo._torus(fixed)
