@@ -34,25 +34,30 @@ from .gf2 import GradedPoly, ModulePoly, map_monos
 
 
 class _Expr:
-    """A manifold expression: a value of its type and one field, the one __slots__ names."""
+    """A manifold expression: a value of its type and one field, the one __slots__ names.
 
-    __slots__ = ()
+    An expression does not change once built, so its hash is computed once,
+    when it is built, and kept in _hash.
+    """
+
+    __slots__ = ('_hash',)
 
     def __init__(self, value):
         setattr(self, self.__slots__[0], value)
-
-    def _fields(self):
-        return (getattr(self, self.__slots__[0]),)
+        self._hash = hash((value,))
 
     def __eq__(self, other):
-        return (self._fields() == other._fields() if other.__class__ is self.__class__
-                else NotImplemented)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        slot = self.__slots__[0]
+        return self._hash == other._hash and getattr(self, slot) == getattr(other, slot)
 
     def __hash__(self):
-        return hash(self._fields())
+        return self._hash
 
     def __repr__(self):
-        return '%s(%s=%r)' % (type(self).__name__, self.__slots__[0], *self._fields())
+        slot = self.__slots__[0]
+        return '%s(%s=%r)' % (type(self).__name__, slot, getattr(self, slot))
 
 
 class Proj(_Expr):
@@ -63,7 +68,7 @@ class Proj(_Expr):
     def __init__(self, n):
         if n < 1:
             raise ContractViolation('Proj(n) needs n >= 1')
-        self.n = n
+        super().__init__(n)
 
     @property
     def dim(self):
@@ -88,7 +93,7 @@ class ProductOf(_Expr):
     def __init__(self, factors):
         if not factors:
             raise ContractViolation('empty product')
-        self.factors = factors
+        super().__init__(tuple(factors))
 
     @property
     def dim(self):
@@ -114,7 +119,7 @@ class AntipodalSphere(_Expr):
     def __init__(self, j):
         if j < 0:
             raise ContractViolation('AntipodalSphere(j) needs j >= 0')
-        self.j = j
+        super().__init__(j)
 
     @property
     def dim(self):
@@ -172,6 +177,12 @@ class Geometry:
     def is_bundle(self, poly):
         """True when poly is supported on the a_d and b_i variables."""
         return poly.uses_only('ab')
+
+    def _require_bundle(self, poly, what):
+        if poly.table is not self.table:
+            raise ContractViolation('%s input uses a foreign variable table' % what)
+        if not self.is_bundle(poly):
+            raise ContractViolation('%s takes bundle-algebra elements' % what)
 
     def bundle_monomials(self, d):
         """All bundle-algebra monomials of degree d, coefficient included."""
@@ -260,16 +271,14 @@ class Geometry:
 
         b_i^x goes to c_{i-1}^x e^{-x}, monomials one to one: nothing cancels.
         """
-        if not self.is_bundle(poly):
-            raise ContractViolation('dictionary takes bundle-algebra elements')
+        self._require_bundle(poly, 'dictionary')
         exponents, step = self.table.exponents, self._dict_step
         return GradedPoly(self.table, frozenset(
             m + sum(x * step[i] for i, x in exponents(m) if i in step) for m in poly.monos))
 
     def delta(self, poly):
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
-        if not self.is_bundle(poly):
-            raise ContractViolation('delta takes bundle-algebra elements')
+        self._require_bundle(poly, 'delta')
         return FreeBZ2Elem(self.table, map_monos(
             self.table, poly.monos, self._b_fields, self._delta_cache, self._delta_image))
 

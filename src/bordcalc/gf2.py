@@ -76,7 +76,7 @@ class VarTable:
 
     __slots__ = ('names', 'degrees', 'invertible', 'limit', 'units', 'efree_mask',
                  'e_shift', 'e_degree', '_index', '_shifts', '_owner', '_guard',
-                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials')
+                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials', '_decoded')
 
     def __init__(self, variables, limit, invertible=None):
         """variables: (family, subscript, degree) triples in table order, the
@@ -130,14 +130,17 @@ class VarTable:
             self.e_degree = self.degrees[self.invertible]
         self._masks = {}
         self._monomials = {}
+        self._decoded = {}
 
     def mask(self, letters):
         """The bits of the named families' fields; e's are every bit of its power."""
-        if letters not in self._masks:
+        mask = self._masks.get(letters)
+        if mask is None:
             idxs = {i for letter in letters for i in self.subscripts[letter]}
-            self._masks[letters] = (sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
-                                    | (-1 << self.e_shift if self.invertible in idxs else 0))
-        return self._masks[letters]
+            mask = self._masks[letters] = (
+                sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
+                | (-1 << self.e_shift if self.invertible in idxs else 0))
+        return mask
 
     def monomials(self, d, indices):
         """The monomials of e-free degree d in the variables of the tuple indices,
@@ -193,6 +196,13 @@ class VarTable:
         if k:
             out.append((self.invertible, k))
         return tuple(out)
+
+    def decoded(self, m):
+        """exponents(m), kept: sort keys decode the same coefficients over and over."""
+        out = self._decoded.get(m)
+        if out is None:
+            out = self._decoded[m] = self.exponents(m)
+        return out
 
     def text(self, m):
         """Canonical text of one monomial: the invertible variable last."""
@@ -335,18 +345,19 @@ class SparseSum:
     """A GF(2) sum: a finite set of monomials over a shared VarTable.
 
     The sum protocol is written once here. A subclass names its kind of
-    monomial through mono_degree(table, m), unit (the monomial of 1),
-    mono_mul (the product of two monomials, commutative and one-to-one in
-    each argument) and _checked(monos) (the products of one multiplication,
-    passed on unless one overflowed a packed field); operands of + and *
-    must be of one subclass over one table.
+    monomial through mono_degree(table, m) and unit (the monomial of 1),
+    and multiplies in its own __mul__: product_monos, or a shift when one
+    operand is a single term that allows it, refusing a product that
+    overflowed a packed field. Operands of + and * must be of one subclass
+    over one table.
     """
 
     __slots__ = ('table', 'monos')
 
     def __init__(self, table, monos=()):
         self.table = table
-        self.monos = monos if isinstance(monos, frozenset) else frozenset(monos)
+        # a frozenset is kept as it is, not copied
+        self.monos = frozenset(monos)
 
     @classmethod
     def zero(cls, table):
@@ -368,11 +379,6 @@ class SparseSum:
         return type(self)(self.table, self.monos ^ other.monos)
 
     __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other):
-        self._check_peer(other)
-        return type(self)(self.table, self._checked(
-            product_monos(self.monos, other.monos, self.mono_mul)))
 
     def __pow__(self, n):
         return power(self, n, self.one(self.table))
@@ -417,11 +423,20 @@ class GradedPoly(SparseSum):
 
     __slots__ = ()
     mono_degree = staticmethod(mono_degree)
-    mono_mul = staticmethod(operator.add)
     unit = MONO_ONE
 
-    def _checked(self, monos):
-        return self.table.checked(monos)
+    def __mul__(self, other):
+        self._check_peer(other)
+        table, monos, shift = self.table, self.monos, other.monos
+        if len(monos) == 1:
+            monos, shift = shift, monos
+        if len(shift) != 1:
+            return type(self)(table, table.checked(product_monos(monos, shift)))
+        # times one monomial: a shift, one to one, and only a term of
+        # e-free degree can carry the product past the limit
+        (m,) = shift
+        out = frozenset([v + m for v in monos])
+        return type(self)(table, table.checked(out) if m & table.efree_mask else out)
 
     @classmethod
     def var(cls, table, name, exp=1):
@@ -469,17 +484,19 @@ class Substitution:
     A monomial part * rest, part its factors in the family, goes to
     image(part) * rest. The image of a part is the product of its
     variables' images, computed once for the life of the map and kept in
-    _image_cache by the part's fields. Variables of the family must occur
-    with nonnegative exponents only.
+    _image_cache by the part's fields; the powers it multiplies are kept
+    in _powers by (variable index, exponent). Variables of the family must
+    occur with nonnegative exponents only.
     """
 
-    __slots__ = ('table', 'images', 'mask', '_image_cache')
+    __slots__ = ('table', 'images', 'mask', '_image_cache', '_powers')
 
     def __init__(self, table, family, image):
         self.table = table
         self.images = {idx: image(sub) for idx, sub in table.subscripts[family].items()}
         self.mask = table.mask(family)
         self._image_cache = {}
+        self._powers = {}
 
     def __call__(self, x):
         """The image of the polynomial x."""
@@ -489,11 +506,16 @@ class Substitution:
             self.table, x.monos, self.mask, self._image_cache, self._image))
 
     def _image(self, part):
+        # the part of a monomial free of the family is 1
         out = GradedPoly.one(self.table)
-        for idx, x in self.table.exponents(part):
-            if x < 0:
+        for key in self.table.exponents(part):
+            if key[1] < 0:
                 raise ContractViolation('cannot substitute into a negative power')
-            out = out * self.images[idx] ** x
+            value = self._powers.get(key)
+            if value is None:
+                idx, x = key
+                value = self._powers[key] = self.images[idx] ** x
+            out = out * value
         return out.monos
 
 

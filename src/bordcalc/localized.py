@@ -40,8 +40,8 @@ class LaurentRing:
         return GradedPoly.one(self.table)
 
     def e(self, k=1):
-        """Euler class power e^k, any integer k."""
-        return GradedPoly.var(self.table, 'e', k)
+        """Euler class power e^k, any integer k: the monomial k * 2^e_shift."""
+        return GradedPoly(self.table, (k << self.table.e_shift,))
 
     def c(self, j):
         """Stable projective class c_j; c_0 = 1."""
@@ -95,12 +95,10 @@ class LaurentRing:
         if not x:
             return 0, x
         n1 = max(0, -x.min_inv_exp())
-        y = self.e(n1) * x if n1 else x
-        if not y.uses_only('ae'):
-            y = self._clear_c(y)
-        n2 = max(0, -y.min_inv_exp()) if y else 0
-        p = self.e(n2) * y if n2 else y
-        return n1 + n2, p
+        # the substitution fixes e, so both clearing shifts are one shift after it
+        y = x if x.uses_only('ae') else self._clear_c(x)
+        n = n1 + (max(0, -(y.min_inv_exp() + n1)) if y else 0)
+        return n, self.e(n) * y if n else y
 
     def eval_cleared(self, p):
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""

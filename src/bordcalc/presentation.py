@@ -46,13 +46,12 @@ the measure (Gamma count, total Gamma weight, ordering violations)
 lexicographically, and a fuel cap backs that argument up at runtime.
 """
 
-import operator
 from collections import namedtuple
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (Echelon, GradedPoly, MONO_ONE, ModulePoly, SparseSum, mono_degree,
-                  mono_key, parity, sum_of_images)
+                  mono_key, parity, product_monos, sum_of_images)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -93,11 +92,6 @@ class FormalMonomial(namedtuple('FormalMonomial', 'coef gammas epow')):
                 + sum(i + n for i, n in self.gammas) - self.epow)
 
 
-# a formal monomial's (gammas, epow) and coef, as the ring maps split it
-_gammas_and_epow = operator.itemgetter(1, 2)
-_coef = operator.itemgetter(0)
-
-
 def fm_mul(f1, f2):
     return FormalMonomial(f1.coef + f2.coef,
                           tuple(sorted(f1.gammas + f2.gammas)),
@@ -113,19 +107,31 @@ def _checked(table, fms):
 def fm_key(table, fm):
     # the coefficient compares decoded, as the exponent tuples it was
     # before it was packed, so the text's term order stays the same
-    return (fm.gammas, fm.epow, table.exponents(fm.coef))
+    return (fm.gammas, fm.epow, table.decoded(fm.coef))
 
 
 class Presentation(SparseSum):
     """A GF(2) sum of formal monomials over a shared variable table."""
 
     __slots__ = ()
-    mono_mul = staticmethod(fm_mul)
     mono_degree = staticmethod(lambda table, fm: fm.degree(table))
     unit = FormalMonomial(MONO_ONE, (), 0)
 
-    def _checked(self, monos):
-        return _checked(self.table, monos)
+    def __mul__(self, other):
+        self._check_peer(other)
+        table, monos, shift = self.table, self.monos, other.monos
+        if len(monos) == 1:
+            monos, shift = shift, monos
+        if len(shift) == 1:
+            (f,) = shift
+            if not f.gammas:
+                # times c*e^k, a shift: the factors stay as they are, so
+                # each monomial stays valid, and only c can overflow
+                out = frozenset([tuple.__new__(FormalMonomial, (fm.coef + f.coef, fm.gammas,
+                                                               fm.epow + f.epow))
+                                 for fm in monos])
+                return Presentation(table, _checked(table, out) if f.coef else out)
+        return Presentation(table, _checked(table, product_monos(monos, shift, fm_mul)))
 
     def size(self):
         """(largest size, largest coefficient degree), for CoefRing.check_size."""
@@ -214,10 +220,18 @@ class BordismRing:
         # alpha(G(i, n)) and loc(G(i, n)), by (i, n)
         self._alpha_gamma_cache = {}
         self._loc_gamma_cache = {}
-        # the images under alpha and localize of G factors times e^k, by (gammas, k)
+        # the images under alpha and localize of a product of G factors, by its factors
         self._alpha_cache = {}
         self._localize_cache = {}
         self._x_cache = {}
+        # basis_monomials(d, e_cap), by (d, e_cap)
+        self._basis_cache = {}
+
+    def _own(self, x):
+        """x, unless it was built over another session's table."""
+        if x.table is not self.table:
+            raise ContractViolation('the element uses a foreign variable table')
+        return x
 
     # --- constructors ---------------------------------------------------
 
@@ -274,37 +288,31 @@ class BordismRing:
         so an e-free term of degree past the cap is refused through
         CoefRing.check_size before anything is computed.
         """
-        table = self.table
-        top = max((fm.degree(table) for fm in x.monos if not fm.epow), default=0)
+        table = self._own(x).table
+        # alpha sends e to 0
+        kept = [fm for fm in x.monos if not fm.epow]
+        top = max((fm.degree(table) for fm in kept), default=0)
         self.coef.check_size('augmentation, which must lie in N_* up to the cap, has degree',
                              top, top)
-        return self._evaluate(x, self._alpha_cache, self._alpha_image)
+        return self._evaluate(((fm.gammas, fm.coef) for fm in kept), self._alpha_cache,
+                              self._alpha_gamma)
 
-    def _evaluate(self, x, cache, image):
-        """The ring map fixing N_* whose image of G factors times e^k is image((gammas, k)).
+    def _evaluate(self, pieces, cache, factor_value):
+        """The sum over (gammas, rest) in pieces of rest times the product of
+        factor_value(i, n) over the factors G(i, n) in gammas, a GradedPoly.
 
-        A monomial c*g goes to c times the image of g, which cache keeps by
-        (gammas, k).
+        cache keeps the products by gammas, so each is computed once and
+        each piece costs a shift by its rest.
         """
-        monos = x.monos
-        return GradedPoly(self.table, sum_of_images(
-            self.table, zip(map(_gammas_and_epow, monos), map(_coef, monos)), cache, image))
+        def image(gammas):
+            val = GradedPoly.one(self.table)
+            for i, n in gammas:
+                if not val:
+                    break
+                val = val * factor_value(i, n)
+            return MONO_ONE, val.monos
 
-    def _alpha_image(self, key):
-        gammas, k = key
-        # alpha sends e to 0
-        if k:
-            return MONO_ONE, ()
-        return MONO_ONE, self._times_factors(GradedPoly.one(self.table), gammas,
-                                             self._alpha_gamma)
-
-    def _times_factors(self, val, gammas, factor_value):
-        """The monomials of val times factor_value(i, n) over the factors G(i, n)."""
-        for i, n in gammas:
-            if not val:
-                break
-            val = val * factor_value(i, n)
-        return val.monos
+        return GradedPoly(self.table, sum_of_images(self.table, pieces, cache, image))
 
     def _alpha_gamma(self, i, n):
         """alpha(G(i, n)), read off the fixed data of loc(G(i, n)) term by term.
@@ -337,16 +345,25 @@ class BordismRing:
 
     def gamma(self, x):
         """The Gamma operator: the unique y with e*y = x + bar(x)."""
-        acc = self.zero()
-        for fm in x.monos:
-            acc = acc + self._gamma_mono(fm)
-        return acc
+        return self._gamma(self._own(x))
+
+    def _gamma(self, x):
+        # gamma without the table check, for the rewrite rules
+        monos = x.monos
+        if len(monos) == 1:
+            for fm in monos:
+                return Presentation(self.table, self._gamma_mono(fm))
+        odd = set()
+        for fm in monos:
+            odd.symmetric_difference_update(self._gamma_mono(fm))
+        return Presentation(self.table, frozenset(odd))
 
     def _gamma_mono(self, fm):
+        """The monomials of Gamma(fm), a list without repeats."""
         if fm.epow:
             # x = e*z has bar(x) = 0 and e-multiplication is injective, so
             # Gamma(e*z) = z
-            return self.single(FormalMonomial(fm.coef, fm.gammas, fm.epow - 1))
+            return [FormalMonomial(fm.coef, fm.gammas, fm.epow - 1)]
         # the product rule unrolled, in the order the module docstring fixes;
         # head is c*ubar_1*...*ubar_k, and the last factor's ubar is not needed
         factors = fm.gamma_factors() + [(0, n) for n in fm.x_indices()]
@@ -362,27 +379,33 @@ class BordismRing:
             if not head:
                 break
         # the terms of different k differ in their factor count: none cancel
-        return Presentation(self.table, out)
+        return out
 
     def divide_e(self, x):
         """The exact quotient x / e, which exists iff alpha(x) = 0."""
         c = self.alpha(x)
         if c:
             raise NotDivisible(c)
-        return self.gamma(x)
+        return self._gamma(x)
 
     # --- normal form ------------------------------------------------------
 
     def normal_form(self, x, fuel=None):
         """Rewrite onto the additive basis; raises FuelExhausted when starved."""
         budget = [self.fuel if fuel is None else _fuel(fuel)]
-        return self._nf_pres(x, budget)
+        return self._nf_pres(self._own(x), budget)
 
     def _nf_pres(self, x, budget):
-        acc = self.zero()
-        for fm in x.monos:
-            acc = acc + self._nf_mono(fm, budget)
-        return acc
+        # term by term in sorted order: where fuel runs out depends on the
+        # terms of x, not on the order its set happens to iterate in
+        monos = x.monos
+        if len(monos) == 1:
+            for fm in monos:
+                return self._nf_mono(fm, budget)
+        odd = set()
+        for fm in sorted(monos):
+            odd ^= self._nf_mono(fm, budget).monos
+        return Presentation(self.table, frozenset(odd))
 
     def _nf_mono(self, fm, budget):
         # each entry keeps the rewrite steps it cost, hits included, and a
@@ -436,7 +459,7 @@ class BordismRing:
         pool.remove(v)
         rest = self.single(FormalMonomial(fm.coef, tuple(pool), 0))
         inner = FormalMonomial(MONO_ONE, tuple(sorted([(i - 1, m), v])), 0)
-        g = self.gamma(self._nf_mono(inner, budget))
+        g = self._gamma(self._nf_mono(inner, budget))
         second = FormalMonomial(fm.coef, tuple(sorted(pool + [(j + 1, n)])), 0)
         return (self._nf_pres(g * rest, budget)
                 + self._nf_alpha(i - 1, m, second, budget))
@@ -445,11 +468,9 @@ class BordismRing:
 
     def localize(self, x):
         """Image in the Laurent model: X_n -> loc_P(n), G(i, n) -> _loc_gamma(i, n)."""
-        return self._evaluate(x, self._localize_cache, self._localize_image)
-
-    def _localize_image(self, key):
-        gammas, k = key
-        return MONO_ONE, self._times_factors(self.laurent.e(k), gammas, self._loc_gamma)
+        e = self.table.units[self.table.invertible]
+        return self._evaluate(((fm.gammas, fm.coef + fm.epow * e) for fm in self._own(x).monos),
+                              self._localize_cache, self._loc_gamma)
 
     def _loc_gamma(self, i, n):
         """loc(G(i, n)) = e^-1 (loc(G(i-1, n)) + alpha(G(i-1, n))): e*Gamma(x) = x + xbar."""
@@ -498,11 +519,15 @@ class BordismRing:
         if e_cap < 0:
             raise ContractViolation('the e cap must be nonnegative, got %d' % e_cap)
         self.coef.check_size('basis monomials of degree plus e power', d + e_cap, d + e_cap)
-        out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
-               for coef, xs in self._coef_and_xs(d + k, 2)]
-        out.extend(self._type_b(d))
-        out.sort(key=lambda fm: fm_key(self.table, fm))
-        return out
+        out = self._basis_cache.get((d, e_cap))
+        if out is None:
+            out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
+                   for coef, xs in self._coef_and_xs(d + k, 2)]
+            out.extend(self._type_b(d))
+            out.sort(key=lambda fm: fm_key(self.table, fm))
+            out = self._basis_cache[d, e_cap] = tuple(out)
+        # a fresh list each call: the caller may change it
+        return list(out)
 
     def basis_monomials_window(self, d, t_max):
         """Basis monomials of degree d that a class topping out at e^t_max can use.

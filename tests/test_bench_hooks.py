@@ -161,7 +161,8 @@ def test_each_map_keeps_its_images_in_a_named_cache():
     x = mo.G(1, 2) * mo.X(3) + mo.e(2) * mo.X(2)
     mo.localize(x)
     mo.alpha(x)
-    assert len(mo._localize_cache) == 2 and len(mo._alpha_cache) == 2
+    # alpha sends e to 0, so e^2*X2 never reaches its cache
+    assert len(mo._localize_cache) == 2 and len(mo._alpha_cache) == 1
     expr = geo.catalog_expressions(4)[-1]
     geo.underlying(expr)
     assert expr in geo._walk_cache

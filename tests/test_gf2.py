@@ -13,7 +13,7 @@ from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, Substitution, mono_degr
                           partitions, poly_rank, rank_sets, solve_gf2, solve_sets,
                           standard_table)
 from bordcalc.conner_floyd import FreeBZ2Elem
-from bordcalc.presentation import FormalMonomial, Presentation, QuotientElem
+from bordcalc.presentation import FormalMonomial, Presentation, QuotientElem, fm_mul
 from test_coefficients import _partition_count
 
 TABLE = standard_table((2, 4, 5), 6)
@@ -234,6 +234,67 @@ def test_packed_monomials_match_the_tuple_reference(t1, t2):
     else:
         with pytest.raises(CapacityError):
             p1 * p2
+
+
+# A product with a one-term operand is a shift of the other operand's
+# monomials; the general product is the reference. Near-limit monomials and
+# huge e powers are in the pools, so overflow is drawn as well.
+_LIMIT = TABLE.limit
+_SHIFTS = _POOL + [mono(('c1', _LIMIT)), mono(('a2', _LIMIT // 2)), mono(('e', 10 ** 8)),
+                   mono(('e', -10 ** 8)), mono(('a2', 1), ('e', 10 ** 8))]
+_FACTORS = _POOL + [mono(('c1', _LIMIT - 1)), mono(('a2', 3), ('X2', 1))]
+
+
+@given(st.sets(st.sampled_from(_FACTORS), max_size=6), st.sampled_from(_SHIFTS))
+def test_one_term_products_match_the_general_product(ms, m):
+    p, q = GradedPoly(TABLE, ms), GradedPoly(TABLE, (m,))
+    try:
+        expected = TABLE.checked(gf2.product_monos(p.monos, q.monos))
+    except CapacityError:
+        for x, y in ((p, q), (q, p)):
+            with pytest.raises(CapacityError):
+                x * y
+    else:
+        assert (p * q).monos == expected and (q * p).monos == expected
+
+
+# presentations shift by c*e^k too; near-limit coefficients overflow
+_FM_SHIFTS = _FM_POOL + [FormalMonomial(mono(('a2', _LIMIT // 2)), (), 0),
+                         FormalMonomial(mono(('a4', 1)), (), 10 ** 8),
+                         FormalMonomial(mono(('a2', _LIMIT // 2)), ((0, 2),), 1)]
+
+
+@given(presentations, st.sampled_from(_FM_SHIFTS))
+def test_one_term_presentation_products_match_the_general_product(p, f):
+    q = Presentation(TABLE, (f,))
+    try:
+        expected = gf2.product_monos(p.monos, q.monos, fm_mul)
+        TABLE.checked(fm.coef for fm in expected)
+    except CapacityError:
+        for x, y in ((p, q), (q, p)):
+            with pytest.raises(CapacityError):
+                x * y
+    else:
+        assert (p * q).monos == expected and (q * p).monos == expected
+
+
+def test_one_term_products_keep_their_checks():
+    top = GradedPoly.var(TABLE, 'c1', _LIMIT)
+    # a one-term factor of e-free degree still carries a product past the limit
+    for p, q in ((top + A2 + e(3), A2 * e(2)), (C1, top * e(-4)), (top, top)):
+        for x, y in ((p, q), (q, p)):
+            with pytest.raises(CapacityError):
+                x * y
+    # a pure e power has none, and shifts any power without a check
+    x = (A2 + C1 * e(-1)) * e(10 ** 8)
+    assert (x.max_inv_exp(), x.min_inv_exp()) == (10 ** 8, 10 ** 8 - 1)
+    assert e(-10 ** 8) * x == A2 + C1 * e(-1)
+    assert (top * e(10 ** 8)).degree() == _LIMIT - 10 ** 8
+    # free-module values are not multiplied, by one term or by another value
+    s = FreeBZ2Elem(TABLE, {0: A2})
+    for x, y in ((s, s), (s, A2), (A2, s), (s, FreeBZ2Elem(TABLE, {1: A2 + X2}))):
+        with pytest.raises(ContractViolation):
+            x * y
 
 
 # The term-by-term substitution the memoized maps replaced: each monomial's

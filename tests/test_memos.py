@@ -1,11 +1,11 @@
 """The ring maps' per-session memos: answers do not depend on what came before.
 
-localize and alpha keep images by G factors and e power, the clearing
-substitutions by c or X part, delta and the mapping torus by b part, and
-the phi walk by expression. Each answer must be the one a fresh session
-gives, whatever the session asked before; and an image taken from a memo
-must still be refused when the rest it is shifted by carries it past the
-table's limit.
+localize and alpha keep images by G factors alone, the clearing
+substitutions by c or X part, delta and the mapping torus by b part, the
+phi walk by expression, and basis_monomials its lists by degree and e
+cap. Each answer must be the one a fresh session gives, whatever the
+session asked before; and an image taken from a memo must still be
+refused when the rest it is shifted by carries it past the table's limit.
 """
 
 import pytest
@@ -26,6 +26,11 @@ def _inputs(session):
     geo, mo, L = session.geometry, session.mo, session.laurent
     exprs = geo.catalog_expressions(DEGREE)
     basis = [mo.single(fm) for d in range(DEGREE + 1) for fm in mo.basis_monomials(d)]
+    # G factors times e^k share one memo entry with the e-free monomial:
+    # localize shifts it by e^k, alpha sends it to 0
+    towers = [mo.single(fm) for d in range(DEGREE + 1) for fm in mo.basis_monomials(d)
+              if fm.gamma_factors()]
+    basis += [x * mo.e(k) for x in towers for k in (1, 2)] + [x + x * mo.e(1) for x in towers]
     laurent = [mono * L.e(t) for d in range(DEGREE + 1) for mono in ac_monomials(L, d)
                for t in (0, -1, -d - 1)]
     bundles = [p for d in range(DEGREE + 1) for p in geo.bundle_monomials(d)]
@@ -89,3 +94,18 @@ def test_cached_images_are_checked_for_overflow():
     fixed = GradedPoly(table, (top,)) * b1
     with pytest.raises(CapacityError):
         geo._torus(fixed)
+
+
+def test_basis_lists_do_not_depend_on_history():
+    warm = Session()
+    for d in range(DEGREE + 1):
+        warm.mo.basis_monomials(d)
+    for d in range(-2, DEGREE + 1):
+        for e_cap in (None, 0, 5):
+            fresh = Session().mo.basis_monomials(d, e_cap)
+            kept = warm.mo.basis_monomials(d, e_cap)
+            assert kept == fresh
+            # each call hands out a list of its own
+            kept.reverse()
+            kept.append(None)
+            assert warm.mo.basis_monomials(d, e_cap) == fresh

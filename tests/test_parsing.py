@@ -12,6 +12,7 @@ from bordcalc.conner_floyd import (AntipodalSphere, GammaOf, Proj, ProductOf,
 from bordcalc.errors import BordcalcError, CapacityError, ParseError
 from bordcalc.parsing import (parse_bundle, parse_coefficient, parse_laurent,
                               parse_manifold, parse_presentation, parse_space)
+from bordcalc.presentation import Presentation
 from bordcalc.session import Session
 
 
@@ -343,7 +344,9 @@ def test_a_product_of_atoms_is_one_monomial(monkeypatch):
             return method(*args)
         return wrapper
 
-    monkeypatch.setattr(gf2.SparseSum, '__mul__', counted('mul', gf2.SparseSum.__mul__))
+    # each kind of sum multiplies on its own: count the products of both
+    for cls in (gf2.GradedPoly, Presentation):
+        monkeypatch.setattr(cls, '__mul__', counted('mul', cls.__mul__))
     monkeypatch.setattr(CoefRing, 'check_size', counted('check_size', CoefRing.check_size))
     big, sess = Session(24), Session()
     product = 'X3*X3*G(1,3)*G(2,5)*a2^2*e'

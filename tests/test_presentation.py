@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
                              NotDivisible)
-from bordcalc.gf2 import GradedPoly, poly_rank
-from bordcalc.parsing import parse_laurent
-from bordcalc.presentation import UNDECIDED, BordismRing, FormalMonomial, QuotientElem
+from bordcalc.gf2 import GradedPoly, parity, poly_rank
+from bordcalc.parsing import parse_laurent, parse_presentation
+from bordcalc.presentation import (UNDECIDED, BordismRing, FormalMonomial, Presentation,
+                                   QuotientElem)
 from bordcalc.session import Session
 
 
@@ -390,3 +391,84 @@ def test_member_rejects_conner_floyd_non_members(sess):
             assert mo.member(extra) is None
             for fm in mo.basis_monomials(d, e_cap=2):
                 assert mo.member(mo.localize(mo.single(fm)) + extra) is None
+
+
+def termwise_nf_pres(mo, x, budget):
+    # the per-term loop one-pass _nf_pres replaced, as a reference, in the
+    # same sorted order: fuel runs out at the same step
+    acc = mo.zero()
+    for fm in sorted(x.monos):
+        acc = acc + mo._nf_mono(fm, budget)
+    return acc
+
+
+def termwise_gamma(mo, x):
+    # the per-term loop one-pass _gamma replaced, as a reference
+    acc = mo.zero()
+    for fm in x.monos:
+        acc = acc + Presentation(mo.table, mo._gamma_mono(fm))
+    return acc
+
+
+def _termwise_session():
+    session = Session()
+    mo = session.mo
+    mo._nf_pres = lambda x, budget: termwise_nf_pres(mo, x, budget)
+    mo._gamma = lambda x: termwise_gamma(mo, x)
+    return session
+
+
+# two sessions shared across draws, so their memos fill as a session's do
+_ONE_PASS, _TERMWISE = Session(), _termwise_session()
+
+_terms = st.tuples(st.lists(st.tuples(st.integers(0, 3), st.integers(2, 5)), max_size=3),
+                   st.lists(st.sampled_from((2, 4, 5)), max_size=2), st.integers(0, 2))
+
+
+def _sum_of_terms(session, terms):
+    coef, fms = session.coef, []
+    for factors, coef_degrees, epow in terms:
+        c = coef.one()
+        for d in coef_degrees:
+            c = c * coef.a(d)
+        fms.append(FormalMonomial(next(iter(c.monos)), tuple(sorted(factors)), epow))
+    return Presentation(session.table, parity(fms))
+
+
+def _nf_run(session, x, fuel):
+    budget = [fuel]
+    try:
+        out = session.mo._nf_pres(x, budget).to_text()
+    except FuelExhausted as exc:
+        out = ('stuck', exc.stuck)
+    return out, budget[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=4), st.integers(0, 40))
+def test_one_pass_normal_form_and_gamma_match_the_termwise_reference(terms, fuel):
+    assume(all(sum(ds) + sum(i + n for i, n in fs) - k <= 8 for fs, ds, k in terms))
+    x, y = _sum_of_terms(_ONE_PASS, terms), _sum_of_terms(_TERMWISE, terms)
+    assert _ONE_PASS.mo.gamma(x).to_text() == _TERMWISE.mo.gamma(y).to_text()
+    assert (_ONE_PASS.mo.normal_form(x).to_text()
+            == _TERMWISE.mo.normal_form(y).to_text())
+    # at a small fuel, rewriting stops at the same monomial with the same
+    # fuel left, in fresh sessions and in the shared ones
+    for one_pass, termwise in ((Session(), _termwise_session()), (_ONE_PASS, _TERMWISE)):
+        x, y = _sum_of_terms(one_pass, terms), _sum_of_terms(termwise, terms)
+        assert _nf_run(one_pass, x, fuel) == _nf_run(termwise, y, fuel)
+
+
+@pytest.mark.parametrize('method', ['normal_form', 'gamma', 'alpha', 'bar', 'localize',
+                                    'divide_e', 'quotient_reduce', 'is_geometric',
+                                    'delta', 'dictionary'])
+def test_values_of_another_session_are_refused(sess, method):
+    # a table of another cap lays monomials out differently, and one of the
+    # same cap is still another session's: neither may be read as this one's
+    for other in (Session(8), Session()):
+        if method in ('delta', 'dictionary'):
+            target, x = other.geometry, sess.geometry.b(2) * sess.geometry.b(1)
+        else:
+            target, x = other.mo, parse_presentation('a4*G(1,3)*X2*e', sess.mo)
+        with pytest.raises(ContractViolation, match='foreign variable table'):
+            getattr(target, method)(x)
