@@ -27,19 +27,20 @@ B(u)^(j+1), whose top coefficient is z_j. So the coefficient of the
 highest z_J is h of the coefficient of (RP(J), u), which is read off first
 and cleared from the lower z's.
 
-Fixed bundles. The projectivization of L_1 + ... + L_r + R^k over
+Fixed bundles. The projectivization of L_1 + ... + L_r over
 RP(i_1 - 1) x ... x RP(i_r - 1), L_q the tautological line of factor q,
 has tangent bundle stably i_q L_q on the base and, along the fibres,
-t + L_q and k copies of t, t its tautological class. Pushing forward to
-the base divides by (t + x_1) ... (t + x_r) t^k and takes the residue at
-t = infinity, and integrating over RP(i - 1) takes the residue at u = 0 of
-a quotient by u^i, so h of the total space is Res_t of
+t + L_q, t its tautological class. Pushing forward to the base divides
+by (t + x_1) ... (t + x_r) and takes the residue at t = infinity, and
+integrating over RP(i - 1) takes the residue at u = 0 of a quotient by
+u^i, so h of the total space is Res_t of
 
-    F_{i_1}(t) ... F_{i_r}(t) F_1(t)^k,
+    F_{i_1}(t) ... F_{i_r}(t),
     F_i(t) = Res_u [B(u)^i B(t + u) / (u^i (t + u))],  F_1(t) = B(t) / t,
 
-times Z(t) = sum_j z_j t^j for the tautological line. The coefficient of
-F_i of beta-degree m sits at t^(m - i), so a product of F's is held by
+times Z(t) = sum_j z_j t^j for the tautological line. A trivial summand
+R is a part 1, the point RP(0) with its line. The coefficient of F_i of
+beta-degree m sits at t^(m - i), so a product of F's is held by
 beta-degree alone, and the residue is the coefficient of beta-degree
 dimension - j for z_j. Squaring is additive in characteristic 2, so
 F_i^(2^s) is F_i with every exponent doubled, and a repeated index costs
@@ -49,6 +50,8 @@ Each table (the coefficients of B(u)^i, the F_i, h of the coefficient
 monomials) is kept on the coefficient ring and grown only to the degree
 a question needs.
 """
+
+from collections import Counter
 
 from .coefficients import dold_indices
 from .errors import IntegrityError
@@ -153,13 +156,10 @@ class Boardman:
                 rows.append({2 * x for x in self._f_power(i, s - 1, m // 2)[m // 2]})
         return rows[:top + 1]
 
-    def _series(self, bmult, trivial, low, top):
-        """F_{i_1} ... F_{i_r} F_1^trivial by degree, its coefficients low..top."""
+    def _series(self, bmult, low, top):
+        """F_{i_1} ... F_{i_r} by degree, its coefficients low..top."""
         self.degree = max(self.degree, top)
-        counts = {}
-        for i in bmult + (1,) * trivial:
-            counts[i] = counts.get(i, 0) + 1
-        factors = [self._f_power(i, s, top) for i, e in counts.items()
+        factors = [self._f_power(i, s, top) for i, e in Counter(bmult).items()
                    for s in range(e.bit_length()) if e >> s & 1]
         return _product(factors, low, top, self._degree_of)
 
@@ -251,7 +251,7 @@ class Boardman:
         """
         dim = sum(bmult) - 1
         self.coef.check_size('an N_*(BO(1)) class of dimension', dim, dim)
-        series = self._series(bmult, 0, 0, dim)
+        series = self._series(bmult, 0, dim)
         # z_j's coefficient, of beta-degree dim - j
         levels = [set(series[dim - j]) for j in range(dim + 1)]
         out = {}
@@ -262,11 +262,11 @@ class Boardman:
                     levels[j] ^= product_monos(levels[top], self._power(top + 1, top - j))
         return out
 
-    def bundle_in_n(self, bmult, trivial):
-        """P(L_1 + ... + L_r + R^trivial) over RP(i_1 - 1) x ..., in N_*.
+    def bundle_in_n(self, bmult):
+        """P(L_1 + ... + L_r) over RP(i_1 - 1) x ..., in N_*.
 
-        charnum.fixed_bundle(bmult, trivial) is the same manifold.
+        charnum.fixed_bundle(bmult) is the same manifold.
         """
-        dim = sum(bmult) + trivial - 1
+        dim = sum(bmult) - 1
         self.coef.check_size('an N_* class of dimension', dim, dim)
-        return self._identify(self._series(bmult, trivial, dim, dim)[dim], 'N_*')
+        return self._identify(self._series(bmult, dim, dim)[dim], 'N_*')

@@ -26,8 +26,8 @@ product and the parity of a mask.
 
 This is the route of the charnum command, which prints the numbers, and
 of the sw-oracle verify suite, the independent check of the Boardman
-tables (module boardman) through which delta, the mapping torus and
-alpha identify their classes.
+tables (module boardman) through which delta, underlying and alpha
+identify their classes.
 """
 
 from .coefficients import generator_rep
@@ -364,20 +364,19 @@ class CohomClass:
         return self.to_text()
 
 
-def fixed_bundle(bmult, trivial=0):
-    """P(L_1 + ... + L_r + R^trivial) over RP(i_1 - 1) x ... x RP(i_r - 1).
+def fixed_bundle(bmult):
+    """P(L_1 + ... + L_r) over RP(i_1 - 1) x ... x RP(i_r - 1).
 
     bmult lists i_1, ..., i_r, and L_k is the tautological line of factor
-    k: the total space whose class is delta (trivial = 0) or the mapping
-    torus (trivial = 2) of the bundle monomial b_{i_1} ... b_{i_r}, and
-    alpha(G(i, n))'s fixed component Q with bmult (n,), trivial i + 1.
-    Those classes come from boardman.Boardman.bundle_in_nbo1 and
-    bundle_in_n; the sw-oracle suite identifies this space by its
+    k; a part 1, the point RP(0) with its line, is a trivial summand. So
+    this is delta's space for b_{i_1} ... b_{i_r}, with k more parts 1 it
+    is P(nu + R^k): underlying's for k = 1, the torus's for k = 2, and
+    alpha(G(i, n))'s Q for (n,) and k = i + 1. Those classes come from
+    boardman.Boardman; the sw-oracle suite identifies this space by its
     Stiefel-Whitney numbers to check them.
     """
     base = Product([RP(i - 1) for i in bmult])
-    lines = [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)]
-    return ProjBundle(base, lines + [CohomClass.zero(base)] * trivial)
+    return ProjBundle(base, [base.factor_gen(pos, 'u') for pos in range(1, len(bmult) + 1)])
 
 
 def pair(x, space):

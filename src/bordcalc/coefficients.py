@@ -59,7 +59,7 @@ class CoefRing:
         # RP(j) as reference when line is set (identify_in_nbo1), and the
         # plain rows of the degree-d monomials, j = 0, when not (identify_in_n).
         # Only the CLI's charnum and the sw-oracle suite build them: delta,
-        # the mapping torus and alpha identify through the Boardman tables
+        # underlying and alpha identify through the Boardman tables
         self.reference_rows = {}
         # boardman.Boardman, made at first use by boardman.tables
         self.boardman = None

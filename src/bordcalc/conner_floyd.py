@@ -17,14 +17,17 @@ s_0, s_1, ..., s_j the class of (RP(j), tautological line). That is the
 stable class c_j (c_0 = 1), so a value is a polynomial in the a_d and the
 c_j, linear in the c_j, printed with s_j (FreeBZ2Elem); a degree-d
 bundle class lands in degree d - 1. On a monomial b_{i_1} ... b_{i_r} it
-is computed geometrically: the
-projectivization of the corresponding sum of lines over
-RP(i_1 - 1) x ... x RP(i_r - 1), with its tautological class, identified
-in N_*(BO(1)) through the Boardman map (module boardman), a product of
-one-variable series F_{i_1} ... F_{i_r}. The mapping torus reads its
-classes off the same series. Stiefel-Whitney numbers (module charnum)
-are the CLI's charnum route and the sw-oracle suite's independent check.
+is computed geometrically: the projectivization of the corresponding sum
+of lines over RP(i_1 - 1) x ... x RP(i_r - 1), with its tautological
+class, identified in N_*(BO(1)) through the Boardman map (module
+boardman), a product of one-variable series F_{i_1} ... F_{i_r}. The
+underlying class of every expression is read off phi and the same series
+by one rule (Geometry.underlying). Stiefel-Whitney numbers (module
+charnum) are the charnum command's route and sw-oracle's independent one.
 """
+
+from functools import reduce
+from operator import mul
 
 from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
@@ -160,8 +163,7 @@ class Geometry:
         self._b_fields = table.mask('b')
         # both keyed by the b fields of a monomial, as gf2.sum_of_images keeps images
         self._delta_cache = {}
-        self._torus_cache = {}
-        # by expression: (phi, underlying class or None when not yet asked for)
+        self._fixed_cache = {}
         self._walk_cache = {}
 
     # --- the bundle algebra -----------------------------------------------
@@ -199,53 +201,50 @@ class Geometry:
         b_1 * (underlying(M) + phi(M)); delta o phi = 0 on every closed
         manifold (Conner-Floyd).
         """
-        return self._walk(expr, False)[0]
+        return self._walk(expr)
 
-    # phi computes every mapping torus; exact_phi is kept as a second name
+    # the benchmark's tracer and its workloads call phi by this name too
     exact_phi = phi
 
     def underlying(self, expr):
         """Class of the underlying manifold in N_*, forgetting the action.
 
-        The underlying manifold of gamma(M) is the mapping torus of the
-        involution of M; its class is read off the fixed data phi(M).
+        A closed involution is bordant, as a manifold, to the sum of
+        P(nu_F + R) over its fixed components F (Conner-Floyd). A monomial
+        mu * b_{i_1} ... b_{i_r} of phi(expr) is the component
+        RP(i_1 - 1) x ... with normal bundle L_1 + ... + L_r, so it adds mu
+        times the b-multiset with one more part 1, a trivial line; without
+        b's it adds P(R) over it, itself. A dimension past the cap is
+        refused before any kept image is shifted there.
         """
-        return self._walk(expr, True)[1]
+        self.coef.check_size('an N_* class of dimension', expr.dim, expr.dim)
+        return GradedPoly(self.table, map_monos(
+            self.table, self._walk(expr).monos, self._b_fields, self._fixed_cache,
+            self._fixed_image))
 
-    def _walk(self, expr, under):
-        """(phi(expr), underlying(expr) if under else None), in one pass, kept by expression.
+    def _fixed_image(self, bmono):
+        return tables(self.coef).bundle_in_n(self._bmult(bmono) + (1,)).monos
 
-        gamma(M) asks for both parts of M. An underlying class is computed
-        only where a gamma above it or the caller needs it: the torus of an
-        n-manifold lives in N_{n+1}, which may lie past the cap.
-        """
-        entry = self._walk_cache.get(expr)
-        if entry is None or (under and entry[1] is None):
-            entry = self._walk_cache[expr] = self._walk_step(expr, under)
-        return entry
+    def _walk(self, expr):
+        """phi(expr), kept by expression."""
+        fixed = self._walk_cache.get(expr)
+        if fixed is None:
+            fixed = self._walk_cache[expr] = self._walk_step(expr)
+        return fixed
 
-    def _walk_step(self, expr, under):
+    def _walk_step(self, expr):
         if isinstance(expr, Proj):
-            return (self.b(expr.n) + self.b(1) ** expr.n,
-                    self.coef.rho(expr.n) if under else None)
+            return self.b(expr.n) + self.b(1) ** expr.n
         if isinstance(expr, GammaOf):
-            fixed, inner = self._walk(expr.inner, True)
-            return self.b(1) * (inner + fixed), self._torus(fixed) if under else None
+            return self.b(1) * (self.underlying(expr.inner) + self._walk(expr.inner))
         if isinstance(expr, ProductOf):
-            fixed = cls = GradedPoly.one(self.table)
-            for f in expr.factors:
-                f_fixed, f_cls = self._walk(f, under)
-                fixed = fixed * f_fixed
-                if under:
-                    cls = cls * f_cls
-            return fixed, cls if under else None
+            return reduce(mul, map(self._walk, expr.factors))
         if isinstance(expr, Trivial):
-            return expr.coef, expr.coef if under else None
+            self._require_bundle(expr.coef, 'phi')
+            return expr.coef
         if isinstance(expr, AntipodalSphere):
-            # free actions have no fixed data, and spheres double-cover
-            # RP(j), which carries all their classes
-            zero = GradedPoly.zero(self.table)
-            return zero, zero if under else None
+            # free actions have no fixed data
+            return GradedPoly.zero(self.table)
         raise ContractViolation('not a manifold expression: %r' % (expr,))
 
     def pt_class(self, expr):
@@ -293,27 +292,6 @@ class Geometry:
         if not bmono:
             return ()
         return FreeBZ2Elem(self.table, tables(self.coef).bundle_in_nbo1(self._bmult(bmono))).monos
-
-    # --- the mapping torus ----------------------------------------------------
-
-    def _torus(self, fixed):
-        """The mapping torus class read off fixed data.
-
-        Removing a tubular neighborhood of the fixed set and quotienting
-        shows any closed involution is bordant to the projectivizations
-        P(nu + R) of its fixed data, so the torus gamma(M), whose fixed set
-        is M with a trivial normal line plus the fixed set of M thickened
-        by a line, has underlying class sum of P(nu_F + R^2) over the fixed
-        components of M, the monomials of fixed = phi(M).
-        """
-        return GradedPoly(self.table, map_monos(
-            self.table, fixed.monos, self._b_fields, self._torus_cache, self._torus_image))
-
-    def _torus_image(self, bmono):
-        # a rank-0 component contributes F x RP(1), which bounds
-        if not bmono:
-            return ()
-        return tables(self.coef).bundle_in_n(self._bmult(bmono), 2).monos
 
     # --- catalogs -------------------------------------------------------------
 

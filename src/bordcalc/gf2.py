@@ -44,7 +44,7 @@ and presentations differ only in their kind of monomial), parity (the
 monomials of a product, duplicates cancelled), sum_of_images (a map that
 keeps the image of each part of a monomial it acts on: localize and
 alpha) and map_monos (the same for the parts under a mask: the clearing
-substitutions, delta and the mapping torus), square-and-multiply
+substitutions, delta and underlying), square-and-multiply
 powers, the partition enumerator, and free N_* modules as polynomials
 linear in one family of generators (ModulePoly): delta's values are
 polynomials in the a_d and c_j printed with s_j, obstruction classes

@@ -104,7 +104,8 @@ class LaurentRing:
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
         if not p.uses_only('aXe'):
             raise ContractViolation('not a polynomial in e, X_n over N_*')
-        return p if p.uses_only('ae') else self._eval_X(p)
+        # the substitution refuses a value over another table
+        return self._eval_X(p)
 
     # Each substitution is defined once, here, and keeps the images of the
     # monomials it has mapped; a memo belongs to one definition.

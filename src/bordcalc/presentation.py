@@ -27,10 +27,11 @@ what normal_form rewrites.
 
 alpha(G(i, n)) is the class of the underlying manifold of the tower, the
 mapping torus of the involution on G(i-1, n). It is read off the fixed
-data (Conner-Floyd): a closed involution is bordant, as a manifold, to
-the sum of RP(nu_F + R) over its fixed components F, each identified
-through the Boardman tables. It need not vanish: alpha(G(2, 2)) =
-a2^2 + a4.
+data of loc(G(i, n)) (Conner-Floyd): a closed involution is bordant, as
+a manifold, to the sum of RP(nu_F + R) over its fixed components F, each
+identified through the Boardman tables. Geometry.underlying reads the
+same sum off phi, and the cf-exact and gamma suites compare the two. It
+need not vanish: alpha(G(2, 2)) = a2^2 + a4.
 
 normal_form rewrites onto the additive basis: monomials with no G(i >= 1)
 factor (any e power), and e-free monomials with exactly one factor
@@ -322,9 +323,9 @@ class BordismRing:
         RP(n-1) with normal L + R^i adds Q = [RP(L + R^{i+1}) over RP(n-1)],
         the isolated point adds rho(n+i), and the trivial component
         alpha(G(k, n)) with normal R^{i-k} adds alpha(G(k, n)) rho(i-k).
-        Q is read off the Boardman map as the coefficient [F_1^{i+1} F_n] of
-        degree n + i (boardman.Boardman.bundle_in_n); the sw-oracle suite
-        checks it against Q's Stiefel-Whitney numbers.
+        Q is read off the Boardman map as the b-multiset (n, 1, ..., 1), a
+        part 1 per trivial line (boardman.Boardman.bundle_in_n); the
+        sw-oracle suite checks it against Q's Stiefel-Whitney numbers.
         """
         key = (i, n)
         val = self._alpha_gamma_cache.get(key)
@@ -332,7 +333,7 @@ class BordismRing:
             if i == 0:
                 val = self.coef.rho(n)
             else:
-                val = tables(self.coef).bundle_in_n((n,), i + 1)
+                val = tables(self.coef).bundle_in_n((n,) + (1,) * (i + 1))
                 val = val + self.coef.rho(n + i)
                 for k in range(i):
                     val = val + self._alpha_gamma(k, n) * self.coef.rho(i - k)

@@ -5,12 +5,12 @@ trips, the exact sequence, basis independence, the Gamma contract, the
 geometric comparison, the obstruction quotient, exactness of the boundary
 sequence, and the bundle-dictionary comparison). Degree sweeps run one
 degree after another: the rings memoize shared values (augmentations,
-Boardman tables, torus classes) without locks, and the work holds the GIL,
-so threads would only make the work done depend on timing.
+Boardman tables, fixed-point classes) without locks, and the work holds
+the GIL, so threads would only make the work done depend on timing.
 
 The sw-oracle suite is not part of all: it recomputes the classes that
-delta, the mapping torus and alpha read off the Boardman tables by
-Stiefel-Whitney numbers instead, a route that shares none of that code.
+delta, underlying (the torus among them) and alpha read off the Boardman
+tables by Stiefel-Whitney numbers instead, a route sharing none of that code.
 """
 
 from collections import namedtuple
@@ -254,24 +254,24 @@ def _suite_sw_oracle(s, degrees):
     coef = s.coef
     boardman = tables(coef)
 
+    def bad_in_nbo1(bmult):
+        pb = fixed_bundle(bmult)
+        return boardman.bundle_in_nbo1(bmult) != identify_in_nbo1(pb, pb.fiber_class(), coef)
+
+    def bad_in_n(bmult):
+        return boardman.bundle_in_n(bmult) != identify_in_n(fixed_bundle(bmult), coef)
+
     def at_degree(d):
         bmults = [tuple(sorted(p)) for p in partitions(d)]
-        bad_delta = bad_torus = 0
-        for bmult in bmults:
-            pb = fixed_bundle(bmult)
-            if boardman.bundle_in_nbo1(bmult) != identify_in_nbo1(pb, pb.fiber_class(), coef):
-                bad_delta += 1
-            if boardman.bundle_in_n(bmult, 2) != identify_in_n(fixed_bundle(bmult, 2), coef):
-                bad_torus += 1
-        # alpha(G(i, n)), i + n = d, reads off P(L + R^(i+1)) over RP(n - 1)
-        pairs = [(i, d - i) for i in range(1, d - 1)]
-        bad_alpha = sum(1 for i, n in pairs if boardman.bundle_in_n((n,), i + 1)
-                        != identify_in_n(fixed_bundle((n,), i + 1), coef))
+        # a trivial line is a part 1: underlying reads P(nu + R), the torus
+        # P(nu + R^2), alpha(G(i, n)), i + n = d, P(L + R^(i+1)) over RP(n - 1)
+        rows = (('delta', bad_in_nbo1, bmults),
+                ('fixed-point class', bad_in_n, [b + (1,) for b in bmults]),
+                ('mapping torus', bad_in_n, [b + (1, 1) for b in bmults]),
+                ('alpha(G(i,n))', bad_in_n, [(d - i,) + (1,) * (i + 1) for i in range(1, d - 1)]))
         return [_counted('sw-oracle: Boardman %s matches Stiefel-Whitney numbers at degree %d'
-                         % (what, d), bad, count, 'bundles')
-                for what, bad, count in (('delta', bad_delta, len(bmults)),
-                                         ('mapping torus', bad_torus, len(bmults)),
-                                         ('alpha(G(i,n))', bad_alpha, len(pairs)))]
+                         % (what, d), sum(map(bad, ms)), len(ms), 'bundles')
+                for what, bad, ms in rows]
 
     return _sweep(at_degree, degrees)
 

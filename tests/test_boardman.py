@@ -29,12 +29,15 @@ def test_delta_and_torus_match_the_sw_route(sess, bmult):
     coef = sess.coef
     pb = fixed_bundle(bmult)
     assert tables(coef).bundle_in_nbo1(bmult) == identify_in_nbo1(pb, pb.fiber_class(), coef)
-    assert tables(coef).bundle_in_n(bmult, 2) == identify_in_n(fixed_bundle(bmult, 2), coef)
+    # a trivial line is a part 1: the fixed-point class, then the torus
+    for trivial in ((1,), (1, 1)):
+        bundle = bmult + trivial
+        assert tables(coef).bundle_in_n(bundle) == identify_in_n(fixed_bundle(bundle), coef)
 
 
 def test_sw_oracle_suite_through_degree_10(sess):
     checks = verify(sess, 'sw-oracle', 10)
-    assert len(checks) == 30
+    assert len(checks) == 40
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
     assert 'sw-oracle' not in SUITES
 

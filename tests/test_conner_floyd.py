@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from bordcalc.boardman import tables
 from bordcalc.conner_floyd import (AntipodalSphere, FreeBZ2Elem, GammaOf,
-                                   Proj, ProductOf, Trivial)
-from bordcalc.errors import ContractViolation
+                                   Proj, ProductOf, Trivial, tower)
+from bordcalc.errors import CapacityError, ContractViolation
+from bordcalc.gf2 import GradedPoly
+from bordcalc.session import Session
 
 
 def test_dimensions_and_depth(sess):
@@ -216,3 +219,78 @@ def test_fixed_data_matches_golden(sess):
     # generated before phi and the underlying class shared one walk and the
     # two kinds of reference rows one builder
     assert json.dumps(fixed_data(sess), indent=1) + '\n' == GOLDEN.read_text()
+
+
+def two_part_walk(geo, expr):
+    """(phi, underlying class) of expr by the walk that computed the class
+    its own way per expression type: rho(n) for P(n), the product of the
+    factors' classes, the coefficient, zero for a sphere, and at gamma(M)
+    the torus, a sum of P(nu_F + R^2) over the monomials of phi(M), term by
+    term. The reference for the one fixed-point rule, kept with no memo."""
+    table = geo.table
+    if isinstance(expr, Proj):
+        return geo.b(expr.n) + geo.b(1) ** expr.n, geo.coef.rho(expr.n)
+    if isinstance(expr, GammaOf):
+        fixed, inner = two_part_walk(geo, expr.inner)
+        b_of = table.subscripts['b']
+        torus = GradedPoly.zero(table)
+        for m in fixed.monos:
+            pairs = table.exponents(m)
+            bmult = tuple(sorted(b_of[i] for i, x in pairs if i in b_of for _ in range(x)))
+            # a rank-0 component contributes F x RP(1), which bounds
+            if bmult:
+                mu = GradedPoly(table, (table.pack([(i, x) for i, x in pairs if i not in b_of]),))
+                torus = torus + mu * tables(geo.coef).bundle_in_n(bmult + (1, 1))
+        return geo.b(1) * (inner + fixed), torus
+    if isinstance(expr, ProductOf):
+        fixed = cls = GradedPoly.one(table)
+        for f in expr.factors:
+            f_fixed, f_cls = two_part_walk(geo, f)
+            fixed, cls = fixed * f_fixed, cls * f_cls
+        return fixed, cls
+    if isinstance(expr, Trivial):
+        return expr.coef, expr.coef
+    zero = GradedPoly.zero(table)
+    return zero, zero
+
+
+def _rule_inputs(geo):
+    """The catalog through dimension 10 and the towers gamma^i(P(n)), i + n <= 12."""
+    towers = [tower(i, n) for n in range(1, 13) for i in range(13 - n)]
+    return geo.catalog_expressions(10) + [t for t in towers if t.dim > 10]
+
+
+def test_one_fixed_point_rule_matches_the_two_part_walk():
+    reference = Session().geometry
+    want = [[v.to_text() for v in two_part_walk(reference, x)] for x in _rule_inputs(reference)]
+    # in a fresh session each, then all in one session forwards and in
+    # another backwards: the later answers come from memos earlier inputs
+    # filled. Each session builds its own inputs, whose trivial classes
+    # must lie over its own table.
+    for k in range(len(want)):
+        geo = Session().geometry
+        x = _rule_inputs(geo)[k]
+        assert [geo.phi(x).to_text(), geo.underlying(x).to_text()] == want[k], x
+    for order in (range(len(want)), reversed(range(len(want)))):
+        geo = Session().geometry
+        inputs = _rule_inputs(geo)
+        for k in order:
+            x = inputs[k]
+            # the class first, so it walks phi itself
+            cls = geo.underlying(x).to_text()
+            assert [geo.phi(x).to_text(), cls] == want[k], x
+
+
+def test_underlying_classes_past_the_cap_are_refused():
+    # phi of gamma(P(16)) needs only N_16 (the CLI's edge is in test_cli's
+    # CAP_EDGES); its underlying class lies in N_17
+    geo = Session(16).geometry
+    assert geo.phi(GammaOf(Proj(16))).to_text() == 'a16*b1 + b1^17 + b1*b16'
+    with pytest.raises(CapacityError, match=r'^an N_\* class of dimension 17: coefficient '
+                       'degree 17 exceeds the degree cap 16$'):
+        geo.underlying(GammaOf(Proj(16)))
+    # refused even where the class is 0, as the odd rho(17) is: N_17 is not held
+    for x in (Proj(17), ProductOf((Proj(9), Proj(8)))):
+        with pytest.raises(CapacityError, match='dimension 17'):
+            geo.underlying(x)
+    assert geo.phi(Proj(17)) == geo.b(17) + geo.b(1) ** 17

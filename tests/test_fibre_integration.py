@@ -148,7 +148,7 @@ def test_delta_and_torus_targets_through_degree_8(sess):
     for bmult in targets:
         pb = fixed_bundle(bmult)
         assert sw_numbers(pb, pb.fiber_class()) == _ones(TotalSpace(pb).numbers(pb.fiber_class()))
-        torus = fixed_bundle(bmult, 2)
+        torus = fixed_bundle(bmult + (1, 1))
         assert sw_numbers(torus) == _ones(TotalSpace(torus).numbers())
 
 

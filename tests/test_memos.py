@@ -1,7 +1,7 @@
 """The ring maps' per-session memos: answers do not depend on what came before.
 
 localize and alpha keep images by G factors alone, the clearing
-substitutions by c or X part, delta and the mapping torus by b part, the
+substitutions by c or X part, delta and underlying by b part, the
 phi walk by expression, and basis_monomials its lists by degree and e
 cap. Each answer must be the one a fresh session gives, whatever the
 session asked before; and an image taken from a memo must still be
@@ -10,7 +10,7 @@ refused when the rest it is shifted by carries it past the table's limit.
 
 import pytest
 
-from bordcalc.conner_floyd import GammaOf, ProductOf, Trivial
+from bordcalc.conner_floyd import GammaOf, ProductOf, Proj, Trivial
 from bordcalc.errors import CapacityError
 from bordcalc.gf2 import GradedPoly, SparseSum
 from bordcalc.presentation import FormalMonomial, Presentation
@@ -88,12 +88,16 @@ def test_cached_images_are_checked_for_overflow():
     assert mo.localize(mo.X(3)).to_text() == 'c2*e^-1 + e^-3'
     with pytest.raises(CapacityError):
         mo.localize(Presentation(table, [FormalMonomial(top, ((0, 3),), 0)]))
-    # the torus of the fixed data b1 is RP(2), a class of one degree more
-    b1 = geo.b(1)
-    assert geo._torus(b1).to_text() == 'a2'
-    fixed = GradedPoly(table, (top,)) * b1
-    with pytest.raises(CapacityError):
-        geo._torus(fixed)
+    # the fixed-point class read off the fixed data b1^2 is RP(2), a2
+    assert geo.underlying(Proj(2)).to_text() == 'a2'
+    (b1_squared,) = (geo.b(1) ** 2).monos
+    kept = geo._fixed_cache[b1_squared & geo._b_fields]
+    assert GradedPoly(table, kept[1]).to_text() == 'a2'
+    # the kept images shifted by a coefficient of degree 15 land in N_17,
+    # past the cap
+    mu = session.coef.a(2) ** 5 * session.coef.a(5)
+    with pytest.raises(CapacityError, match='an N_\\* class of dimension 17'):
+        geo.underlying(ProductOf((Trivial(mu), Proj(2))))
 
 
 def test_basis_lists_do_not_depend_on_history():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bordcalc.conner_floyd import GammaOf, ProductOf, Proj, Trivial
 from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
                              NotDivisible)
 from bordcalc.gf2 import GradedPoly, parity, poly_rank
@@ -461,14 +462,23 @@ def test_one_pass_normal_form_and_gamma_match_the_termwise_reference(terms, fuel
 
 @pytest.mark.parametrize('method', ['normal_form', 'gamma', 'alpha', 'bar', 'localize',
                                     'divide_e', 'quotient_reduce', 'is_geometric',
-                                    'delta', 'dictionary'])
+                                    'delta', 'dictionary', 'phi', 'underlying',
+                                    'eval_cleared'])
 def test_values_of_another_session_are_refused(sess, method):
     # a table of another cap lays monomials out differently, and one of the
     # same cap is still another session's: neither may be read as this one's
+    trivial = Trivial(sess.coef.a(2) * sess.coef.a(4))
     for other in (Session(8), Session()):
         if method in ('delta', 'dictionary'):
-            target, x = other.geometry, sess.geometry.b(2) * sess.geometry.b(1)
+            target, xs = other.geometry, [sess.geometry.b(2) * sess.geometry.b(1)]
+        elif method in ('phi', 'underlying'):
+            # a foreign class is caught where the walk reaches it, also nested
+            target, xs = other.geometry, [trivial, GammaOf(trivial),
+                                          ProductOf((Proj(2), trivial))]
+        elif method == 'eval_cleared':
+            target, xs = other.laurent, [sess.coef.a(4) * sess.laurent.e(2)]
         else:
-            target, x = other.mo, parse_presentation('a4*G(1,3)*X2*e', sess.mo)
-        with pytest.raises(ContractViolation, match='foreign variable table'):
-            getattr(target, method)(x)
+            target, xs = other.mo, [parse_presentation('a4*G(1,3)*X2*e', sess.mo)]
+        for x in xs:
+            with pytest.raises(ContractViolation, match='foreign variable table'):
+                getattr(target, method)(x)
