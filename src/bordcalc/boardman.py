@@ -11,7 +11,13 @@ the monomial symmetric function of the partition w. h is an injective ring
 map, so it identifies what the Stiefel-Whitney numbers identify.
 
 Generators. h(RP(d)) = [u^d] B(u)^(d+1), and h(P(m, n)) = [c^m d^n]
-B(c)^m (B(x_1) B(x_2))^(n+1) with x_1 + x_2 = c, x_1 x_2 = d. h(a_d) is
+B(c)^m (B(x_1) B(x_2))^(n+1) with x_1 + x_2 = c, x_1 x_2 = d. Both are
+read off the coefficients of B(u)^i: with P_k = [u^k] B(u)^(n+1),
+
+    (B(x_1) B(x_2))^(n+1) = sum_{p > q} P_p P_q d^q (x_1^(p-q) + x_2^(p-q))
+                            + sum_p P_p^2 d^p,
+
+and the power sums x_1^k + x_2^k are polynomials in c and d. h(a_d) is
 beta_d plus products of two or more betas, because the coefficient of
 beta_d is the number s_d, which is 1 exactly on generators. A product of
 such terms refines the partition, which lowers it lexicographically, so
@@ -48,14 +54,15 @@ no product.
 
 Each table (the coefficients of B(u)^i, the F_i, h of the coefficient
 monomials) is kept on the coefficient ring and grown only to the degree
-a question needs.
+a question needs. Every image is read off the first: the generators, the
+F_i and the clearing of z-levels.
 """
 
 from collections import Counter
 
 from .coefficients import dold_indices
 from .errors import IntegrityError
-from .gf2 import GradedPoly, MONO_ONE, VarTable, parity, power, product_monos
+from .gf2 import GradedPoly, MONO_ONE, VarTable, parity, product_monos
 
 
 def tables(coef):
@@ -174,38 +181,27 @@ class Boardman:
     def _dold(self, m, n):
         """h(P(m, n)), w = (1 + c)^m (1 + c + d)^(n+1), d = x_1 x_2 and c = x_1 + x_2.
 
-        A polynomial in c and d maps (i, j) to the set of beta monomials of
-        its c^i d^j term, cut past c^m d^n.
+        With P_k = [u^k] B(u)^(n+1), B(x_1)^(n+1) B(x_2)^(n+1) is the sum over
+        p > q of P_p P_q d^q (x_1^(p-q) + x_2^(p-q)), plus the sum of P_p^2
+        d^p. h is the sum over i of [c^(m-i)] B(c)^m times its coefficient of
+        c^i d^n, to which the second sum adds only P_n^2 d^n, at i = 0.
         """
-        beta = self._beta
-
-        def mul(x, y):
-            out = {}
-            for (i1, j1), s1 in x.items():
-                for (i2, j2), s2 in y.items():
-                    if i1 + i2 <= m and j1 + j2 <= n:
-                        key = (i1 + i2, j1 + j2)
-                        out[key] = out.get(key, set()) ^ product_monos(s1, s2)
-            return {key: s for key, s in out.items() if s}
-
-        # the power sums x_1^k + x_2^k = c p_{k-1} + d p_{k-2}, as sets of (i, j)
+        power = self._power
+        # the power sums x_1^k + x_2^k = c p_{k-1} + d p_{k-2}, as sets of
+        # (i, j), one per term c^i d^j
         sums = [set(), {(1, 0)}]
         for _ in range(2, m + 2 * n + 1):
             sums.append({(i + 1, j) for i, j in sums[-1]} ^ {(i, j + 1) for i, j in sums[-2]})
-        # B(x_1) B(x_2) = sum_{a >= b} beta_a beta_b m_(a,b), the monomial
-        # symmetric function m_(a,b) being d^b p_{a-b}, or d^a when a = b
-        plane = {}
-        for a in range(m + 2 * n + 1):
-            for b in range(min(a, m + 2 * n - a) + 1):
-                terms = [(0, a)] if a == b else [(i, j + b) for i, j in sums[a - b]]
-                for key in terms:
-                    if key[0] <= m and key[1] <= n:
-                        plane[key] = plane.get(key, set()) ^ {beta[a] + beta[b]}
-        plane = {key: s for key, s in plane.items() if s}
-        line = {(k, 0): {beta[k]} for k in range(m + 1)}
-        one = {(0, 0): {MONO_ONE}}
-        total = mul(power(line, m, one, mul), power(plane, n + 1, one, mul))
-        return total.get((m, n), set())
+        # [c^m] B(c)^m P_n^2: squaring doubles every exponent
+        out = product_monos(power(m, m), {2 * x for x in power(n + 1, n)})
+        for q in range(n + 1):
+            for i in range(m + 1):
+                # the term c^i d^n of d^q (x_1^(p-q) + x_2^(p-q)) has i + 2n = p + q
+                p = i + 2 * n - q
+                if p > q and (i, n - q) in sums[p - q]:
+                    out ^= product_monos(product_monos(power(m, m - i), power(n + 1, p)),
+                                         power(n + 1, q))
+        return out
 
     # --- identification ---------------------------------------------------------
 

@@ -421,10 +421,6 @@ def sw_numbers(space, ref=None):
     return frozenset(found)
 
 
-def _same(item):
-    return item
-
-
 def space_for(coef, poly, extra=()):
     """A product manifold representing a coefficient monomial, plus extras."""
     factors = []
@@ -460,7 +456,7 @@ def _reference(coef, n, line):
                 ref = space.factor_gen(len(space.factors), 'u') if line else None
                 rows.append(sw_numbers(space, ref))
                 labels.append((j, mu))
-        echelon = Echelon(rows, _same)
+        echelon = Echelon(rows)
         if echelon.rank != len(rows):
             raise IntegrityError('%s reference rows are not independent at dimension %d'
                                  % (_RING[line], n))

@@ -58,9 +58,6 @@ from .errors import CapacityError, ContractViolation
 
 MONO_ONE = 0
 
-# Echelon's column key for packed monomials: the leading (largest) one first
-mono_key = operator.neg
-
 
 class VarTable:
     """The session's graded variables, in a fixed order, and their monomial layout.
@@ -630,22 +627,22 @@ def _eliminate(masks):
 class Echelon:
     """A list of finite sets eliminated once, to be ranked and solved against often.
 
-    The columns are the monomials the rows hold, ordered by key, with the
-    leading monomial on the highest bit; rows are eliminated in the given
-    order, so pivots and solutions are deterministic. A target monomial
-    outside that universe never meets a pivot, so a target holding one
-    cannot reduce to zero, and solve answers None at once. Leaving such
-    columns out changes no answer: they are never pivots, and the other
-    columns keep their relative order.
+    The columns are the monomials the rows hold in their natural order, the
+    largest on the highest bit; rows are eliminated in the given order, so
+    pivots and solutions are deterministic. No answer depends on the column
+    order: row r is a pivot row exactly when it lies outside the span of
+    the rows before it, and solve gives the one expression of the target
+    in the pivot rows. A target monomial outside the universe never meets
+    a pivot, so a target holding one cannot reduce to zero, and solve
+    answers None at once.
     """
 
     __slots__ = ('_pos', '_pivots', '_nrows')
 
-    def __init__(self, rows, key):
+    def __init__(self, rows):
         rows = list(rows)
-        universe = sorted(frozenset().union(*rows), key=key)
-        # universe[0] is the leading monomial, so give it the highest bit
-        self._pos = pos = {m: len(universe) - 1 - i for i, m in enumerate(universe)}
+        universe = sorted(frozenset().union(*rows))
+        self._pos = pos = {m: i for i, m in enumerate(universe)}
         self._nrows = len(rows)
         self._pivots = _eliminate([sum(1 << pos[m] for m in row) for row in rows])
 
@@ -669,14 +666,14 @@ class Echelon:
         return [(combo >> r) & 1 for r in range(self._nrows)]
 
 
-def rank_sets(rows, key):
-    """GF(2) rank of a list of finite sets, columns ordered by key."""
-    return Echelon(rows, key).rank
+def rank_sets(rows):
+    """GF(2) rank of a list of finite sets."""
+    return Echelon(rows).rank
 
 
-def solve_sets(rows, target, key):
+def solve_sets(rows, target):
     """0/1 flags with xor of the flagged sets equal to target, or None."""
-    return Echelon(rows, key).solve(target)
+    return Echelon(rows).solve(target)
 
 
 def _common_table(polys):
@@ -698,7 +695,7 @@ def poly_rank(vectors):
     if table is None:
         return 0
     _check_same_degree(vectors)
-    return rank_sets([v.monos for v in vectors], mono_key)
+    return rank_sets([v.monos for v in vectors])
 
 
 def solve_gf2(vectors, target):
@@ -709,4 +706,4 @@ def solve_gf2(vectors, target):
     """
     _common_table(list(vectors) + [target])
     _check_same_degree(list(vectors) + [target])
-    return solve_sets([v.monos for v in vectors], target.monos, mono_key)
+    return solve_sets([v.monos for v in vectors], target.monos)

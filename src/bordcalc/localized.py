@@ -31,7 +31,6 @@ class LaurentRing:
     def __init__(self, coef):
         self.coef = coef
         self.table = coef.table
-        self._loc_cache = {}
 
     def zero(self):
         return GradedPoly.zero(self.table)
@@ -67,9 +66,7 @@ class LaurentRing:
         """Localization c_{n-1}*e^-1 + e^-n of the class of P(n*tau + sigma)."""
         if n < 1:
             raise ContractViolation('loc_P needs n >= 1')
-        if n not in self._loc_cache:
-            self._loc_cache[n] = self.c(n - 1) * self.e(-1) + self.e(-n)
-        return self._loc_cache[n]
+        return self.c(n - 1) * self.e(-1) + self.e(-n)
 
     def is_laurent(self, x):
         """True when x is supported on a_d, c_j and e only."""

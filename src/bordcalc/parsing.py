@@ -17,10 +17,10 @@ atoms is one monomial: the names, the G(i,n) and the integers are
 monomial atoms, and a run of them, with their powers, adds up exponent
 counts, one packed int (and for a presentation a G(i,n) multiset), built
 into a value once at the end of the term. Only parenthesized factors,
-Gamma(...) and iota(...) are multiplied as sums. Manifold expressions
-parse to a parity-reduced list standing for a formal GF(2) sum, with
-products distributed over sums and gamma applied factorwise. Space
-products flatten to a single Product.
+Gamma(...) and iota(...) are multiplied as sums. A manifold expression
+parses to a formal GF(2) sum of terms, a frozenset, with products
+distributed over sums and gamma applied termwise. Space products flatten
+to a single Product.
 
 The expression grammars obey the degree cap through CoefRing.check_size,
 given their terms' maxima, and the space grammar given each space's
@@ -34,7 +34,7 @@ import re
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
 from .errors import CapacityError, ParseError
-from .gf2 import GradedPoly, power
+from .gf2 import GradedPoly, parity, power
 from .presentation import FormalMonomial, Presentation
 
 _TOKEN = re.compile(r'[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-^*+(),;]')
@@ -136,14 +136,13 @@ _ONE = _Monomial(0, (), 0, 0)
 class _ElementParser:
     """The one sum/product/power engine; each grammar supplies its atoms.
 
-    + and * between sums go through the add and mul hooks, x^k through
-    power, and every sum through finish, so a grammar changes its values
-    without copying the precedence rules. A grammar's atoms are values,
-    or _Monomial atoms that a term adds up as exponent counts and builds
-    into one value through monomial. Given the CoefRing coef, every atom,
-    every x^k before it is built, and every prefix of a product pass
-    coef.check_size with their terms' maxima, as if the product were
-    built factor by factor.
+    + and * between sums go through the add and mul hooks and x^k through
+    power, so a grammar changes its values without copying the precedence
+    rules. A grammar's atoms are values, or _Monomial atoms that a term
+    adds up as exponent counts and builds into one value through monomial.
+    Given the CoefRing coef, every atom, every x^k before it is built, and
+    every prefix of a product pass coef.check_size with their terms'
+    maxima, as if the product were built factor by factor.
     """
 
     what = 'dimension'  # the size named in CapacityError messages
@@ -158,7 +157,7 @@ class _ElementParser:
         acc = self.parse_term()
         while toks.skip('+'):
             acc = self.add(acc, self.parse_term())
-        return self.finish(acc)
+        return acc
 
     def parse_term(self):
         """A product of factors: its monomial atoms as one monomial times the rest.
@@ -203,12 +202,9 @@ class _ElementParser:
                 coef += k * c
                 if atom.gammas:
                     gammas.extend(atom.gammas * k)
-            if first:
-                first = False
-            elif zero:
-                check(what, 0, 0)
-            else:
+            if not (first or zero):
                 check(what, size + other_size, coef + other_coef)
+            first = False
             if not toks.skip('*'):
                 break
         if zero:
@@ -225,10 +221,6 @@ class _ElementParser:
 
     def power(self, x, k):
         return x ** k
-
-    def finish(self, x):
-        """The value of a whole sum (x itself by default)."""
-        return x
 
     def integer(self, odd):
         """The atom of an integer, given its parity."""
@@ -391,32 +383,25 @@ class _PresentationParser(_PolyParser):
         return super().named_atom(text, idx)
 
 
-def _parity_list(exprs):
-    acc = {}
-    order = []
-    for x in exprs:
-        if x not in acc:
-            order.append(x)
-        acc[x] = not acc.get(x, False)
-    return [x for x in order if acc[x]]
-
-
 class _ManifoldParser(_ElementParser):
-    """Formal GF(2) sums of manifold expressions, kept as parity-reduced lists."""
+    """Formal GF(2) sums of manifold expressions, each the frozenset of its terms."""
 
     expected = ('P(n)', 'S(j)', 'gamma(...)', 'triv(...)', 'an integer', '(')
 
     def zero(self):
-        return []
+        return frozenset()
 
     def one(self):
-        return [Trivial(GradedPoly.one(self.coef.table))]
+        return frozenset((Trivial(GradedPoly.one(self.coef.table)),))
+
+    def add(self, xs, ys):
+        return xs ^ ys
 
     def mul(self, xs, ys):
-        return [p for p in (_product(x, y) for x in xs for y in ys) if p is not None]
+        return parity(p for p in (_product(x, y) for x in xs for y in ys) if p is not None)
 
-    def power(self, atoms, k):
-        return power(atoms, k, self.one(), lambda xs, ys: _parity_list(self.mul(xs, ys)))
+    def power(self, terms, k):
+        return power(terms, k, self.one(), self.mul)
 
     def maxima(self, terms):
         # the N_* part is the triv factors; gamma(M)'s size check covers M's
@@ -427,23 +412,20 @@ class _ManifoldParser(_ElementParser):
             coef = max(coef, sum(f.dim for f in factors if isinstance(f, Trivial)))
         return size, coef
 
-    def finish(self, terms):
-        return _parity_list(terms)
-
     def named_atom(self, text, idx):
         toks = self.toks
         if text in ('P', 'S'):
             toks.expect('(')
             n = toks.expect_int()
             toks.expect(')')
-            return [Proj(n) if text == 'P' else AntipodalSphere(n)]
+            return frozenset((Proj(n) if text == 'P' else AntipodalSphere(n),))
         if text == 'gamma':
-            return _parity_list(GammaOf(x) for x in self.parse_call())
+            return frozenset(map(GammaOf, self.parse_call()))
         if text == 'triv':
             toks.expect('(')
             poly = _coefficient_parser(toks, self.coef).parse_sum()
             toks.expect(')')
-            return [Trivial(poly)] if poly else []
+            return frozenset((Trivial(poly),)) if poly else self.zero()
         raise toks.error(idx, self.expected)
 
 
@@ -501,7 +483,7 @@ def parse_bundle(text, geometry):
 
 
 def parse_manifold(text, coef):
-    """Parse a manifold expression to a parity-reduced list of terms."""
+    """Parse a manifold expression to the frozenset of its terms, a formal GF(2) sum."""
     return _parse(text, lambda toks: _ManifoldParser(toks, coef).parse_sum())
 
 

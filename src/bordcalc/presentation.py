@@ -52,7 +52,7 @@ from collections import namedtuple
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (Echelon, GradedPoly, MONO_ONE, ModulePoly, SparseSum, mono_degree,
-                  mono_key, parity, product_monos, sum_of_images)
+                  parity, product_monos, sum_of_images)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -670,6 +670,6 @@ class BordismRing:
             images = [self.localize(self.single(fm)) for fm in cands]
             if any(x and x.degree() != d for x in images):
                 raise ContractViolation('inputs are not homogeneous of one degree')
-            window = (cands, Echelon([x.monos for x in images], mono_key))
+            window = (cands, Echelon([x.monos for x in images]))
             self._window_cache[d] = window
         return window

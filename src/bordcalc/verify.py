@@ -219,7 +219,7 @@ def _suite_cf(s, degrees):
                             bad, len(exprs), 'expressions'))
         monos = geo.bundle_monomials(d)
         rows = [geo.delta(p).support() for p in monos]
-        drank = rank_sets(rows, lambda item: item)
+        drank = rank_sets(rows)
         want = sum(s.coef.rank(d - 1 - j) for j in range(d))
         out.append(Check('cf-exact: delta surjects at degree %d' % d,
                          drank == want, 'rank %d' % drank))

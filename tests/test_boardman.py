@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from bordcalc.boardman import tables
 from bordcalc.charnum import fixed_bundle, identify_in_n, identify_in_nbo1
+from bordcalc.coefficients import CoefRing
 from bordcalc.errors import IntegrityError
+from bordcalc.gf2 import MONO_ONE, power, product_monos
 from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.session import Session
 from bordcalc.verify import SUITES, verify
@@ -77,3 +79,50 @@ def test_tables_are_built_only_as_far_as_asked():
     # alpha(G(1, 6)) lies in N_7: no table grows
     mo.normal_form(parse_presentation('G(2,6)*e', mo))
     assert boardman.degree == 8
+
+
+def _dold_in_c_and_d(boardman, m, n):
+    """h(P(m, n)) by the polynomial algebra in c and d that Boardman._dold replaced.
+
+    A polynomial maps (i, j) to the set of beta monomials of its c^i d^j
+    term, cut past c^m d^n; the answer is the c^m d^n term of
+    B(c)^m (B(x_1) B(x_2))^(n+1).
+    """
+    beta = boardman._beta
+
+    def mul(x, y):
+        out = {}
+        for (i1, j1), s1 in x.items():
+            for (i2, j2), s2 in y.items():
+                if i1 + i2 <= m and j1 + j2 <= n:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = out.get(key, set()) ^ product_monos(s1, s2)
+        return {key: s for key, s in out.items() if s}
+
+    # the power sums x_1^k + x_2^k = c p_{k-1} + d p_{k-2}, as sets of (i, j)
+    sums = [set(), {(1, 0)}]
+    for _ in range(2, m + 2 * n + 1):
+        sums.append({(i + 1, j) for i, j in sums[-1]} ^ {(i, j + 1) for i, j in sums[-2]})
+    # B(x_1) B(x_2) = sum_{a >= b} beta_a beta_b m_(a,b), the monomial
+    # symmetric function m_(a,b) being d^b p_{a-b}, or d^a when a = b
+    plane = {}
+    for a in range(m + 2 * n + 1):
+        for b in range(min(a, m + 2 * n - a) + 1):
+            terms = [(0, a)] if a == b else [(i, j + b) for i, j in sums[a - b]]
+            for key in terms:
+                if key[0] <= m and key[1] <= n:
+                    plane[key] = plane.get(key, set()) ^ {beta[a] + beta[b]}
+    plane = {key: s for key, s in plane.items() if s}
+    line = {(k, 0): {beta[k]} for k in range(m + 1)}
+    one = {(0, 0): {MONO_ONE}}
+    total = mul(power(line, m, one, mul), power(plane, n + 1, one, mul))
+    return total.get((m, n), set())
+
+
+def test_dold_images_match_the_polynomial_algebra_in_c_and_d():
+    # every P(m, n) through dimension 28, generator or not
+    boardman = tables(CoefRing(28))
+    pairs = [(m, n) for n in range(15) for m in range(1, 29 - 2 * n)]
+    assert len(pairs) == 210
+    for m, n in pairs:
+        assert boardman._dold(m, n) == _dold_in_c_and_d(boardman, m, n), (m, n)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic and GF(2) linear algebra."""
 
+import functools
 import itertools
 
 import pytest
@@ -529,11 +530,11 @@ def test_partitions_count_and_order():
 
 def test_rank_and_solve_over_sets():
     rows = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
-    assert rank_sets(rows, key=lambda x: x) == 2
-    assert solve_sets(rows, frozenset({1, 3}), key=lambda x: x) == [1, 1, 0]
-    assert solve_sets(rows, frozenset({1}), key=lambda x: x) is None
+    assert rank_sets(rows) == 2
+    assert solve_sets(rows, frozenset({1, 3})) == [1, 1, 0]
+    assert solve_sets(rows, frozenset({1})) is None
     # one elimination, many targets; a column no row holds answers None
-    ech = Echelon(rows + [frozenset()], lambda x: x)
+    ech = Echelon(rows + [frozenset()])
     assert ech.rank == 2
     assert ech.solve(frozenset()) == [0, 0, 0, 0]
     assert ech.solve(frozenset({1, 3})) == [1, 1, 0, 0]
@@ -541,8 +542,9 @@ def test_rank_and_solve_over_sets():
     assert ech.solve(frozenset({1})) is None
 
 
-def _widened(rows, target, key):
-    """(rank, flags) as solve_sets found them with the target's monomials as columns too."""
+def _keyed(rows, target, key):
+    """(rank, flags) of the elimination with columns ordered by key, the first
+    on the highest bit, and the target's monomials as columns too."""
     universe = sorted(frozenset().union(target, *rows), key=key)
     pos = {m: len(universe) - 1 - i for i, m in enumerate(universe)}
     pivots = gf2._eliminate([sum(1 << pos[m] for m in row) for row in rows])
@@ -551,19 +553,27 @@ def _widened(rows, target, key):
     return len(pivots), flags
 
 
-# rows draw from 0..7, targets from 0..10, so a target may hold a column
-# no row has; rows may be empty and may repeat
-_rows = st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=8)
-_target = st.frozensets(st.integers(0, 10), max_size=6)
-_KEYS = [lambda m: m, lambda m: -m, lambda m: (m * 5) % 11]
+@st.composite
+def _rows_with_sums(draw):
+    """Rows over 0..7, some repeated or empty, with xors of earlier rows mixed in."""
+    rows = draw(st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, functools.reduce(frozenset.symmetric_difference, picks))
+    return rows
 
 
-@given(_rows, _target, st.sampled_from(_KEYS))
-def test_echelon_matches_widened_elimination(rows, target, key):
-    rank, flags = _widened(rows, target, key)
-    ech = Echelon(rows, key)
-    assert ech.rank == rank == rank_sets(rows, key)
-    assert ech.solve(target) == flags == solve_sets(rows, target, key)
+# targets draw from 0..10, so a target may hold a column no row has; a
+# column order is a permutation of 0..10
+@given(_rows_with_sums(), st.frozensets(st.integers(0, 10), max_size=6),
+       st.permutations(range(11)))
+def test_echelon_matches_widened_elimination(rows, target, order):
+    rank, flags = _keyed(rows, target, order.index)
+    ech = Echelon(rows)
+    assert ech.rank == rank == rank_sets(rows)
+    assert ech.solve(target) == flags == solve_sets(rows, target)
     if flags is not None:
         acc = frozenset()
         for row, f in zip(rows, flags):

@@ -13,8 +13,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bordcalc.gf2 import Echelon, mono_key
+from bordcalc.gf2 import Echelon
 from bordcalc.presentation import Presentation
+from bordcalc.session import Session
+from test_presentation import _sum_of_terms
 
 DEGREES = range(-2, 13)
 TOPS = range(-1, 4)
@@ -30,7 +32,7 @@ def _image(mo, fm):
 @functools.lru_cache(maxsize=None)
 def _reference_window(mo, d, t):
     cands = mo.basis_monomials_window(d, t)
-    return cands, Echelon([_image(mo, fm).monos for fm in cands], mono_key)
+    return cands, Echelon([_image(mo, fm).monos for fm in cands])
 
 
 def window_member(mo, target):
@@ -109,3 +111,50 @@ def test_peel_matches_the_window_property(sess, d, t, seed):
         found = mo.member(target)
         assert found == window_member(mo, target)
         assert (found is not None) == is_member
+
+
+@st.composite
+def _shape(draw, size):
+    """G(i, n) factors (X_n when i = 0) and a_d degrees of sizes adding up to size."""
+    factors, coef_degrees, left = [], [], size
+    while left:
+        # no part leaves 1 behind, which no part fills
+        p = draw(st.sampled_from([p for p in range(2, min(left, 8) + 1) if left - p != 1]))
+        if p in (2, 4, 5, 6) and draw(st.booleans()):
+            coef_degrees.append(p)
+        else:
+            n = draw(st.integers(max(2, p - 3), min(p, 6)))
+            factors.append((p - n, n))
+        left -= p
+    return factors, coef_degrees
+
+
+@st.composite
+def _presentation_shapes(draw):
+    """(factors, a_d degrees, e power) of the terms of a class of degree -2..10.
+
+    A term's size, its degree plus its e power, is at most 12.
+    """
+    d = draw(st.integers(-2, 10))
+    least = max(0, -d)
+    epows = [k for k in range(least, least + 4) if d + k != 1 and d + k <= 12]
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(epows))
+        shapes.append(draw(_shape(d + k)) + (k,))
+    return shapes
+
+
+# one session shared across draws, so its windows and memos fill as a
+# long session's do
+_SHARED = Session()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentation_shapes())
+def test_member_of_a_localization_is_the_normal_form(shapes):
+    # member solves in Laurent coordinates, normal_form rewrites: two routes
+    for session in (Session(), _SHARED):
+        mo = session.mo
+        x = _sum_of_terms(session, shapes)
+        assert mo.member(mo.localize(x)) == mo.normal_form(x), shapes

@@ -102,25 +102,25 @@ def test_bundle_expressions(sess):
 
 def test_manifold_expressions(sess):
     coef = sess.coef
-    assert parse_manifold('P(2)', coef) == [Proj(2)]
-    assert parse_manifold('gamma(P(3))', coef) == [GammaOf(Proj(3))]
-    assert parse_manifold('P(2)*P(3)', coef) == [ProductOf((Proj(2), Proj(3)))]
-    assert parse_manifold('S(4)', coef) == [AntipodalSphere(4)]
-    assert parse_manifold('triv(a2 + a4)', coef) == [Trivial(coef.a(2) + coef.a(4))]
-    # sums are formal and parity-reduced
-    assert parse_manifold('P(2) + P(2)', coef) == []
-    assert parse_manifold('P(2) + P(3)', coef) == [Proj(2), Proj(3)]
-    assert parse_manifold('P(2)^2', coef) == [ProductOf((Proj(2), Proj(2)))]
-    assert parse_manifold('gamma(P(2) + P(3))', coef) == [
-        GammaOf(Proj(2)), GammaOf(Proj(3))]
-    assert parse_manifold('1*P(2)', coef) == [Proj(2)]
-    # the first occurrence fixes a term's place; each sum is reduced once
-    assert parse_manifold('P(2)+P(2)+P(3)+P(2)', coef) == [Proj(2), Proj(3)]
-    assert parse_manifold('P(2)+P(3)+P(2)+P(3)+P(3)', coef) == [Proj(3)]
+    assert parse_manifold('P(2)', coef) == {Proj(2)}
+    assert parse_manifold('gamma(P(3))', coef) == {GammaOf(Proj(3))}
+    assert parse_manifold('P(2)*P(3)', coef) == {ProductOf((Proj(2), Proj(3)))}
+    assert parse_manifold('S(4)', coef) == {AntipodalSphere(4)}
+    assert parse_manifold('triv(a2 + a4)', coef) == {Trivial(coef.a(2) + coef.a(4))}
+    # sums are formal GF(2) sums, frozensets of their terms
+    assert type(parse_manifold('P(2) + P(3)', coef)) is frozenset
+    assert parse_manifold('P(2) + P(2)', coef) == set()
+    assert parse_manifold('P(2) + P(3)', coef) == {Proj(2), Proj(3)}
+    assert parse_manifold('P(2)^2', coef) == {ProductOf((Proj(2), Proj(2)))}
+    assert parse_manifold('gamma(P(2) + P(3))', coef) == {
+        GammaOf(Proj(2)), GammaOf(Proj(3))}
+    assert parse_manifold('1*P(2)', coef) == {Proj(2)}
+    assert parse_manifold('P(2)+P(2)+P(3)+P(2)', coef) == {Proj(2), Proj(3)}
+    assert parse_manifold('P(2)+P(3)+P(2)+P(3)+P(3)', coef) == {Proj(3)}
     p2, p3 = Proj(2), Proj(3)
-    assert parse_manifold('(P(2)+P(3))*(P(3)+P(2))', coef) == [
+    assert parse_manifold('(P(2)+P(3))*(P(3)+P(2))', coef) == {
         ProductOf((p2, p3)), ProductOf((p2, p2)), ProductOf((p3, p3)),
-        ProductOf((p3, p2))]
+        ProductOf((p3, p2))}
     err = _syntax_error(parse_manifold, 'P(2)^-1', coef)
     assert (err.position, err.expected) == (5, ('a nonnegative exponent',))
     with pytest.raises(ParseError):
