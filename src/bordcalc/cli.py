@@ -16,7 +16,6 @@ CoefRing.check_size, or exits 3 unbuilt.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -289,6 +288,8 @@ def _run_one(session, args, expr):
         code, outputs, lines = 1, {'error': str(exc)}, ['error: %s' % exc]
     elapsed = int((time.monotonic() - start) * 1000)
     if args.json:
+        # only a report needs json: a plain call does not load it
+        import json
         report = {'schema': 'bordcalc.report/1', 'command': args.command,
                   'inputs': _describe_inputs(session, args, expr), 'outputs': outputs,
                   'checks': checks, 'elapsed_ms': elapsed}

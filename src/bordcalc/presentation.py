@@ -227,6 +227,9 @@ class BordismRing:
         self._x_cache = {}
         # basis_monomials(d, e_cap), by (d, e_cap)
         self._basis_cache = {}
+        # c_J packed and the factors X_{j+1} it names, by the c fields of a term
+        self._c_fields = self.table.mask('c')
+        self._c_cache = {}
 
     def _own(self, x):
         """x, unless it was built over another session's table."""
@@ -535,8 +538,10 @@ class BordismRing:
 
         A monomial without a G(i >= 1) factor is taken when its top
         e-exponent, epow - #X, is at most t_max. Every type-B monomial is
-        taken: its localization lies in exponents <= -1 (see member, which
-        peels the levels >= 0 and so asks only for t_max = -1).
+        taken: its localization lies in exponents <= -1. member peels every
+        type-A monomial off the target and solves against the type-B ones
+        alone; one solve over this window is the reference it is tested
+        against.
         """
         table, gens = self.table, self.coef.generators
         out = []
@@ -577,28 +582,38 @@ class BordismRing:
         """Preimage of a Laurent class under localization, or None.
 
         A preimage is a class x of degree d in normal form, a sum of basis
-        monomials. Peel the residual's top level, starting from the target,
-        while it is 0 or more, then solve once:
+        monomials. Peel from the target every term that tops out a type-A
+        monomial, top level first, then solve what is left once against the
+        type-B monomials:
 
         - A type-A monomial (no G(i >= 1) factor) mu X_{n1}...X_{nr} e^k
           localizes to mu e^k prod(c_{ni-1} e^-1 + e^-ni). Its top term
-          mu prod c_{ni-1} e^{k-r} determines it, and every other term lies
-          strictly lower, because ni >= 2. A type-B monomial (one G(i, j)
-          with i >= 1, no e) localizes into exponents <= -1: loc_P(n) does,
-          and by induction so does loc(G(i, j)) = e^-1 (loc(G(i-1, j)) +
-          alpha(G(i-1, j))).
-        - Peel. At the residual's top level L >= 0, each term
-          mu c_{j1}...c_{jr} e^L is the top term of exactly one basis
-          monomial, mu X_{j1+1}...X_{jr+1} e^{L+r}, and nothing else of x
-          reaches e^L; so if the residual is loc(x), these monomials are
-          the ones of x topping out at e^L. Adding their localizations
-          clears level L and everything above it, so the next level peeled
-          is the residual's own top, strictly below L.
-        - Solve. The residual now lies in exponents <= -1, and what is left
-          of x is type-A monomials topping out at or below e^-1 and type-B
-          monomials: the finite window basis_monomials_window(d, -1), built
-          and eliminated once per degree and session. Localization is
-          injective on the basis, so a solution there together with the
+          mu c_J e^L, J = (n1 - 1, ..., nr - 1) and L = k - r, has
+          L + |J| = k >= 0 and determines it; every other term lies
+          strictly lower, because ni >= 2. So each term mu c_J e^L with
+          L + |J| >= 0 is the top term of exactly one type-A monomial,
+          mu X_{J+1} e^{L+|J|}.
+        - No type-B monomial (one G(i, j) with i >= 1, no e) localizes to
+          such a term. Write s(t) = L + |J| for a term t = mu c_J e^L; s
+          adds under products. Each term of loc(X_n) = c_{n-1} e^-1 + e^-n
+          has s <= 0, and each term of loc(G(i, j)) = e^-1 (loc(G(i-1, j))
+          + alpha(G(i-1, j))), i >= 1, has s <= -1 by induction (alpha is
+          e-free and c-free, s = 0). So every term of a type-B localization
+          has s <= -1.
+        - Peel. At the highest level L holding a term with s >= 0, each such
+          term is the top of one type-A monomial of x: nothing else of
+          loc(x) reaches it, since any type-A monomial of x topping out
+          higher would leave a term with s >= 0 above L. Adding their
+          localizations clears those terms and changes only the levels
+          below L. This is reduction modulo a triangular family, so it
+          keeps the preimage: if the target is loc(x), the peeled
+          monomials are exactly the type-A part of x. A term of a degree-d
+          target has |J| <= sum J <= d + L, so s >= 0 needs L >= -d/2, and
+          the peel stops below -floor(d/2).
+        - Solve. What is left has no term with s >= 0, and what is left of
+          x is its type-B part: one solve against the localizations of
+          _type_b(d), eliminated once per degree and session. Localization
+          is injective on the basis, so a solution there together with the
           peeled monomials is x. No solution means the target is not a
           localization, since a solution would make it loc(peeled + solved).
 
@@ -618,8 +633,11 @@ class BordismRing:
         alpha(G(i-1, n)))). So a term with r >= 1 factors localizes to
         e-free degree at most size - r <= max_degree, and a term with none
         to v <= max_degree. Hence d + t0 <= max_degree, and d - 1 <=
-        max_degree covers t0 < -1; the window at d asks for coefficients
-        of degree at most d - 1 and so stays inside the cap.
+        max_degree covers t0 < -1. A peeled monomial localizes into terms of
+        degree d at or below the level of the residual term it tops, which
+        is at most t0, so their e-free degree is at most d + t0; and the
+        type-B window at d asks for coefficients of degree at most d - 3.
+        Both stay inside the cap.
         """
         self.laurent._require_laurent(target, 'membership target')
         if not target:
@@ -629,44 +647,65 @@ class BordismRing:
             raise ContractViolation('membership target must be homogeneous')
         d, t0 = degrees.pop(), target.max_inv_exp()
         self.coef.check_size('membership target of degree', d, d + max(t0, -1))
-        peeled, residual = [], target
-        while residual and (level := residual.max_inv_exp()) >= 0:
-            tops = self._top_monomials(residual, level)
-            peeled += tops
-            residual = residual + self.localize(Presentation(self.table, tops))
+        table = self.table
+        shift = table.e_shift
+        # below: the residual's terms under the level peeled, which a peel
+        # changes; kept: the terms above it that top no monomial
+        below, kept, pieces = set(target.monos), [], []
+        least = -(d // 2) << shift
+        while below and (top := max(below)) >= least:
+            floor = top >> shift << shift
+            tops = []
+            for m in list(filter(floor.__le__, below)):
+                piece = self._topped(m)
+                if piece is None:
+                    kept.append(m)
+                    below.remove(m)
+                else:
+                    tops.append(piece)
+            if tops:
+                # their localizations clear the peeled terms and change only lower levels
+                pieces += tops
+                below ^= self._evaluate(tops, self._localize_cache, self._loc_gamma).monos
         cands, echelon = self._window(d)
-        flags = echelon.solve(residual.monos)
+        flags = echelon.solve(below.union(kept))
         if flags is None:
             return None
-        return Presentation(self.table, peeled + [fm for fm, f in zip(cands, flags) if f])
+        low = (1 << shift) - 1
+        return Presentation(table, [FormalMonomial(rest & low, xs, rest >> shift)
+                                    for xs, rest in pieces]
+                            + [fm for fm, f in zip(cands, flags) if f])
 
-    def _top_monomials(self, t, level):
-        """The type-A monomials whose localizations top out at t's terms at e^level.
+    def _topped(self, m):
+        """The type-A monomial whose localization tops out at the term m, or None.
 
-        A term mu c_{j1}...c_{jr} e^level is the top term of
-        mu X_{j1+1}...X_{jr+1} e^{level+r}.
+        A term mu c_{j1}...c_{jr} e^L with L + r >= 0 is the top term of
+        mu X_{j1+1}...X_{jr+1} e^{L+r}; one with L + r < 0 tops none. The
+        monomial comes as localize reads it, (X factors, mu times e^{L+r}).
         """
-        table, j_of = self.table, self.table.subscripts['c']
-        inv, shift = table.invertible, table.e_shift
-        out = []
-        for m in t.monos:
-            if m >> shift != level:
-                continue
-            pairs = table.exponents(m)
-            xs = tuple((0, j_of[i] + 1) for i, x in pairs if i in j_of for _ in range(x))
-            coef = table.pack(p for p in pairs if p[0] != inv and p[0] not in j_of)
-            out.append(FormalMonomial(coef, xs, level + len(xs)))
-        return out
+        table = self.table
+        fields = m & self._c_fields
+        entry = self._c_cache.get(fields)
+        if entry is None:
+            j_of = table.subscripts['c']
+            pairs = table.exponents(fields)
+            entry = self._c_cache[fields] = (
+                table.pack(pairs), tuple((0, j_of[i] + 1) for i, x in pairs for _ in range(x)))
+        c, xs = entry
+        if (m >> table.e_shift) + len(xs) < 0:
+            return None
+        return xs, m - c + (len(xs) << table.e_shift)
 
     def _window(self, d):
-        """basis_monomials_window(d, -1) with its localizations eliminated, cached per degree.
+        """The type-B monomials _type_b(d) with their localizations eliminated,
+        cached per degree.
 
         Only a finished build is stored, so a CapacityError leaves nothing
         behind.
         """
         window = self._window_cache.get(d)
         if window is None:
-            cands = self.basis_monomials_window(d, -1)
+            cands = self._type_b(d)
             images = [self.localize(self.single(fm)) for fm in cands]
             if any(x and x.degree() != d for x in images):
                 raise ContractViolation('inputs are not homogeneous of one degree')

@@ -18,7 +18,7 @@ from collections import namedtuple
 from .boardman import tables
 from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .conner_floyd import tower
-from .errors import ContractViolation
+from .errors import ContractViolation, IntegrityError
 from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
 from .presentation import QuotientElem
 
@@ -39,7 +39,9 @@ def verify(session, suite='all', max_degree=None):
     a degree past the cap minus that reach is refused up front through
     CoefRing.check_size, and the default is the largest degree admitted.
     A degree below the suite's least degree is refused too: its sweeps
-    would pass vacuously.
+    would pass vacuously. A suite that raises ContractViolation or
+    IntegrityError while it runs reports one failed check naming the suite
+    and the error; a CapacityError propagates.
     """
     row = _SUITES.get(suite)
     if row is None:
@@ -54,7 +56,12 @@ def verify(session, suite='all', max_degree=None):
         raise ContractViolation('verify suite %s sweeps from degree %d, got %d'
                                 % (suite, row.least, dmax))
     session.coef.check_size('verify degree', dmax, dmax + COEF_REACH[suite])
-    return row.run(session, range(row.least, dmax + 1))
+    try:
+        return row.run(session, range(row.least, dmax + 1))
+    except (ContractViolation, IntegrityError) as exc:
+        # a wrong value that breaks a contract fails this suite, and the
+        # suites after it still run
+        return [Check('%s: raised %s' % (suite, type(exc).__name__), False, str(exc))]
 
 
 def _counted(name, bad, total, things):

@@ -114,7 +114,8 @@ def test_cli_import_leaves_out_the_heavy_stdlib():
             'import bordcalc.cli\n'
             'from bordcalc.session import Session\n'
             'Session()\n'
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing', 'json'}"
+            " & set(sys.modules)))"
             % str(Path(__file__).resolve().parents[1] / 'src'))
     proc = subprocess.run([sys.executable, '-S', '-c', code], capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'[]\n', b'')

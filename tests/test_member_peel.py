@@ -158,3 +158,58 @@ def test_member_of_a_localization_is_the_normal_form(shapes):
         mo = session.mo
         x = _sum_of_terms(session, shapes)
         assert mo.member(mo.localize(x)) == mo.normal_form(x), shapes
+
+
+def _level_and_count(table, m):
+    """(the e exponent L of the term m, the number |J| of its c factors)."""
+    c = table.family['c'].values()
+    return (m >> table.e_shift,
+            sum(x for i, x in table.exponents(m) if i in c))
+
+
+def test_no_type_b_localization_reaches_the_peeled_terms(sess):
+    # each term of loc(G(i, j)), i >= 1, has L + |J| <= -1, so every term
+    # the peel takes tops a type-A monomial
+    mo, table = sess.mo, sess.table
+    terms = 0
+    for d in range(13):
+        for fm in mo._type_b(d):
+            for m in mo.localize(mo.single(fm)).monos:
+                level, count = _level_and_count(table, m)
+                assert level + count <= -1, (fm, table.text(m))
+                terms += 1
+    assert terms > 2000
+
+
+def test_every_type_a_monomial_is_peeled_off_its_top(sess):
+    # mu X_{J+1} e^k localizes to a top term mu c_J e^(k-|J|), every other
+    # term strictly lower, and the peel maps that term back to it
+    mo, table = sess.mo, sess.table
+    e = table.units[table.invertible]
+    seen = 0
+    for d in range(-4, 13):
+        for fm in mo.basis_monomials(d, e_cap=4):
+            if fm.gamma_factors():
+                continue
+            image = mo.localize(mo.single(fm)).monos
+            top = max(image)
+            level, count = _level_and_count(table, top)
+            assert level + count == fm.epow >= 0, fm
+            assert all(m >> table.e_shift < level for m in image if m != top), fm
+            assert mo._topped(top) == (fm.gammas, fm.coef + fm.epow * e), fm
+            seen += 1
+    assert seen > 3000
+
+
+def test_the_window_holds_the_type_b_monomials_only():
+    mo = Session().mo
+    degrees = range(4, 13)
+    for d in degrees:
+        x = mo.e(1) * mo.X(d + 1) + mo.single(mo._type_b(d)[0])
+        assert mo.member(mo.localize(x)) == mo.normal_form(x)
+        assert mo._window_cache[d][0] == mo._type_b(d)
+    assert sorted(mo._window_cache) == list(degrees)
+    # the candidates of degree 12: 519 in the window a one-solve member
+    # would need, 157 type-B ones in member's
+    assert len(mo.basis_monomials_window(12, -1)) == 519
+    assert len(mo._window_cache[12][0]) == 157

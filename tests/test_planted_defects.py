@@ -61,6 +61,22 @@ def _loc_gamma(original):
     return patched
 
 
+def _loc_gamma_inhomogeneous(original):
+    # loc(G(1, 3)) plus a5*e^-1, a term of another degree
+    def patched(self, i, n):
+        out = original(self, i, n)
+        return out + self.coef.a(5) * self.laurent.e(-1) if (i, n) == (1, 3) else out
+    return patched
+
+
+def _generator(original):
+    # h(a5) plus beta3*beta2, which names no coefficient monomial
+    def patched(self, d):
+        out = original(self, d)
+        return out ^ {self._beta[3] + self._beta[2]} if d == 5 else out
+    return patched
+
+
 def _dictionary(original):
     # a4 added to every nonzero image of degree 4
     def patched(self, poly):
@@ -129,14 +145,21 @@ def _eval_cleared(original):
 # moves that and the presentation's alpha(G(i, n)), through other
 # b-multisets. Either way every suite that compares the geometry with the
 # presentation fails, and only sw-oracle recomputes the Boardman value.
-# A defect changes an answer and raises nothing: a term added to h(a5),
-# say, makes verify raise IntegrityError instead of failing a check.
+# A defect that breaks a contract makes a suite raise: verify reports that
+# suite as one failed check and runs the others, so the inhomogeneous
+# loc(G(1, 3)) fails basis by raising and geomcomp and compare by their
+# checks, and the term added to h(a5) raises in every suite that reads a
+# class off the Boardman tables.
 _BOTH_SIDES = {'gamma', 'geomcomp', 'cf-exact', 'compare'}
 ROWS = {
     'fixed-point image': (Geometry, '_fixed_image', _fixed_image, _BOTH_SIDES),
     'bundle_in_n': (Boardman, 'bundle_in_n', _bundle_in_n, _BOTH_SIDES | {'sw-oracle'}),
     'delta': (Boardman, 'bundle_in_nbo1', _delta_image, {'cf-exact', 'sw-oracle'}),
     'loc(G(i,n))': (BordismRing, '_loc_gamma', _loc_gamma, {'basis', 'geomcomp', 'compare'}),
+    'inhomogeneous loc(G(1,3))': (BordismRing, '_loc_gamma', _loc_gamma_inhomogeneous,
+                                  {'basis', 'geomcomp', 'compare'}),
+    'h(a5)': (Boardman, '_generator', _generator,
+              {'seq', 'basis', 'gamma', 'geomcomp', 'cf-exact', 'compare', 'sw-oracle'}),
     'dictionary': (Geometry, 'dictionary', _dictionary, {'geomcomp', 'compare'}),
     'Gamma of a monomial': (BordismRing, '_gamma_mono', _gamma_mono, {'seq'}),
     'normal form of a non-basis monomial': (BordismRing, '_nf_mono', _nf_mono,
@@ -176,6 +199,22 @@ def test_planted_defect_fails_a_suite(row):
     if row in OPEN_GAPS:
         # a suite that catches it closes the gap: give the row that must-set
         assert failed == set(), (row, failed)
+
+
+def test_a_raising_suite_is_one_failed_check():
+    original = Boardman._generator
+    Boardman._generator = _generator(original)
+    try:
+        checks = verify(Session(), 'all', DEGREE)
+    finally:
+        Boardman._generator = original
+    # every suite still reports; the ones that raised report one check each
+    assert {c.name.split(':')[0] for c in checks} == set(SUITES)
+    raised = [c for c in checks if ': raised ' in c.name]
+    assert {c.name for c in raised} == {'%s: raised IntegrityError' % name for name in
+                                        ('seq', 'basis', 'gamma', 'geomcomp', 'cf-exact',
+                                         'compare')}
+    assert all(not c.passed and 'beta3*beta2' in c.detail for c in raised)
 
 
 def test_every_suite_can_fail():
