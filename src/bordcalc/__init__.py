@@ -7,8 +7,7 @@ from .errors import (BordcalcError, CapacityError, ContractViolation,
                      FuelExhausted, IntegrityError, NotDivisible, ParseError)
 from .gf2 import GradedPoly, VarTable, poly_rank, solve_gf2
 from .localized import LaurentRing
-from .presentation import (BordismRing, FormalMonomial, Presentation,
-                           QuotientElem, UNDECIDED)
+from .presentation import BordismRing, FormalMonomial, Presentation, QuotientElem
 from .session import Session
 from .verify import Check, verify
 
@@ -20,7 +19,7 @@ __all__ = [
     'FreeBZ2Elem', 'FuelExhausted', 'GammaOf', 'Geometry', 'GradedPoly',
     'IntegrityError', 'LaurentRing', 'NotDivisible', 'ParseError',
     'Presentation', 'ProductOf', 'Proj', 'QuotientElem', 'Session',
-    'Trivial', 'UNDECIDED', 'VarTable',
+    'Trivial', 'VarTable',
     'allowed_degrees', 'dold_indices', 'generator_rep', 'poly_rank',
     'solve_gf2', 'verify',
 ]

@@ -62,7 +62,7 @@ from collections import Counter
 
 from .coefficients import dold_indices
 from .errors import IntegrityError
-from .gf2 import GradedPoly, MONO_ONE, VarTable, parity, product_monos
+from .gf2 import GradedPoly, MONO_ONE, Memo, VarTable, memo, parity, product_monos
 
 
 def tables(coef):
@@ -121,15 +121,25 @@ class Boardman:
         self._beta = [MONO_ONE] + [self.table.units[self.table.family['beta'][i]]
                                    for i in range(1, cap + 1)]
         self.degree = -1
-        self._powers = {}           # i -> [u^k] B(u)^i by k
-        self._f = {}                # (i, s) -> F_i^(2^s) by degree
-        self._h = {MONO_ONE: {MONO_ONE}}   # packed N_* monomial -> its h
+        self._powers = Memo()       # i -> [u^k] B(u)^i by k
+        self._f = Memo()            # (i, s) -> F_i^(2^s) by degree
+        self._h = Memo({MONO_ONE: {MONO_ONE}})   # packed N_* monomial -> its h
 
     # --- the tables -----------------------------------------------------------
 
+    # a kept row grows in place, one coefficient at a time
+
+    @memo('_powers')
+    def _power_row(self, i):
+        return [{MONO_ONE}]
+
+    @memo('_f')
+    def _f_rows(self, i, s):
+        return []
+
     def _power(self, i, k):
         """[u^k] B(u)^i, i >= 1, a set of monomials of degree k."""
-        row = self._powers.setdefault(i, [{MONO_ONE}])
+        row = self._power_row(i)
         while len(row) <= k:
             n, beta = len(row), self._beta
             if i == 1:
@@ -152,7 +162,7 @@ class Boardman:
 
     def _f_power(self, i, s, top):
         """F_i^(2^s) by degree through top."""
-        rows = self._f.setdefault((i, s), [])
+        rows = self._f_rows(i, s)
         while len(rows) <= top:
             m = len(rows)
             if not s:
@@ -205,17 +215,14 @@ class Boardman:
 
     # --- identification ---------------------------------------------------------
 
+    @memo('_h')
     def _h_of(self, mono):
         """h of a packed N_* monomial, the product of its generators' images."""
-        h = self._h.get(mono)
-        if h is None:
-            table = self.coef.table
-            idx, _ = table.exponents(mono)[0]
-            unit = table.units[idx]
-            h = (self._generator(table.subscripts['a'][idx]) if mono == unit
-                 else product_monos(self._h_of(mono - unit), self._h_of(unit)))
-            self._h[mono] = h
-        return h
+        table = self.coef.table
+        idx, _ = table.exponents(mono)[0]
+        unit = table.units[idx]
+        return (self._generator(table.subscripts['a'][idx]) if mono == unit
+                else product_monos(self._h_of(mono - unit), self._h_of(unit)))
 
     def _identify(self, image, ring):
         """The N_* element whose h is image, a set of monomials of one degree.

@@ -32,7 +32,7 @@ identify their classes.
 
 from .coefficients import generator_rep
 from .errors import CapacityError, ContractViolation, IntegrityError
-from .gf2 import Echelon, GradedPoly, power
+from .gf2 import Echelon, GradedPoly, Memo, memo, power
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import rank_sets, solve_sets
 
@@ -83,8 +83,7 @@ class Space:
         self._valid = 0
         for mask in by_degree:
             self._valid |= mask
-        self._tangent = None
-        self._pairing = None
+        self._tangent, self._pairing = Memo(), Memo()
 
     def _mul(self, x, y):
         """The product of two classes given as ints."""
@@ -120,17 +119,15 @@ class Space:
         # a slot with bound 0, as in RP(0), carries the zero class
         return CohomClass(self, 1 << self._strides[slot] if self.bounds[slot] else 0)
 
+    @memo('_tangent')
     def tangent_sw(self):
         """The total Stiefel-Whitney class of the tangent bundle."""
-        if self._tangent is None:
-            self._tangent = self._tangent_sw()
-        return self._tangent
+        return self._tangent_sw()
 
+    @memo('_pairing')
     def pairing(self):
         """The monomials of the top degree that pair to 1 with [M], as an int."""
-        if self._pairing is None:
-            self._pairing = self._top_dual()
-        return self._pairing
+        return self._top_dual()
 
     def _top_dual(self):
         return 1 << sum(b * s for b, s in zip(self.bounds, self._strides))
@@ -436,6 +433,7 @@ def space_for(coef, poly, extra=()):
 _RING = {False: 'N_*', True: 'N_*(BO(1))'}
 
 
+@memo('reference_rows')
 def _reference(coef, n, line):
     """Eliminated number rows of dimension n, built once: (Echelon, labels).
 
@@ -445,23 +443,20 @@ def _reference(coef, n, line):
     only on the ring, n and line, so they live on the ring, eliminated and
     checked independent.
     """
-    cached = coef.reference_rows.get((n, line))
-    if cached is None:
-        coef.check_size('%s reference rows of dimension' % _RING[line], n, n)
-        rows = []
-        labels = []
-        for j in range(n + 1) if line else (0,):
-            for mu in coef.monomials_of_degree(n - j):
-                space = space_for(coef, mu, extra=[RP(j)] if line else ())
-                ref = space.factor_gen(len(space.factors), 'u') if line else None
-                rows.append(sw_numbers(space, ref))
-                labels.append((j, mu))
-        echelon = Echelon(rows)
-        if echelon.rank != len(rows):
-            raise IntegrityError('%s reference rows are not independent at dimension %d'
-                                 % (_RING[line], n))
-        cached = coef.reference_rows[(n, line)] = (echelon, labels)
-    return cached
+    coef.check_size('%s reference rows of dimension' % _RING[line], n, n)
+    rows = []
+    labels = []
+    for j in range(n + 1) if line else (0,):
+        for mu in coef.monomials_of_degree(n - j):
+            space = space_for(coef, mu, extra=[RP(j)] if line else ())
+            ref = space.factor_gen(len(space.factors), 'u') if line else None
+            rows.append(sw_numbers(space, ref))
+            labels.append((j, mu))
+    echelon = Echelon(rows)
+    if echelon.rank != len(rows):
+        raise IntegrityError('%s reference rows are not independent at dimension %d'
+                             % (_RING[line], n))
+    return echelon, labels
 
 
 def _identify(space, numbers, coef, line):

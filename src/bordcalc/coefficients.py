@@ -13,7 +13,7 @@ the table's family a, which the table names and enumerates.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, standard_table
+from .gf2 import GradedPoly, Memo, memo, standard_table
 
 
 def is_power_of_two(n):
@@ -52,7 +52,7 @@ class CoefRing:
         self.table = standard_table(self.generator_degrees, max_degree)
         # the a_d variable indices, largest degree first
         self.generators = tuple(reversed(self.table.family['a'].values()))
-        self._mono_cache = {}
+        self._mono_cache = Memo()
         # Stiefel-Whitney number rows keyed by (dimension d, line), each built
         # once by charnum's one builder as (Echelon, labels) and checked
         # independent: the rows of mu x RP(j), j + |mu| = d, with the line of
@@ -60,7 +60,7 @@ class CoefRing:
         # plain rows of the degree-d monomials, j = 0, when not (identify_in_n).
         # Only the CLI's charnum and the sw-oracle suite build them: delta,
         # underlying and alpha identify through the Boardman tables
-        self.reference_rows = {}
+        self.reference_rows = Memo()
         # boardman.Boardman, made at first use by boardman.tables
         self.boardman = None
         # parsing's monomial atoms, by grammar and then by text, each built
@@ -112,10 +112,11 @@ class CoefRing:
             return []
         if d > self.max_degree:
             raise CapacityError('degree %d exceeds the cap %d' % (d, self.max_degree))
-        if d not in self._mono_cache:
-            self._mono_cache[d] = [GradedPoly(self.table, (m,))
-                                   for m in self.table.monomials(d, self.generators)]
-        return list(self._mono_cache[d])
+        return list(self._monomials_of_degree(d))
+
+    @memo('_mono_cache')
+    def _monomials_of_degree(self, d):
+        return [GradedPoly(self.table, (m,)) for m in self.table.monomials(d, self.generators)]
 
     def rank(self, d):
         """GF(2) dimension of N_d."""

@@ -33,7 +33,7 @@ from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, ModulePoly, map_monos
+from .gf2 import GradedPoly, Memo, ModulePoly, map_monos, memo
 
 
 class _Expr:
@@ -162,9 +162,8 @@ class Geometry:
         self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
         self._b_fields = table.mask('b')
         # both keyed by the b fields of a monomial, as gf2.sum_of_images keeps images
-        self._delta_cache = {}
-        self._fixed_cache = {}
-        self._walk_cache = {}
+        self._delta_cache, self._fixed_cache = Memo(), Memo()
+        self._walk_cache = Memo()
 
     # --- the bundle algebra -----------------------------------------------
 
@@ -225,14 +224,9 @@ class Geometry:
     def _fixed_image(self, bmono):
         return tables(self.coef).bundle_in_n(self._bmult(bmono) + (1,)).monos
 
+    @memo('_walk_cache')
     def _walk(self, expr):
         """phi(expr), kept by expression."""
-        fixed = self._walk_cache.get(expr)
-        if fixed is None:
-            fixed = self._walk_cache[expr] = self._walk_step(expr)
-        return fixed
-
-    def _walk_step(self, expr):
         if isinstance(expr, Proj):
             return self.b(expr.n) + self.b(1) ** expr.n
         if isinstance(expr, GammaOf):

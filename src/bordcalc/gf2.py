@@ -48,15 +48,50 @@ substitutions, delta and underlying), square-and-multiply
 powers, the partition enumerator, and free N_* modules as polynomials
 linear in one family of generators (ModulePoly): delta's values are
 polynomials in the a_d and c_j printed with s_j, obstruction classes
-polynomials in the a_d, X_n and e^k (k >= 1) printed with x_k.
+polynomials in the a_d, X_n and e^k (k >= 1) printed with x_k. The
+per-session memos of the package are Memos, filled through the memo
+decorator; only parsing's kept atoms are a plain dict.
 """
 
 import operator
-from functools import reduce
+from functools import reduce, wraps
 
 from .errors import CapacityError, ContractViolation
 
 MONO_ONE = 0
+_MISSING = object()
+
+
+class Memo(dict):
+    """A per-session memo: a dict that also counts hits, the lookups it answered."""
+
+    # a slot: a hit adds to it three times faster than to an instance attribute
+    __slots__ = ('hits',)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hits = 0
+
+
+def memo(name):
+    """A method decorator keeping answers in the Memo self.<name>, keyed by the
+    argument, or by the tuple of the arguments, all positional, when there are
+    several. Only a finished answer is kept: one that raises leaves nothing."""
+    def decorate(fn):
+        def kept(self, key):
+            cache = getattr(self, name)
+            # a sentinel, not KeyError: raising costs more than a miss's lookup
+            value = cache.get(key, _MISSING)
+            if value is _MISSING:
+                value = cache[key] = fn(self, *key) if several else fn(self, key)
+            else:
+                cache.hits += 1
+            return value
+
+        # one argument is the key itself: no tuple is packed on the way
+        several = fn.__code__.co_argcount != 2
+        return wraps(fn)((lambda self, *key: kept(self, key)) if several else kept)
+    return decorate
 
 
 class VarTable:
@@ -125,36 +160,28 @@ class VarTable:
         if self.invertible is not None:
             self.units[self.invertible] = 1 << shift
             self.e_degree = self.degrees[self.invertible]
-        self._masks = {}
-        self._monomials = {}
-        self._decoded = {}
+        self._masks = Memo()
+        self._monomials = Memo()
+        self._decoded = Memo()
 
+    @memo('_masks')
     def mask(self, letters):
         """The bits of the named families' fields; e's are every bit of its power."""
-        mask = self._masks.get(letters)
-        if mask is None:
-            idxs = {i for letter in letters for i in self.subscripts[letter]}
-            mask = self._masks[letters] = (
-                sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
+        idxs = {i for letter in letters for i in self.subscripts[letter]}
+        return (sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
                 | (-1 << self.e_shift if self.invertible in idxs else 0))
-        return mask
 
+    @memo('_monomials')
     def monomials(self, d, indices):
         """The monomials of e-free degree d in the variables of the tuple indices,
         the first one's largest power first, then recursively; each answer is kept."""
         if d > self.limit:
             raise CapacityError('degree %d exceeds the table limit %d' % (d, self.limit))
-        key = (d, indices)
-        out = self._monomials.get(key)
-        if out is None:
-            if not indices:
-                out = (MONO_ONE,) if d == 0 else ()
-            else:
-                degree, unit, rest = self.degrees[indices[0]], self.units[indices[0]], indices[1:]
-                out = tuple(p * unit + m for p in range(d // degree, -1, -1)
-                            for m in self.monomials(d - p * degree, rest))
-            self._monomials[key] = out
-        return out
+        if not indices:
+            return (MONO_ONE,) if d == 0 else ()
+        degree, unit, rest = self.degrees[indices[0]], self.units[indices[0]], indices[1:]
+        return tuple(p * unit + m for p in range(d // degree, -1, -1)
+                     for m in self.monomials(d - p * degree, rest))
 
     def index(self, name):
         """Index of a variable; KeyError if absent."""
@@ -194,12 +221,10 @@ class VarTable:
             out.append((self.invertible, k))
         return tuple(out)
 
+    @memo('_decoded')
     def decoded(self, m):
         """exponents(m), kept: sort keys decode the same coefficients over and over."""
-        out = self._decoded.get(m)
-        if out is None:
-            out = self._decoded[m] = self.exponents(m)
-        return out
+        return self.exponents(m)
 
     def text(self, m):
         """Canonical text of one monomial: the invertible variable last."""
@@ -251,7 +276,7 @@ def sum_of_images(table, pieces, cache, image):
     """The monomials of the sum over (key, m) in pieces of image(key) * (m / part), a frozenset.
 
     image(key) gives (part, monos): the factor of m that key names, and the
-    monomials of its image. cache keeps them by key, with the image's
+    monomials of its image. cache, a Memo, keeps them by key, with the image's
     largest e-free degree less part's, so each image is computed once per
     cache and each piece costs one shift. Every shift is checked against
     the limit, since a rest of large degree can carry a kept image past it:
@@ -268,6 +293,8 @@ def sum_of_images(table, pieces, cache, image):
             monos = tuple(monos)
             entry = cache[key] = (part, monos, max(map(efree.__and__, monos), default=0)
                                   - (part & efree))
+        else:
+            cache.hits += 1
         part, value, top = entry
         if (m & efree) + top > limit:
             raise table.overflow()
@@ -492,8 +519,8 @@ class Substitution:
         self.table = table
         self.images = {idx: image(sub) for idx, sub in table.subscripts[family].items()}
         self.mask = table.mask(family)
-        self._image_cache = {}
-        self._powers = {}
+        self._image_cache = Memo()
+        self._powers = Memo()
 
     def __call__(self, x):
         """The image of the polynomial x."""
@@ -505,15 +532,15 @@ class Substitution:
     def _image(self, part):
         # the part of a monomial free of the family is 1
         out = GradedPoly.one(self.table)
-        for key in self.table.exponents(part):
-            if key[1] < 0:
+        for idx, x in self.table.exponents(part):
+            if x < 0:
                 raise ContractViolation('cannot substitute into a negative power')
-            value = self._powers.get(key)
-            if value is None:
-                idx, x = key
-                value = self._powers[key] = self.images[idx] ** x
-            out = out * value
+            out = out * self._power(idx, x)
         return out.monos
+
+    @memo('_powers')
+    def _power(self, idx, x):
+        return self.images[idx] ** x
 
 
 class ModulePoly(GradedPoly):

@@ -7,7 +7,7 @@ Integers reduce mod 2. Specific atoms per grammar:
 
   presentation:  a<d>, X<n>, G(i,n), Gamma(expr), iota(expr), e
   laurent:       a<d>, c<j>, e (the only class allowed negative powers)
-  coefficient:   a<d>
+  coefficient:   a<d>, read inside triv(...)
   bundle:        a<d>, b<i>
   manifold:      P(n), S(j), gamma(expr), triv(coefficient)
   space:         RP(n), Dold(m,n), PB(space; line, ...)
@@ -337,11 +337,6 @@ class _PolyParser(_ElementParser):
         return size, coef
 
 
-def _coefficient_parser(toks, coef):
-    return _PolyParser(toks, 'coefficient', coef, {'a': coef.a}, ('a<d>', 'an integer', '('),
-                       coef)
-
-
 class _PresentationParser(_PolyParser):
     what = 'degree plus e power'
     maxima = staticmethod(Presentation.size)
@@ -423,7 +418,9 @@ class _ManifoldParser(_ElementParser):
             return frozenset(map(GammaOf, self.parse_call()))
         if text == 'triv':
             toks.expect('(')
-            poly = _coefficient_parser(toks, self.coef).parse_sum()
+            coef = self.coef
+            poly = _PolyParser(toks, 'coefficient', coef, {'a': coef.a},
+                               ('a<d>', 'an integer', '('), coef).parse_sum()
             toks.expect(')')
             return frozenset((Trivial(poly),)) if poly else self.zero()
         raise toks.error(idx, self.expected)
@@ -466,11 +463,6 @@ def parse_laurent(text, laurent):
         toks, 'laurent', laurent, {'a': laurent.coef.a, 'c': laurent.c},
         ('a<d>', 'c<j>', 'e', 'an integer', '('), laurent.coef, e=laurent.e,
         outside=laurent.table.subscripts['c'], what='e-free degree').parse_sum())
-
-
-def parse_coefficient(text, coef):
-    """Parse a coefficient-ring expression."""
-    return _parse(text, lambda toks: _coefficient_parser(toks, coef).parse_sum())
 
 
 def parse_bundle(text, geometry):

@@ -51,8 +51,8 @@ from collections import namedtuple
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import (Echelon, GradedPoly, MONO_ONE, ModulePoly, SparseSum, mono_degree,
-                  parity, product_monos, sum_of_images)
+from .gf2 import (Echelon, GradedPoly, MONO_ONE, Memo, ModulePoly, SparseSum, memo,
+                  mono_degree, parity, product_monos, sum_of_images)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -173,19 +173,9 @@ class Presentation(SparseSum):
         return ' + '.join(self._factor_text(fm) for fm in monos)
 
 
-# member decides exactly and no longer returns UNDECIDED; the sentinel
-# stays importable for callers that still test for it
-class _Undecided:
-    __slots__ = ()
-
-    def __repr__(self):
-        return 'Undecided'
-
-    def __bool__(self):
-        raise ContractViolation('Undecided is neither a member nor a non-member')
-
-
-UNDECIDED = _Undecided()
+# member never returns it; perfbench/child.py imports it, and
+# perfbench/tracer.py tests member's answer against it by identity
+UNDECIDED = object()
 
 
 class QuotientElem(ModulePoly):
@@ -216,20 +206,13 @@ class BordismRing:
         self.coef = laurent.coef
         self.table = laurent.table
         self.fuel = _fuel(fuel)
-        self._nf_cache = {}
-        self._window_cache = {}
-        # alpha(G(i, n)) and loc(G(i, n)), by (i, n)
-        self._alpha_gamma_cache = {}
-        self._loc_gamma_cache = {}
-        # the images under alpha and localize of a product of G factors, by its factors
-        self._alpha_cache = {}
-        self._localize_cache = {}
-        self._x_cache = {}
-        # basis_monomials(d, e_cap), by (d, e_cap)
-        self._basis_cache = {}
-        # c_J packed and the factors X_{j+1} it names, by the c fields of a term
+        # alpha's and localize's images of a product of G factors, by the factors,
+        # which gf2.sum_of_images fills, and normal forms, whose hits charge fuel
+        self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
+        self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
+        self._x_cache, self._basis_cache, self._window_cache = Memo(), Memo(), Memo()
         self._c_fields = self.table.mask('c')
-        self._c_cache = {}
+        self._c_cache = Memo()
 
     def _own(self, x):
         """x, unless it was built over another session's table."""
@@ -318,6 +301,7 @@ class BordismRing:
 
         return GradedPoly(self.table, sum_of_images(self.table, pieces, cache, image))
 
+    @memo('_alpha_gamma_cache')
     def _alpha_gamma(self, i, n):
         """alpha(G(i, n)), read off the fixed data of loc(G(i, n)) term by term.
 
@@ -330,17 +314,11 @@ class BordismRing:
         part 1 per trivial line (boardman.Boardman.bundle_in_n); the
         sw-oracle suite checks it against Q's Stiefel-Whitney numbers.
         """
-        key = (i, n)
-        val = self._alpha_gamma_cache.get(key)
-        if val is None:
-            if i == 0:
-                val = self.coef.rho(n)
-            else:
-                val = tables(self.coef).bundle_in_n((n,) + (1,) * (i + 1))
-                val = val + self.coef.rho(n + i)
-                for k in range(i):
-                    val = val + self._alpha_gamma(k, n) * self.coef.rho(i - k)
-            self._alpha_gamma_cache[key] = val
+        if i == 0:
+            return self.coef.rho(n)
+        val = tables(self.coef).bundle_in_n((n,) + (1,) * (i + 1)) + self.coef.rho(n + i)
+        for k in range(i):
+            val = val + self._alpha_gamma(k, n) * self.coef.rho(i - k)
         return val
 
     def bar(self, x):
@@ -417,6 +395,7 @@ class BordismRing:
         # fuel runs out at the same step as in a fresh session
         cached = self._nf_cache.get(fm)
         if cached is not None and cached[1] <= budget[0]:
+            self._nf_cache.hits += 1
             budget[0] -= cached[1]
             return cached[0]
         if fm.is_basis():
@@ -476,18 +455,12 @@ class BordismRing:
         return self._evaluate(((fm.gammas, fm.coef + fm.epow * e) for fm in self._own(x).monos),
                               self._localize_cache, self._loc_gamma)
 
+    @memo('_loc_gamma_cache')
     def _loc_gamma(self, i, n):
         """loc(G(i, n)) = e^-1 (loc(G(i-1, n)) + alpha(G(i-1, n))): e*Gamma(x) = x + xbar."""
-        key = (i, n)
-        val = self._loc_gamma_cache.get(key)
-        if val is None:
-            if i == 0:
-                val = self.laurent.loc_P(n)
-            else:
-                val = ((self._loc_gamma(i - 1, n) + self._alpha_gamma(i - 1, n))
-                       * self.laurent.e(-1))
-            self._loc_gamma_cache[key] = val
-        return val
+        if i == 0:
+            return self.laurent.loc_P(n)
+        return (self._loc_gamma(i - 1, n) + self._alpha_gamma(i - 1, n)) * self.laurent.e(-1)
 
     def is_geometric(self, x):
         """True when the normal form of x is free of e powers."""
@@ -523,15 +496,14 @@ class BordismRing:
         if e_cap < 0:
             raise ContractViolation('the e cap must be nonnegative, got %d' % e_cap)
         self.coef.check_size('basis monomials of degree plus e power', d + e_cap, d + e_cap)
-        out = self._basis_cache.get((d, e_cap))
-        if out is None:
-            out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
-                   for coef, xs in self._coef_and_xs(d + k, 2)]
-            out.extend(self._type_b(d))
-            out.sort(key=lambda fm: fm_key(self.table, fm))
-            out = self._basis_cache[d, e_cap] = tuple(out)
         # a fresh list each call: the caller may change it
-        return list(out)
+        return list(self._basis(d, e_cap))
+
+    @memo('_basis_cache')
+    def _basis(self, d, e_cap):
+        out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
+               for coef, xs in self._coef_and_xs(d + k, 2)] + self._type_b(d)
+        return tuple(sorted(out, key=lambda fm: fm_key(self.table, fm)))
 
     def basis_monomials_window(self, d, t_max):
         """Basis monomials of degree d that a class topping out at e^t_max can use.
@@ -563,14 +535,12 @@ class BordismRing:
                 for i in range(1, d - j + 1)
                 for coef, xs in self._coef_and_xs(d - i - j, j)]
 
+    @memo('_x_cache')
     def _x_factors(self, w, least):
-        """The factor tuples X_n..., each n >= least, of total degree w, n ascending; kept."""
-        if (w, least) not in self._x_cache:
-            table, n_of = self.table, self.table.subscripts['X']
-            self._x_cache[w, least] = tuple(
-                tuple((0, n_of[i]) for i, x in table.exponents(m) for _ in range(x))
-                for m in table.monomials(w, tuple(i for i, n in n_of.items() if n >= least)))
-        return self._x_cache[w, least]
+        """The factor tuples X_n..., each n >= least, of total degree w, n ascending."""
+        table, n_of = self.table, self.table.subscripts['X']
+        return tuple(tuple((0, n_of[i]) for i, x in table.exponents(m) for _ in range(x))
+                     for m in table.monomials(w, tuple(i for i, n in n_of.items() if n >= least)))
 
     def _coef_and_xs(self, total, least):
         """(N_* coefficient, X factors) pairs of e-free degree total, each X_n with n >= least."""
@@ -683,32 +653,24 @@ class BordismRing:
         mu X_{j1+1}...X_{jr+1} e^{L+r}; one with L + r < 0 tops none. The
         monomial comes as localize reads it, (X factors, mu times e^{L+r}).
         """
-        table = self.table
-        fields = m & self._c_fields
-        entry = self._c_cache.get(fields)
-        if entry is None:
-            j_of = table.subscripts['c']
-            pairs = table.exponents(fields)
-            entry = self._c_cache[fields] = (
-                table.pack(pairs), tuple((0, j_of[i] + 1) for i, x in pairs for _ in range(x)))
-        c, xs = entry
-        if (m >> table.e_shift) + len(xs) < 0:
+        shift = self.table.e_shift
+        c, xs = self._c_part(m & self._c_fields)
+        if (m >> shift) + len(xs) < 0:
             return None
-        return xs, m - c + (len(xs) << table.e_shift)
+        return xs, m - c + (len(xs) << shift)
 
+    @memo('_c_cache')
+    def _c_part(self, fields):
+        """c_J packed and the factors X_{j+1} it names, by the c fields of a term."""
+        table, j_of = self.table, self.table.subscripts['c']
+        pairs = table.exponents(fields)
+        return table.pack(pairs), tuple((0, j_of[i] + 1) for i, x in pairs for _ in range(x))
+
+    @memo('_window_cache')
     def _window(self, d):
-        """The type-B monomials _type_b(d) with their localizations eliminated,
-        cached per degree.
-
-        Only a finished build is stored, so a CapacityError leaves nothing
-        behind.
-        """
-        window = self._window_cache.get(d)
-        if window is None:
-            cands = self._type_b(d)
-            images = [self.localize(self.single(fm)) for fm in cands]
-            if any(x and x.degree() != d for x in images):
-                raise ContractViolation('inputs are not homogeneous of one degree')
-            window = (cands, Echelon([x.monos for x in images]))
-            self._window_cache[d] = window
-        return window
+        """The type-B monomials _type_b(d) with their localizations eliminated."""
+        cands = self._type_b(d)
+        images = [self.localize(self.single(fm)) for fm in cands]
+        if any(x and x.degree() != d for x in images):
+            raise ContractViolation('inputs are not homogeneous of one degree')
+        return cands, Echelon([x.monos for x in images])

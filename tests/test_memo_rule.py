@@ -1,0 +1,91 @@
+"""One memo rule: every per-session memo is a gf2.Memo, and Session.stats() reads them.
+
+A memo keeps a function of its key alone, so the answers of a session do
+not depend on its cap either: the layout of its monomials changes with
+the cap, their texts do not. The counts stats() reports are deterministic.
+"""
+
+from test_memos import DEGREE, _inputs
+
+from bordcalc.gf2 import Memo
+from bordcalc.session import Session
+from bordcalc.verify import verify
+
+
+def _sample(session):
+    """The texts of a fixed sample of answers, in a fixed order."""
+    mo, L, geo = session.mo, session.laurent, session.geometry
+    inputs = _inputs(session)
+    pres = [x for name, x in inputs if name == 'localize']
+    bundles = [p for name, p in inputs if name == 'delta']
+    exprs = geo.catalog_expressions(DEGREE)
+    # e^-d is no localization; in degree 0 every Laurent element is one
+    targets = [mo.localize(x) for x in pres if x.homogeneous()]
+    targets += [L.e(-d) for d in range(1, DEGREE + 1)]
+    found = [mo.member(t) for t in targets]
+    assert found.count(None) >= DEGREE
+    return ([x.to_text() for x in pres + targets + bundles]
+            + [mo.normal_form(x).to_text() for x in pres]
+            + [mo.quotient_reduce(x).to_text() for x in pres]
+            + ['None' if x is None else x.to_text() for x in found]
+            + [geo.delta(p).to_text() for p in bundles]
+            + [geo.phi(x).to_text() for x in exprs]
+            + [geo.underlying(x).to_text() for x in exprs]
+            + [repr(tuple(c)) for c in verify(session, 'all', DEGREE)])
+
+
+def test_answers_do_not_depend_on_the_cap():
+    assert _sample(Session(16)) == _sample(Session(24))
+
+
+def _owners(session):
+    """The objects of a session that can hold memos."""
+    laurent = session.laurent
+    return [session.coef, session.table, session.coef.boardman, laurent,
+            laurent._clear_c, laurent._eval_X, session.mo, session.geometry]
+
+
+def _attributes(obj):
+    return [*getattr(obj, '__dict__', ()), *getattr(type(obj), '__slots__', ())]
+
+
+def test_stats_count_every_memo():
+    session = Session()
+    verify(session, 'all', DEGREE)
+    stats = session.stats()
+    entries = {key: n for key, (n, _) in stats.items()}
+    assert {key: entries[key] for key in [
+        ('mo', '_nf_cache'), ('mo', '_localize_cache'), ('mo', '_alpha_cache'),
+        ('mo', '_alpha_gamma_cache'), ('mo', '_loc_gamma_cache'), ('mo', '_x_cache'),
+        ('mo', '_basis_cache'), ('geometry', '_delta_cache'), ('geometry', '_fixed_cache'),
+        ('geometry', '_walk_cache'), ('table', '_monomials'), ('table', '_decoded'),
+        ('boardman', '_h')]} == {
+        ('mo', '_nf_cache'): 908, ('mo', '_localize_cache'): 118, ('mo', '_alpha_cache'): 63,
+        ('mo', '_alpha_gamma_cache'): 28, ('mo', '_loc_gamma_cache'): 32, ('mo', '_x_cache'): 28,
+        ('mo', '_basis_cache'): 27, ('geometry', '_delta_cache'): 67,
+        ('geometry', '_fixed_cache'): 52, ('geometry', '_walk_cache'): 157,
+        ('table', '_monomials'): 890, ('table', '_decoded'): 42, ('boardman', '_h'): 14}
+    # a sweep reuses what it kept
+    assert all(hits for key, (n, hits) in stats.items() if n)
+    # hits are as deterministic as entries
+    again = Session()
+    verify(again, 'all', DEGREE)
+    assert again.stats() == stats
+    # every memo of the session is counted, and every attribute named as a
+    # cache is a Memo
+    memos = 0
+    for obj in _owners(session):
+        for name in _attributes(obj):
+            value = getattr(obj, name)
+            assert isinstance(value, Memo) or not name.endswith('_cache'), name
+            memos += isinstance(value, Memo)
+    assert memos == len(stats) == 24
+
+
+def test_stats_of_a_fresh_session():
+    stats = Session().stats()
+    # nothing asked yet: no Boardman tables and no clearing substitution
+    assert {owner for owner, _ in stats} == {'coef', 'table', 'mo', 'geometry'}
+    assert stats[('mo', '_nf_cache')] == (0, 0)
+    # the session's own construction asks the table for its family masks
+    assert stats[('table', '_masks')][0] > 0

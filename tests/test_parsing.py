@@ -10,8 +10,8 @@ from bordcalc.coefficients import CoefRing
 from bordcalc.conner_floyd import (AntipodalSphere, GammaOf, Proj, ProductOf,
                                    Trivial)
 from bordcalc.errors import BordcalcError, CapacityError, ParseError
-from bordcalc.parsing import (parse_bundle, parse_coefficient, parse_laurent,
-                              parse_manifold, parse_presentation, parse_space)
+from bordcalc.parsing import (parse_bundle, parse_laurent, parse_manifold,
+                              parse_presentation, parse_space)
 from bordcalc.presentation import Presentation
 from bordcalc.session import Session
 
@@ -81,11 +81,12 @@ def test_laurent_expressions(sess):
 
 
 def test_coefficient_expressions(sess):
+    # the coefficient grammar is read inside triv(...) only
     coef = sess.coef
-    assert parse_coefficient('a2^2 + a4', coef) == coef.a(2) ** 2 + coef.a(4)
-    assert parse_coefficient('1', coef) == coef.one()
-    err = _syntax_error(parse_coefficient, 'e', coef)
-    assert (err.position, err.expected) == (0, ('a<d>', 'an integer', '('))
+    assert parse_manifold('triv(a2^2 + a4)', coef) == {Trivial(coef.a(2) ** 2 + coef.a(4))}
+    assert parse_manifold('triv(1)', coef) == {Trivial(coef.one())}
+    err = _syntax_error(parse_manifold, 'triv(e)', coef)
+    assert (err.position, err.expected) == (5, ('a<d>', 'an integer', '('))
 
 
 def test_bundle_expressions(sess):

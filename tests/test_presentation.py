@@ -9,8 +9,7 @@ from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
                              NotDivisible)
 from bordcalc.gf2 import GradedPoly, parity, poly_rank
 from bordcalc.parsing import parse_laurent, parse_presentation
-from bordcalc.presentation import (UNDECIDED, BordismRing, FormalMonomial, Presentation,
-                                   QuotientElem)
+from bordcalc.presentation import BordismRing, FormalMonomial, Presentation, QuotientElem
 from bordcalc.session import Session
 
 
@@ -143,12 +142,6 @@ def test_huge_e_power(sess):
     # square-and-multiply: 10**8 would take 10**8 products one at a time
     mo = sess.mo
     assert mo.e(1) ** 10**8 == mo.e(10**8)
-
-
-def test_undecided_is_not_a_truth_value():
-    assert repr(UNDECIDED) == 'Undecided'
-    with pytest.raises(ContractViolation):
-        bool(UNDECIDED)
 
 
 def test_basis_counts_freeze(sess):
