@@ -63,9 +63,9 @@ class CoefRing:
         self.reference_rows = Memo()
         # boardman.Boardman, made at first use by boardman.tables
         self.boardman = None
-        # parsing's monomial atoms, by grammar and then by text, each built
-        # once by its constructor and kept for later parses
-        self.parsed_atoms = {}
+        # parsing's monomial atoms, by (grammar, text), each built once by its
+        # constructor and kept for later parses
+        self.parsed_atoms = Memo()
 
     def check_size(self, what, size, coef_degree):
         """The one cap rule: CapacityError past it, what naming the size.
@@ -121,10 +121,6 @@ class CoefRing:
     def rank(self, d):
         """GF(2) dimension of N_d."""
         return len(self.monomials_of_degree(d))
-
-    def is_coefficient(self, poly):
-        """True when poly is supported on the a_d variables only."""
-        return poly.uses_only('a')
 
     def mono_degrees(self, poly):
         """Generator degrees, with multiplicity, of a single-monomial element."""

@@ -33,7 +33,7 @@ from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, Memo, ModulePoly, map_monos, memo
+from .gf2 import BUNDLE, GradedPoly, Memo, ModulePoly, map_monos, memo
 
 
 class _Expr:
@@ -129,6 +129,10 @@ class AntipodalSphere(_Expr):
         return self.j
 
 
+def _not_an_expression(x):
+    return ContractViolation('not a manifold expression: %r' % (x,))
+
+
 def tower(i, n):
     """The expression gamma^i(P(n))."""
     expr = Proj(n)
@@ -175,16 +179,6 @@ class Geometry:
             raise CapacityError('b%d exceeds the degree cap %d' % (i, self.coef.max_degree))
         return GradedPoly.var_of(self.table, 'b', i)
 
-    def is_bundle(self, poly):
-        """True when poly is supported on the a_d and b_i variables."""
-        return poly.uses_only('ab')
-
-    def _require_bundle(self, poly, what):
-        if poly.table is not self.table:
-            raise ContractViolation('%s input uses a foreign variable table' % what)
-        if not self.is_bundle(poly):
-            raise ContractViolation('%s takes bundle-algebra elements' % what)
-
     def bundle_monomials(self, d):
         """All bundle-algebra monomials of degree d, coefficient included."""
         self.coef.check_size('bundle monomials of degree', d, d)
@@ -216,6 +210,8 @@ class Geometry:
         b's it adds P(R) over it, itself. A dimension past the cap is
         refused before any kept image is shifted there.
         """
+        if not isinstance(expr, _Expr):
+            raise _not_an_expression(expr)
         self.coef.check_size('an N_* class of dimension', expr.dim, expr.dim)
         return GradedPoly(self.table, map_monos(
             self.table, self._walk(expr).monos, self._b_fields, self._fixed_cache,
@@ -234,12 +230,11 @@ class Geometry:
         if isinstance(expr, ProductOf):
             return reduce(mul, map(self._walk, expr.factors))
         if isinstance(expr, Trivial):
-            self._require_bundle(expr.coef, 'phi')
-            return expr.coef
+            return self.table.admit(expr.coef, GradedPoly, BUNDLE, 'a trivial class')
         if isinstance(expr, AntipodalSphere):
             # free actions have no fixed data
             return GradedPoly.zero(self.table)
-        raise ContractViolation('not a manifold expression: %r' % (expr,))
+        raise _not_an_expression(expr)
 
     def pt_class(self, expr):
         """The bordism class as a presentation."""
@@ -257,21 +252,21 @@ class Geometry:
         if isinstance(expr, AntipodalSphere):
             # free actions localize to zero
             return self.mo.zero()
-        raise ContractViolation('not a manifold expression: %r' % (expr,))
+        raise _not_an_expression(expr)
 
     def dictionary(self, poly):
         """Translate bundle classes to the Laurent model, b_i -> c_{i-1} e^{-1}.
 
         b_i^x goes to c_{i-1}^x e^{-x}, monomials one to one: nothing cancels.
         """
-        self._require_bundle(poly, 'dictionary')
+        self.table.admit(poly, GradedPoly, BUNDLE, 'the bundle class')
         exponents, step = self.table.exponents, self._dict_step
         return GradedPoly(self.table, frozenset(
             m + sum(x * step[i] for i, x in exponents(m) if i in step) for m in poly.monos))
 
     def delta(self, poly):
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
-        self._require_bundle(poly, 'delta')
+        self.table.admit(poly, GradedPoly, BUNDLE, 'the bundle class')
         return FreeBZ2Elem(self.table, map_monos(
             self.table, poly.monos, self._b_fields, self._delta_cache, self._delta_image))
 

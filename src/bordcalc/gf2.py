@@ -49,8 +49,9 @@ powers, the partition enumerator, and free N_* modules as polynomials
 linear in one family of generators (ModulePoly): delta's values are
 polynomials in the a_d and c_j printed with s_j, obstruction classes
 polynomials in the a_d, X_n and e^k (k >= 1) printed with x_k. The
-per-session memos of the package are Memos, filled through the memo
-decorator; only parsing's kept atoms are a plain dict.
+per-session memos of the package are Memos. Every map that takes a value
+of a ring admits it through VarTable.admit: its kind, its table and the
+families it may use, each ring's families spelled once below.
 """
 
 import operator
@@ -233,6 +234,20 @@ class VarTable:
         names = self.names
         return '*'.join(names[i] if x == 1 else '%s^%d' % (names[i], x)
                         for i, x in self.exponents(m))
+
+    def admit(self, x, kind, letters=None, what='the element'):
+        """x, when it is a kind value over this table using only the families
+        letters (any, when None); else ContractViolation, what naming x."""
+        if not isinstance(x, kind):
+            why = 'got %s' % type(x).__name__
+        elif x.table is not self:
+            why = 'it uses a foreign variable table'
+        elif letters is None or x.uses_only(letters):
+            return x
+        else:
+            why = 'it uses a variable of another family'
+        raise ContractViolation('%s must be a %s%s over its ring\'s table: %s' % (
+            what, kind.__name__, ' in the families ' + ', '.join(letters) if letters else '', why))
 
     def checked(self, monos):
         """monos, the sums of valid monomials, unless one overflowed: CapacityError."""
@@ -524,8 +539,7 @@ class Substitution:
 
     def __call__(self, x):
         """The image of the polynomial x."""
-        if x.table is not self.table:
-            raise ContractViolation('the polynomial uses a foreign variable table')
+        self.table.admit(x, GradedPoly)
         return GradedPoly(self.table, map_monos(
             self.table, x.monos, self.mask, self._image_cache, self._image))
 
@@ -603,6 +617,11 @@ class ModulePoly(GradedPoly):
             out.append('%s%d' % (self.symbol, j) if text == '1' else
                        ('%s*%s%d' if len(coefs) == 1 else '(%s)*%s%d') % (text, self.symbol, j))
         return ' + '.join(out) or '0'
+
+
+# the families a value of each ring may use: N_*, the Laurent model, the
+# polynomials in e and the X_n that clear_denominators gives, the bundle algebra
+COEFFICIENT, LAURENT, CLEARED, BUNDLE = 'a', 'ace', 'aXe', 'ab'
 
 
 def standard_table(generator_degrees, max_degree):

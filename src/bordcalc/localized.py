@@ -14,13 +14,14 @@ loc_P(1) = e^-1 + e^-1 = 0.
 
 A homogeneous element of degree d has every e-exponent >= -d, since the
 e-free part of a term has nonnegative degree. The variables are the
-table's families a, c, X and e, and membership in them is a mask test.
+table's families a, c, X and e: a value of the model uses a, c and e
+(gf2.LAURENT), a cleared polynomial a, X and e (gf2.CLEARED).
 """
 
 from functools import cached_property
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, Substitution
+from .gf2 import CLEARED, LAURENT, GradedPoly, Substitution
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import poly_rank, solve_sets
 
@@ -68,16 +69,6 @@ class LaurentRing:
             raise ContractViolation('loc_P needs n >= 1')
         return self.c(n - 1) * self.e(-1) + self.e(-n)
 
-    def is_laurent(self, x):
-        """True when x is supported on a_d, c_j and e only."""
-        return x.uses_only('ace')
-
-    def _require_laurent(self, x, what='element'):
-        if x.table is not self.table:
-            raise ContractViolation('%s uses a foreign variable table' % what)
-        if not self.is_laurent(x):
-            raise ContractViolation('%s is not a Laurent element' % what)
-
     def clear_denominators(self, x):
         """Write e^N * x as a polynomial p in e and X_n over N_*.
 
@@ -86,10 +77,8 @@ class LaurentRing:
         then the remaining negative powers are cleared. Returns (N, p);
         evaluating p at X_n = loc_P(n) gives back e^N * x exactly.
         """
-        self._require_laurent(x)
-        if not x.homogeneous():
-            raise ContractViolation('clear_denominators needs a homogeneous element')
-        if not x:
+        # degree() refuses a mixed-degree element, and is None for zero
+        if self.table.admit(x, GradedPoly, LAURENT).degree() is None:
             return 0, x
         n1 = max(0, -x.min_inv_exp())
         # the substitution fixes e, so both clearing shifts are one shift after it
@@ -99,10 +88,7 @@ class LaurentRing:
 
     def eval_cleared(self, p):
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
-        if not p.uses_only('aXe'):
-            raise ContractViolation('not a polynomial in e, X_n over N_*')
-        # the substitution refuses a value over another table
-        return self._eval_X(p)
+        return self._eval_X(self.table.admit(p, GradedPoly, CLEARED, 'the cleared polynomial'))
 
     # Each substitution is defined once, here, and keeps the images of the
     # monomials it has mapped; a memo belongs to one definition.

@@ -146,7 +146,8 @@ class _ElementParser:
     """
 
     what = 'dimension'  # the size named in CapacityError messages
-    atoms = {}  # the monomial atoms met before, by key; none here
+    # the monomial atoms met before, by (grammar, key); none here
+    grammar, atoms = None, {}
 
     def __init__(self, toks, coef):
         self.toks = toks
@@ -230,8 +231,9 @@ class _ElementParser:
         toks = self.toks
         idx = toks.idx
         tok = toks.take()
-        atom = self.atoms.get(tok)
+        atom = self.atoms.get((self.grammar, tok))
         if atom is not None:
+            self.atoms.hits += 1
             return atom
         if tok == '(':
             inner = self.parse_sum()
@@ -257,8 +259,8 @@ _INDEXED = re.compile(r'([A-Za-z])([0-9]+)')
 class _PolyParser(_ElementParser):
     """Polynomial grammars: indexed atoms <letter><int> from a constructor map.
 
-    ring gives zero() and one(), and grammar names the atoms kept in
-    coef.parsed_atoms across parses; they depend on the cap alone. When e
+    ring gives zero() and one(), and grammar names the atoms kept in the
+    Memo coef.parsed_atoms across parses; they depend on the cap alone. When e
     is given (the Laurent grammar), the name e is the grammar's one
     invertible atom, and e^-k parses to e(-k). A capped term's size is its
     degree without its e power (its e-free degree, which adds under
@@ -278,7 +280,8 @@ class _PolyParser(_ElementParser):
         self.expected = expected
         self.e = e
         self.outside = outside
-        self.atoms = coef.parsed_atoms.setdefault(grammar, {})
+        self.grammar = grammar
+        self.atoms = coef.parsed_atoms
 
     def zero(self):
         return self.ring.zero()
@@ -309,7 +312,7 @@ class _PolyParser(_ElementParser):
             unit, gammas = self.packed(next(iter(value.monos)))
             atom = _Monomial(unit, gammas, *self.maxima(value), invertible)
         if atom.size <= self.table.limit:
-            self.atoms[key] = atom
+            self.atoms[self.grammar, key] = atom
         return atom
 
     def packed(self, m):
@@ -366,8 +369,11 @@ class _PresentationParser(_PolyParser):
             toks.expect(',')
             n = toks.expect_int()
             toks.expect(')')
-            key = (i, n)
-            return self.atoms.get(key) or self.kept(key, self.ring.G(i, n))
+            atom = self.atoms.get((self.grammar, (i, n)))
+            if atom is None:
+                return self.kept((i, n), self.ring.G(i, n))
+            self.atoms.hits += 1
+            return atom
         if text == 'Gamma':
             return self.ring.gamma(self.parse_call())
         if text == 'iota':

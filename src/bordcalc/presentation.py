@@ -51,8 +51,8 @@ from collections import namedtuple
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import (Echelon, GradedPoly, MONO_ONE, Memo, ModulePoly, SparseSum, memo,
-                  mono_degree, parity, product_monos, sum_of_images)
+from .gf2 import (COEFFICIENT, LAURENT, Echelon, GradedPoly, MONO_ONE, Memo, ModulePoly,
+                  SparseSum, memo, mono_degree, parity, product_monos, sum_of_images)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -214,12 +214,6 @@ class BordismRing:
         self._c_fields = self.table.mask('c')
         self._c_cache = Memo()
 
-    def _own(self, x):
-        """x, unless it was built over another session's table."""
-        if x.table is not self.table:
-            raise ContractViolation('the element uses a foreign variable table')
-        return x
-
     # --- constructors ---------------------------------------------------
 
     def zero(self):
@@ -250,10 +244,7 @@ class BordismRing:
 
     def iota(self, c):
         """Trivial-action section of alpha; c must be a coefficient element."""
-        if c.table is not self.table:
-            raise ContractViolation('coefficient uses a foreign variable table')
-        if not self.coef.is_coefficient(c):
-            raise ContractViolation('iota takes N_* elements only')
+        c = self.table.admit(c, GradedPoly, COEFFICIENT, 'the coefficient')
         return Presentation(self.table, (FormalMonomial(m, (), 0) for m in c.monos))
 
     def _coef_scale(self, x, c):
@@ -275,9 +266,9 @@ class BordismRing:
         so an e-free term of degree past the cap is refused through
         CoefRing.check_size before anything is computed.
         """
-        table = self._own(x).table
+        table = self.table
         # alpha sends e to 0
-        kept = [fm for fm in x.monos if not fm.epow]
+        kept = [fm for fm in table.admit(x, Presentation).monos if not fm.epow]
         top = max((fm.degree(table) for fm in kept), default=0)
         self.coef.check_size('augmentation, which must lie in N_* up to the cap, has degree',
                              top, top)
@@ -327,7 +318,7 @@ class BordismRing:
 
     def gamma(self, x):
         """The Gamma operator: the unique y with e*y = x + bar(x)."""
-        return self._gamma(self._own(x))
+        return self._gamma(self.table.admit(x, Presentation))
 
     def _gamma(self, x):
         # gamma without the table check, for the rewrite rules
@@ -375,7 +366,7 @@ class BordismRing:
     def normal_form(self, x, fuel=None):
         """Rewrite onto the additive basis; raises FuelExhausted when starved."""
         budget = [self.fuel if fuel is None else _fuel(fuel)]
-        return self._nf_pres(self._own(x), budget)
+        return self._nf_pres(self.table.admit(x, Presentation), budget)
 
     def _nf_pres(self, x, budget):
         # term by term in sorted order: where fuel runs out depends on the
@@ -390,6 +381,9 @@ class BordismRing:
         return Presentation(self.table, frozenset(odd))
 
     def _nf_mono(self, fm, budget):
+        # a basis monomial is its own normal form, at no cost: nothing is kept
+        if fm.is_basis():
+            return self.single(fm)
         # each entry keeps the rewrite steps it cost, hits included, and a
         # hit charges them: a hit it cannot pay for is rewritten again, so
         # fuel runs out at the same step as in a fresh session
@@ -398,10 +392,6 @@ class BordismRing:
             self._nf_cache.hits += 1
             budget[0] -= cached[1]
             return cached[0]
-        if fm.is_basis():
-            result = self.single(fm)
-            self._nf_cache[fm] = (result, 0)
-            return result
         if budget[0] <= 0:
             raise FuelExhausted('rewrite fuel exhausted', stuck=fm)
         start = budget[0]
@@ -452,7 +442,8 @@ class BordismRing:
     def localize(self, x):
         """Image in the Laurent model: X_n -> loc_P(n), G(i, n) -> _loc_gamma(i, n)."""
         e = self.table.units[self.table.invertible]
-        return self._evaluate(((fm.gammas, fm.coef + fm.epow * e) for fm in self._own(x).monos),
+        return self._evaluate(((fm.gammas, fm.coef + fm.epow * e)
+                               for fm in self.table.admit(x, Presentation).monos),
                               self._localize_cache, self._loc_gamma)
 
     @memo('_loc_gamma_cache')
@@ -609,13 +600,11 @@ class BordismRing:
         type-B window at d asks for coefficients of degree at most d - 3.
         Both stay inside the cap.
         """
-        self.laurent._require_laurent(target, 'membership target')
-        if not target:
+        # degree() refuses a mixed-degree target, and is None for zero
+        d = self.table.admit(target, GradedPoly, LAURENT, 'the membership target').degree()
+        if d is None:
             return self.zero()
-        degrees = target.degrees()
-        if len(degrees) > 1:
-            raise ContractViolation('membership target must be homogeneous')
-        d, t0 = degrees.pop(), target.max_inv_exp()
+        t0 = target.max_inv_exp()
         self.coef.check_size('membership target of degree', d, d + max(t0, -1))
         table = self.table
         shift = table.e_shift

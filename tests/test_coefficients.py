@@ -5,7 +5,7 @@ import pytest
 from bordcalc.coefficients import (allowed_degrees, dold_indices, generator_rep,
                                    is_power_of_two)
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.gf2 import partitions
+from bordcalc.gf2 import COEFFICIENT, partitions
 
 
 def test_allowed_degrees_freeze():
@@ -78,7 +78,7 @@ def test_monomials_of_degree(sess):
         assert len(monos) == len(set(monos)) == coef.rank(d)
         for mu in monos:
             assert mu.degree() in (d, None)
-            assert coef.is_coefficient(mu)
+            assert mu.uses_only(COEFFICIENT)
     assert coef.monomials_of_degree(-1) == []
     with pytest.raises(CapacityError):
         coef.monomials_of_degree(17)

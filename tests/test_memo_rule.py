@@ -8,6 +8,7 @@ the cap, their texts do not. The counts stats() reports are deterministic.
 from test_memos import DEGREE, _inputs
 
 from bordcalc.gf2 import Memo
+from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.session import Session
 from bordcalc.verify import verify
 
@@ -60,7 +61,7 @@ def test_stats_count_every_memo():
         ('mo', '_basis_cache'), ('geometry', '_delta_cache'), ('geometry', '_fixed_cache'),
         ('geometry', '_walk_cache'), ('table', '_monomials'), ('table', '_decoded'),
         ('boardman', '_h')]} == {
-        ('mo', '_nf_cache'): 908, ('mo', '_localize_cache'): 118, ('mo', '_alpha_cache'): 63,
+        ('mo', '_nf_cache'): 111, ('mo', '_localize_cache'): 118, ('mo', '_alpha_cache'): 63,
         ('mo', '_alpha_gamma_cache'): 28, ('mo', '_loc_gamma_cache'): 32, ('mo', '_x_cache'): 28,
         ('mo', '_basis_cache'): 27, ('geometry', '_delta_cache'): 67,
         ('geometry', '_fixed_cache'): 52, ('geometry', '_walk_cache'): 157,
@@ -79,7 +80,7 @@ def test_stats_count_every_memo():
             value = getattr(obj, name)
             assert isinstance(value, Memo) or not name.endswith('_cache'), name
             memos += isinstance(value, Memo)
-    assert memos == len(stats) == 24
+    assert memos == len(stats) == 25
 
 
 def test_stats_of_a_fresh_session():
@@ -89,3 +90,15 @@ def test_stats_of_a_fresh_session():
     assert stats[('mo', '_nf_cache')] == (0, 0)
     # the session's own construction asks the table for its family masks
     assert stats[('table', '_masks')][0] > 0
+
+
+def test_parsed_atoms_count_their_hits():
+    session = Session()
+    parse_presentation('a2*G(1,3)*X2 + G(1,3)*e', session.mo)
+    # a2, G(1,3), X2 and e are built once, and G(1,3) is met again
+    assert session.stats()[('coef', 'parsed_atoms')] == (4, 1)
+    parse_laurent('a2*c1*e^-1', session.laurent)
+    # the Laurent grammar keeps its own a2 and e
+    assert session.stats()[('coef', 'parsed_atoms')] == (7, 1)
+    parse_presentation('X2*a2', session.mo)
+    assert session.stats()[('coef', 'parsed_atoms')] == (7, 3)

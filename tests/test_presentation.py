@@ -4,10 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bordcalc.conner_floyd import GammaOf, ProductOf, Proj, Trivial
+from bordcalc.conner_floyd import GammaOf, Geometry, ProductOf, Proj, Trivial
 from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
                              NotDivisible)
 from bordcalc.gf2 import GradedPoly, parity, poly_rank
+from bordcalc.localized import LaurentRing
 from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.presentation import BordismRing, FormalMonomial, Presentation, QuotientElem
 from bordcalc.session import Session
@@ -475,3 +476,58 @@ def test_values_of_another_session_are_refused(sess, method):
         for x in xs:
             with pytest.raises(ContractViolation, match='foreign variable table'):
                 getattr(target, method)(x)
+
+
+# every public map of the three rings that takes a value, by owner, with the
+# kind of value it is due
+_VALUE_MAPS = {
+    'mo': {**dict.fromkeys(['normal_form', 'localize', 'alpha', 'bar', 'gamma', 'divide_e',
+                            'is_geometric', 'quotient_reduce'], 'presentation'),
+           'iota': 'polynomial', 'member': 'polynomial'},
+    'laurent': dict.fromkeys(['clear_denominators', 'eval_cleared'], 'polynomial'),
+    'geometry': {**dict.fromkeys(['delta', 'dictionary'], 'polynomial'),
+                 **dict.fromkeys(['phi', 'underlying', 'pt_class'], 'expression')},
+}
+# the other public methods: constructors, enumerators and catalogs
+_NO_VALUE = {
+    'mo': {'zero', 'one', 'e', 'X', 'G', 'single', 'euler', 'basis_monomials',
+           'basis_monomials_window'},
+    'laurent': {'zero', 'one', 'e', 'c', 'X', 'loc_P'},
+    # exact_phi is phi itself, under the name the benchmark's tracer uses
+    'geometry': {'b', 'bundle_monomials', 'manifold_for_basis', 'catalog_expressions',
+                 'exact_phi'},
+}
+_WRONG = {
+    'presentation': lambda sess: sess.mo.X(2),
+    'polynomial': lambda sess: sess.laurent.c(1),
+    'bundle polynomial': lambda sess: sess.geometry.b(2),
+    'expression': lambda sess: Proj(2),
+    'str': lambda sess: 'X2',
+}
+
+
+@pytest.mark.parametrize('owner, method, wrong', [
+    (owner, method, wrong) for owner, maps in _VALUE_MAPS.items()
+    for method, due in maps.items() for wrong in _WRONG
+    if wrong != due and (wrong != 'bundle polynomial' or method == 'member')])
+def test_every_value_map_refuses_a_wrong_kind(sess, owner, method, wrong):
+    with pytest.raises(ContractViolation):
+        getattr(getattr(sess, owner), method)(_WRONG[wrong](sess))
+
+
+def test_every_public_method_takes_a_value_or_is_exempt():
+    # a new public map must join the matrix above, or be exempted by name
+    for owner, cls in (('mo', BordismRing), ('laurent', LaurentRing), ('geometry', Geometry)):
+        public = {name for name, value in vars(cls).items()
+                  if callable(value) and not name.startswith('_')}
+        assert public == set(_VALUE_MAPS[owner]) | _NO_VALUE[owner], owner
+        assert not set(_VALUE_MAPS[owner]) & _NO_VALUE[owner], owner
+    assert Geometry.exact_phi is Geometry.phi
+
+
+def test_member_takes_a_delta_value(sess):
+    # s_j is c_j, so a value of delta is a Laurent class
+    geo, mo = sess.geometry, sess.mo
+    for p in (geo.b(3), geo.b(2) * geo.b(2), geo.b(4) + sess.coef.a(2) * geo.b(2)):
+        value = geo.delta(p)
+        assert value and mo.member(value) == mo.member(GradedPoly(sess.table, value.monos))
