@@ -13,12 +13,21 @@ environment variable names a default config file; --config overrides it.
 Every parsed expression or space, Gamma or divide-e result, augmentation,
 membership target and verify degree passes the cap's one rule,
 CoefRing.check_size, or exits 3 unbuilt.
+
+argv is read off one table, _COMMANDS, with no argparse: each row holds a
+command's help text, grammar, handler and own options, and the reader and
+the help text are built from it. It reads what argparse read: options
+anywhere after the command, `--opt value` or `--opt=value`, a unique
+prefix of a long option, the last of a repeated option, negative numbers
+as values, and everything after the first -- as positional. -h or --help
+prints help to stdout and exits 0; a usage error prints an error line and
+a usage line to stderr and main returns 2.
 """
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .charnum import sw_numbers, identify_in_nbo1
 from .conner_floyd import FreeBZ2Elem
@@ -29,36 +38,6 @@ from .parsing import (parse_bundle, parse_laurent, parse_manifold,
                       parse_presentation, parse_space)
 from .session import Session
 from .verify import ORACLE_SUITES, SUITES, default_degree, verify
-
-
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument('--json', action='store_true',
-                        help='emit a JSON report instead of plain text')
-    common.add_argument('--config', help='config file path')
-    common.add_argument('--fuel', type=int, help='rewrite step budget')
-
-    parser = argparse.ArgumentParser(
-        prog='bordcalc',
-        description='exact calculator for Z/2-equivariant unoriented bordism')
-    sub = parser.add_subparsers(dest='command', required=True)
-    p = {}
-    for name, (help_text, grammar, _) in _COMMANDS.items():
-        p[name] = sub.add_parser(name, parents=[common], help=help_text)
-        if grammar is not None:
-            p[name].add_argument('expr', nargs='?',
-                                 help=grammar + ' expression (stdin batch when omitted)')
-    p['euler'].add_argument('m', type=int)
-    p['euler'].add_argument('k', type=int)
-    p['charnum'].add_argument('--ref', help='degree-1 generator used as reference line')
-    p['verify'].add_argument('--suite', default='all',
-                             choices=SUITES + ('all',) + ORACLE_SUITES)
-    p['verify'].add_argument('--degree', type=int, help='sweep through this degree'
-                             ' (default: the largest the cap admits)')
-    p['basis-table'].add_argument('--min', dest='dmin', type=int, default=0)
-    p['basis-table'].add_argument('--max', dest='dmax', type=int, default=4)
-    p['basis-table'].add_argument('--e-cap', dest='e_cap', type=int)
-    return parser
 
 
 def _load_config(path):
@@ -217,38 +196,283 @@ def _handle_basis_table(s, args, expr):
 
 
 # One row per command, in the order of the help text: its help text, the
-# grammar its expression is read in (None when it reads none) and its
-# handler, which returns the exit code, the outputs, the text lines and
-# optionally the checks of the --json report.
+# grammar its expression is read in (None when it reads none), its handler,
+# which returns the exit code, the outputs, the text lines and optionally
+# the checks of the --json report, and its own options. An option is
+# (flag, field of args, how its value is read, default, help): read is int,
+# str, a tuple of the values admitted, or None for a flag that takes no
+# value and sets True. A name without dashes is a positional argument that
+# must be given; a command with a grammar takes one more, its expression,
+# whose absence batches over stdin.
 _COMMANDS = {
     'nf': ('rewrite onto the additive basis', 'presentation',
-           _answer('normal_form', lambda s, x: s.mo.normal_form(x))),
+           _answer('normal_form', lambda s, x: s.mo.normal_form(x)), ()),
     'loc': ('localize to the Laurent model', 'presentation',
-            _answer('localization', lambda s, x: s.mo.localize(x))),
+            _answer('localization', lambda s, x: s.mo.localize(x)), ()),
     'alpha': ('augment to the coefficient ring', 'presentation',
-              _answer('alpha', lambda s, x: s.mo.alpha(x))),
+              _answer('alpha', lambda s, x: s.mo.alpha(x)), ()),
     'gamma': ('apply the Gamma operator', 'presentation',
-              _answer('gamma', lambda s, x: s.mo.normal_form(_capped(s, s.mo.gamma(x))))),
-    'divide-e': ('divide by the Euler class when possible', 'presentation', _handle_divide_e),
-    'member': ('find a preimage of a Laurent class', 'laurent', _handle_member),
+              _answer('gamma', lambda s, x: s.mo.normal_form(_capped(s, s.mo.gamma(x)))), ()),
+    'divide-e': ('divide by the Euler class when possible', 'presentation', _handle_divide_e,
+                 ()),
+    'member': ('find a preimage of a Laurent class', 'laurent', _handle_member, ()),
     'geometric': ('test membership in the geometric subring', 'presentation',
-                  _handle_geometric),
+                  _handle_geometric, ()),
     'quotient': ('reduce into the obstruction quotient', 'presentation',
-                 _answer('quotient', lambda s, x: s.mo.quotient_reduce(x))),
-    'euler': ('the Euler class e^k on suspension leg m', None, _handle_euler),
+                 _answer('quotient', lambda s, x: s.mo.quotient_reduce(x)), ()),
+    'euler': ('the Euler class e^k on suspension leg m', None, _handle_euler,
+              (('m', 'm', int, None, 'the suspension leg'),
+               ('k', 'k', int, None, 'the power of e'))),
     'phi': ('bundle-algebra image of a manifold expression', 'manifold',
             _answer('phi', lambda s, terms: sum(map(s.geometry.phi, terms),
-                                                GradedPoly.zero(s.table)))),
+                                                GradedPoly.zero(s.table))), ()),
     'delta': ('boundary of a bundle class', 'bundle',
-              _answer('delta', lambda s, x: s.geometry.delta(x))),
+              _answer('delta', lambda s, x: s.geometry.delta(x)), ()),
     'compare': ('compare the two localizations of a manifold expression', 'manifold',
-                _handle_compare),
-    'charnum': ('Stiefel-Whitney numbers of a space', 'space', _handle_charnum),
-    'verify': ('run internal consistency suites', None, _handle_verify),
-    'basis-table': ('list additive basis monomials by degree', None, _handle_basis_table),
+                _handle_compare, ()),
+    'charnum': ('Stiefel-Whitney numbers of a space', 'space', _handle_charnum,
+                (('--ref', 'ref', str, None, 'degree-1 generator used as reference line'),)),
+    'verify': ('run internal consistency suites', None, _handle_verify,
+               (('--suite', 'suite', SUITES + ('all',) + ORACLE_SUITES, 'all',
+                 'the suite to run (default: all)'),
+                ('--degree', 'degree', int, None,
+                 'sweep through this degree (default: the largest the cap admits)'))),
+    'basis-table': ('list additive basis monomials by degree', None, _handle_basis_table,
+                    (('--min', 'dmin', int, 0, 'the least degree listed (default: 0)'),
+                     ('--max', 'dmax', int, 4, 'the largest degree listed (default: 4)'),
+                     ('--e-cap', 'e_cap', int, None,
+                      'the largest e power (default: 4 more than the negative part'
+                      ' of the degree)'))),
 }
 
-_HANDLERS = {name: handler for name, (_, _, handler) in _COMMANDS.items()}
+# the options every command takes
+_COMMON = (
+    ('--json', 'json', None, False, 'emit a JSON report instead of plain text'),
+    ('--config', 'config', str, None, 'config file path'),
+    ('--fuel', 'fuel', int, None, 'rewrite step budget'),
+)
+_HELP = ('-h/--help', 'help', None, False, 'show this help and exit')
+
+_HANDLERS = {name: handler for name, (_, _, handler, _) in _COMMANDS.items()}
+
+class _Stop(Exception):
+    """Ends reading argv: help to print on stdout (code 0) or a usage error
+    to print on stderr (code 2)."""
+
+    def __init__(self, code, text):
+        super().__init__(text)
+        self.code = code
+
+
+def _arguments(command):
+    """The options, common ones first, and the positional arguments of a
+    command; its expression, when it reads one, is the last of these."""
+    _, grammar, _, own = _COMMANDS[command]
+    options = [spec for spec in _COMMON + own if spec[0].startswith('-')]
+    positional = [spec for spec in own if not spec[0].startswith('-')]
+    if grammar is not None:
+        positional.append(('expr', 'expr', str, None,
+                           grammar + ' expression (stdin batch when omitted)'))
+    return options, positional
+
+
+def _form(spec):
+    """How an option is written: --fuel FUEL, --suite {...}, --json."""
+    flag, _, read, _, _ = spec
+    if read is None:
+        return flag
+    if isinstance(read, tuple):
+        return '%s {%s}' % (flag, ','.join(read))
+    return '%s %s' % (flag, flag.lstrip('-').upper().replace('-', '_'))
+
+
+def _usage(command):
+    if command is None:
+        return 'usage: bordcalc [-h] COMMAND ...'
+    options, positional = _arguments(command)
+    words = ['usage: bordcalc', command, '[-h]'] + ['[%s]' % _form(spec) for spec in options]
+    words += ['[expr]' if spec[0] == 'expr' else spec[0] for spec in positional]
+    return ' '.join(words)
+
+
+def _columns(entries):
+    """Help lines of (left, text) pairs, the texts in one column; a text
+    whose left part is wider than 24 goes on a line of its own."""
+    width = max(len(left) for left, _ in entries if len(left) <= 24)
+    lines = []
+    for left, text in entries:
+        if len(left) > width:
+            lines += ['  ' + left, '  %s  %s' % (' ' * width, text)]
+        else:
+            lines.append('  %-*s  %s' % (width, left, text))
+    return lines
+
+
+def _help(command):
+    if command is None:
+        return '\n'.join(
+            [_usage(None), '', 'exact calculator for Z/2-equivariant unoriented bordism',
+             '', 'commands:']
+            + _columns([(name, row[0]) for name, row in _COMMANDS.items()])
+            + ['', 'Every command takes --json, --config CONFIG and --fuel FUEL;',
+               "'bordcalc COMMAND --help' lists the options of one command."])
+    options, positional = _arguments(command)
+    lines = [_usage(command), '', _COMMANDS[command][0]]
+    if positional:
+        lines += ['', 'arguments:'] + _columns([(spec[0], spec[4]) for spec in positional])
+    lines += ['', 'options:'] + _columns(
+        [('-h, --help', _HELP[4])] + [(_form(spec), spec[4]) for spec in options])
+    return '\n'.join(lines)
+
+
+def _fail(command, message):
+    raise _Stop(2, 'error: %s\n%s' % (message, _usage(command)))
+
+
+def _negative_number(token):
+    """argparse's test for an argument that is a negative number, hence no
+    option: a match of ^-\\d+$|^-\\d*\\.\\d+$, without compiling it."""
+    # $ matches before one newline at the end too
+    whole, dot, frac = (token[1:-1] if token.endswith('\n') else token[1:]).partition('.')
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _classify(command, token, flags):
+    """What argv reads token as, as argparse reads it: None for a positional
+    argument, else (flag, explicit value or None), the flag None when no
+    option of flags is meant. A long option may be any unique prefix of
+    its flag and take its value after an =; -h may repeat (-hh)."""
+    if not token.startswith('-'):
+        return None
+    if token in flags:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition('=')
+    if eq and name in flags:
+        return name, value
+    if token[1] == '-':
+        found = [flag for flag in flags if flag.startswith(name)]
+        explicit = value if eq else None
+    else:
+        found = [token[:2]] if token[:2] in flags else []
+        explicit = token[2:]
+    if len(found) > 1:
+        _fail(command, 'ambiguous option: %s could match %s' % (token, ', '.join(found)))
+    if found:
+        return found[0], explicit
+    if _negative_number(token) or ' ' in token:
+        return None
+    return None, None
+
+
+def _value(command, spec, text):
+    flag, _, read, _, _ = spec
+    if isinstance(read, tuple):
+        if text not in read:
+            _fail(command, 'argument %s: invalid choice: %r (choose from %s)'
+                  % (flag, text, ', '.join(map(repr, read))))
+        return text
+    try:
+        return read(text)
+    except ValueError:
+        _fail(command, 'argument %s: invalid %s value: %r' % (flag, read.__name__, text))
+
+
+def _read_argv(argv):
+    """The args of one command line, read off _COMMANDS.
+
+    It reads what argparse read, to the same values: the options of a
+    command come anywhere after it, a repeated option keeps its last
+    value, and a negative number is a value, not an option. Everything
+    after the first -- is positional. Help and usage errors raise _Stop.
+    """
+    extras = []
+    top = {'-h': _HELP, '--help': _HELP}
+    for i, token in enumerate(argv):
+        if token == '--':
+            _fail(None, "argument command: invalid choice: '--'")
+        kind = _classify(None, token, top)
+        if kind is None:
+            break
+        flag, explicit = kind
+        if flag is None:
+            extras.append(token)
+        else:
+            _read_flag(None, flag, explicit)
+    else:
+        _fail(None, 'the following arguments are required: command')
+    command = argv[i]
+    if command not in _COMMANDS:
+        _fail(None, 'argument command: invalid choice: %r (choose from %s)'
+              % (command, ', '.join(map(repr, _COMMANDS))))
+    return _read_command(command, argv[i + 1:], extras)
+
+
+def _read_flag(command, flag, explicit):
+    """A flag that takes no value, given with an explicit one or none; help raises _Stop."""
+    # argparse reads -hh as -h -h, and -h=... as -h followed by the text after the =
+    if explicit is not None and not (flag == '-h' and explicit and not explicit.strip('h')):
+        _fail(command, 'argument %s: ignored explicit argument %r' % (flag, explicit))
+    if flag in ('-h', '--help'):
+        raise _Stop(0, _help(command))
+
+
+def _read_command(command, argv, extras):
+    options, slots = _arguments(command)
+    flags = {'-h': _HELP, '--help': _HELP}
+    flags.update((spec[0], spec) for spec in options)
+    # the expression may be left out, the other positional arguments not
+    required = [spec for spec in slots if spec[0] != 'expr']
+    args = SimpleNamespace(command=command, **{spec[1]: spec[3] for spec in options + slots})
+    # every token before the first -- is classified before any is read
+    end = argv.index('--') if '--' in argv else len(argv)
+    kinds = [_classify(command, token, flags) for token in argv[:end]]
+    if end < len(argv):
+        kinds += ['--'] + [None] * (len(argv) - end - 1)
+    filled = 0
+    # the slots open where the current run of positional arguments began:
+    # the first -- is dropped only when one of them takes it
+    open_at_run = len(slots)
+    i = 0
+    while i < len(argv):
+        token, kind = argv[i], kinds[i]
+        i += 1
+        if kind == '--':
+            if not open_at_run:
+                extras.append(token)
+        elif kind is None:
+            if filled < len(slots):
+                spec = slots[filled]
+                setattr(args, spec[1], _value(command, spec, token))
+                filled += 1
+            else:
+                extras.append(token)
+        elif kind[0] is None:
+            extras.append(token)
+            open_at_run = len(slots) - filled
+        else:
+            flag, explicit = kind
+            spec = flags[flag]
+            if spec[2] is None:
+                _read_flag(command, flag, explicit)
+                setattr(args, spec[1], True)
+            else:
+                if explicit is None:
+                    if i == len(argv) or kinds[i] is not None:
+                        _fail(command, 'argument %s: expected one argument' % spec[0])
+                    explicit = argv[i]
+                    i += 1
+                setattr(args, spec[1], _value(command, spec, explicit))
+            open_at_run = len(slots) - filled
+    if filled < len(required):
+        _fail(command, 'the following arguments are required: %s'
+              % ', '.join(spec[0] for spec in required[filled:]))
+    if extras:
+        _fail(command, 'unrecognized arguments: %s' % ' '.join(extras))
+    return args
 
 
 def _describe_inputs(session, args, expr):
@@ -314,8 +538,11 @@ def main(argv=None):
 
 
 def _main(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        print(stop, file=sys.stderr if stop.code else sys.stdout)
+        return stop.code
     try:
         session = _session_from(args)
     except (OSError, ValueError, ContractViolation) as exc:

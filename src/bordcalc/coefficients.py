@@ -13,7 +13,7 @@ the table's family a, which the table names and enumerates.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import GradedPoly, Memo, memo, standard_table
+from .gf2 import COEFFICIENT, GradedPoly, Memo, memo, standard_table
 
 
 def is_power_of_two(n):
@@ -124,13 +124,10 @@ class CoefRing:
 
     def mono_degrees(self, poly):
         """Generator degrees, with multiplicity, of a single-monomial element."""
-        if len(poly) != 1:
+        if len(self.table.admit(poly, GradedPoly, COEFFICIENT, 'the monomial')) != 1:
             raise ContractViolation('expected a single monomial')
         degree_of = self.table.subscripts['a']
         out = []
         for idx, exp in self.table.exponents(next(iter(poly.monos))):
-            if idx not in degree_of:
-                raise ContractViolation('monomial uses %s, not a generator'
-                                        % self.table.names[idx])
             out.extend([degree_of[idx]] * exp)
         return sorted(out, reverse=True)

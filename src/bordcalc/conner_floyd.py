@@ -33,7 +33,7 @@ from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import BUNDLE, GradedPoly, Memo, ModulePoly, map_monos, memo
+from .gf2 import BUNDLE, COEFFICIENT, GradedPoly, Memo, ModulePoly, map_monos, memo
 
 
 class _Expr:
@@ -83,6 +83,11 @@ class GammaOf(_Expr):
 
     __slots__ = ('inner',)
 
+    def __init__(self, inner):
+        if not isinstance(inner, _Expr):
+            raise _not_an_expression(inner)
+        super().__init__(inner)
+
     @property
     def dim(self):
         return 1 + self.inner.dim
@@ -94,8 +99,12 @@ class ProductOf(_Expr):
     __slots__ = ('factors',)
 
     def __init__(self, factors):
-        if not factors:
-            raise ContractViolation('empty product')
+        if not isinstance(factors, (tuple, list)) or not factors:
+            raise ContractViolation('a product needs a nonempty tuple or list of factors,'
+                                    ' got %r' % (factors,))
+        for f in factors:
+            if not isinstance(f, _Expr):
+                raise _not_an_expression(f)
         super().__init__(tuple(factors))
 
     @property
@@ -107,6 +116,12 @@ class Trivial(_Expr):
     """A coefficient class with the trivial involution."""
 
     __slots__ = ('coef',)
+
+    def __init__(self, coef):
+        if not isinstance(coef, GradedPoly):
+            raise ContractViolation('a trivial class must be a GradedPoly, got %s'
+                                    % type(coef).__name__)
+        super().__init__(coef.table.admit(coef, GradedPoly, COEFFICIENT, 'a trivial class'))
 
     @property
     def dim(self):
@@ -194,6 +209,8 @@ class Geometry:
         b_1 * (underlying(M) + phi(M)); delta o phi = 0 on every closed
         manifold (Conner-Floyd).
         """
+        if not isinstance(expr, _Expr):
+            raise _not_an_expression(expr)
         return self._walk(expr)
 
     # the benchmark's tracer and its workloads call phi by this name too

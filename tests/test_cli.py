@@ -13,6 +13,7 @@ import pytest
 from bordcalc import cli
 from bordcalc.cli import main
 from bordcalc.parsing import parse_presentation
+from bordcalc.verify import ORACLE_SUITES, SUITES
 
 
 def run(capsys, *argv):
@@ -119,6 +120,200 @@ def test_cli_import_leaves_out_the_heavy_stdlib():
             % str(Path(__file__).resolve().parents[1] / 'src'))
     proc = subprocess.run([sys.executable, '-S', '-c', code], capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'[]\n', b'')
+
+
+def test_plain_call_leaves_out_argparse():
+    # argv is read off the command table: a plain call builds no parser and
+    # loads neither argparse nor the gettext and locale it brings
+    code = ('import sys; sys.path.insert(0, %r)\n'
+            'from bordcalc.cli import main\n'
+            "assert main(['nf', 'X2']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+            % str(Path(__file__).resolve().parents[1] / 'src'))
+    env = {k: v for k, v in os.environ.items() if k != 'BORDCALC_CONFIG'}
+    proc = subprocess.run([sys.executable, '-S', '-c', code], capture_output=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'X2\n[]\n', b'')
+
+
+_GAMMA_3 = ('ok gamma: e*G(1,2) rewrites to X2 + a2\nok gamma: Gamma(e*x) strips e\n'
+            'ok gamma: Gamma kills trivial classes (2 monomials)\n'
+            'ok gamma: e*G(i,n) = G(i-1,n) + alpha(G(i-1,n)) (4 pairs)\n4 checks, 0 failed\n')
+_TABLE_2_3 = ('degree 2: 3 monomials\n  a2\n  X2\n  X3*e\ndegree 3: 7 monomials\n  a2^2*e\n'
+              '  a4*e\n  a2*X2*e\n  X2*X2*e\n  X3\n  X4*e\n  G(1,2)\n')
+_SYNTAX = ('error: syntax error at position 0: expected a<d>, X<n>, G(i,n), Gamma(...), '
+           'iota(...), e, an integer, (\n')
+
+# (argv, exit code, stdout) as the argparse front end gave them; stdout
+# None where argparse ended with SystemExit(2), a usage error
+ARGV_PARITY = [
+    # every command, its options before and after its arguments
+    (('nf', '--fuel', '50', 'e*G(1,2)'), 0, 'X2 + a2\n'),
+    (('nf', 'e*G(1,2)', '--fuel', '50'), 0, 'X2 + a2\n'),
+    (('loc', '--fuel', '50', 'G(1,2)'), 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
+    (('loc', 'G(1,2)', '--fuel', '50'), 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
+    (('alpha', '--fuel', '50', 'G(2,2)'), 0, 'a2^2 + a4\n'),
+    (('alpha', 'G(2,2)', '--fuel', '50'), 0, 'a2^2 + a4\n'),
+    (('gamma', '--fuel', '50', 'X2*X3'), 0, 'a2*G(1,3) + G(1,2)*X3\n'),
+    (('gamma', 'X2*X3', '--fuel', '50'), 0, 'a2*G(1,3) + G(1,2)*X3\n'),
+    (('divide-e', '--fuel', '50', 'e^2*X2'), 0, 'X2*e\n'),
+    (('divide-e', 'e^2*X2', '--fuel', '50'), 0, 'X2*e\n'),
+    (('member', '--fuel', '50', 'c1*e^-1 + e^-2'), 0, 'X2\n'),
+    (('member', 'c1*e^-1 + e^-2', '--fuel', '50'), 0, 'X2\n'),
+    (('geometric', '--fuel', '50', 'G(1,2)'), 0, 'geometric\n'),
+    (('geometric', 'G(1,2)', '--fuel', '50'), 0, 'geometric\n'),
+    (('quotient', '--fuel', '50', 'e^2*G(1,2)'), 0, '(a2 + X2)*x1\n'),
+    (('quotient', 'e^2*G(1,2)', '--fuel', '50'), 0, '(a2 + X2)*x1\n'),
+    (('euler', '--fuel', '5', '0', '3'), 0, 'e^3\n'),
+    (('euler', '0', '3', '--fuel', '5'), 0, 'e^3\n'),
+    (('euler', '0', '--fuel', '5', '3'), 0, 'e^3\n'),
+    (('phi', '--fuel', '50', 'gamma(P(2))'), 0, 'a2*b1 + b1^3 + b1*b2\n'),
+    (('phi', 'gamma(P(2))', '--fuel', '50'), 0, 'a2*b1 + b1^3 + b1*b2\n'),
+    (('delta', '--fuel', '50', 'b1*b2'), 0, 'a2*s0 + s2\n'),
+    (('delta', 'b1*b2', '--fuel', '50'), 0, 'a2*s0 + s2\n'),
+    (('compare', '--fuel', '50', 'gamma(P(2))*P(2)'), 0,
+     'ok a2*c1*e^-2 + a2*e^-3 + c1^2*e^-3 + e^-5\n'),
+    (('compare', 'gamma(P(2))*P(2)', '--fuel', '50'), 0,
+     'ok a2*c1*e^-2 + a2*e^-3 + c1^2*e^-3 + e^-5\n'),
+    (('charnum', '--ref', 'u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
+    (('charnum', 'RP(3)', '--ref', 'u'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
+    (('verify', '--suite', 'gamma', '--degree', '3'), 0, _GAMMA_3),
+    (('verify', '--degree', '3', '--suite', 'gamma'), 0, _GAMMA_3),
+    (('basis-table', '--min', '2', '--max', '3', '--e-cap', '1'), 0, _TABLE_2_3),
+    (('basis-table', '--e-cap', '1', '--max', '3', '--min', '2'), 0, _TABLE_2_3),
+    # the = form and unique prefixes
+    (('nf', '--fuel=50', 'X2*X2'), 0, 'X2*X2\n'),
+    (('charnum', '--ref=u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
+    (('verify', '--suite=gamma', '--degree=3'), 0, _GAMMA_3),
+    (('basis-table', '--min=1', '--max=2', '--e-cap=0'), 0,
+     'degree 1: 0 monomials\ndegree 2: 2 monomials\n  a2\n  X2\n'),
+    (('verify', '--su', 'gamma', '--deg', '3'), 0, _GAMMA_3),
+    (('verify', '--deg=3', '--s=gamma'), 0, _GAMMA_3),
+    (('basis-table', '--mi', '2', '--ma', '2', '--e', '0'), 0,
+     'degree 2: 2 monomials\n  a2\n  X2\n'),
+    (('charnum', '--r', 'u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
+    (('nf', '--fu', '0', 'X2'), 0, 'X2\n'),
+    (('nf', '--f=0', 'X2'), 0, 'X2\n'),
+    # a repeated option: the last one wins
+    (('nf', '--fuel', '1', '--fuel', '50', 'G(1,2)*G(1,3)'), 0, 'G(2,2)*X3\n'),
+    (('nf', '--fuel', '50', '--fuel', '1', 'G(1,2)*G(1,3)'), 3,
+     'error: rewrite fuel exhausted, stuck at G(1,3)*X2\n'),
+    (('verify', '--suite', 'loc', '--suite', 'gamma', '--degree', '9', '--degree', '3'), 0,
+     _GAMMA_3),
+    (('charnum', '--ref', 'v', '--ref', 'u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
+    # negative ints are values
+    (('nf', '--fuel', '-3', 'X2'), 2, ''),
+    (('verify', '--degree', '-1'), 2, 'error: verify degree must be nonnegative, got -1\n'),
+    (('verify', '--degree=-1'), 2, 'error: verify degree must be nonnegative, got -1\n'),
+    (('basis-table', '--e-cap', '-1'), 2, 'error: the e cap must be nonnegative, got -1\n'),
+    (('basis-table', '--min', '-1', '--max', '-1'), 0,
+     'degree -1: 9 monomials\n  e\n  a2*e^3\n  a2^2*e^5\n  a4*e^5\n  X2*e^3\n  a2*X2*e^5\n'
+     '  X2*X2*e^5\n  X3*e^4\n  X4*e^5\n'),
+    (('euler', '-1', '2'), 2, 'error: euler needs m, k >= 0\n'),
+    (('euler', '2', '-1'), 2, 'error: euler needs m, k >= 0\n'),
+    # everything after the first -- is positional
+    (('euler', '--', '-1', '2'), 2, 'error: euler needs m, k >= 0\n'),
+    (('nf', '--', 'X2'), 0, 'X2\n'),
+    (('nf', 'X2', '--'), 0, 'X2\n'),
+    (('euler', '0', '3', '--'), 0, 'e^3\n'),
+    (('nf', '--fuel', '0', '--', 'X2'), 0, 'X2\n'),
+    (('nf', '--', '--fuel'), 2, _SYNTAX),
+    # arguments that start with - and are no option
+    (('nf', '-'), 2, _SYNTAX),
+    (('nf', '-1'), 2, _SYNTAX),
+    (('nf', '-1 + X2'), 2, _SYNTAX),
+    (('nf', '--fuel 3'), 2, _SYNTAX),
+    (('nf', ''), 2, _SYNTAX),
+    # usage errors: a missing or unknown command
+    ((), 2, None), (('frob',), 2, None), (('NF', 'X2'), 2, None),
+    (('--json', 'nf', 'X2'), 2, None), (('--', 'nf', 'X2'), 2, None),
+    # an unknown option, or an argument too many or too few
+    (('nf', '--frob', 'X2'), 2, None), (('nf', '-x', 'X2'), 2, None), (('nf', '-X2'), 2, None),
+    (('nf', '---', 'X2'), 2, None), (('nf', 'X2', 'X3'), 2, None), (('verify', 'X2'), 2, None),
+    (('euler', '1'), 2, None), (('euler',), 2, None), (('euler', '1', '2', '3'), 2, None),
+    # a missing value
+    (('nf', '--fuel'), 2, None), (('nf', 'X2', '--fuel'), 2, None),
+    (('nf', '--fuel', '--json', 'X2'), 2, None), (('verify', '--degree'), 2, None),
+    (('charnum', '--ref', '--json', 'RP(3)'), 2, None),
+    (('charnum', '--ref', '-x', 'RP(3)'), 2, None), (('nf', '--fuel', '--', '0', 'X2'), 2, None),
+    # a bad int or suite
+    (('nf', '--fuel', 'x', 'X2'), 2, None), (('nf', '--fuel', '1.5', 'X2'), 2, None),
+    (('nf', '--fuel=', 'X2'), 2, None), (('verify', '--degree', 'three'), 2, None),
+    (('basis-table', '--max', '2x'), 2, None), (('euler', 'a', '2'), 2, None),
+    (('euler', '0', 'b'), 2, None), (('verify', '--suite', 'nope'), 2, None),
+    (('verify', '--suite=ALL'), 2, None),
+    # an ambiguous prefix, a value given to a flag, a -- no argument takes
+    (('basis-table', '--m', '3'), 2, None), (('nf', '--=1', 'X2'), 2, None),
+    (('basis-table', '-h', '--m', '3'), 2, None),
+    (('nf', '--json=1', 'X2'), 2, None), (('nf', '--json=', 'X2'), 2, None),
+    (('nf', '-hx'), 2, None), (('nf', '-h='), 2, None),
+    (('verify', '--'), 2, None), (('basis-table', '--'), 2, None),
+    (('nf', 'X2', '--json', '--'), 2, None), (('euler', '0', '3', '--json', '--'), 2, None),
+    # an error before a later --help
+    (('nf', '--fuel', 'x', '-h'), 2, None), (('euler', 'x', '-h'), 2, None),
+]
+
+
+@pytest.mark.parametrize('argv,code,out', ARGV_PARITY, ids=[' '.join(row[0]) or '(none)'
+                                                            for row in ARGV_PARITY])
+def test_argv_parity(capsys, monkeypatch, argv, code, out):
+    monkeypatch.delenv('BORDCALC_CONFIG', raising=False)
+    monkeypatch.setattr('sys.stdin', io.StringIO(''))
+    assert main(list(argv)) == code
+    got = capsys.readouterr()
+    if out is not None:
+        assert got.out == out
+    else:
+        # one error line, then the usage line
+        assert got.out == ''
+        error, usage = got.err.splitlines()
+        assert error.startswith('error: ') and usage.startswith('usage: bordcalc')
+
+
+# (argv, stdin, exit code, stdout) of a batch, as argparse's front end gave them
+STDIN_PARITY = [
+    (('nf',), 'e*G(1,2)\n\nX2^2\n', 0, 'X2 + a2\nX2*X2\n'),
+    (('nf', '--fuel', '50'), 'e*G(1,2)\nX2\n', 0, 'X2 + a2\nX2\n'),
+    (('loc', '--'), 'G(1,2)\n', 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
+    (('nf', '--json', '--'), '', 0, ''),
+    (('member',), 'e^-1\nc1*e^-1 + e^-2\n', 1, 'not in the image\nX2\n'),
+]
+
+
+@pytest.mark.parametrize('argv,stdin,code,out', STDIN_PARITY)
+def test_stdin_parity(capsys, monkeypatch, argv, stdin, code, out):
+    monkeypatch.delenv('BORDCALC_CONFIG', raising=False)
+    monkeypatch.setattr('sys.stdin', io.StringIO(stdin))
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == out
+
+
+COMMON_OPTIONS = ('-h', '--help', '--json', '--config', '--fuel')
+OWN_OPTIONS = {'euler': ('m', 'k'), 'charnum': ('--ref', 'expr'),
+               'verify': ('--suite', '--degree') + SUITES + ('all',) + ORACLE_SUITES,
+               'basis-table': ('--min', '--max', '--e-cap')}
+
+
+@pytest.mark.parametrize('argv', [('-h',), ('--help',), ('--he',), ('-hh',), ('--json', '-h'),
+                                  ('-h', 'frob')])
+def test_help_lists_every_command(capsys, argv):
+    assert main(list(argv)) == 0
+    got = capsys.readouterr()
+    assert got.err == ''
+    for name in cli._COMMANDS:
+        assert '\n  %s ' % name in got.out, name
+
+
+@pytest.mark.parametrize('command', list(cli._COMMANDS))
+def test_command_help_lists_every_option(capsys, command):
+    for argv in ((command, '--help'), (command, '-h', '--fuel', 'x'),
+                 (command, '0', '1', '--hel')):
+        assert main(list(argv)) == 0
+        got = capsys.readouterr()
+        assert got.err == ''
+        assert got.out.startswith('usage: bordcalc %s ' % command)
+        for option in COMMON_OPTIONS + OWN_OPTIONS.get(command, ('expr',)):
+            assert option in got.out, (argv, option)
 
 
 def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):

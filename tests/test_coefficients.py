@@ -103,3 +103,8 @@ def test_mono_degrees(sess):
     assert coef.mono_degrees(coef.one()) == []
     with pytest.raises(ContractViolation):
         coef.mono_degrees(coef.a(2) + coef.a(4))
+    # mono_degrees('x') raised AttributeError; a term outside family a has
+    # no generator degrees
+    for x in ('x', None, sess.mo.X(2), sess.geometry.b(1), sess.laurent.e(-1)):
+        with pytest.raises(ContractViolation):
+            coef.mono_degrees(x)

@@ -22,6 +22,22 @@ def test_dimensions_and_depth(sess):
     assert AntipodalSphere(3).dim == 3
 
 
+def test_expressions_refuse_parts_of_another_kind(sess):
+    # each used to build, and underlying or phi then raised AttributeError
+    # or TypeError
+    geo = sess.geometry
+    for build in (lambda: GammaOf('x'), lambda: GammaOf(sess.coef.a(2)),
+                  lambda: ProductOf((Proj(2), 'x')), lambda: ProductOf(Proj(2)),
+                  lambda: ProductOf(()), lambda: Trivial('x'), lambda: Trivial(geo.b(1)),
+                  lambda: Trivial(sess.laurent.e(-1)), lambda: Trivial(sess.mo.X(2))):
+        with pytest.raises(ContractViolation):
+            build()
+    for walk in (geo.phi, geo.underlying):
+        for x in ([Proj(2)], 'x', sess.coef.a(2)):
+            with pytest.raises(ContractViolation):
+                walk(x)
+
+
 def test_free_module_elements(sess):
     table = sess.table
     one = sess.coef.one()

@@ -54,9 +54,10 @@ def test_expressions_of_different_types_are_unequal(sess):
     assert Proj(3) != AntipodalSphere(3)
     assert hash(Proj(3)) == hash(AntipodalSphere(3))
     assert len({Proj(3), AntipodalSphere(3)}) == 2
+    # the parts of gamma and of a product must be expressions themselves
     a2 = sess.coef.a(2)
-    assert GammaOf(a2) != Trivial(a2)
-    assert ProductOf((Proj(2),)) != GammaOf((Proj(2),))
+    assert GammaOf(Trivial(a2)) != Trivial(a2)
+    assert ProductOf((Proj(2),)) != GammaOf(Proj(2))
     assert Proj(3) != (3,) and Proj(3) != 3
 
 
