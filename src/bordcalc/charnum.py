@@ -20,7 +20,7 @@ pi_*(b t^p) = b h_{p-r+1}(x_1, ..., x_r), where h_m is the complete
 homogeneous symmetric polynomial of the line classes x_j, the dual
 Stiefel-Whitney class of E (Conner-Floyd, Differentiable Periodic Maps,
 1964; Stong, Notes on Cobordism Theory, 1968). Nested projectivizations
-push forward one fibre at a time. Each space computes once the set of
+push forward one fibre at a time. sw_numbers computes once the set of
 top-degree monomials that pair to 1, so a Stiefel-Whitney number is one
 product and the parity of a mask.
 
@@ -32,7 +32,7 @@ identify their classes.
 
 from .coefficients import generator_rep
 from .errors import CapacityError, ContractViolation, IntegrityError
-from .gf2 import Echelon, GradedPoly, Memo, memo, power
+from .gf2 import Echelon, GradedPoly, memo, power
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import rank_sets, solve_sets
 
@@ -55,9 +55,10 @@ class Space:
     """Base class: a manifold with H^* held on integer exponent vectors.
 
     A subclass sets dim, gens (name, degree per slot) and bounds (the
-    largest exponent per slot), then calls _lay_out. The default pairing
-    is that of a truncated polynomial ring: the top monomial, with every
-    slot at its bound, pairs to 1.
+    largest exponent per slot), then calls _lay_out, and defines
+    tangent_sw(), the total Stiefel-Whitney class of the tangent bundle.
+    The default pairing is that of a truncated polynomial ring: the top
+    monomial, with every slot at its bound, pairs to 1.
     """
 
     def _lay_out(self):
@@ -83,7 +84,6 @@ class Space:
         self._valid = 0
         for mask in by_degree:
             self._valid |= mask
-        self._tangent, self._pairing = Memo(), Memo()
 
     def _mul(self, x, y):
         """The product of two classes given as ints."""
@@ -119,17 +119,8 @@ class Space:
         # a slot with bound 0, as in RP(0), carries the zero class
         return CohomClass(self, 1 << self._strides[slot] if self.bounds[slot] else 0)
 
-    @memo('_tangent')
-    def tangent_sw(self):
-        """The total Stiefel-Whitney class of the tangent bundle."""
-        return self._tangent_sw()
-
-    @memo('_pairing')
     def pairing(self):
         """The monomials of the top degree that pair to 1 with [M], as an int."""
-        return self._top_dual()
-
-    def _top_dual(self):
         return 1 << sum(b * s for b, s in zip(self.bounds, self._strides))
 
 
@@ -145,7 +136,7 @@ class RP(Space):
         self.bounds = [n]
         self._lay_out()
 
-    def _tangent_sw(self):
+    def tangent_sw(self):
         # w(RP(n)) = (1 + u)^(n + 1)
         return (CohomClass.one(self) + self.gen('u')) ** (self.n + 1)
 
@@ -166,7 +157,7 @@ class Dold(Space):
         self.bounds = [m, n]
         self._lay_out()
 
-    def _tangent_sw(self):
+    def tangent_sw(self):
         # w(P(m, n)) = (1 + c)^m (1 + c + d)^(n + 1)
         one = CohomClass.one(self)
         return ((one + self.gen('c')) ** self.m
@@ -215,10 +206,10 @@ class Product(Space):
             acc = self._mul(acc, self._lift(idx, bits))
         return acc
 
-    def _tangent_sw(self):
+    def tangent_sw(self):
         return CohomClass(self, self._product_of(f.tangent_sw().terms for f in self.factors))
 
-    def _top_dual(self):
+    def pairing(self):
         return self._product_of(f.pairing() for f in self.factors)
 
     def __repr__(self):
@@ -261,7 +252,7 @@ class ProjBundle(Space):
         """The tautological degree-1 class t."""
         return self.gen(self._t)
 
-    def _tangent_sw(self):
+    def tangent_sw(self):
         # w(total) = w(base) * prod_j (1 + t + x_j)
         one_t = 1 | self.fiber_class().terms
         acc = self.base.tangent_sw().terms
@@ -269,7 +260,7 @@ class ProjBundle(Space):
             acc = self._mul(acc, one_t ^ x.terms)
         return CohomClass(self, acc)
 
-    def _top_dual(self):
+    def pairing(self):
         # b t^p pairs as b h_{p-r+1}(lines) on the base, so it pairs to 1
         # when that product meets the base's pairing an odd number of times;
         # h = prod_j (1 + x_j + x_j^2 + ...) holds every h_m at once

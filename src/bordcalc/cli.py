@@ -16,15 +16,15 @@ CoefRing.check_size, or exits 3 unbuilt.
 
 argv is read off one table, _COMMANDS, with no argparse: each row holds a
 command's help text, grammar, handler and own options, and the reader and
-the help text are built from it. It reads what argparse read: options
-anywhere after the command, `--opt value` or `--opt=value`, a unique
-prefix of a long option, the last of a repeated option, negative numbers
-as values, and everything after the first -- as positional. -h or --help
-prints help to stdout and exits 0; a usage error prints an error line and
-a usage line to stderr and main returns 2.
+the help text are built from it. The reader walks argv once, left to
+right, by the grammar README states: the command, then options and
+arguments in any order, and after the first -- arguments only. -h or
+--help prints help to stdout and exits 0; a usage error prints an error
+line and a usage line to stderr and main returns 2.
 """
 
 import os
+import re
 import sys
 import time
 from types import SimpleNamespace
@@ -63,8 +63,12 @@ def _load_config(path):
 
 
 def _session_from(args):
-    path = args.config or os.environ.get('BORDCALC_CONFIG')
-    cfg = _load_config(path) if path else {}
+    # an explicit --config is the path even when empty, and is refused as
+    # no such file; an empty BORDCALC_CONFIG names no file
+    path = args.config
+    if path is None:
+        path = os.environ.get('BORDCALC_CONFIG') or None
+    cfg = {} if path is None else _load_config(path)
     # the config keys are Session's parameters
     if args.fuel is not None:
         cfg['fuel'] = args.fuel
@@ -329,45 +333,6 @@ def _fail(command, message):
     raise _Stop(2, 'error: %s\n%s' % (message, _usage(command)))
 
 
-def _negative_number(token):
-    """argparse's test for an argument that is a negative number, hence no
-    option: a match of ^-\\d+$|^-\\d*\\.\\d+$, without compiling it."""
-    # $ matches before one newline at the end too
-    whole, dot, frac = (token[1:-1] if token.endswith('\n') else token[1:]).partition('.')
-    if not dot:
-        return whole.isdecimal()
-    return (not whole or whole.isdecimal()) and frac.isdecimal()
-
-
-def _classify(command, token, flags):
-    """What argv reads token as, as argparse reads it: None for a positional
-    argument, else (flag, explicit value or None), the flag None when no
-    option of flags is meant. A long option may be any unique prefix of
-    its flag and take its value after an =; -h may repeat (-hh)."""
-    if not token.startswith('-'):
-        return None
-    if token in flags:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition('=')
-    if eq and name in flags:
-        return name, value
-    if token[1] == '-':
-        found = [flag for flag in flags if flag.startswith(name)]
-        explicit = value if eq else None
-    else:
-        found = [token[:2]] if token[:2] in flags else []
-        explicit = token[2:]
-    if len(found) > 1:
-        _fail(command, 'ambiguous option: %s could match %s' % (token, ', '.join(found)))
-    if found:
-        return found[0], explicit
-    if _negative_number(token) or ' ' in token:
-        return None
-    return None, None
-
-
 def _value(command, spec, text):
     flag, _, read, _, _ = spec
     if isinstance(read, tuple):
@@ -382,94 +347,87 @@ def _value(command, spec, text):
 
 
 def _read_argv(argv):
-    """The args of one command line, read off _COMMANDS.
+    """The args of one command line, read off _COMMANDS in one walk from
+    left to right.
 
-    It reads what argparse read, to the same values: the options of a
-    command come anywhere after it, a repeated option keeps its last
-    value, and a negative number is a value, not an option. Everything
-    after the first -- is positional. Help and usage errors raise _Stop.
+    The command comes first; a -h or --help before it asks for the command
+    list. Options and arguments follow in any order. An option is written
+    --name value, --name=value, or with a unique prefix of its name, and the
+    last of a repeated option wins; -, a negative number and a text with a
+    space are arguments, and so is every token after the first --, which is
+    dropped. Help and usage errors raise _Stop. Help is given once argv is
+    read: an ambiguous prefix anywhere before the first --, or an error
+    met before the help, beats it; a missing or surplus argument does not.
     """
-    extras = []
-    top = {'-h': _HELP, '--help': _HELP}
-    for i, token in enumerate(argv):
-        if token == '--':
-            _fail(None, "argument command: invalid choice: '--'")
-        kind = _classify(None, token, top)
-        if kind is None:
-            break
-        flag, explicit = kind
-        if flag is None:
-            extras.append(token)
-        else:
-            _read_flag(None, flag, explicit)
-    else:
-        _fail(None, 'the following arguments are required: command')
-    command = argv[i]
-    if command not in _COMMANDS:
-        _fail(None, 'argument command: invalid choice: %r (choose from %s)'
-              % (command, ', '.join(map(repr, _COMMANDS))))
-    return _read_command(command, argv[i + 1:], extras)
-
-
-def _read_flag(command, flag, explicit):
-    """A flag that takes no value, given with an explicit one or none; help raises _Stop."""
-    # argparse reads -hh as -h -h, and -h=... as -h followed by the text after the =
-    if explicit is not None and not (flag == '-h' and explicit and not explicit.strip('h')):
-        _fail(command, 'argument %s: ignored explicit argument %r' % (flag, explicit))
-    if flag in ('-h', '--help'):
-        raise _Stop(0, _help(command))
-
-
-def _read_command(command, argv, extras):
-    options, slots = _arguments(command)
+    command = args = wanting = None
     flags = {'-h': _HELP, '--help': _HELP}
-    flags.update((spec[0], spec) for spec in options)
-    # the expression may be left out, the other positional arguments not
-    required = [spec for spec in slots if spec[0] != 'expr']
-    args = SimpleNamespace(command=command, **{spec[1]: spec[3] for spec in options + slots})
-    # every token before the first -- is classified before any is read
-    end = argv.index('--') if '--' in argv else len(argv)
-    kinds = [_classify(command, token, flags) for token in argv[:end]]
-    if end < len(argv):
-        kinds += ['--'] + [None] * (len(argv) - end - 1)
-    filled = 0
-    # the slots open where the current run of positional arguments began:
-    # the first -- is dropped only when one of them takes it
-    open_at_run = len(slots)
-    i = 0
-    while i < len(argv):
-        token, kind = argv[i], kinds[i]
-        i += 1
-        if kind == '--':
-            if not open_at_run:
-                extras.append(token)
-        elif kind is None:
-            if filled < len(slots):
-                spec = slots[filled]
-                setattr(args, spec[1], _value(command, spec, token))
-                filled += 1
+    slots, extras, helped, dashed = [], [], False, False
+    for token in argv:
+        if token == '--' and not dashed:
+            if command is None and not helped:
+                _fail(None, "argument command: invalid choice: '--'")
+            if wanting:
+                break
+            dashed = True
+            continue
+        # found: None for an argument, else the flags the token may name
+        found = None
+        if not dashed and token[:1] == '-' and token != '-':
+            name, eq, explicit = token.partition('=')
+            explicit = explicit if eq else None
+            if token[1] == '-':
+                found = [flag for flag in flags if flag.startswith(name)]
             else:
-                extras.append(token)
-        elif kind[0] is None:
+                # -h takes no value, yet -hh reads as -h -h and -h=h as -h h
+                found = ['-h'] if token[:2] == '-h' else []
+                explicit = explicit if name == '-h' else token[2:]
+            if len(found) > 1:
+                _fail(command, 'ambiguous option: %s could match %s' % (token, ', '.join(found)))
+            if not found and (re.match(r'-\d+$|-\d*\.\d+$', token) or ' ' in token):
+                found = None
+        if helped:
+            continue
+        if wanting:
+            if found is not None:
+                break
+            setattr(args, wanting[1], _value(command, wanting, token))
+            wanting = None
+        elif found is None and command is None:
+            if token not in _COMMANDS:
+                _fail(None, 'argument command: invalid choice: %r (choose from %s)'
+                      % (token, ', '.join(map(repr, _COMMANDS))))
+            command = token
+            options, slots = _arguments(command)
+            flags.update((spec[0], spec) for spec in options)
+            args = SimpleNamespace(command=command, **{spec[1]: spec[3] for spec in options + slots})
+        elif found is None and slots:
+            spec = slots.pop(0)
+            setattr(args, spec[1], _value(command, spec, token))
+        elif not found:
             extras.append(token)
-            open_at_run = len(slots) - filled
         else:
-            flag, explicit = kind
-            spec = flags[flag]
-            if spec[2] is None:
-                _read_flag(command, flag, explicit)
-                setattr(args, spec[1], True)
-            else:
-                if explicit is None:
-                    if i == len(argv) or kinds[i] is not None:
-                        _fail(command, 'argument %s: expected one argument' % spec[0])
-                    explicit = argv[i]
-                    i += 1
+            flag, spec = found[0], flags[found[0]]
+            if spec[2] is not None and explicit is None:
+                wanting = spec
+            elif spec[2] is not None:
                 setattr(args, spec[1], _value(command, spec, explicit))
-            open_at_run = len(slots) - filled
-    if filled < len(required):
-        _fail(command, 'the following arguments are required: %s'
-              % ', '.join(spec[0] for spec in required[filled:]))
+            elif explicit is not None and not (flag == '-h' and explicit and not explicit.strip('h')):
+                _fail(command, 'argument %s: ignored explicit argument %r' % (flag, explicit))
+            elif spec is _HELP:
+                helped = True
+            else:
+                setattr(args, spec[1], True)
+    # a value was missing: argv ended, or an option or -- stood in its place
+    if wanting:
+        _fail(command, 'argument %s: expected one argument' % wanting[0])
+    if helped:
+        raise _Stop(0, _help(command))
+    if command is None:
+        _fail(None, 'the following arguments are required: command')
+    # the expression may be left out, the other positional arguments not
+    required = [spec[0] for spec in slots if spec[0] != 'expr']
+    if required:
+        _fail(command, 'the following arguments are required: %s' % ', '.join(required))
     if extras:
         _fail(command, 'unrecognized arguments: %s' % ' '.join(extras))
     return args

@@ -3,12 +3,15 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bordcalc import cli
 from bordcalc.cli import main
@@ -145,7 +148,10 @@ _SYNTAX = ('error: syntax error at position 0: expected a<d>, X<n>, G(i,n), Gamm
            'iota(...), e, an integer, (\n')
 
 # (argv, exit code, stdout) as the argparse front end gave them; stdout
-# None where argparse ended with SystemExit(2), a usage error
+# None where argparse ended with SystemExit(2), a usage error. The rows with
+# a -- are argparse's too, but argparse refused a -- that no open positional
+# argument took, and the reader drops every first --: see
+# test_dashdash_reads_as_absent
 ARGV_PARITY = [
     # every command, its options before and after its arguments
     (('nf', '--fuel', '50', 'e*G(1,2)'), 0, 'X2 + a2\n'),
@@ -242,13 +248,11 @@ ARGV_PARITY = [
     (('basis-table', '--max', '2x'), 2, None), (('euler', 'a', '2'), 2, None),
     (('euler', '0', 'b'), 2, None), (('verify', '--suite', 'nope'), 2, None),
     (('verify', '--suite=ALL'), 2, None),
-    # an ambiguous prefix, a value given to a flag, a -- no argument takes
+    # an ambiguous prefix, a value given to a flag
     (('basis-table', '--m', '3'), 2, None), (('nf', '--=1', 'X2'), 2, None),
     (('basis-table', '-h', '--m', '3'), 2, None),
     (('nf', '--json=1', 'X2'), 2, None), (('nf', '--json=', 'X2'), 2, None),
     (('nf', '-hx'), 2, None), (('nf', '-h='), 2, None),
-    (('verify', '--'), 2, None), (('basis-table', '--'), 2, None),
-    (('nf', 'X2', '--json', '--'), 2, None), (('euler', '0', '3', '--json', '--'), 2, None),
     # an error before a later --help
     (('nf', '--fuel', 'x', '-h'), 2, None), (('euler', 'x', '-h'), 2, None),
 ]
@@ -268,6 +272,91 @@ def test_argv_parity(capsys, monkeypatch, argv, code, out):
         assert got.out == ''
         error, usage = got.err.splitlines()
         assert error.startswith('error: ') and usage.startswith('usage: bordcalc')
+
+
+_DASHDASH_LAST = [('verify', '--'), ('basis-table', '--'), ('nf', 'X2', '--json', '--'),
+                  ('euler', '0', '3', '--json', '--')]
+
+
+@pytest.mark.parametrize('argv', _DASHDASH_LAST, ids=[' '.join(argv) for argv in _DASHDASH_LAST])
+def test_dashdash_reads_as_absent(capsys, monkeypatch, argv):
+    # argparse refused each of these, as no open positional argument took
+    # the --; the reader drops the first -- wherever it stands
+    monkeypatch.delenv('BORDCALC_CONFIG', raising=False)
+    monkeypatch.setattr('sys.stdin', io.StringIO(''))
+    runs = []
+    for line in (argv, argv[:-1]):
+        code = main(list(line))
+        runs.append((code, re.sub(r'"elapsed_ms": \d+', '', capsys.readouterr().out)))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+# texts that start no option; arguments add -, negative numbers and spaces
+_WORDS = st.text('abuvX0123456789*()+,^', min_size=1, max_size=6)
+_ARGUMENTS = st.one_of(_WORDS, st.sampled_from(['-', '-1', '-2.5', '-1 + X2', '']))
+
+
+def _option_value(spec):
+    read = spec[2]
+    if read is None:
+        return st.just(True)
+    if isinstance(read, tuple):
+        return st.sampled_from(read)
+    return st.integers(-50, 50) if read is int else _WORDS
+
+
+def _option_unit(data, spec, value, flags):
+    """The tokens of one option set to value, in a drawn form: the flag or a
+    unique prefix of it, its value as the next token or after an =."""
+    flag = spec[0]
+    prefixes = [flag[:n] for n in range(3, len(flag) + 1)
+                if [f for f in flags if f.startswith(flag[:n])] == [flag]]
+    name = data.draw(st.sampled_from(prefixes))
+    if spec[2] is None:
+        return [name]
+    return data.draw(st.sampled_from([[name, str(value)], ['%s=%s' % (name, value)]]))
+
+
+@pytest.mark.parametrize('command', list(cli._COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rearranged_argv_reads_as_canonical(command, data):
+    # CMD --opt value ... ARGS against the same options moved among the
+    # arguments or before a --, in = or prefix form, repeated with the
+    # canonical value last
+    options, slots = cli._arguments(command)
+    flags = ['-h', '--help'] + [spec[0] for spec in options]
+    expected = {'command': command}
+    expected.update((spec[1], spec[3]) for spec in options + slots)
+    canonical, units, repeats = [command], [], []
+    for spec in options:
+        if not data.draw(st.booleans()):
+            continue
+        value = data.draw(_option_value(spec))
+        expected[spec[1]] = value
+        canonical += [spec[0]] if spec[2] is None else [spec[0], str(value)]
+        units.append(_option_unit(data, spec, value, flags))
+        if data.draw(st.booleans()):
+            repeats.append(_option_unit(data, spec, data.draw(_option_value(spec)), flags))
+    arguments = []
+    for spec in slots:
+        if spec[0] == 'expr' and not data.draw(st.booleans()):
+            break
+        value = data.draw(st.integers(-9, 9) if spec[2] is int else _ARGUMENTS)
+        expected[spec[1]] = value
+        arguments.append(str(value))
+    canonical += arguments
+    # every repeat comes before the unit that sets the canonical value
+    units = data.draw(st.permutations(repeats)) + data.draw(st.permutations(units))
+    if data.draw(st.booleans()):
+        rearranged = [command] + sum(units, []) + ['--'] + arguments
+    else:
+        order = data.draw(st.permutations(['unit'] * len(units) + ['argument'] * len(arguments)))
+        units, arguments, rearranged = iter(units), iter(arguments), [command]
+        for kind in order:
+            rearranged += next(units) if kind == 'unit' else [next(arguments)]
+    assert vars(cli._read_argv(canonical)) == expected
+    assert vars(cli._read_argv(rearranged)) == expected
 
 
 # (argv, stdin, exit code, stdout) of a batch, as argparse's front end gave them
@@ -673,6 +762,27 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     code = main(['nf', '--config', str(old), 'X6'])
     assert code == 2
     assert 'unknown key coef.max_degree' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('argv', [('nf', '--config=', 'X6'), ('nf', '--config', '', 'X6')])
+@pytest.mark.parametrize('env', [False, True])
+def test_empty_config_value_is_refused(tmp_path, capsys, monkeypatch, argv, env):
+    # an explicit --config is the path, so an empty one names no file,
+    # whether BORDCALC_CONFIG is set or not
+    cfg = tmp_path / 'cap4.cfg'
+    cfg.write_text('max_degree = 4\n')
+    if env:
+        monkeypatch.setenv('BORDCALC_CONFIG', str(cfg))
+    else:
+        monkeypatch.delenv('BORDCALC_CONFIG', raising=False)
+    assert main(list(argv)) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ('', "error: [Errno 2] No such file or directory: ''\n")
+
+
+def test_empty_config_variable_names_no_file(capsys, monkeypatch):
+    monkeypatch.setenv('BORDCALC_CONFIG', '')
+    assert run(capsys, 'nf', 'X6') == (0, 'X6\n')
 
 
 def test_negative_fuel_is_a_usage_error(tmp_path, capsys):
