@@ -63,8 +63,8 @@ class CoefRing:
         self.reference_rows = Memo()
         # boardman.Boardman, made at first use by boardman.tables
         self.boardman = None
-        # parsing's monomial atoms, by (grammar, text), each built once by its
-        # constructor and kept for later parses
+        # parsing's monomial atoms, by (grammar, name, subscript), each built
+        # once by its constructor and kept for later parses
         self.parsed_atoms = Memo()
 
     def check_size(self, what, size, coef_degree):

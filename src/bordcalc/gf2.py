@@ -28,7 +28,8 @@ the same and then larger exponents of the other variables in table order.
 The leading term is the largest int. The canonical text form decodes: it
 joins terms with " + ", largest first, each term being the "*"-joined
 "var^exp" factors with exponent 1 omitted and the invertible variable
-printed last, for example "c1*e^-1 + e^-2". The decoded form of a
+printed last, for example "c1*e^-1 + e^-2"; the table spells each
+monomial once and keeps its text with its sort key. The decoded form of a
 monomial, a sorted tuple of (variable index, exponent) pairs with zero
 exponents dropped, is what GradedPoly.terms shows to callers outside the
 package.
@@ -109,7 +110,8 @@ class VarTable:
 
     __slots__ = ('names', 'degrees', 'invertible', 'limit', 'units', 'efree_mask',
                  'e_shift', 'e_degree', '_index', '_shifts', '_owner', '_guard',
-                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials', '_decoded')
+                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials', '_decoded',
+                 '_texts')
 
     def __init__(self, variables, limit, invertible=None):
         """variables: (family, subscript, degree) triples in table order, the
@@ -164,6 +166,9 @@ class VarTable:
         self._masks = Memo()
         self._monomials = Memo()
         self._decoded = Memo()
+        # (sort key, text) of every monomial printed, by the monomial: a
+        # packed int's or a presentation's
+        self._texts = Memo()
 
     @memo('_masks')
     def mask(self, letters):
@@ -224,16 +229,28 @@ class VarTable:
 
     @memo('_decoded')
     def decoded(self, m):
-        """exponents(m), kept: sort keys decode the same coefficients over and over."""
+        """exponents(m), kept: sort keys and module texts decode the same parts over and over."""
         return self.exponents(m)
 
+    def printed(self, monos, mono_text):
+        """The text of the sum of monos: their texts joined with ' + ', largest
+        sort key first. mono_text(self, m) is a monomial's (sort key, text),
+        made the first time it is printed and kept: answers repeat terms."""
+        texts = self._texts
+        pairs = []
+        for m in monos:
+            pair = texts.get(m)
+            if pair is None:
+                pair = texts[m] = mono_text(self, m)
+            else:
+                texts.hits += 1
+            pairs.append(pair)
+        pairs.sort(reverse=True)
+        return ' + '.join([text for _, text in pairs])
+
     def text(self, m):
-        """Canonical text of one monomial: the invertible variable last."""
-        if not m:
-            return '1'
-        names = self.names
-        return '*'.join(names[i] if x == 1 else '%s^%d' % (names[i], x)
-                        for i, x in self.exponents(m))
+        """Canonical text of one packed monomial: the invertible variable last."""
+        return self.printed((m,), mono_text)
 
     def admit(self, x, kind, letters=None, what='the element'):
         """x, when it is a kind value over this table using only the families
@@ -380,11 +397,22 @@ def mono_degree(table, m):
     return (m & table.efree_mask) + table.e_degree * (m >> table.e_shift)
 
 
+def mono_text(table, m):
+    """(sort key, text) of a packed monomial: the int itself, and the "*"-joined
+    "var^exp" factors, exponent 1 omitted, or '1'."""
+    if not m:
+        return m, '1'
+    names = table.names
+    return m, '*'.join([names[i] if x == 1 else '%s^%d' % (names[i], x)
+                        for i, x in table.exponents(m)])
+
+
 class SparseSum:
     """A GF(2) sum: a finite set of monomials over a shared VarTable.
 
     The sum protocol is written once here. A subclass names its kind of
-    monomial through mono_degree(table, m) and unit (the monomial of 1),
+    monomial through mono_degree(table, m), mono_text(table, m) (its sort
+    key and text, which the table keeps) and unit (the monomial of 1),
     and multiplies in its own __mul__: product_monos, or a shift when one
     operand is a single term that allows it, refusing a product that
     overflowed a packed field. Operands of + and * must be of one subclass
@@ -438,6 +466,10 @@ class SparseSum:
     def __repr__(self):
         return self.to_text()
 
+    def to_text(self):
+        """Canonical text form: the terms' texts, largest sort key first, or '0'."""
+        return self.table.printed(self.monos, self.mono_text) if self.monos else '0'
+
     def degrees(self):
         """The set of the terms' degrees, empty for zero."""
         table, degree = self.table, self.mono_degree
@@ -462,6 +494,7 @@ class GradedPoly(SparseSum):
 
     __slots__ = ()
     mono_degree = staticmethod(mono_degree)
+    mono_text = staticmethod(mono_text)
     unit = MONO_ONE
 
     def __mul__(self, other):
@@ -509,12 +542,6 @@ class GradedPoly(SparseSum):
         table = self.table
         return not (reduce(operator.or_, self.monos, 0)
                     & ~(table.mask(letters) | table.efree_mask))
-
-    def to_text(self):
-        """Canonical text form."""
-        if not self.monos:
-            return '0'
-        return ' + '.join(map(self.table.text, sorted(self.monos, reverse=True)))
 
 
 class Substitution:
@@ -607,16 +634,23 @@ class ModulePoly(GradedPoly):
 
     def to_text(self):
         """The monomials grouped by generator, least index first: p_j*<symbol><j>."""
+        if not self.monos:
+            return '0'
         table, own, parts = self.table, self.table.mask(self.family), {}
+        units, degrees = table.units, table.degrees
         for m in self.monos:
-            gen = table.pack(table.exponents(m & own))
-            parts.setdefault(abs(mono_degree(table, gen)), []).append(m - gen)
+            # the generator: the factors of m in the family, and its degree
+            gen = j = 0
+            for idx, x in table.decoded(m & own):
+                gen += x * units[idx]
+                j += x * degrees[idx]
+            parts.setdefault(abs(j), []).append(m - gen)
         out = []
         for j, coefs in sorted(parts.items()):
-            text = GradedPoly(table, coefs).to_text()
+            text = table.printed(coefs, mono_text)
             out.append('%s%d' % (self.symbol, j) if text == '1' else
                        ('%s*%s%d' if len(coefs) == 1 else '(%s)*%s%d') % (text, self.symbol, j))
-        return ' + '.join(out) or '0'
+        return ' + '.join(out)
 
 
 # the families a value of each ring may use: N_*, the Laurent model, the

@@ -12,12 +12,18 @@ Integers reduce mod 2. Specific atoms per grammar:
   manifold:      P(n), S(j), gamma(expr), triv(coefficient)
   space:         RP(n), Dold(m,n), PB(space; line, ...)
 
+The reader walks the token list once, left to right, passing the index
+of the next token from rule to rule; a call such as G(i,n) or RP(n) is
+read in one step. Each grammar is a class whose letters, constructors
+and expected tokens are fixed once, in its definition.
+
 In the polynomial grammars (all but manifold and space) a product of
 atoms is one monomial: the names, the G(i,n) and the integers are
 monomial atoms, and a run of them, with their powers, adds up exponent
 counts, one packed int (and for a presentation a G(i,n) multiset), built
-into a value once at the end of the term. Only parenthesized factors,
-Gamma(...) and iota(...) are multiplied as sums. A manifold expression
+into a monomial once at the end of the term. Only parenthesized factors,
+Gamma(...) and iota(...) are multiplied as sums. The terms of a sum are
+gathered and reduced mod 2 once, at its end. A manifold expression
 parses to a formal GF(2) sum of terms, a frozenset, with products
 distributed over sums and gamma applied termwise. Space products flatten
 to a single Product.
@@ -30,6 +36,7 @@ only; the position of a token is found again when a ParseError names it.
 
 import itertools
 import re
+import sys
 
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
@@ -51,14 +58,16 @@ def _integer(digits):
 
 
 class _Tokens:
-    """The tokens of a text as strings, read left to right; '' is the end.
+    """The tokens of a text as strings, then '' for the end, at index end.
 
     A token's text gives its kind: a name is an identifier, an integer is
-    digits, and punctuation is one character. A token's position is found
-    again, by scanning, only for a ParseError.
+    digits, and punctuation is one character. The rules read items by
+    index and never past the '', and read digits through to_int: int()
+    itself for a text too short to hold a run it could refuse. A token's
+    position is found again, by scanning, only for a ParseError.
     """
 
-    __slots__ = ('text', 'items', 'idx')
+    __slots__ = ('text', 'items', 'end', 'to_int')
 
     def __init__(self, text):
         bad = _BAD.search(text)
@@ -67,12 +76,14 @@ class _Tokens:
                              found=bad.group())
         self.text = text
         self.items = _TOKEN.findall(text)
+        self.end = len(self.items)
         self.items.append('')
-        self.idx = 0
+        # int() reads any run shorter than the least limit Python may set
+        self.to_int = int if len(text) < sys.int_info.str_digits_check_threshold else _integer
 
     def position(self, idx):
         """Where token idx starts in the text."""
-        if idx == len(self.items) - 1:
+        if idx == self.end:
             return len(self.text)
         return next(itertools.islice(_TOKEN.finditer(self.text), idx, None)).start()
 
@@ -80,35 +91,31 @@ class _Tokens:
         """The ParseError for token idx, when one of expected was due there."""
         return ParseError(self.position(idx), expected, found=self.items[idx] or None)
 
-    def take(self):
-        """The next token, consumed unless it is the end."""
-        tok = self.items[self.idx]
-        if tok:
-            self.idx += 1
-        return tok
+    def whole(self, value, idx):
+        """value, read from the whole text when token idx is the end."""
+        if idx != self.end:
+            raise self.error(idx, ('end of input',))
+        return value
 
-    def skip(self, punct):
-        """Whether punct comes next; if so it is consumed."""
-        if self.items[self.idx] == punct:
-            self.idx += 1
-            return True
-        return False
+    def expect(self, idx, punct):
+        """idx + 1, when token idx is punct."""
+        if self.items[idx] != punct:
+            raise self.error(idx, ("'%s'" % punct,))
+        return idx + 1
 
-    def expect(self, punct):
-        if self.items[self.idx] != punct:
-            raise self.error(self.idx, ("'%s'" % punct,))
-        self.idx += 1
-
-    def expect_int(self):
-        tok = self.items[self.idx]
-        if not tok.isdigit():
-            raise self.error(self.idx, ('an integer',))
-        self.idx += 1
-        return _integer(tok)
-
-    def expect_end(self):
-        if self.items[self.idx]:
-            raise self.error(self.idx, ('end of input',))
+    def ints(self, idx, count):
+        """The count integers of '(' int, ... ')' from token idx, and the index after it."""
+        items, out, punct = self.items, [], '('
+        for _ in range(count):
+            if items[idx] != punct:
+                raise self.error(idx, ("'%s'" % punct,))
+            digits = items[idx + 1]
+            if not digits.isdigit():
+                raise self.error(idx + 1, ('an integer',))
+            out.append(self.to_int(digits))
+            idx += 2
+            punct = ','
+        return tuple(out), self.expect(idx, ')')
 
 
 class _Monomial:
@@ -136,86 +143,122 @@ _ONE = _Monomial(0, (), 0, 0)
 class _ElementParser:
     """The one sum/product/power engine; each grammar supplies its atoms.
 
-    + and * between sums go through the add and mul hooks and x^k through
-    power, so a grammar changes its values without copying the precedence
-    rules. A grammar's atoms are values, or _Monomial atoms that a term
-    adds up as exponent counts and builds into one value through monomial.
-    Given the CoefRing coef, every atom, every x^k before it is built, and
-    every prefix of a product pass coef.check_size with their terms'
-    maxima, as if the product were built factor by factor.
+    Every rule takes the index of its first token and returns what it
+    read with the index after it. A sum gathers the monomials of all its
+    terms (monos of a value) and reduces them mod 2 once, into a value
+    (of); * between sums goes through mul and x^k through power, so a
+    grammar changes its values without copying the precedence rules.
+
+    A grammar's atoms are values, or _Monomial atoms that a term adds up
+    as exponent counts and builds into one monomial through monomial.
+    The sum reads the atoms a polynomial grammar keeps, by (grammar,
+    name, subscript) in atoms, itself: <letter><int> for a letter of
+    letters, the name e, and the call pair(i,n); every other atom is
+    parse_atom's. Given the CoefRing coef, every atom, every x^k before
+    it is built, and every prefix of a product pass coef.check_size with
+    their terms' maxima, as if the product were built factor by factor.
     """
 
     what = 'dimension'  # the size named in CapacityError messages
-    # the monomial atoms met before, by (grammar, key); none here
-    grammar, atoms = None, {}
+    # the kept atoms' names, and the Memo that keeps them; none here
+    grammar = atoms = e = pair = None
+    letters = ''
 
     def __init__(self, toks, coef):
         self.toks = toks
+        self.items = toks.items
         self.coef = coef
 
-    def parse_sum(self):
-        toks = self.toks
-        acc = self.parse_term()
-        while toks.skip('+'):
-            acc = self.add(acc, self.parse_term())
-        return acc
+    def parse_sum(self, i):
+        """A sum of products of factors, and the index after it.
 
-    def parse_term(self):
-        """A product of factors: its monomial atoms as one monomial times the rest.
-
-        The maxima of a prefix are the counts' plus those of the product
-        of its other factors, or zero once a factor is zero, as the value
-        is; so a zero prefix passes every later prefix check.
+        A term's monomial atoms make one monomial, times the product of
+        its other factors. The maxima of a prefix are the counts' plus
+        those of the product of its other factors, or zero once a factor
+        is zero, as the value is; so a zero prefix passes every later
+        prefix check.
         """
-        toks, check, what = self.toks, self.coef.check_size, self.what
-        unit = size = coef = 0
-        gammas = []
-        other = None  # the product of the factors that are not monomial atoms
-        other_size = other_coef = 0
-        zero, first = False, True
+        items, toks, check, what = self.items, self.toks, self.coef.check_size, self.what
+        atoms, grammar, letters, e, pair = self.atoms, self.grammar, self.letters, self.e, self.pair
+        to_int = toks.to_int
+        monos = []
         while True:
-            atom = self.parse_atom()
-            mono = type(atom) is _Monomial
-            s, c = (atom.size, atom.coef) if mono else self.maxima(atom)
-            check(what, s, c)
-            k = 1
-            if toks.skip('^'):
-                if toks.skip('-'):
-                    if not (mono and atom.invertible):
-                        raise toks.error(toks.idx - 1, ('a nonnegative exponent',))
-                    k = -toks.expect_int()
+            unit = size = coef = 0
+            gammas = []
+            other = None  # the product of the factors that are not monomial atoms
+            other_size = other_coef = 0
+            zero, first = False, True
+            while True:
+                tok = items[i]
+                digits = tok[1:]
+                if digits.isdigit() and tok[0] in letters:
+                    key = (grammar, tok[0], to_int(digits))
+                    i += 1
+                elif tok == e:
+                    key = (grammar, tok, None)
+                    i += 1
+                elif (tok == pair and items[i + 1] == '(' and items[i + 2].isdigit()
+                      and items[i + 3] == ',' and items[i + 4].isdigit() and items[i + 5] == ')'):
+                    key = (grammar, tok, (to_int(items[i + 2]), to_int(items[i + 4])))
+                    i += 6
                 else:
-                    k = toks.expect_int()
-                check(what, k * s, k * c)
-            if not mono:
-                if k != 1:
-                    atom = self.power(atom, k)
-                other = atom if other is None else self.mul(other, atom)
-                if other:
-                    other_size, other_coef = self.maxima(other)
+                    key = None
+                    atom, i = self.parse_atom(i)
+                if key is not None:
+                    atom = atoms.get(key)
+                    if atom is None:
+                        atom = self.kept(key)
+                    else:
+                        atoms.hits += 1
+                mono = type(atom) is _Monomial
+                s, c = (atom.size, atom.coef) if mono else self.maxima(atom)
+                check(what, s, c)
+                k = 1
+                if items[i] == '^':
+                    i += 1
+                    negative = items[i] == '-'
+                    if negative:
+                        if not (mono and atom.invertible):
+                            raise toks.error(i, ('a nonnegative exponent',))
+                        i += 1
+                    digits = items[i]
+                    if not digits.isdigit():
+                        raise toks.error(i, ('an integer',))
+                    k = -to_int(digits) if negative else to_int(digits)
+                    i += 1
+                    check(what, k * s, k * c)
+                if not mono:
+                    if k != 1:
+                        atom = self.power(atom, k)
+                    other = atom if other is None else self.mul(other, atom)
+                    if other:
+                        other_size, other_coef = self.maxima(other)
+                    else:
+                        zero = True
+                elif atom.unit is None:
+                    zero = zero or k != 0
                 else:
-                    zero = True
-            elif atom.unit is None:
-                zero = zero or k != 0
-            else:
-                unit += k * atom.unit
-                size += k * s
-                coef += k * c
-                if atom.gammas:
-                    gammas.extend(atom.gammas * k)
-            if not (first or zero):
-                check(what, size + other_size, coef + other_coef)
-            first = False
-            if not toks.skip('*'):
+                    unit += k * atom.unit
+                    size += k * s
+                    coef += k * c
+                    if atom.gammas:
+                        gammas.extend(atom.gammas * k)
+                if not (first or zero):
+                    check(what, size + other_size, coef + other_coef)
+                first = False
+                if items[i] != '*':
+                    break
+                i += 1
+            if not zero and other is None:
+                monos.append(self.monomial(unit, gammas))
+            elif not zero:
+                if unit or gammas:
+                    other = self.mul(other, self.of((self.monomial(unit, gammas),)))
+                monos.extend(self.monos(other))
+            if items[i] != '+':
                 break
-        if zero:
-            return self.zero()
-        if other is None:
-            return self.monomial(unit, gammas)
-        return self.mul(other, self.monomial(unit, gammas)) if unit or gammas else other
-
-    def add(self, x, y):
-        return x + y
+            i += 1
+        return self.of(parity(monos) if len(monos) > 1 else monos), i
 
     def mul(self, x, y):
         return x * y
@@ -227,92 +270,74 @@ class _ElementParser:
         """The atom of an integer, given its parity."""
         return self.one() if odd else self.zero()
 
-    def parse_atom(self):
-        toks = self.toks
-        idx = toks.idx
-        tok = toks.take()
-        atom = self.atoms.get((self.grammar, tok))
-        if atom is not None:
-            self.atoms.hits += 1
-            return atom
+    def parse_atom(self, i):
+        tok = self.items[i]
         if tok == '(':
-            inner = self.parse_sum()
-            toks.expect(')')
-            return inner
+            inner, i = self.parse_sum(i + 1)
+            return inner, self.toks.expect(i, ')')
         if tok.isdigit():
-            return self.integer(int(tok[-1]) % 2)
+            return self.integer(int(tok[-1]) % 2), i + 1
         if tok.isidentifier():
-            return self.named_atom(tok, idx)
-        raise toks.error(idx, self.expected)
+            return self.named_atom(tok, i)
+        raise self.toks.error(i, self.expected)
 
-    def parse_call(self):
-        """The parenthesized sum after a function name."""
-        self.toks.expect('(')
-        inner = self.parse_sum()
-        self.toks.expect(')')
-        return inner
+    def named_atom(self, text, idx):
+        raise self.toks.error(idx, self.expected)
 
-
-_INDEXED = re.compile(r'([A-Za-z])([0-9]+)')
+    def parse_call(self, i):
+        """The parenthesized sum at token i, after a function name."""
+        inner, i = self.parse_sum(self.toks.expect(i, '('))
+        return inner, self.toks.expect(i, ')')
 
 
 class _PolyParser(_ElementParser):
-    """Polynomial grammars: indexed atoms <letter><int> from a constructor map.
+    """Polynomial grammars: the atoms the sum keeps, built by build(name, subscript).
 
-    ring gives zero() and one(), and grammar names the atoms kept in the
-    Memo coef.parsed_atoms across parses; they depend on the cap alone. When e
-    is given (the Laurent grammar), the name e is the grammar's one
-    invertible atom, and e^-k parses to e(-k). A capped term's size is its
-    degree without its e power (its e-free degree, which adds under
-    products), and its N_* part also leaves out the variables of outside,
-    a family's index -> subscript map from the variable table; what names
-    the size.
+    ring is the grammar's ring. The atoms are kept in the Memo
+    coef.parsed_atoms across parses, by (grammar, name, subscript): a
+    letter of letters and its int, e and None, or pair and its (i, n).
+    They depend on the cap alone. When invertible is 'e', e is the
+    grammar's one invertible atom, and e^-k parses to e(-k). A capped
+    term's size is its degree without its e power (its e-free degree,
+    which adds under products), and its N_* part also leaves out the
+    variables of the family outside.
     """
 
-    def __init__(self, toks, grammar, ring, letters, expected, coef, e=None, outside=(),
-                 what=None):
-        super().__init__(toks, coef)
-        if what is not None:
-            self.what = what
+    kind = GradedPoly
+    invertible = outside = None
+
+    def __init__(self, toks, ring, coef):
+        self.toks = toks
+        self.items = toks.items
         self.ring = ring
+        self.coef = coef
         self.table = coef.table
-        self.letters = letters
-        self.expected = expected
-        self.e = e
-        self.outside = outside
-        self.grammar = grammar
         self.atoms = coef.parsed_atoms
 
-    def zero(self):
-        return self.ring.zero()
+    def of(self, monos):
+        return self.kind(self.table, monos)
 
-    def one(self):
-        return self.ring.one()
+    @staticmethod
+    def monos(x):
+        return x.monos
 
     def integer(self, odd):
         return _ONE if odd else _ZERO
 
-    def named_atom(self, text, idx):
-        if text == 'e' and self.e is not None:
-            return self.kept(text, self.e(1), invertible=True)
-        m = _INDEXED.fullmatch(text)
-        if m and m.group(1) in self.letters:
-            return self.kept(text, self.letters[m.group(1)](_integer(m.group(2))))
-        raise self.toks.error(idx, self.expected)
-
-    def kept(self, key, value, invertible=False):
-        """The atom of value, a single term or zero, kept under key for later parses.
-
-        A kept atom's size fits the variable table, so only finitely many
-        G(i, n) are kept.
+    def kept(self, key):
+        """The atom of build(name, subscript), a single term or zero, for key =
+        (grammar, name, subscript); kept under key for later parses when its
+        size fits the variable table, so only finitely many G(i, n) are kept.
         """
+        _, name, sub = key
+        value = self.build(name, sub)
         if not value:
             atom = _ZERO
         else:
             unit, gammas = self.packed(next(iter(value.monos)))
-            atom = _Monomial(unit, gammas, *self.maxima(value), invertible)
+            atom = _Monomial(unit, gammas, *self.maxima(value), name == self.invertible)
         if atom.size <= self.table.limit:
-            self.atoms[self.grammar, key] = atom
+            self.atoms[key] = atom
         return atom
 
     def packed(self, m):
@@ -320,67 +345,90 @@ class _PolyParser(_ElementParser):
         return m, ()
 
     def monomial(self, unit, gammas):
-        """The value of one term, given its packed int."""
-        return GradedPoly(self.table, frozenset((unit,)))
+        """One term, given its packed int."""
+        return unit
 
     def maxima(self, x):
         # plain loops: every parenthesized factor, and product of them, passes
-        table, outside = x.table, self.outside
+        table = x.table
+        skipped = table.subscripts[self.outside] if self.outside else ()
         mask, deg = table.efree_mask, table.degrees
         size = coef = 0
         for m in x.monos:
             # the degree field is the e-free degree
             s = c = m & mask
-            if outside:
+            if skipped:
                 for i, k in table.exponents(m):
-                    if i in outside:
+                    if i in skipped:
                         c -= k * deg[i]
             size = s if s > size else size
             coef = c if c > coef else coef
         return size, coef
 
 
+class _CoefficientParser(_PolyParser):
+    grammar, letters = 'coefficient', 'a'
+    expected = ('a<d>', 'an integer', '(')
+
+    def build(self, name, sub):
+        return self.coef.a(sub)
+
+
+class _BundleParser(_PolyParser):
+    grammar, letters, outside = 'bundle', 'ab', 'b'
+    expected = ('a<d>', 'b<i>', 'an integer', '(')
+
+    def build(self, name, sub):
+        return self.coef.a(sub) if name == 'a' else self.ring.b(sub)
+
+
+class _LaurentParser(_PolyParser):
+    grammar, letters, e, invertible, outside = 'laurent', 'ac', 'e', 'e', 'c'
+    expected = ('a<d>', 'c<j>', 'e', 'an integer', '(')
+    what = 'e-free degree'
+
+    def build(self, name, sub):
+        if name == 'e':
+            return self.ring.e(1)
+        return self.coef.a(sub) if name == 'a' else self.ring.c(sub)
+
+
 class _PresentationParser(_PolyParser):
+    grammar, letters, e, pair = 'presentation', 'aX', 'e', 'G'
+    expected = ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '(')
     what = 'degree plus e power'
+    kind = Presentation
     maxima = staticmethod(Presentation.size)
 
-    def __init__(self, toks, ring):
-        super().__init__(
-            toks, 'presentation', ring, {'a': lambda d: ring.iota(ring.coef.a(d)), 'X': ring.X},
-            ('a<d>', 'X<n>', 'G(i,n)', 'Gamma(...)', 'iota(...)', 'e', 'an integer', '('),
-            ring.coef)
+    def build(self, name, sub):
+        ring = self.ring
+        if name == 'G':
+            return ring.G(*sub)
+        if name == 'e':
+            return ring.e(1)
+        return ring.iota(self.coef.a(sub)) if name == 'a' else ring.X(sub)
 
     def packed(self, fm):
         # the coefficient has no e power: e's goes on top, where the table puts it
         return fm.coef + (fm.epow << self.table.e_shift), fm.gammas
 
     def monomial(self, unit, gammas):
+        # every atom's factors are valid and its e power nonnegative
         epow = unit >> self.table.e_shift
-        fm = FormalMonomial(unit - (epow << self.table.e_shift), tuple(sorted(gammas)), epow)
-        return Presentation(self.table, frozenset((fm,)))
+        return tuple.__new__(FormalMonomial, (unit - (epow << self.table.e_shift),
+                                              tuple(sorted(gammas)) if gammas else (), epow))
 
     def named_atom(self, text, idx):
-        toks = self.toks
-        if text == 'e':
-            return self.kept(text, self.ring.e(1))
         if text == 'G':
-            toks.expect('(')
-            i = toks.expect_int()
-            toks.expect(',')
-            n = toks.expect_int()
-            toks.expect(')')
-            atom = self.atoms.get((self.grammar, (i, n)))
-            if atom is None:
-                return self.kept((i, n), self.ring.G(i, n))
-            self.atoms.hits += 1
-            return atom
+            self.toks.ints(idx + 1, 2)  # raises: the sum reads every well-formed G(i,n)
         if text == 'Gamma':
-            return self.ring.gamma(self.parse_call())
+            inner, end = self.parse_call(idx + 1)
+            return self.ring.gamma(inner), end
         if text == 'iota':
-            inner = self.parse_call()
+            inner, end = self.parse_call(idx + 1)
             if not inner.is_coefficient_only():
-                raise ParseError(toks.position(idx), ('a coefficient expression inside iota',))
-            return inner
+                raise ParseError(self.toks.position(idx), ('a coefficient expression inside iota',))
+            return inner, end
         return super().named_atom(text, idx)
 
 
@@ -388,15 +436,17 @@ class _ManifoldParser(_ElementParser):
     """Formal GF(2) sums of manifold expressions, each the frozenset of its terms."""
 
     expected = ('P(n)', 'S(j)', 'gamma(...)', 'triv(...)', 'an integer', '(')
+    of = staticmethod(frozenset)
+
+    @staticmethod
+    def monos(terms):
+        return terms
 
     def zero(self):
         return frozenset()
 
     def one(self):
         return frozenset((Trivial(GradedPoly.one(self.coef.table)),))
-
-    def add(self, xs, ys):
-        return xs ^ ys
 
     def mul(self, xs, ys):
         return parity(p for p in (_product(x, y) for x in xs for y in ys) if p is not None)
@@ -414,22 +464,16 @@ class _ManifoldParser(_ElementParser):
         return size, coef
 
     def named_atom(self, text, idx):
-        toks = self.toks
         if text in ('P', 'S'):
-            toks.expect('(')
-            n = toks.expect_int()
-            toks.expect(')')
-            return frozenset((Proj(n) if text == 'P' else AntipodalSphere(n),))
+            (n,), end = self.toks.ints(idx + 1, 1)
+            return frozenset((Proj(n) if text == 'P' else AntipodalSphere(n),)), end
         if text == 'gamma':
-            return frozenset(map(GammaOf, self.parse_call()))
+            inner, end = self.parse_call(idx + 1)
+            return frozenset(map(GammaOf, inner)), end
         if text == 'triv':
-            toks.expect('(')
-            coef = self.coef
-            poly = _PolyParser(toks, 'coefficient', coef, {'a': coef.a},
-                               ('a<d>', 'an integer', '('), coef).parse_sum()
-            toks.expect(')')
-            return frozenset((Trivial(poly),)) if poly else self.zero()
-        raise toks.error(idx, self.expected)
+            poly, end = _CoefficientParser(self.toks, self.coef, self.coef).parse_call(idx + 1)
+            return (frozenset((Trivial(poly),)) if poly else self.zero()), end
+        raise self.toks.error(idx, self.expected)
 
 
 def _product(x, y):
@@ -450,39 +494,28 @@ def _product(x, y):
     return ProductOf(tuple(kept))
 
 
-def _parse(text, entry):
-    """entry(tokens) over the whole of text: tokenize, parse, require the end."""
-    toks = _Tokens(text)
-    out = entry(toks)
-    toks.expect_end()
-    return out
-
-
 def parse_presentation(text, ring):
     """Parse a presentation-ring expression."""
-    return _parse(text, lambda toks: _PresentationParser(toks, ring).parse_sum())
+    toks = _Tokens(text)
+    return toks.whole(*_PresentationParser(toks, ring, ring.coef).parse_sum(0))
 
 
 def parse_laurent(text, laurent):
     """Parse a Laurent-model expression."""
-    return _parse(text, lambda toks: _PolyParser(
-        toks, 'laurent', laurent, {'a': laurent.coef.a, 'c': laurent.c},
-        ('a<d>', 'c<j>', 'e', 'an integer', '('), laurent.coef, e=laurent.e,
-        outside=laurent.table.subscripts['c'], what='e-free degree').parse_sum())
+    toks = _Tokens(text)
+    return toks.whole(*_LaurentParser(toks, laurent, laurent.coef).parse_sum(0))
 
 
 def parse_bundle(text, geometry):
     """Parse a bundle-algebra expression."""
-    coef = geometry.coef
-    return _parse(text, lambda toks: _PolyParser(
-        toks, 'bundle', coef, {'a': coef.a, 'b': geometry.b},
-        ('a<d>', 'b<i>', 'an integer', '('), coef,
-        outside=coef.table.subscripts['b']).parse_sum())
+    toks = _Tokens(text)
+    return toks.whole(*_BundleParser(toks, geometry, geometry.coef).parse_sum(0))
 
 
 def parse_manifold(text, coef):
     """Parse a manifold expression to the frozenset of its terms, a formal GF(2) sum."""
-    return _parse(text, lambda toks: _ManifoldParser(toks, coef).parse_sum())
+    toks = _Tokens(text)
+    return toks.whole(*_ManifoldParser(toks, coef).parse_sum(0))
 
 
 class _SpaceParser:
@@ -492,18 +525,21 @@ class _SpaceParser:
 
     def __init__(self, toks, coef):
         self.toks = toks
+        self.items = toks.items
         self.coef = coef
 
     def capped(self, dim):
         # a space has no N_* part; its dimension is its size
         self.coef.check_size('dimension', dim, 0)
 
-    def parse_space(self):
-        factors = [self.parse_atom()]
-        while self.toks.skip('*'):
-            factors.append(self.parse_atom())
+    def parse_space(self, i):
+        factor, i = self.parse_atom(i)
+        factors = [factor]
+        while self.items[i] == '*':
+            factor, i = self.parse_atom(i + 1)
+            factors.append(factor)
         if len(factors) == 1:
-            return factors[0]
+            return factors[0], i
         flat = []
         for f in factors:
             if isinstance(f, Product):
@@ -511,56 +547,48 @@ class _SpaceParser:
             else:
                 flat.append(f)
         self.capped(sum(f.dim for f in flat))
-        return Product(flat)
+        return Product(flat), i
 
-    def parse_atom(self):
-        toks = self.toks
-        idx = toks.idx
-        text = toks.take()
+    def parse_atom(self, i):
+        toks, text = self.toks, self.items[i]
         if text == '(':
-            inner = self.parse_space()
-            toks.expect(')')
-            return inner
+            inner, i = self.parse_space(i + 1)
+            return inner, toks.expect(i, ')')
         if text == 'RP':
-            toks.expect('(')
-            n = toks.expect_int()
-            toks.expect(')')
+            (n,), i = toks.ints(i + 1, 1)
             self.capped(n)
-            return RP(n)
+            return RP(n), i
         if text == 'Dold':
-            toks.expect('(')
-            m = toks.expect_int()
-            toks.expect(',')
-            n = toks.expect_int()
-            toks.expect(')')
+            (m, n), i = toks.ints(i + 1, 2)
             self.capped(m + 2 * n)
-            return Dold(m, n)
+            return Dold(m, n), i
         if text == 'PB':
-            toks.expect('(')
-            base = self.parse_space()
-            toks.expect(';')
-            lines = [self.parse_line(base)]
-            while toks.skip(','):
-                lines.append(self.parse_line(base))
-            toks.expect(')')
+            base, i = self.parse_space(toks.expect(i + 1, '('))
+            line, i = self.parse_line(base, toks.expect(i, ';'))
+            lines = [line]
+            while self.items[i] == ',':
+                line, i = self.parse_line(base, i + 1)
+                lines.append(line)
+            i = toks.expect(i, ')')
             self.capped(base.dim + len(lines) - 1)
-            return ProjBundle(base, lines)
-        raise toks.error(idx, self.expected)
+            return ProjBundle(base, lines), i
+        raise toks.error(i, self.expected)
 
-    def parse_line(self, base):
-        toks = self.toks
+    def parse_line(self, base, i):
         acc = CohomClass.zero(base)
         while True:
-            idx = toks.idx
-            text = toks.take()
+            text = self.items[i]
             if text.isidentifier():
                 acc = acc + base.gen(text)
             elif text != '0':
-                raise toks.error(idx, ('a degree-1 generator name', '0'))
-            if not toks.skip('+'):
-                return acc
+                raise self.toks.error(i, ('a degree-1 generator name', '0'))
+            i += 1
+            if self.items[i] != '+':
+                return acc, i
+            i += 1
 
 
 def parse_space(text, coef):
     """Parse a space description: RP, Dold, products, projectivizations."""
-    return _parse(text, lambda toks: _SpaceParser(toks, coef).parse_space())
+    toks = _Tokens(text)
+    return toks.whole(*_SpaceParser(toks, coef).parse_space(0))

@@ -111,11 +111,24 @@ def fm_key(table, fm):
     return (fm.gammas, fm.epow, table.decoded(fm.coef))
 
 
+def fm_text(table, fm):
+    """(sort key, text) of a formal monomial: fm_key, and the "*"-joined
+    coefficient, G(i, n) by i descending, X_n, then e's power, or '1'."""
+    parts = [table.text(fm.coef)] if fm.coef else []
+    names, xs = table.names, table.family['X']
+    for i, n in sorted(fm.gammas, key=lambda g: (-g[0], g[1])):
+        parts.append(names[xs[n]] if i == 0 else 'G(%d,%d)' % (i, n))
+    if fm.epow:
+        parts.append('e' if fm.epow == 1 else 'e^%d' % fm.epow)
+    return fm_key(table, fm), '*'.join(parts) if parts else '1'
+
+
 class Presentation(SparseSum):
     """A GF(2) sum of formal monomials over a shared variable table."""
 
     __slots__ = ()
     mono_degree = staticmethod(lambda table, fm: fm.degree(table))
+    mono_text = staticmethod(fm_text)
     unit = FormalMonomial(MONO_ONE, (), 0)
 
     def __mul__(self, other):
@@ -152,25 +165,6 @@ class Presentation(SparseSum):
     def is_coefficient_only(self):
         """True when no monomial carries a G factor or an e power."""
         return all(not fm.gammas and not fm.epow for fm in self.monos)
-
-    def _factor_text(self, fm):
-        parts = []
-        if fm.coef:
-            parts.append(self.table.text(fm.coef))
-        names, xs = self.table.names, self.table.family['X']
-        for i, n in sorted(fm.gammas, key=lambda g: (-g[0], g[1])):
-            parts.append(names[xs[n]] if i == 0 else 'G(%d,%d)' % (i, n))
-        if fm.epow:
-            parts.append('e' if fm.epow == 1 else 'e^%d' % fm.epow)
-        return '*'.join(parts) if parts else '1'
-
-    def to_text(self):
-        """Canonical text form."""
-        if not self.monos:
-            return '0'
-        table = self.table
-        monos = sorted(self.monos, key=lambda fm: fm_key(table, fm), reverse=True)
-        return ' + '.join(self._factor_text(fm) for fm in monos)
 
 
 # member never returns it; perfbench/child.py imports it, and

@@ -80,7 +80,7 @@ def test_stats_count_every_memo():
             value = getattr(obj, name)
             assert isinstance(value, Memo) or not name.endswith('_cache'), name
             memos += isinstance(value, Memo)
-    assert memos == len(stats) == 25
+    assert memos == len(stats) == 26
 
 
 def test_stats_of_a_fresh_session():
@@ -102,3 +102,16 @@ def test_parsed_atoms_count_their_hits():
     assert session.stats()[('coef', 'parsed_atoms')] == (7, 1)
     parse_presentation('X2*a2', session.mo)
     assert session.stats()[('coef', 'parsed_atoms')] == (7, 3)
+
+
+def test_spellings_of_a_name_share_its_atom():
+    session = Session()
+    parse_presentation('a2*X3', session.mo)
+    parse_laurent('c2', session.laurent)
+    assert session.stats()[('coef', 'parsed_atoms')] == (3, 0)
+    # a leading zero spells the same name: its atom is kept once, and met again
+    for zeros in range(1, 6):
+        pad = '0' * zeros
+        parse_presentation('a%s2 + X%s3' % (pad, pad), session.mo)
+        parse_laurent('c%s2' % pad, session.laurent)
+    assert session.stats()[('coef', 'parsed_atoms')] == (3, 15)
