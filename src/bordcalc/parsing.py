@@ -36,7 +36,6 @@ only; the position of a token is found again when a ParseError names it.
 
 import itertools
 import re
-import sys
 
 from .charnum import CohomClass, Dold, ProjBundle, Product, RP
 from .conner_floyd import AntipodalSphere, GammaOf, ProductOf, Proj, Trivial
@@ -62,12 +61,11 @@ class _Tokens:
 
     A token's text gives its kind: a name is an identifier, an integer is
     digits, and punctuation is one character. The rules read items by
-    index and never past the '', and read digits through to_int: int()
-    itself for a text too short to hold a run it could refuse. A token's
-    position is found again, by scanning, only for a ParseError.
+    index and never past the '', and read digits through _integer. A
+    token's position is found again, by scanning, only for a ParseError.
     """
 
-    __slots__ = ('text', 'items', 'end', 'to_int')
+    __slots__ = ('text', 'items', 'end')
 
     def __init__(self, text):
         bad = _BAD.search(text)
@@ -78,8 +76,6 @@ class _Tokens:
         self.items = _TOKEN.findall(text)
         self.end = len(self.items)
         self.items.append('')
-        # int() reads any run shorter than the least limit Python may set
-        self.to_int = int if len(text) < sys.int_info.str_digits_check_threshold else _integer
 
     def position(self, idx):
         """Where token idx starts in the text."""
@@ -112,7 +108,7 @@ class _Tokens:
             digits = items[idx + 1]
             if not digits.isdigit():
                 raise self.error(idx + 1, ('an integer',))
-            out.append(self.to_int(digits))
+            out.append(_integer(digits))
             idx += 2
             punct = ','
         return tuple(out), self.expect(idx, ')')
@@ -180,7 +176,6 @@ class _ElementParser:
         """
         items, toks, check, what = self.items, self.toks, self.coef.check_size, self.what
         atoms, grammar, letters, e, pair = self.atoms, self.grammar, self.letters, self.e, self.pair
-        to_int = toks.to_int
         monos = []
         while True:
             unit = size = coef = 0
@@ -192,15 +187,14 @@ class _ElementParser:
                 tok = items[i]
                 digits = tok[1:]
                 if digits.isdigit() and tok[0] in letters:
-                    key = (grammar, tok[0], to_int(digits))
+                    key = (grammar, tok[0], _integer(digits))
                     i += 1
                 elif tok == e:
                     key = (grammar, tok, None)
                     i += 1
-                elif (tok == pair and items[i + 1] == '(' and items[i + 2].isdigit()
-                      and items[i + 3] == ',' and items[i + 4].isdigit() and items[i + 5] == ')'):
-                    key = (grammar, tok, (to_int(items[i + 2]), to_int(items[i + 4])))
-                    i += 6
+                elif tok == pair:
+                    sub, i = toks.ints(i + 1, 2)
+                    key = (grammar, tok, sub)
                 else:
                     key = None
                     atom, i = self.parse_atom(i)
@@ -224,7 +218,7 @@ class _ElementParser:
                     digits = items[i]
                     if not digits.isdigit():
                         raise toks.error(i, ('an integer',))
-                    k = -to_int(digits) if negative else to_int(digits)
+                    k = -_integer(digits) if negative else _integer(digits)
                     i += 1
                     check(what, k * s, k * c)
                 if not mono:
@@ -419,8 +413,6 @@ class _PresentationParser(_PolyParser):
                                               tuple(sorted(gammas)) if gammas else (), epow))
 
     def named_atom(self, text, idx):
-        if text == 'G':
-            self.toks.ints(idx + 1, 2)  # raises: the sum reads every well-formed G(i,n)
         if text == 'Gamma':
             inner, end = self.parse_call(idx + 1)
             return self.ring.gamma(inner), end

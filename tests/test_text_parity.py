@@ -412,7 +412,7 @@ def test_reader_matches_the_reference(cap, text):
 
 
 def test_reader_matches_the_reference_on_long_runs():
-    # a text of 640 characters or more may hold a run int() refuses
+    # digit runs past int()'s limit, and long runs it still reads
     long, short = '1' * 5000, '1' * 700
     for text in ('a' + long, 'X2^' + long, 'e^-' + long, 'G(%s,2)' % long, 'G(1,%s)' % long,
                  'c' + long + ' + $', 'X2 + ) ' + long, long, long + '*a2', 'a2^' + short,
