@@ -102,11 +102,7 @@ def _product(factors, low, top, degree_of):
 
 
 class Boardman:
-    """h for one coefficient ring: its tables, grown by degree, and identification.
-
-    degree is the largest beta-degree a question has asked for; no table
-    holds an entry past it.
-    """
+    """h for one coefficient ring: its tables, grown by degree, and identification."""
 
     def __init__(self, coef):
         self.coef = coef
@@ -120,7 +116,6 @@ class Boardman:
         self._beta_of = self.table.subscripts.get('beta', {})
         self._beta = [MONO_ONE] + [self.table.units[self.table.family['beta'][i]]
                                    for i in range(1, cap + 1)]
-        self.degree = -1
         self._powers = Memo()       # i -> [u^k] B(u)^i by k
         self._f = Memo()            # (i, s) -> F_i^(2^s) by degree
         self._h = Memo({MONO_ONE: {MONO_ONE}})   # packed N_* monomial -> its h
@@ -175,7 +170,6 @@ class Boardman:
 
     def _series(self, bmult, low, top):
         """F_{i_1} ... F_{i_r} by degree, its coefficients low..top."""
-        self.degree = max(self.degree, top)
         factors = [self._f_power(i, s, top) for i, e in Counter(bmult).items()
                    for s in range(e.bit_length()) if e >> s & 1]
         return _product(factors, low, top, self._degree_of)

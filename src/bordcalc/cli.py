@@ -127,7 +127,8 @@ def _handle_member(s, args, expr):
 def _handle_geometric(s, args, expr):
     x = _read(s, args, expr)
     nf = s.mo.normal_form(x)
-    ok = s.mo.is_geometric(x)
+    # is_geometric's rule, read off this normal form
+    ok = all(fm.epow == 0 for fm in nf.monos)
     return (0 if ok else 1), {'geometric': ok, 'normal_form': nf.to_text()}, [
         'geometric' if ok else 'not geometric: %s' % nf.to_text()]
 

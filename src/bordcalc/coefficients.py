@@ -13,7 +13,7 @@ the table's family a, which the table names and enumerates.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import COEFFICIENT, GradedPoly, Memo, memo, standard_table
+from .gf2 import COEFFICIENT, GradedPoly, Memo, standard_table
 
 
 def is_power_of_two(n):
@@ -52,7 +52,6 @@ class CoefRing:
         self.table = standard_table(self.generator_degrees, max_degree)
         # the a_d variable indices, largest degree first
         self.generators = tuple(reversed(self.table.family['a'].values()))
-        self._mono_cache = Memo()
         # Stiefel-Whitney number rows keyed by (dimension d, line), each built
         # once by charnum's one builder as (Echelon, labels) and checked
         # independent: the rows of mu x RP(j), j + |mu| = d, with the line of
@@ -107,15 +106,12 @@ class CoefRing:
         return self.a(n)
 
     def monomials_of_degree(self, d):
-        """All monomials of N_d, largest generators first: gf2.partitions' order."""
+        """All monomials of N_d, a fresh list, largest generators first: the
+        partitions of d into generator degrees in descending lexicographic order."""
         if d < 0:
             return []
         if d > self.max_degree:
             raise CapacityError('degree %d exceeds the cap %d' % (d, self.max_degree))
-        return list(self._monomials_of_degree(d))
-
-    @memo('_mono_cache')
-    def _monomials_of_degree(self, d):
         return [GradedPoly(self.table, (m,)) for m in self.table.monomials(d, self.generators)]
 
     def rank(self, d):

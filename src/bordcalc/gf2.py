@@ -44,10 +44,11 @@ session's alphabet (standard_table), the sum core SparseSum (polynomials
 and presentations differ only in their kind of monomial), parity (the
 monomials of a product, duplicates cancelled), sum_of_images (a map that
 keeps the image of each part of a monomial it acts on: localize and
-alpha) and map_monos (the same for the parts under a mask: the clearing
-substitutions, delta and underlying), square-and-multiply
-powers, the partition enumerator, and free N_* modules as polynomials
-linear in one family of generators (ModulePoly): delta's values are
+alpha) and map_monos (the same for the parts under a mask: the Laurent
+ring's clearing maps, delta and underlying), square-and-multiply powers,
+the one partition enumerator (VarTable.monomials: the monomials of a
+degree in chosen variables), and free N_* modules as polynomials linear
+in one family of generators (ModulePoly): delta's values are
 polynomials in the a_d and c_j printed with s_j, obstruction classes
 polynomials in the a_d, X_n and e^k (k >= 1) printed with x_k. The
 per-session memos of the package are Memos. Every map that takes a value
@@ -361,37 +362,6 @@ def power(x, n, one, mul=operator.mul):
     return result
 
 
-def partitions(total, parts=None):
-    """Partitions of total into the allowed part sizes (default 1..total).
-
-    Each partition is a non-increasing tuple, and the list runs in
-    descending lexicographic order; () is the one partition of 0, and a
-    negative total has none. The package enumerates through
-    VarTable.monomials and sw_numbers' walk; this is the reference the
-    tests pin their orders against, and the sw-oracle suite's list of
-    b-multisets.
-    """
-    if total < 0:
-        return []
-    sizes = sorted({p for p in (range(1, total + 1) if parts is None else parts)
-                    if 0 < p <= total}, reverse=True)
-    out = []
-
-    def rec(rem, start, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        for idx in range(start, len(sizes)):
-            p = sizes[idx]
-            if p <= rem:
-                cur.append(p)
-                rec(rem - p, idx, cur)
-                cur.pop()
-
-    rec(total, 0, [])
-    return out
-
-
 def mono_degree(table, m):
     """Total degree of a monomial: its degree field plus that of its e power."""
     return (m & table.efree_mask) + table.e_degree * (m >> table.e_shift)
@@ -542,46 +512,6 @@ class GradedPoly(SparseSum):
         table = self.table
         return not (reduce(operator.or_, self.monos, 0)
                     & ~(table.mask(letters) | table.efree_mask))
-
-
-class Substitution:
-    """The ring map sending each variable of one family to image(subscript), fixing the rest.
-
-    A monomial part * rest, part its factors in the family, goes to
-    image(part) * rest. The image of a part is the product of its
-    variables' images, computed once for the life of the map and kept in
-    _image_cache by the part's fields; the powers it multiplies are kept
-    in _powers by (variable index, exponent). Variables of the family must
-    occur with nonnegative exponents only.
-    """
-
-    __slots__ = ('table', 'images', 'mask', '_image_cache', '_powers')
-
-    def __init__(self, table, family, image):
-        self.table = table
-        self.images = {idx: image(sub) for idx, sub in table.subscripts[family].items()}
-        self.mask = table.mask(family)
-        self._image_cache = Memo()
-        self._powers = Memo()
-
-    def __call__(self, x):
-        """The image of the polynomial x."""
-        self.table.admit(x, GradedPoly)
-        return GradedPoly(self.table, map_monos(
-            self.table, x.monos, self.mask, self._image_cache, self._image))
-
-    def _image(self, part):
-        # the part of a monomial free of the family is 1
-        out = GradedPoly.one(self.table)
-        for idx, x in self.table.exponents(part):
-            if x < 0:
-                raise ContractViolation('cannot substitute into a negative power')
-            out = out * self._power(idx, x)
-        return out.monos
-
-    @memo('_powers')
-    def _power(self, idx, x):
-        return self.images[idx] ** x
 
 
 class ModulePoly(GradedPoly):

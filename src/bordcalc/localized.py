@@ -16,12 +16,15 @@ A homogeneous element of degree d has every e-exponent >= -d, since the
 e-free part of a term has nonnegative degree. The variables are the
 table's families a, c, X and e: a value of the model uses a, c and e
 (gf2.LAURENT), a cleared polynomial a, X and e (gf2.CLEARED).
+
+clear_denominators and eval_cleared are the two substitutions of the
+round trip through the model, c_j -> e*X_{j+1} + e^-j and X_n ->
+loc_P(n). Each is gf2.map_monos over its family's fields, with the
+ring's memos for the images it has made.
 """
 
-from functools import cached_property
-
 from .errors import CapacityError, ContractViolation
-from .gf2 import CLEARED, LAURENT, GradedPoly, Substitution
+from .gf2 import CLEARED, LAURENT, GradedPoly, Memo, map_monos, memo
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import poly_rank, solve_sets
 
@@ -32,6 +35,11 @@ class LaurentRing:
     def __init__(self, coef):
         self.coef = coef
         self.table = coef.table
+        # the images of the c parts that clear_denominators maps and of the
+        # X parts that eval_cleared maps, each kept by the part's fields as
+        # gf2.map_monos keeps them, and the powers of c_j's and X_n's images
+        # they multiply, by (variable index, exponent)
+        self._clear_c, self._eval_X, self._powers = Memo(), Memo(), Memo()
 
     def zero(self):
         return GradedPoly.zero(self.table)
@@ -82,23 +90,32 @@ class LaurentRing:
             return 0, x
         n1 = max(0, -x.min_inv_exp())
         # the substitution fixes e, so both clearing shifts are one shift after it
-        y = x if x.uses_only('ae') else self._clear_c(x)
+        y = x if x.uses_only('ae') else self._substitute(x, 'c', self._clear_c)
         n = n1 + (max(0, -(y.min_inv_exp() + n1)) if y else 0)
         return n, self.e(n) * y if n else y
 
     def eval_cleared(self, p):
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
-        return self._eval_X(self.table.admit(p, GradedPoly, CLEARED, 'the cleared polynomial'))
+        return self._substitute(self.table.admit(p, GradedPoly, CLEARED, 'the cleared polynomial'),
+                                'X', self._eval_X)
 
-    # Each substitution is defined once, here, and keeps the images of the
-    # monomials it has mapped; a memo belongs to one definition.
+    def _substitute(self, x, family, cache):
+        """x with every variable of family sent to its image, the rest fixed:
+        the image of the family's part of each monomial is kept in cache."""
+        table = self.table
+        return GradedPoly(table, map_monos(table, x.monos, table.mask(family), cache, self._image))
 
-    @cached_property
-    def _clear_c(self):
-        """c_j -> e*X_{j+1} + e^-j, the substitution of clear_denominators."""
-        return Substitution(self.table, 'c', lambda j: self.e(1) * self.X(j + 1) + self.e(-j))
+    def _image(self, part):
+        # the product of the kept powers; a part free of the family is 1
+        out = self.one()
+        for idx, x in self.table.exponents(part):
+            out = out * self._power(idx, x)
+        return out.monos
 
-    @cached_property
-    def _eval_X(self):
-        """X_n -> loc_P(n), the substitution of eval_cleared."""
-        return Substitution(self.table, 'X', self.loc_P)
+    @memo('_powers')
+    def _power(self, idx, x):
+        """The x-th power of the image of c_j, e*X_{j+1} + e^-j, or of X_n, loc_P(n)."""
+        j = self.table.subscripts['c'].get(idx)
+        if j is None:
+            return self.loc_P(self.table.subscripts['X'][idx]) ** x
+        return (self.e(1) * self.X(j + 1) + self.e(-j)) ** x

@@ -490,29 +490,6 @@ class BordismRing:
                for coef, xs in self._coef_and_xs(d + k, 2)] + self._type_b(d)
         return tuple(sorted(out, key=lambda fm: fm_key(self.table, fm)))
 
-    def basis_monomials_window(self, d, t_max):
-        """Basis monomials of degree d that a class topping out at e^t_max can use.
-
-        A monomial without a G(i >= 1) factor is taken when its top
-        e-exponent, epow - #X, is at most t_max. Every type-B monomial is
-        taken: its localization lies in exponents <= -1. member peels every
-        type-A monomial off the target and solves against the type-B ones
-        alone; one solve over this window is the reference it is tested
-        against.
-        """
-        table, gens = self.table, self.coef.generators
-        out = []
-        # type A: coefficient degree v, X factors of degree w, e power
-        # v + w - d >= 0, top e-exponent v + w - d - #X; each X_n has n >= 2
-        for w in range(2 * (t_max + d) + 1):
-            for xs in self._x_factors(w, 2):
-                for v in range(max(0, d - w), t_max + d - w + len(xs) + 1):
-                    out.extend(FormalMonomial(coef, xs, v + w - d)
-                               for coef in table.monomials(v, gens))
-        out.extend(self._type_b(d))
-        out.sort(key=lambda fm: fm_key(table, fm))
-        return out
-
     def _type_b(self, d):
         # one G(i, j), i >= 1, and X_n factors with n >= j, no e power
         return [FormalMonomial(coef, xs + ((i, j),), 0)

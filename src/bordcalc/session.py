@@ -2,7 +2,7 @@
 
 from .coefficients import CoefRing
 from .conner_floyd import Geometry
-from .gf2 import Memo, Substitution
+from .gf2 import Memo
 from .localized import LaurentRing
 from .presentation import BordismRing
 
@@ -21,13 +21,10 @@ class Session:
     def stats(self):
         """(entries, hits) of every memo the session reaches, by (owner, attribute).
 
-        The owners are the session's parts, the Boardman tables once built
-        and each clearing substitution once made, as 'laurent._clear_c'.
+        The owners are the session's parts, and the Boardman tables once built.
         """
         owners = dict(coef=self.coef, table=self.table, boardman=self.coef.boardman,
                       laurent=self.laurent, mo=self.mo, geometry=self.geometry)
-        owners.update(('laurent.' + name, value) for name, value in vars(self.laurent).items()
-                      if isinstance(value, Substitution))
         out = {}
         for owner, obj in owners.items():
             for name in [*getattr(obj, '__dict__', ()), *getattr(obj, '__slots__', ())]:

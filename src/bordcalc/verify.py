@@ -19,7 +19,7 @@ from .boardman import tables
 from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .conner_floyd import tower
 from .errors import ContractViolation, IntegrityError
-from .gf2 import GradedPoly, partitions, poly_rank, rank_sets
+from .gf2 import GradedPoly, poly_rank, rank_sets
 from .presentation import QuotientElem
 
 
@@ -258,8 +258,9 @@ def _suite_compare(s, degrees):
 
 
 def _suite_sw_oracle(s, degrees):
-    coef = s.coef
+    coef, geo = s.coef, s.geometry
     boardman = tables(coef)
+    b_vars = tuple(s.table.family['b'].values())
 
     def bad_in_nbo1(bmult):
         pb = fixed_bundle(bmult)
@@ -269,7 +270,8 @@ def _suite_sw_oracle(s, degrees):
         return boardman.bundle_in_n(bmult) != identify_in_n(fixed_bundle(bmult), coef)
 
     def at_degree(d):
-        bmults = [tuple(sorted(p)) for p in partitions(d)]
+        # the b-multisets of degree d: the partitions of d
+        bmults = [geo._bmult(m) for m in s.table.monomials(d, b_vars)]
         # a trivial line is a part 1: underlying reads P(nu + R), the torus
         # P(nu + R^2), alpha(G(i, n)), i + n = d, P(L + R^(i+1)) over RP(n - 1)
         rows = (('delta', bad_in_nbo1, bmults),

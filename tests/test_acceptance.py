@@ -13,6 +13,7 @@ from bordcalc.conner_floyd import GammaOf, Proj
 from bordcalc.gf2 import GradedPoly, poly_rank, rank_sets, solve_gf2
 from bordcalc.presentation import QuotientElem
 from bordcalc.verify import ac_monomials
+from test_member_peel import basis_monomials_window
 
 SEED = 20260817
 
@@ -215,7 +216,7 @@ def test_10_relaxed_basis_reaches_gamma_products(sess):
     relaxed_ok = flags is not None and sum(
         (v for v, f in zip(relaxed, flags) if f),
         GradedPoly.zero(mo.table)) == target
-    window_fms = [fm for fm in mo.basis_monomials_window(5, -1) if not fm.coef]
+    window_fms = [fm for fm in basis_monomials_window(mo, 5, -1) if not fm.coef]
     window = [mo.localize(mo.single(fm)) for fm in window_fms]
     window_ok = (len(window_fms) == 11 and poly_rank(window) == 11
                  and solve_gf2(window, target) is not None)

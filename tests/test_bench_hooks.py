@@ -170,4 +170,4 @@ def test_each_map_keeps_its_images_in_a_named_cache():
     assert len(geo._delta_cache) == 1 and geo._fixed_cache
     n, p = L.clear_denominators(L.c(2) * L.e(-1))
     L.eval_cleared(p)
-    assert L._clear_c._image_cache and L._eval_X._image_cache
+    assert L._clear_c and L._eval_X and L._powers

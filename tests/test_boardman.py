@@ -1,5 +1,9 @@
 """The Boardman route against the Stiefel-Whitney route, and its laziness."""
 
+import importlib
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,7 @@ from bordcalc.gf2 import MONO_ONE, power, product_monos
 from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.session import Session
 from bordcalc.verify import SUITES, verify
+from test_coefficients import partitions
 
 
 @st.composite
@@ -44,6 +49,30 @@ def test_sw_oracle_suite_through_degree_10(sess):
     assert 'sw-oracle' not in SUITES
 
 
+@pytest.mark.parametrize('cap', [16, 20, 24])
+def test_sw_oracle_asks_about_every_partition(monkeypatch, cap):
+    # the oracle's two routes are stubbed out: the test reads only the
+    # b-multisets its delta rows ask about, through every degree it admits
+    asked = Counter()
+
+    class Tables:
+        def bundle_in_nbo1(self, bmult):
+            asked[bmult] += 1
+
+        def bundle_in_n(self, bmult):
+            return None
+
+    module = importlib.import_module('bordcalc.verify')
+    monkeypatch.setattr(module, 'tables', lambda coef: Tables())
+    monkeypatch.setattr(module, 'fixed_bundle',
+                        lambda bmult: SimpleNamespace(fiber_class=lambda: None))
+    monkeypatch.setattr(module, 'identify_in_nbo1', lambda *args: None)
+    monkeypatch.setattr(module, 'identify_in_n', lambda *args: None)
+    degrees = range(1, cap + 2)
+    assert all(c.passed for c in module._suite_sw_oracle(Session(cap), degrees))
+    assert asked == Counter(tuple(sorted(p)) for d in degrees for p in partitions(d))
+
+
 def test_generators_lead_with_their_beta(sess):
     boardman = tables(sess.coef)
     for d in sess.coef.generator_degrees:
@@ -72,13 +101,18 @@ def test_tables_are_built_only_as_far_as_asked():
     # delta of a degree-9 class lands in dimension 8
     s.geometry.delta(s.geometry.b(4) * s.geometry.b(3) * s.geometry.b(2))
     boardman = s.coef.boardman
-    assert boardman.degree == 8
-    assert max(len(rows) for rows in boardman._f.values()) == 9
-    assert max(len(row) for row in boardman._powers.values()) <= 9
+
+    def sizes():
+        # the longest F row and power row, both held by degree 0..8
+        return (max(len(rows) for rows in boardman._f.values()),
+                max(len(row) for row in boardman._powers.values()))
+
+    grown = sizes()
+    assert grown[0] == 9 and grown[1] <= 9
     assert max(m & s.table.efree_mask for m in boardman._h) <= 8
     # alpha(G(1, 6)) lies in N_7: no table grows
     mo.normal_form(parse_presentation('G(2,6)*e', mo))
-    assert boardman.degree == 8
+    assert sizes() == grown
 
 
 def _dold_in_c_and_d(boardman, m, n):

@@ -7,8 +7,8 @@ from bordcalc.charnum import (CohomClass, Dold, Product, ProjBundle, RP, fixed_b
                               sw_numbers)
 from bordcalc.conner_floyd import FreeBZ2Elem
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.gf2 import partitions
 from bordcalc.session import Session
+from test_coefficients import partitions
 
 
 def test_partitions():

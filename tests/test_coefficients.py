@@ -5,7 +5,7 @@ import pytest
 from bordcalc.coefficients import (allowed_degrees, dold_indices, generator_rep,
                                    is_power_of_two)
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.gf2 import COEFFICIENT, partitions
+from bordcalc.gf2 import COEFFICIENT
 
 
 def test_allowed_degrees_freeze():
@@ -56,6 +56,36 @@ def test_rho(sess):
         coef.rho(0)
 
 
+def partitions(total, parts=None):
+    """Partitions of total into the allowed part sizes (default 1..total).
+
+    Each partition is a non-increasing tuple, and the list runs in
+    descending lexicographic order; () is the one partition of 0, and a
+    negative total has none. The package enumerates through
+    VarTable.monomials and sw_numbers' walk; this is the reference the
+    tests pin their orders and multisets against.
+    """
+    if total < 0:
+        return []
+    sizes = sorted({p for p in (range(1, total + 1) if parts is None else parts)
+                    if 0 < p <= total}, reverse=True)
+    out = []
+
+    def rec(rem, start, cur):
+        if rem == 0:
+            out.append(tuple(cur))
+            return
+        for idx in range(start, len(sizes)):
+            p = sizes[idx]
+            if p <= rem:
+                cur.append(p)
+                rec(rem - p, idx, cur)
+                cur.pop()
+
+    rec(total, 0, [])
+    return out
+
+
 def _partition_count(d, gens):
     counts = [1] + [0] * d
     for g in gens:
@@ -79,6 +109,10 @@ def test_monomials_of_degree(sess):
         for mu in monos:
             assert mu.degree() in (d, None)
             assert mu.uses_only(COEFFICIENT)
+    # a fresh list each call: a caller may change it
+    monos = coef.monomials_of_degree(4)
+    monos.clear()
+    assert len(coef.monomials_of_degree(4)) == coef.rank(4) == 2
     assert coef.monomials_of_degree(-1) == []
     with pytest.raises(CapacityError):
         coef.monomials_of_degree(17)

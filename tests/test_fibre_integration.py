@@ -12,8 +12,9 @@ pairs to 1 with the fundamental class when it contains the top one.
 import pytest
 
 from bordcalc.charnum import Dold, Product, ProjBundle, RP, fixed_bundle, sw_numbers
-from bordcalc.gf2 import parity, partitions
+from bordcalc.gf2 import parity
 from bordcalc.parsing import parse_space
+from test_coefficients import partitions
 
 
 class TotalSpace:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from bordcalc import gf2
 from bordcalc.charnum import CohomClass, ProjBundle, RP
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, Substitution, mono_degree, parity,
-                          partitions, poly_rank, rank_sets, solve_gf2, solve_sets,
-                          standard_table)
+from bordcalc.gf2 import (MONO_ONE, Echelon, GradedPoly, mono_degree, parity, poly_rank,
+                          rank_sets, solve_gf2, solve_sets, standard_table)
 from bordcalc.conner_floyd import FreeBZ2Elem
+from bordcalc.localized import LaurentRing
 from bordcalc.presentation import FormalMonomial, Presentation, QuotientElem, fm_mul
-from test_coefficients import _partition_count
+from test_coefficients import _partition_count, partitions
 
 TABLE = standard_table((2, 4, 5), 6)
 
@@ -26,11 +27,6 @@ X2 = GradedPoly.var(TABLE, 'X2')
 
 def e(k=1):
     return GradedPoly.var(TABLE, 'e', k)
-
-
-def _clearing(j):
-    # c_j -> e*X_{j+1} + e^-j, as LaurentRing clears denominators
-    return e(1) * GradedPoly.var_of(TABLE, 'X', j + 1) + e(-j)
 
 
 def mono(*pairs):
@@ -300,13 +296,15 @@ def test_one_term_products_keep_their_checks():
 
 # The term-by-term substitution the memoized maps replaced: each monomial's
 # unmapped rest times its mapped variables' images, powered and multiplied
-# one by one, the pieces added up. Kept as the reference for Substitution.
+# one by one, the pieces added up. Kept as the reference for the Laurent
+# ring's two substitutions, clear_denominators and eval_cleared.
 
 def termwise_substitute(x, images):
-    acc = GradedPoly.zero(TABLE)
+    table = x.table
+    acc = GradedPoly.zero(table)
     for m in x.monos:
-        pairs = TABLE.exponents(m)
-        piece = GradedPoly(TABLE, (TABLE.pack(p for p in pairs if p[0] not in images),))
+        pairs = table.exponents(m)
+        piece = GradedPoly(table, (table.pack(p for p in pairs if p[0] not in images),))
         for i, k in pairs:
             if i in images:
                 piece = piece * images[i] ** k
@@ -314,29 +312,61 @@ def termwise_substitute(x, images):
     return acc
 
 
-# one memo per map, shared by every draw; near-limit monomials overflow
-# once mapped, through a cached image or a new one
-_SUBSTITUTIONS = [Substitution(TABLE, 'c', _clearing),
-                  Substitution(TABLE, 'X', lambda n: GradedPoly.var_of(TABLE, 'c', n - 1) * e(-1)
-                               + e(-n)),
-                  Substitution(TABLE, 'a', lambda d: GradedPoly.var(TABLE, 'a%d' % d) + C1 ** d)]
-_SUB_POOL = [mono(), mono(('a2', 1)), mono(('c1', 1)), mono(('c2', 1), ('a2', 1)),
-             mono(('c1', 2), ('e', -1)), mono(('X2', 1)), mono(('X3', 1), ('c1', 1)),
-             mono(('X2', 2), ('a4', 1), ('e', 3)), mono(('e', -2)),
-             mono(('c1', 1), ('a2', 7)), mono(('X2', 1), ('a2', 6), ('c1', 1)),
-             mono(('c1', 15)), mono(('a5', 3))]
+def _laurent():
+    # the ring reads only its coefficient ring's table and cap
+    return LaurentRing(SimpleNamespace(table=TABLE, max_degree=6))
 
 
-@given(st.sets(st.sampled_from(_SUB_POOL), max_size=5), st.sampled_from(_SUBSTITUTIONS))
-def test_substitution_matches_the_termwise_reference(ms, sub):
-    x = GradedPoly(TABLE, ms)
+# c_j -> e*X_{j+1} + e^-j and X_n -> c_{n-1}*e^-1 + e^-n, by variable index
+_CLEARING = {i: e(1) * GradedPoly.var_of(TABLE, 'X', j + 1) + e(-j)
+             for i, j in TABLE.subscripts['c'].items()}
+_EVALUATION = {i: GradedPoly.var_of(TABLE, 'c', n - 1) * e(-1) + e(-n)
+               for i, n in TABLE.subscripts['X'].items()}
+
+
+def _cleared(laurent, x):
+    n, p = laurent.clear_denominators(x)
+    assert not p or p.min_inv_exp() >= 0
+    # the reference does not clear: undo the shift
+    return e(-n) * p
+
+
+def _by_degree(monos):
+    groups = {}
+    for m in monos:
+        groups.setdefault(mono_degree(TABLE, m), []).append(m)
+    return list(groups.values())
+
+
+# clear_denominators takes homogeneous sums in a, c and e, eval_cleared any
+# sum in a, X and e; near-limit monomials overflow once cleared, through a
+# kept image or a new one
+_CLEAR_POOLS = _by_degree([
+    mono(), mono(('a2', 1)), mono(('c1', 1)), mono(('c2', 1)), mono(('c1', 1), ('e', -1)),
+    mono(('e', -2)), mono(('c1', 2)), mono(('c2', 1), ('a2', 1)), mono(('c1', 2), ('e', -1)),
+    mono(('c3', 1), ('e', 1)), mono(('c1', 1), ('a2', 7)), mono(('c1', 15)),
+    mono(('c1', 13), ('a2', 1)), mono(('a2', 7), ('e', -1)), mono(('a5', 3))])
+_EVAL_POOLS = [[mono(), mono(('a2', 1)), mono(('X2', 1)), mono(('X3', 1), ('a2', 1)),
+                mono(('X2', 2), ('a4', 1), ('e', 3)), mono(('e', -2)), mono(('X3', 1), ('e', -1)),
+                mono(('X2', 1), ('a2', 6)), mono(('X7', 1)), mono(('X2', 7)), mono(('a5', 3))]]
+# one ring for every draw: its memos are shared, as in a session
+_LAURENT = _laurent()
+_MAPS = [(functools.partial(_cleared, _LAURENT), _CLEARING, _CLEAR_POOLS),
+         (_LAURENT.eval_cleared, _EVALUATION, _EVAL_POOLS)]
+
+
+@given(st.sampled_from(_MAPS), st.data())
+def test_substitution_matches_the_termwise_reference(laurent_map, data):
+    substitute, images, pools = laurent_map
+    pool = data.draw(st.sampled_from(pools))
+    x = GradedPoly(TABLE, data.draw(st.sets(st.sampled_from(pool), max_size=5)))
     try:
-        expected = termwise_substitute(x, sub.images)
+        expected = termwise_substitute(x, images)
     except CapacityError:
         with pytest.raises(CapacityError):
-            sub(x)
+            substitute(x)
     else:
-        assert sub(x) == expected
+        assert substitute(x) == expected
 
 
 def test_overflow_raises_capacity_error():
@@ -430,28 +460,28 @@ def test_families_and_the_one_enumerator():
 
 
 def test_substitute():
-    x = C1 * e(1) + A2
-    image = Substitution(TABLE, 'c', _clearing)(x)
-    assert image == e(2) * X2 + GradedPoly.one(TABLE) + A2
+    laurent = _laurent()
+    x = C1 * e(1) + A2 * e(2)
+    n, p = laurent.clear_denominators(x)
+    assert (n, p) == (0, e(2) * X2 + GradedPoly.one(TABLE) + A2 * e(2))
+    assert laurent.eval_cleared(p) == x
+    # each map takes its own families only
     with pytest.raises(ContractViolation):
-        Substitution(TABLE, 'e', lambda _: C1)(e(-1))
+        laurent.clear_denominators(X2)
+    with pytest.raises(ContractViolation):
+        laurent.eval_cleared(C1)
 
 
 def test_substitution_checks_what_its_memo_holds():
-    sub = Substitution(TABLE, 'c', _clearing)
-    assert sub(C1) == e(1) * X2 + e(-1)
+    laurent = _laurent()
+    assert laurent.clear_denominators(C1) == (1, e(2) * X2 + GradedPoly.one(TABLE))
+    assert len(laurent._clear_c) == 1
     # the image of c1 is kept; a2^7*c1 fits the table, its image a2^7*X2*e does not
     top = GradedPoly.var(TABLE, 'a2', TABLE.limit // 2)
     assert (top * C1).degree() == TABLE.limit
     with pytest.raises(CapacityError):
-        sub(top * C1)
-    # a negative power of a mapped variable is refused with positive ones kept
-    sub = Substitution(TABLE, 'e', lambda _: C1)
-    assert sub(e(2) + e(1)) == C1 ** 2 + C1
-    with pytest.raises(ContractViolation):
-        sub(e(-1))
-    with pytest.raises(ContractViolation):
-        sub(e(2) * A2 + e(-1))
+        laurent.clear_denominators(top * C1)
+    assert laurent._clear_c.hits == 1
 
 
 _DEG2 = [mono(('a2', 1)), mono(('c1', 2)), mono(('X2', 1)),

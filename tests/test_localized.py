@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bordcalc.errors import CapacityError, ContractViolation
 from bordcalc.session import Session
 from bordcalc.verify import ac_monomials
+from test_gf2 import termwise_substitute
 
 
 def test_loc_p_values(sess):
@@ -59,13 +60,14 @@ def test_eval_cleared_rejects_foreign_support(sess):
 
 def two_shift_clear(L, x):
     # clear_denominators as it was, as a reference: clear the negative e
-    # powers, substitute, then clear the ones the substitution made
+    # powers, substitute term by term, then clear the ones the substitution made
     if not x:
         return 0, x
     n1 = max(0, -x.min_inv_exp())
     y = L.e(n1) * x if n1 else x
     if not y.uses_only('ae'):
-        y = L._clear_c(y)
+        y = termwise_substitute(y, {i: L.e(1) * L.X(j + 1) + L.e(-j)
+                                    for i, j in L.table.subscripts['c'].items()})
     n2 = max(0, -y.min_inv_exp()) if y else 0
     return n1 + n2, L.e(n2) * y if n2 else y
 

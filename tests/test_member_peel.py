@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordcalc.gf2 import Echelon
-from bordcalc.presentation import Presentation
+from bordcalc.presentation import FormalMonomial, Presentation, fm_key
 from bordcalc.session import Session
 from test_presentation import _sum_of_terms
 
@@ -24,6 +24,30 @@ TOPS = range(-1, 4)
 NONMEMBER_MAX_N = 10
 
 
+def basis_monomials_window(mo, d, t_max):
+    """Basis monomials of degree d that a class topping out at e^t_max can use.
+
+    A monomial without a G(i >= 1) factor is taken when its top
+    e-exponent, epow - #X, is at most t_max. Every type-B monomial is
+    taken: its localization lies in exponents <= -1. member peels every
+    type-A monomial off the target and solves against the type-B ones
+    alone; one solve over this window is the reference it is tested
+    against.
+    """
+    table, gens = mo.table, mo.coef.generators
+    out = []
+    # type A: coefficient degree v, X factors of degree w, e power
+    # v + w - d >= 0, top e-exponent v + w - d - #X; each X_n has n >= 2
+    for w in range(2 * (t_max + d) + 1):
+        for xs in mo._x_factors(w, 2):
+            for v in range(max(0, d - w), t_max + d - w + len(xs) + 1):
+                out.extend(FormalMonomial(coef, xs, v + w - d)
+                           for coef in table.monomials(v, gens))
+    out.extend(mo._type_b(d))
+    out.sort(key=lambda fm: fm_key(table, fm))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _image(mo, fm):
     return mo.localize(mo.single(fm))
@@ -31,7 +55,7 @@ def _image(mo, fm):
 
 @functools.lru_cache(maxsize=None)
 def _reference_window(mo, d, t):
-    cands = mo.basis_monomials_window(d, t)
+    cands = basis_monomials_window(mo, d, t)
     return cands, Echelon([_image(mo, fm).monos for fm in cands])
 
 
@@ -211,5 +235,5 @@ def test_the_window_holds_the_type_b_monomials_only():
     assert sorted(mo._window_cache) == list(degrees)
     # the candidates of degree 12: 519 in the window a one-solve member
     # would need, 157 type-B ones in member's
-    assert len(mo.basis_monomials_window(12, -1)) == 519
+    assert len(basis_monomials_window(mo, 12, -1)) == 519
     assert len(mo._window_cache[12][0]) == 157

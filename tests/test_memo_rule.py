@@ -41,9 +41,8 @@ def test_answers_do_not_depend_on_the_cap():
 
 def _owners(session):
     """The objects of a session that can hold memos."""
-    laurent = session.laurent
-    return [session.coef, session.table, session.coef.boardman, laurent,
-            laurent._clear_c, laurent._eval_X, session.mo, session.geometry]
+    return [session.coef, session.table, session.coef.boardman, session.laurent,
+            session.mo, session.geometry]
 
 
 def _attributes(obj):
@@ -80,13 +79,13 @@ def test_stats_count_every_memo():
             value = getattr(obj, name)
             assert isinstance(value, Memo) or not name.endswith('_cache'), name
             memos += isinstance(value, Memo)
-    assert memos == len(stats) == 26
+    assert memos == len(stats) == 24
 
 
 def test_stats_of_a_fresh_session():
     stats = Session().stats()
-    # nothing asked yet: no Boardman tables and no clearing substitution
-    assert {owner for owner, _ in stats} == {'coef', 'table', 'mo', 'geometry'}
+    # nothing asked yet: no Boardman tables
+    assert {owner for owner, _ in stats} == {'coef', 'table', 'laurent', 'mo', 'geometry'}
     assert stats[('mo', '_nf_cache')] == (0, 0)
     # the session's own construction asks the table for its family masks
     assert stats[('table', '_masks')][0] > 0

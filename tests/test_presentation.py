@@ -490,8 +490,7 @@ _VALUE_MAPS = {
 }
 # the other public methods: constructors, enumerators and catalogs
 _NO_VALUE = {
-    'mo': {'zero', 'one', 'e', 'X', 'G', 'single', 'euler', 'basis_monomials',
-           'basis_monomials_window'},
+    'mo': {'zero', 'one', 'e', 'X', 'G', 'single', 'euler', 'basis_monomials'},
     'laurent': {'zero', 'one', 'e', 'c', 'X', 'loc_P'},
     # exact_phi is phi itself, under the name the benchmark's tracer uses
     'geometry': {'b', 'bundle_monomials', 'manifold_for_basis', 'catalog_expressions',
