@@ -47,7 +47,9 @@ keeps the image of each part of a monomial it acts on: localize and
 alpha) and map_monos (the same for the parts under a mask: the Laurent
 ring's clearing maps, delta and underlying), square-and-multiply powers,
 the one partition enumerator (VarTable.monomials: the monomials of a
-degree in chosen variables), and free N_* modules as polynomials linear
+degree in chosen variables, read off VarTable.rows, the rows by degree of
+a variable tuple and of its suffixes, kept as one entry per tuple and
+grown in place), and free N_* modules as polynomials linear
 in one family of generators (ModulePoly): delta's values are
 polynomials in the a_d and c_j printed with s_j, obstruction classes
 polynomials in the a_d, X_n and e^k (k >= 1) printed with x_k. The
@@ -178,17 +180,41 @@ class VarTable:
         return (sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
                 | (-1 << self.e_shift if self.invertible in idxs else 0))
 
-    @memo('_monomials')
     def monomials(self, d, indices):
         """The monomials of e-free degree d in the variables of the tuple indices,
-        the first one's largest power first, then recursively; each answer is kept."""
+        the first one's largest power first, then recursively: () below degree
+        0, CapacityError past the limit. They are row d of rows(indices, d)[0]."""
+        return self.rows(indices, d)[0][d] if d >= 0 else ()
+
+    def rows(self, indices, d):
+        """The rows of the tuple indices, grown to degree d at least: rows[j][w]
+        holds the monomials of e-free degree w in the variables indices[j:],
+        in the order of monomials. CapacityError past the limit.
+
+        The rows are one entry of the Memo _monomials, by the tuple, and grow
+        in place. Row w of a suffix led by a variable of degree g is its row
+        w - g times that variable, then row w of the next suffix: the largest
+        powers of the variable come first, and the next suffix's monomials
+        are those with none of it.
+        """
         if d > self.limit:
             raise CapacityError('degree %d exceeds the table limit %d' % (d, self.limit))
-        if not indices:
-            return (MONO_ONE,) if d == 0 else ()
-        degree, unit, rest = self.degrees[indices[0]], self.units[indices[0]], indices[1:]
-        return tuple(p * unit + m for p in range(d // degree, -1, -1)
-                     for m in self.monomials(d - p * degree, rest))
+        rows = self._monomials.get(indices)
+        if rows is None:
+            rows = self._monomials[indices] = [[] for _ in range(len(indices) + 1)]
+        else:
+            self._monomials.hits += 1
+        done = len(rows[-1])
+        if d >= done:
+            # the rows of the empty suffix: the monomial 1 in degree 0
+            rows[-1].extend([(MONO_ONE,) if w == 0 else () for w in range(done, d + 1)])
+            for j in range(len(indices) - 1, -1, -1):
+                own, rest = rows[j], rows[j + 1]
+                degree, unit = self.degrees[indices[j]], self.units[indices[j]]
+                for w in range(done, d + 1):
+                    own.append((*map(unit.__add__, own[w - degree]), *rest[w])
+                               if w >= degree else rest[w])
+        return rows
 
     def index(self, name):
         """Index of a variable; KeyError if absent."""

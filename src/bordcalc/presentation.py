@@ -205,6 +205,7 @@ class BordismRing:
         self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
         self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
         self._x_cache, self._basis_cache, self._window_cache = Memo(), Memo(), Memo()
+        self._type_b_cache, self._coef_cache = Memo(), Memo()
         self._c_fields = self.table.mask('c')
         self._c_cache = Memo()
 
@@ -486,16 +487,40 @@ class BordismRing:
 
     @memo('_basis_cache')
     def _basis(self, d, e_cap):
-        out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
-               for coef, xs in self._coef_and_xs(d + k, 2)] + self._type_b(d)
-        return tuple(sorted(out, key=lambda fm: fm_key(self.table, fm)))
+        # blocks (factors, e power, coefficient degree): type A, then type B;
+        # sorted blocks with their coefficients sorted give the order of fm_key
+        blocks = [(xs, k, d + k - w) for k in range(max(0, -d), e_cap + 1)
+                  for w in range(d + k + 1) for xs in self._x_factors(w, 2)]
+        blocks += self._type_b_blocks(d)
+        blocks.sort()
+        coefs = [self._sorted_coefs(v) for v in range(d + e_cap + 1)]
+        new = tuple.__new__
+        return tuple([new(FormalMonomial, (coef, gammas, k))
+                      for gammas, k, v in blocks for coef in coefs[v]])
 
     def _type_b(self, d):
-        # one G(i, j), i >= 1, and X_n factors with n >= j, no e power
-        return [FormalMonomial(coef, xs + ((i, j),), 0)
-                for j in range(2, min(d - 1, self.coef.max_degree + 1) + 1)
-                for i in range(1, d - j + 1)
-                for coef, xs in self._coef_and_xs(d - i - j, j)]
+        """The type-B monomials of degree d, block by block, each block's
+        coefficients in the order of VarTable.monomials."""
+        # a type-B coefficient has degree at most d - 3
+        coefs = self.table.rows(self.coef.generators, max(d - 3, 0))[0]
+        new = tuple.__new__
+        return [new(FormalMonomial, (coef, gammas, 0)) for gammas, _, v in self._type_b_blocks(d)
+                for coef in coefs[v]]
+
+    @memo('_type_b_cache')
+    def _type_b_blocks(self, d):
+        """The blocks (factors, 0, coefficient degree) of the type-B monomials of
+        degree d, by j, i and X factors: one G(i, j), i >= 1, and X_n factors
+        with n >= j, no e power."""
+        return tuple((xs + ((i, j),), 0, d - i - j - w)
+                     for j in range(2, min(d - 1, self.coef.max_degree + 1) + 1)
+                     for i in range(1, d - j + 1)
+                     for w in range(d - i - j + 1) for xs in self._x_factors(w, j))
+
+    @memo('_coef_cache')
+    def _sorted_coefs(self, v):
+        """The coefficient monomials of degree v in the order of fm_key: by their exponents."""
+        return sorted(self.table.monomials(v, self.coef.generators), key=self.table.exponents)
 
     @memo('_x_cache')
     def _x_factors(self, w, least):
@@ -503,12 +528,6 @@ class BordismRing:
         table, n_of = self.table, self.table.subscripts['X']
         return tuple(tuple((0, n_of[i]) for i, x in table.exponents(m) for _ in range(x))
                      for m in table.monomials(w, tuple(i for i, n in n_of.items() if n >= least)))
-
-    def _coef_and_xs(self, total, least):
-        """(N_* coefficient, X factors) pairs of e-free degree total, each X_n with n >= least."""
-        gens = self.coef.generators
-        return [(coef, xs) for w in range(total + 1) for xs in self._x_factors(w, least)
-                for coef in self.table.monomials(total - w, gens)]
 
     def member(self, target):
         """Preimage of a Laurent class under localization, or None.

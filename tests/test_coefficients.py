@@ -1,11 +1,14 @@
 """The coefficient ring: generator degrees, representatives, ranks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bordcalc.coefficients import (allowed_degrees, dold_indices, generator_rep,
                                    is_power_of_two)
 from bordcalc.errors import CapacityError, ContractViolation
 from bordcalc.gf2 import COEFFICIENT
+from bordcalc.session import Session
 
 
 def test_allowed_degrees_freeze():
@@ -128,6 +131,43 @@ def test_monomials_of_degree_in_partition_order(sess):
                     for part in partitions(d, coef.generator_degrees)]
         assert [mu.monos for mu in coef.monomials_of_degree(d)] == [
             frozenset((m,)) for m in expected]
+
+
+# the partitions reference lists every partition: keep the degrees small
+REFERENCE_MAX = 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomials_match_the_partitions(data):
+    # a fresh table: its rows grow from nothing, in the order the degrees are asked
+    table = Session(data.draw(st.sampled_from([8, 16, 24]), label='cap')).table
+    family = table.family[data.draw(st.sampled_from('acXb'), label='family')]
+    # a family's subscripts are its degrees; any order, the table's or not
+    subs = data.draw(st.lists(st.sampled_from(sorted(family)), unique=True, max_size=7),
+                     label='subscripts')
+    indices = tuple(family[n] for n in subs)
+    asked = data.draw(st.lists(st.one_of(st.integers(-4, REFERENCE_MAX),
+                                         st.integers(table.limit + 1, table.limit + 40)),
+                               min_size=1, max_size=6), label='degrees')
+
+    def expected(d):
+        # the exponent vectors in the order of indices, largest first; a
+        # tuple by degree descending is the partitions' own order
+        parts = partitions(d, subs)
+        vectors = [tuple(part.count(n) for n in subs) for part in parts]
+        ordered = sorted(vectors, reverse=True)
+        if subs == sorted(subs, reverse=True):
+            assert vectors == ordered
+        return tuple(table.pack(zip(indices, vector)) for vector in ordered)
+
+    # every degree asked again in reverse: a lower one after a higher one
+    for d in asked + asked[::-1]:
+        if d > table.limit:
+            with pytest.raises(CapacityError):
+                table.monomials(d, indices)
+        else:
+            assert table.monomials(d, indices) == (expected(d) if d >= 0 else ())
 
 
 def test_mono_degrees(sess):
