@@ -5,9 +5,11 @@ not depend on its cap either: the layout of its monomials changes with
 the cap, their texts do not. The counts stats() reports are deterministic.
 """
 
+import pytest
+
 from test_memos import DEGREE, _inputs
 
-from bordcalc.gf2 import Memo
+from bordcalc.gf2 import Memo, memo
 from bordcalc.parsing import parse_laurent, parse_presentation
 from bordcalc.session import Session
 from bordcalc.verify import verify
@@ -115,3 +117,32 @@ def test_spellings_of_a_name_share_its_atom():
         parse_presentation('a%s2 + X%s3' % (pad, pad), session.mo)
         parse_laurent('c%s2' % pad, session.laurent)
     assert session.stats()[('coef', 'parsed_atoms')] == (3, 15)
+
+
+def test_memo_of_several_arguments():
+    class Ring:
+        def __init__(self):
+            self._cache = Memo()
+            self.calls = []
+
+        @memo('_cache')
+        def power(self, base, exponent):
+            """base ** exponent, refused below 0."""
+            self.calls.append((base, exponent))
+            if exponent < 0:
+                raise ValueError('negative exponent')
+            return base ** exponent
+
+    ring = Ring()
+    assert Ring.power.__doc__ == 'base ** exponent, refused below 0.'
+    assert ring.power(2, 10) == 1024 and ring.power(3, 2) == 9
+    # the tuple of the arguments is the key
+    assert dict(ring._cache) == {(2, 10): 1024, (3, 2): 9} and ring._cache.hits == 0
+    assert ring.power(2, 10) == 1024
+    assert ring._cache.hits == 1 and ring.calls == [(2, 10), (3, 2)]
+    # a call that raises keeps nothing, and is made again when asked again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ring.power(2, -1)
+    assert (2, -1) not in ring._cache and ring._cache.hits == 1
+    assert ring.calls.count((2, -1)) == 2

@@ -69,6 +69,15 @@ def _loc_gamma_inhomogeneous(original):
     return patched
 
 
+def _loc_gamma_top_term(original):
+    # loc(G(1, 3)) plus c1*c3, a term of its degree with s = L + |J| = 2 >= 0,
+    # which no type-B localization has
+    def patched(self, i, n):
+        out = original(self, i, n)
+        return out + self.laurent.c(1) * self.laurent.c(3) if (i, n) == (1, 3) else out
+    return patched
+
+
 def _generator(original):
     # h(a5) plus beta3*beta2, which names no coefficient monomial
     def patched(self, d):
@@ -158,6 +167,8 @@ ROWS = {
     'loc(G(i,n))': (BordismRing, '_loc_gamma', _loc_gamma, {'basis', 'geomcomp', 'compare'}),
     'inhomogeneous loc(G(1,3))': (BordismRing, '_loc_gamma', _loc_gamma_inhomogeneous,
                                   {'basis', 'geomcomp', 'compare'}),
+    's >= 0 term in loc(G(1,3))': (BordismRing, '_loc_gamma', _loc_gamma_top_term,
+                                   {'basis', 'geomcomp', 'compare'}),
     'h(a5)': (Boardman, '_generator', _generator,
               {'seq', 'basis', 'gamma', 'geomcomp', 'cf-exact', 'compare', 'sw-oracle'}),
     'dictionary': (Geometry, 'dictionary', _dictionary, {'geomcomp', 'compare'}),
