@@ -19,15 +19,12 @@ table's families a, c, X and e: a value of the model uses a, c and e
 
 clear_denominators and eval_cleared are the two substitutions of the
 round trip through the model, c_j -> e*X_{j+1} + e^-j and X_n ->
-loc_P(n). Each is one gf2.map_monos call over its family's fields, whose
-masks the ring keeps, with the ring's memos for the images it has made.
-clear_denominators makes one pass: one OR of the terms tells whether any
-c_j occurs, the substitution fixes e, and the one shift by e^N that
-clears every negative power is added to each term's e power.
+loc_P(n). Each is one gf2.map_monos call over its family's fields, with
+the ring's memos for the images it has made. clear_denominators makes one
+pass: one OR of the terms (uses_only) tells whether any c_j occurs, the
+substitution fixes e, and the one shift by e^N that clears every negative
+power is added to each term's e power.
 """
-
-import operator
-from functools import reduce
 
 from .errors import CapacityError, ContractViolation
 from .gf2 import CLEARED, LAURENT, GradedPoly, Memo, map_monos, memo
@@ -46,8 +43,9 @@ class LaurentRing:
         # gf2.map_monos keeps them, and the powers of c_j's and X_n's images
         # they multiply, by (variable index, exponent)
         self._clear_c, self._eval_X, self._powers = Memo(), Memo(), Memo()
-        # the bits of the c and X fields: what each map acts on
-        self._c_fields, self._X_fields = self.table.mask('c'), self.table.mask('X')
+        # the bits of the c fields, what clear_denominators maps; the
+        # presentation ring builds the same mask, so no set-up is added
+        self._c_fields = self.table.mask('c')
 
     def zero(self):
         return GradedPoly.zero(self.table)
@@ -97,23 +95,22 @@ class LaurentRing:
         if self.table.admit(x, GradedPoly, LAURENT).degree() is None:
             return 0, x
         table = self.table
-        shift, monos = table.e_shift, x.monos
-        n1 = max(0, -(min(monos) >> shift))
+        n1 = max(0, -x.min_inv_exp())
         # the substitution fixes e, so both clearing shifts are one shift after it
-        if reduce(operator.or_, monos, 0) & self._c_fields:
-            monos = map_monos(table, monos, self._c_fields, self._clear_c, self._image)
-        n = max(n1, -(min(monos) >> shift)) if monos else n1
+        y = x if x.uses_only('ae') else GradedPoly(
+            table, map_monos(table, x.monos, self._c_fields, self._clear_c, self._image))
+        n = max(n1, -y.min_inv_exp()) if y else n1
         if not n:
-            return 0, x if monos is x.monos else GradedPoly(table, monos)
+            return 0, y
         # times e^n: each term's e power, its top part, grows by n
-        up = n << shift
-        return n, GradedPoly(table, frozenset([m + up for m in monos]))
+        up = n << table.e_shift
+        return n, GradedPoly(table, frozenset([m + up for m in y.monos]))
 
     def eval_cleared(self, p):
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
         table = self.table
         monos = table.admit(p, GradedPoly, CLEARED, 'the cleared polynomial').monos
-        return GradedPoly(table, map_monos(table, monos, self._X_fields, self._eval_X,
+        return GradedPoly(table, map_monos(table, monos, table.mask('X'), self._eval_X,
                                            self._image))
 
     def _image(self, part):

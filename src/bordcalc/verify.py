@@ -25,7 +25,7 @@ from .boardman import tables
 from .charnum import fixed_bundle, identify_in_n, identify_in_nbo1
 from .conner_floyd import tower
 from .errors import ContractViolation, IntegrityError
-from .gf2 import GradedPoly, poly_rank, rank_sets
+from .gf2 import GradedPoly, check_same_degree, poly_rank, rank_sets
 from .presentation import QuotientElem
 
 
@@ -159,11 +159,8 @@ def independent_by_triangularity(table, fms, images):
     t's s >= 0, so t occurs once and cannot cancel. A relation therefore
     holds type-B images only. A failed fact fails the check.
     """
-    shift, efree, e_degree = table.e_shift, table.efree_mask, table.e_degree
-    # gf2.mono_degree written inline: a call per term costs more than the scans
-    if len({(m & efree) + e_degree * (m >> shift) for x in images for m in x.monos}) > 1:
-        raise ContractViolation('inputs are not homogeneous of one degree')
-    c_fields = table.mask('c')
+    check_same_degree(images)
+    shift, c_fields = table.e_shift, table.mask('c')
     # |J| by the c fields of a term: terms share their c parts
     sizes = {}
 
