@@ -166,7 +166,15 @@ class FreeBZ2Elem(ModulePoly):
 
 
 class Geometry:
-    """phi, delta, and the point-class comparison for manifold expressions."""
+    """phi, delta, and the point-class comparison for manifold expressions.
+
+    Every answer a Geometry gives is a function of its argument alone, so
+    it keeps them in Memos: phi and pt_class by expression, delta,
+    underlying and dictionary by the b part of each monomial, the basis
+    manifolds by formal monomial and the catalog by dimension. Expressions
+    handed out twice are one object, so the lookups they meet again hit
+    by identity.
+    """
 
     def __init__(self, mo):
         self.mo = mo
@@ -180,9 +188,11 @@ class Geometry:
                            for idx, i in table.subscripts['b'].items()}
         self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
         self._b_fields = table.mask('b')
-        # both keyed by the b fields of a monomial, as gf2.sum_of_images keeps images
-        self._delta_cache, self._fixed_cache = Memo(), Memo()
-        self._walk_cache = Memo()
+        # keyed by the b fields of a monomial, as gf2.sum_of_images keeps images
+        self._delta_cache, self._fixed_cache, self._dict_cache = Memo(), Memo(), Memo()
+        # keyed by expression, formal monomial and dimension
+        self._walk_cache, self._pt_cache = Memo(), Memo()
+        self._manifold_cache, self._catalog_cache = Memo(), Memo()
 
     # --- the bundle algebra -----------------------------------------------
 
@@ -254,15 +264,22 @@ class Geometry:
         raise _not_an_expression(expr)
 
     def pt_class(self, expr):
-        """The bordism class as a presentation."""
+        """The bordism class as a presentation, kept by expression as phi's walk is."""
+        if not isinstance(expr, _Expr):
+            raise _not_an_expression(expr)
+        return self._point(expr)
+
+    @memo('_pt_cache')
+    def _point(self, expr):
+        """pt_class(expr), kept by expression."""
         if isinstance(expr, Proj):
             return self.mo.X(expr.n)
         if isinstance(expr, GammaOf):
-            return self.mo.gamma(self.pt_class(expr.inner))
+            return self.mo.gamma(self._point(expr.inner))
         if isinstance(expr, ProductOf):
             acc = self.mo.one()
             for f in expr.factors:
-                acc = acc * self.pt_class(f)
+                acc = acc * self._point(f)
             return acc
         if isinstance(expr, Trivial):
             return self.mo.iota(expr.coef)
@@ -277,9 +294,13 @@ class Geometry:
         b_i^x goes to c_{i-1}^x e^{-x}, monomials one to one: nothing cancels.
         """
         self.table.admit(poly, GradedPoly, BUNDLE, 'the bundle class')
-        exponents, step = self.table.exponents, self._dict_step
-        return GradedPoly(self.table, frozenset(
-            m + sum(x * step[i] for i, x in exponents(m) if i in step) for m in poly.monos))
+        return GradedPoly(self.table, map_monos(
+            self.table, poly.monos, self._b_fields, self._dict_cache, self._dict_image))
+
+    def _dict_image(self, bmono):
+        # one monomial: each b_i^x of the part adds x times its step
+        step = self._dict_step
+        return (bmono + sum(x * step[i] for i, x in self.table.exponents(bmono)),)
 
     def delta(self, poly):
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
@@ -301,8 +322,10 @@ class Geometry:
 
     # --- catalogs -------------------------------------------------------------
 
+    @memo('_manifold_cache')
     def manifold_for_basis(self, fm):
-        """An expression whose point class is the given e-free basis monomial."""
+        """An expression whose point class is the given e-free basis monomial,
+        kept by monomial: every caller gets the same expression object."""
         if fm.epow:
             raise ContractViolation('basis monomial carries an e power')
         factors = []
@@ -316,7 +339,13 @@ class Geometry:
         return ProductOf(tuple(factors))
 
     def catalog_expressions(self, max_dim):
-        """A deterministic catalog of expressions of dimension <= max_dim."""
+        """A deterministic catalog of expressions of dimension <= max_dim: a
+        fresh list of the expressions kept for max_dim, so callers share them."""
+        return list(self._catalog(max_dim))
+
+    @memo('_catalog_cache')
+    def _catalog(self, max_dim):
+        """The catalog of max_dim as a tuple, built once."""
         out = []
         for d in range(max_dim + 1):
             for mu in self.coef.monomials_of_degree(d):
@@ -340,5 +369,5 @@ class Geometry:
         for v in (2, 4):
             if v + 1 <= max_dim:
                 out.append(GammaOf(Trivial(self.coef.a(v))))
-        return out
+        return tuple(out)
 

@@ -46,8 +46,8 @@ monomials of a product, duplicates cancelled), sum_of_images (a map that
 keeps the image of each part of a monomial it acts on: localize and
 alpha) and map_monos (the same for the parts under a mask, its loop
 written out once more, keyed by each monomial's fields: the Laurent
-ring's clearing maps, delta and underlying), square-and-multiply powers,
-the one partition enumerator (VarTable.monomials: the monomials of a
+ring's clearing maps, delta, underlying and dictionary), square-and-multiply
+powers, the one partition enumerator (VarTable.monomials: the monomials of a
 degree in chosen variables, read off VarTable.rows, the rows by degree of
 a variable tuple and of its suffixes, kept as one entry per tuple and
 grown in place), and free N_* modules as polynomials linear
@@ -113,7 +113,7 @@ class VarTable:
     """
 
     __slots__ = ('names', 'degrees', 'invertible', 'limit', 'units', 'efree_mask',
-                 'e_shift', 'e_degree', '_index', '_shifts', '_owner', '_guard',
+                 'e_shift', 'e_degree', '_index', '_shifts', '_fields', '_owner', '_guard',
                  '_fields_mask', 'family', 'subscripts', '_masks', '_monomials', '_decoded',
                  '_texts')
 
@@ -146,6 +146,8 @@ class VarTable:
         self.efree_mask = (1 << (bits + 1)) - 1
         self.units = [0] * len(variables)
         self._shifts = [0] * len(variables)
+        # the bits of each variable's field; e's are every bit of its power
+        self._fields = [0] * len(variables)
         self._owner = [None] * (bits + 1)
         shift = bits + 1
         # fields upwards from the degree field: the last variable lowest
@@ -158,6 +160,7 @@ class VarTable:
                                         'negative degree')
             width = (self.limit // degree).bit_length() + 1
             self._shifts[idx] = shift
+            self._fields[idx] = ((1 << width) - 1) << shift
             self.units[idx] = (1 << shift) + degree
             self._owner.extend([idx] * width)
             shift += width
@@ -166,6 +169,7 @@ class VarTable:
         self.e_degree = 0
         if self.invertible is not None:
             self.units[self.invertible] = 1 << shift
+            self._fields[self.invertible] = -1 << shift
             self.e_degree = self.degrees[self.invertible]
         self._masks = Memo()
         self._monomials = Memo()
@@ -177,9 +181,9 @@ class VarTable:
     @memo('_masks')
     def mask(self, letters):
         """The bits of the named families' fields; e's are every bit of its power."""
-        idxs = {i for letter in letters for i in self.subscripts[letter]}
-        return (sum(1 << b for b, i in enumerate(self._owner) if i in idxs)
-                | (-1 << self.e_shift if self.invertible in idxs else 0))
+        fields = self._fields
+        return reduce(operator.or_, [fields[i] for letter in letters
+                                     for i in self.subscripts[letter]], 0)
 
     def monomials(self, d, indices):
         """The monomials of e-free degree d in the variables of the tuple indices,
@@ -364,14 +368,15 @@ def map_monos(table, monos, mask, cache, image):
     """sum_of_images for a map acting on the fields of mask, kept by those fields:
     m goes to image(part) * (m / part), part the monomial of m's fields.
 
-    This is sum_of_images' loop written out a second time, over the
-    monomials themselves: the key m & mask is taken in the loop, so a call
-    builds no (key, monomial) pairs and no closure that packs the part. It
-    pays: a call through sum_of_images costs about 0.4 us more, and a
-    degree-8 verify sweep makes about 1,350 calls of two terms each (the
-    clearing maps, delta and underlying), so the loop written out takes
-    1.6% off perfbench's verify-d8 query_p50_ms, in 10 of 10 alternating
-    pairs (BENCH_33.json, levers)."""
+    Its users are the Laurent ring's clearing maps, delta, underlying and
+    dictionary. This is sum_of_images' loop written out a second time,
+    over the monomials themselves: the key m & mask is taken in the loop,
+    so a call builds no (key, monomial) pairs and no closure that packs
+    the part. It pays: a call through sum_of_images costs about 0.4 us
+    more, and a degree-8 verify sweep made about 1,350 calls of two terms
+    each through the first three, so the loop written out took 1.6% off
+    perfbench's verify-d8 query_p50_ms, in 10 of 10 alternating pairs
+    (BENCH_33.json, levers)."""
     efree, limit = table.efree_mask, table.limit
     odd = set()
     for m in monos:

@@ -198,6 +198,8 @@ def test_manifold_for_basis_round_trip(sess):
             left = geo.dictionary(geo.phi(expr))
             right = mo.localize(mo.single(fm))
             assert left == right
+            # kept by monomial: every caller gets the one expression
+            assert geo.manifold_for_basis(fm) is expr
     with pytest.raises(ContractViolation):
         geo.manifold_for_basis(next(iter(mo.e(2).monos)))
 

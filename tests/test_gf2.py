@@ -459,6 +459,27 @@ def test_families_and_the_one_enumerator():
         TABLE.monomials(TABLE.limit + 1, (c1,))
 
 
+def _mask_by_bit_walk(table, letters):
+    """VarTable.mask's reference: every bit of the layout, kept when its owner is named."""
+    idxs = {i for letter in letters for i in table.subscripts[letter]}
+    return (sum(1 << b for b, i in enumerate(table._owner) if i in idxs)
+            | (-1 << table.e_shift if table.invertible in idxs else 0))
+
+
+@pytest.mark.parametrize('cap', [8, 16, 24])
+def test_family_masks_match_the_bit_walk(cap):
+    from bordcalc.session import Session
+    from bordcalc.verify import verify
+    session = Session(cap)
+    table = session.table
+    # the sets the package names, every family alone, and every set a sweep asked for
+    verify(session, 'all', 2)
+    asked = {gf2.COEFFICIENT, gf2.LAURENT, gf2.CLEARED, gf2.BUNDLE, 'ae', 'b', 'c', 'X',
+             FreeBZ2Elem.family, QuotientElem.family, *table.family, *table._masks}
+    for letters in sorted(asked):
+        assert table.mask(letters) == _mask_by_bit_walk(table, letters), letters
+
+
 def test_substitute():
     laurent = _laurent()
     x = C1 * e(1) + A2 * e(2)

@@ -1,11 +1,12 @@
 """The ring maps' per-session memos: answers do not depend on what came before.
 
 localize and alpha keep images by G factors alone, the clearing
-substitutions by c or X part, delta and underlying by b part, the
-phi walk by expression, and basis_monomials its lists by degree and e
-cap. Each answer must be the one a fresh session gives, whatever the
-session asked before; and an image taken from a memo must still be
-refused when the rest it is shifted by carries it past the table's limit.
+substitutions by c or X part, delta, underlying and dictionary by b part,
+the phi walk and pt_class by expression, and basis_monomials its lists by
+degree and e cap. Each answer must be the one a fresh session gives,
+whatever the session asked before; and an image taken from a memo must
+still be refused when the rest it is shifted by carries it past the
+table's limit.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from bordcalc.errors import CapacityError
 from bordcalc.gf2 import GradedPoly, SparseSum
 from bordcalc.presentation import FormalMonomial, Presentation
 from bordcalc.session import Session
-from bordcalc.verify import ac_monomials
+from bordcalc.verify import ac_monomials, verify
 
 DEGREE = 8
 
@@ -37,6 +38,7 @@ def _inputs(session):
     bundles += [geo.phi(x) for x in exprs]
     return ([('localize', x) for x in basis] + [('alpha', x) for x in basis]
             + [('phi', x) for x in exprs] + [('underlying', x) for x in exprs]
+            + [('pt_class', x) for x in exprs]
             + [('clear', x) for x in laurent]
             + [('delta', p) for p in bundles] + [('dictionary', p) for p in bundles])
 
@@ -61,7 +63,8 @@ def _answer(session, name, x):
         n, p = L.clear_denominators(x)
         return n, p.to_text(), L.eval_cleared(p).to_text()
     fn = {'localize': mo.localize, 'alpha': mo.alpha, 'phi': geo.phi,
-          'underlying': geo.underlying, 'delta': geo.delta, 'dictionary': geo.dictionary}[name]
+          'underlying': geo.underlying, 'pt_class': geo.pt_class, 'delta': geo.delta,
+          'dictionary': geo.dictionary}[name]
     return fn(x).to_text()
 
 
@@ -71,7 +74,7 @@ def test_answers_do_not_depend_on_history():
     # from memos the earlier inputs filled
     inputs = _inputs(Session())
     assert {name for name, _ in inputs} == {'localize', 'alpha', 'phi', 'underlying',
-                                            'clear', 'delta', 'dictionary'}
+                                            'pt_class', 'clear', 'delta', 'dictionary'}
     fresh = [_answer(Session(), name, x) for name, x in inputs]
     for order in (range(len(inputs)), reversed(range(len(inputs)))):
         session = Session()
@@ -113,3 +116,29 @@ def test_basis_lists_do_not_depend_on_history():
             kept.reverse()
             kept.append(None)
             assert warm.mo.basis_monomials(d, e_cap) == fresh
+
+
+def test_catalog_lists_are_the_callers_own():
+    # the catalog is kept per dimension and shared with verify's suites;
+    # each call hands out a list of its own, so mutating one changes no
+    # later answer or check
+    def answers(session):
+        geo = session.geometry
+        exprs = geo.catalog_expressions(DEGREE)
+        return ([repr(x) for x in exprs]
+                + [_answer(session, name, x) for x in exprs
+                   for name in ('phi', 'underlying', 'pt_class')]
+                + [tuple(c) for suite in ('cf-exact', 'compare')
+                   for c in verify(session, suite, DEGREE)])
+
+    want = answers(Session())
+    warm = Session()
+    geo = warm.geometry
+    for _ in range(2):
+        kept = geo.catalog_expressions(DEGREE)
+        assert kept is not geo.catalog_expressions(DEGREE)
+        kept.reverse()
+        kept[0] = Proj(3)
+        del kept[1:10]
+        kept.append(None)
+    assert answers(warm) == want

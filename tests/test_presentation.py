@@ -457,7 +457,7 @@ def test_one_pass_normal_form_and_gamma_match_the_termwise_reference(terms, fuel
 @pytest.mark.parametrize('method', ['normal_form', 'gamma', 'alpha', 'bar', 'localize',
                                     'divide_e', 'quotient_reduce', 'is_geometric',
                                     'delta', 'dictionary', 'phi', 'underlying',
-                                    'eval_cleared'])
+                                    'pt_class', 'eval_cleared'])
 def test_values_of_another_session_are_refused(sess, method):
     # a table of another cap lays monomials out differently, and one of the
     # same cap is still another session's: neither may be read as this one's
@@ -465,7 +465,7 @@ def test_values_of_another_session_are_refused(sess, method):
     for other in (Session(8), Session()):
         if method in ('delta', 'dictionary'):
             target, xs = other.geometry, [sess.geometry.b(2) * sess.geometry.b(1)]
-        elif method in ('phi', 'underlying'):
+        elif method in ('phi', 'underlying', 'pt_class'):
             # a foreign class is caught where the walk reaches it, also nested
             target, xs = other.geometry, [trivial, GammaOf(trivial),
                                           ProductOf((Proj(2), trivial))]
