@@ -114,8 +114,7 @@ class VarTable:
 
     __slots__ = ('names', 'degrees', 'invertible', 'limit', 'units', 'efree_mask',
                  'e_shift', 'e_degree', '_index', '_shifts', '_fields', '_owner', '_guard',
-                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials', '_decoded',
-                 '_texts')
+                 '_fields_mask', 'family', 'subscripts', '_masks', '_monomials', '_texts')
 
     def __init__(self, variables, limit, invertible=None):
         """variables: (family, subscript, degree) triples in table order, the
@@ -173,7 +172,6 @@ class VarTable:
             self.e_degree = self.degrees[self.invertible]
         self._masks = Memo()
         self._monomials = Memo()
-        self._decoded = Memo()
         # (sort key, text) of every monomial printed, by the monomial: a
         # packed int's or a presentation's
         self._texts = Memo()
@@ -258,11 +256,6 @@ class VarTable:
         if k:
             out.append((self.invertible, k))
         return tuple(out)
-
-    @memo('_decoded')
-    def decoded(self, m):
-        """exponents(m), kept: sort keys and module texts decode the same parts over and over."""
-        return self.exponents(m)
 
     def printed(self, monos, mono_text):
         """The text of the sum of monos: their texts joined with ' + ', largest
@@ -622,10 +615,6 @@ class ModulePoly(GradedPoly):
     def one(cls, table):
         raise ContractViolation('%s values have no unit' % cls.__name__)
 
-    def support(self):
-        """The monomials, each a coefficient monomial times one generator."""
-        return self.monos
-
     def to_text(self):
         """The monomials grouped by generator, least index first: p_j*<symbol><j>."""
         if not self.monos:
@@ -635,7 +624,7 @@ class ModulePoly(GradedPoly):
         for m in self.monos:
             # the generator: the factors of m in the family, and its degree
             gen = j = 0
-            for idx, x in table.decoded(m & own):
+            for idx, x in table.exponents(m & own):
                 gen += x * units[idx]
                 j += x * degrees[idx]
             parts.setdefault(abs(j), []).append(m - gen)

@@ -108,7 +108,7 @@ def _checked(table, fms):
 def fm_key(table, fm):
     # the coefficient compares decoded, as the exponent tuples it was
     # before it was packed, so the text's term order stays the same
-    return (fm.gammas, fm.epow, table.decoded(fm.coef))
+    return (fm.gammas, fm.epow, table.exponents(fm.coef))
 
 
 def fm_text(table, fm):
@@ -569,7 +569,8 @@ class BordismRing:
           localization, since a solution would make it loc(peeled + solved).
 
         The preimage is unique, so the answer does not depend on what was
-        asked before.
+        asked before. The basis verify suite reads the same peel map,
+        _topped, off the localizations of the basis.
 
         CoefRing.check_size, given size d and coefficient degree
         d + max(t0, -1) (d + t0 is the e-free degree of the target's top

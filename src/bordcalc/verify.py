@@ -9,9 +9,10 @@ Boardman tables, fixed-point classes) without locks, and the work holds
 the GIL, so threads would only make the work done depend on timing.
 
 The basis suite proves the localizations of the basis monomials of a
-degree independent without eliminating them all: three facts read off the
-images by linear scans make the localizations without a G(i >= 1) factor
-triangular, so only the type-B rows go through a rank
+degree independent without eliminating them all: member's own peel map
+must send the top term of each localization without a G(i >= 1) factor
+back to its monomial and no term of the others to any, which makes the
+first triangular, so only the type-B rows go through a rank
 (independent_by_triangularity).
 
 The sw-oracle suite is not part of all: it recomputes the classes that
@@ -140,49 +141,32 @@ def _suite_seq(s, degrees):
     return _sweep(at_degree, degrees)
 
 
-def independent_by_triangularity(table, fms, images):
+def independent_by_triangularity(mo, fms, images):
     """True when images, the localizations of the basis monomials fms of one
     degree, are linearly independent; ContractViolation when the nonzero
     images do not share one degree.
 
-    Write s(t) = L + |J| for a term t = mu c_J e^L. Type A means no
-    G(i >= 1) factor, type B one such factor (BordismRing.member proves
-    the three facts for correct localizations). Three linear scans check:
-
-    - every type-A image is nonzero, and its top term, its largest int,
-      has s >= 0;
-    - the type-A tops are distinct;
-    - every term of a type-B image has s <= -1.
-
-    Given these, the images are independent exactly when the type-B ones
-    are, which one poly_rank decides. In a relation among the images, take
-    the largest top t of a type-A image in it: every other type-A image
-    in it lies at or below its own, smaller, top, and no type-B term has
-    t's s >= 0, so t occurs once and cannot cancel. A relation therefore
-    holds type-B images only. A failed fact fails the check.
+    Type A means no G(i >= 1) factor, type B one such factor. Through
+    member's peel map mo._topped (BordismRing.member proves that correct
+    localizations pass): the top term of each type-A image, its largest
+    int, must map to that image's monomial, and no term of a type-B image
+    may map to any. Then a relation can hold type-B images only: the
+    largest type-A top in it maps to one monomial, so it tops no other
+    image, lies above every term of the other type-A images and is no
+    type-B term, so it cannot cancel. One poly_rank over the type-B
+    images decides the rest. A failed fact fails the check.
     """
     check_same_degree(images)
-    shift, c_fields = table.e_shift, table.mask('c')
-    # |J| by the c fields of a term: terms share their c parts
-    sizes = {}
-
-    def s(m):
-        fields = m & c_fields
-        size = sizes.get(fields)
-        if size is None:
-            size = sizes[fields] = sum(x for _, x in table.exponents(fields))
-        return (m >> shift) + size
-
-    # the factors are sorted, so a G(i >= 1) factor comes last
-    type_a = [x.monos for fm, x in zip(fms, images) if not (fm.gammas and fm.gammas[-1][0])]
-    type_b = [x for fm, x in zip(fms, images) if fm.gammas and fm.gammas[-1][0]]
-    if not all(type_a):
-        return False
-    tops = [max(monos) for monos in type_a]
-    if len(set(tops)) < len(tops) or any(s(top) < 0 for top in tops):
-        return False
-    if any(s(m) >= 0 for x in type_b for m in x.monos):
-        return False
+    shift = mo.table.e_shift
+    type_b = []
+    for fm, x in zip(fms, images):
+        # the factors are sorted, so a G(i >= 1) factor comes last
+        if fm.gammas and fm.gammas[-1][0]:
+            if any(mo._topped(m) is not None for m in x.monos):
+                return False
+            type_b.append(x)
+        elif not x or mo._topped(max(x.monos)) != (fm.gammas, fm.coef + (fm.epow << shift)):
+            return False
     return poly_rank(type_b) == len(type_b)
 
 
@@ -196,7 +180,7 @@ def _suite_basis(s, degrees):
             x = mo.single(fm)
             images.append(mo.localize(x))
             idempotent = idempotent and mo.normal_form(x) == x
-        independent = independent_by_triangularity(s.table, fms, images)
+        independent = independent_by_triangularity(mo, fms, images)
         return [Check('basis: independence at degree %d' % d, independent,
                       '%d monomials' % len(fms)),
                 Check('basis: normal form fixes basis at degree %d' % d,
@@ -281,7 +265,7 @@ def _suite_cf(s, degrees):
         out.append(_counted('cf-exact: alpha o pt_class = underlying at degree %d' % d,
                             bad, len(exprs), 'expressions'))
         monos = geo.bundle_monomials(d)
-        rows = [geo.delta(p).support() for p in monos]
+        rows = [geo.delta(p).monos for p in monos]
         drank = rank_sets(rows)
         want = sum(s.coef.rank(d - 1 - j) for j in range(d))
         out.append(Check('cf-exact: delta surjects at degree %d' % d,

@@ -158,7 +158,7 @@ def test_7_boundary_exact_on_catalog(sess):
     ranks_ok = True
     for d in range(7):
         monos = geo.bundle_monomials(d)
-        drank = rank_sets([geo.delta(p).support() for p in monos])
+        drank = rank_sets([geo.delta(p).monos for p in monos])
         want = sum(coef.rank(d - 1 - j) for j in range(d))
         geo_fms = mo.basis_monomials(d, e_cap=0)
         images = [geo.phi(geo.manifold_for_basis(fm)) for fm in geo_fms]

@@ -1,9 +1,9 @@
 """The basis suite's independence check by triangularity, against one elimination.
 
 verify.independent_by_triangularity proves the localizations of the basis
-monomials of a degree independent from three facts, read off the images
-by linear scans, and one rank over the type-B images. The reference here
-eliminates every image, and recomputes the facts term by term from the
+monomials of a degree independent through member's peel map and one rank
+over the type-B images. The reference here eliminates every image, and
+recomputes the three facts the peel map stands for term by term from the
 decoded exponents.
 """
 
@@ -11,6 +11,7 @@ import pytest
 
 from bordcalc.errors import ContractViolation
 from bordcalc.gf2 import poly_rank
+from bordcalc.presentation import BordismRing
 from bordcalc.session import Session
 from bordcalc.verify import default_degree, independent_by_triangularity
 
@@ -44,7 +45,7 @@ def test_verdict_matches_one_elimination(cap):
     for d in range(default_degree(session, 'basis') + 1):
         fms, images = _basis(mo, d)
         assert _facts(table, fms, images) == (True, True, True), d
-        verdict = independent_by_triangularity(table, fms, images)
+        verdict = independent_by_triangularity(mo, fms, images)
         assert verdict == (poly_rank(images) == len(fms)) is True, d
 
 
@@ -60,7 +61,7 @@ def test_a_shared_type_a_top_fails_the_check(sess):
     assert _facts(sess.table, [first, second], images)[1] is False
     # the span is the same, so the rank is full; the failed fact still fails the check
     assert poly_rank(images) == 2
-    assert independent_by_triangularity(sess.table, [first, second], images) is False
+    assert independent_by_triangularity(mo, [first, second], images) is False
 
 
 def test_a_type_b_term_with_nonnegative_s_fails_the_check(sess):
@@ -71,7 +72,7 @@ def test_a_type_b_term_with_nonnegative_s_fails_the_check(sess):
     images[g13] = images[g13] + L.c(1) * L.c(3)
     assert _facts(sess.table, fms, images)[2] is False
     assert poly_rank(images) == len(fms)
-    assert independent_by_triangularity(sess.table, fms, images) is False
+    assert independent_by_triangularity(mo, fms, images) is False
 
 
 def test_an_image_of_another_degree_raises(sess):
@@ -79,4 +80,23 @@ def test_an_image_of_another_degree_raises(sess):
     fms, images = _basis(mo, 4)
     images[-1] = images[-1] + sess.coef.a(5) * L.e(-1)
     with pytest.raises(ContractViolation):
-        independent_by_triangularity(sess.table, fms, images)
+        independent_by_triangularity(mo, fms, images)
+
+
+def test_a_wrong_peel_map_fails_the_check(sess, monkeypatch):
+    mo = sess.mo
+    fms, images = _basis(mo, 6)
+    original, shift = BordismRing._topped, sess.table.e_shift
+
+    def without_e(self, m):
+        # the top of mu X_J e^k peeled to mu X_J e^(k-1) when k >= 1
+        piece = original(self, m)
+        if piece is None or not piece[1] >> shift:
+            return piece
+        return piece[0], piece[1] - (1 << shift)
+
+    monkeypatch.setattr(BordismRing, '_topped', without_e)
+    # the localizations are right: the facts hold and the rank is full
+    assert _facts(sess.table, fms, images) == (True, True, True)
+    assert poly_rank(images) == len(fms)
+    assert independent_by_triangularity(mo, fms, images) is False

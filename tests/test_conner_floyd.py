@@ -45,7 +45,7 @@ def test_free_module_elements(sess):
     assert x.to_text() == 'a2*s0 + s2'
     assert x + x == FreeBZ2Elem(table)
     # s_j is stored as c_j, and s_0 as 1: the support is the monomials a2 and c2
-    assert x.support() == (sess.coef.a(2) + sess.laurent.c(2)).monos
+    assert x.monos == (sess.coef.a(2) + sess.laurent.c(2)).monos
     with pytest.raises(ContractViolation):
         FreeBZ2Elem(table, {-1: one})
 

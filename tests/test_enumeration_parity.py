@@ -12,6 +12,9 @@ the benchmark's inputs. The reference runs in a session of its own, so its
 lists are kept apart from the library's.
 """
 
+from functools import cache
+from types import SimpleNamespace
+
 import pytest
 
 from bordcalc.errors import CapacityError
@@ -27,11 +30,15 @@ class _Reference:
     def __init__(self, cap):
         self.mo = Session(cap).mo
         self._x_cache = {}
+        # what fm_key reads of the table, each coefficient decoded once:
+        # the lists of one degree share their coefficients from one e cap
+        # to the next
+        self._sort_table = SimpleNamespace(exponents=cache(self.mo.table.exponents))
 
     def basis(self, d, e_cap):
         out = [FormalMonomial(coef, xs, k) for k in range(max(0, -d), e_cap + 1)
                for coef, xs in self.coef_and_xs(d + k, 2)] + self.type_b(d)
-        return sorted(out, key=lambda fm: fm_key(self.mo.table, fm))
+        return sorted(out, key=lambda fm: fm_key(self._sort_table, fm))
 
     def type_b(self, d):
         # one G(i, j), i >= 1, and X_n factors with n >= j, no e power

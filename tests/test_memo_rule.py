@@ -60,7 +60,7 @@ def test_stats_count_every_memo():
         ('mo', '_nf_cache'), ('mo', '_localize_cache'), ('mo', '_alpha_cache'),
         ('mo', '_alpha_gamma_cache'), ('mo', '_loc_gamma_cache'), ('mo', '_x_cache'),
         ('mo', '_basis_cache'), ('geometry', '_delta_cache'), ('geometry', '_fixed_cache'),
-        ('geometry', '_walk_cache'), ('table', '_monomials'), ('table', '_decoded'),
+        ('geometry', '_walk_cache'), ('table', '_monomials'), ('mo', '_c_cache'),
         ('mo', '_type_b_cache'), ('mo', '_coef_cache'), ('boardman', '_h'),
         ('geometry', '_pt_cache'), ('geometry', '_dict_cache'),
         ('geometry', '_manifold_cache'), ('geometry', '_catalog_cache')]} == {
@@ -68,7 +68,7 @@ def test_stats_count_every_memo():
         ('mo', '_alpha_gamma_cache'): 28, ('mo', '_loc_gamma_cache'): 32, ('mo', '_x_cache'): 28,
         ('mo', '_basis_cache'): 27, ('geometry', '_delta_cache'): 67,
         ('geometry', '_fixed_cache'): 52, ('geometry', '_walk_cache'): 157,
-        ('table', '_monomials'): 9, ('table', '_decoded'): 0, ('mo', '_type_b_cache'): 9,
+        ('table', '_monomials'): 9, ('mo', '_c_cache'): 77, ('mo', '_type_b_cache'): 9,
         ('mo', '_coef_cache'): 13, ('boardman', '_h'): 14, ('geometry', '_pt_cache'): 109,
         ('geometry', '_dict_cache'): 67, ('geometry', '_manifold_cache'): 115,
         ('geometry', '_catalog_cache'): 1}
@@ -86,7 +86,7 @@ def test_stats_count_every_memo():
             value = getattr(obj, name)
             assert isinstance(value, Memo) or not name.endswith('_cache'), name
             memos += isinstance(value, Memo)
-    assert memos == len(stats) == 30
+    assert memos == len(stats) == 29
 
 
 def test_stats_of_a_fresh_session():

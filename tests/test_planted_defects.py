@@ -78,6 +78,14 @@ def _loc_gamma_top_term(original):
     return patched
 
 
+def _c_part(original):
+    # each repeated X factor named once: c1^2 peels to X2, not X2*X2
+    def patched(self, fields):
+        c, xs = original(self, fields)
+        return c, tuple(dict.fromkeys(xs))
+    return patched
+
+
 def _generator(original):
     # h(a5) plus beta3*beta2, which names no coefficient monomial
     def patched(self, d):
@@ -169,6 +177,7 @@ ROWS = {
                                   {'basis', 'geomcomp', 'compare'}),
     's >= 0 term in loc(G(1,3))': (BordismRing, '_loc_gamma', _loc_gamma_top_term,
                                    {'basis', 'geomcomp', 'compare'}),
+    'peel map': (BordismRing, '_c_part', _c_part, {'basis'}),
     'h(a5)': (Boardman, '_generator', _generator,
               {'seq', 'basis', 'gamma', 'geomcomp', 'cf-exact', 'compare', 'sw-oracle'}),
     'dictionary': (Geometry, 'dictionary', _dictionary, {'geomcomp', 'compare'}),
