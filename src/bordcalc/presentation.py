@@ -51,7 +51,7 @@ from collections import namedtuple
 
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
-from .gf2 import (COEFFICIENT, LAURENT, Echelon, GradedPoly, MONO_ONE, Memo, ModulePoly,
+from .gf2 import (COEFFICIENT, LAURENT, GradedPoly, MONO_ONE, Memo, ModulePoly,
                   SparseSum, memo, mono_degree, parity, product_monos, sum_of_images)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
@@ -204,7 +204,7 @@ class BordismRing:
         # which gf2.sum_of_images fills, and normal forms, whose hits charge fuel
         self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
         self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
-        self._x_cache, self._basis_cache, self._window_cache = Memo(), Memo(), Memo()
+        self._x_cache, self._basis_cache = Memo(), Memo()
         self._type_b_cache, self._coef_cache = Memo(), Memo()
         self._c_fields = self.table.mask('c')
         self._c_cache = Memo()
@@ -498,15 +498,6 @@ class BordismRing:
         return tuple([new(FormalMonomial, (coef, gammas, k))
                       for gammas, k, v in blocks for coef in coefs[v]])
 
-    def _type_b(self, d):
-        """The type-B monomials of degree d, block by block, each block's
-        coefficients in the order of VarTable.monomials."""
-        # a type-B coefficient has degree at most d - 3
-        coefs = self.table.rows(self.coef.generators, max(d - 3, 0))[0]
-        new = tuple.__new__
-        return [new(FormalMonomial, (coef, gammas, 0)) for gammas, _, v in self._type_b_blocks(d)
-                for coef in coefs[v]]
-
     @memo('_type_b_cache')
     def _type_b_blocks(self, d):
         """The blocks (factors, 0, coefficient degree) of the type-B monomials of
@@ -533,63 +524,59 @@ class BordismRing:
         """Preimage of a Laurent class under localization, or None.
 
         A preimage is a class x of degree d in normal form, a sum of basis
-        monomials. Peel from the target every term that tops out a type-A
-        monomial, top level first, then solve what is left once against the
-        type-B monomials:
+        monomials. Localization is triangular on the basis once terms are
+        ordered by their number of c factors, so x comes off the target in
+        one peel, most c factors first:
 
-        - A type-A monomial (no G(i >= 1) factor) mu X_{n1}...X_{nr} e^k
-          localizes to mu e^k prod(c_{ni-1} e^-1 + e^-ni). Its top term
-          mu c_J e^L, J = (n1 - 1, ..., nr - 1) and L = k - r, has
-          L + |J| = k >= 0 and determines it; every other term lies
-          strictly lower, because ni >= 2. So each term mu c_J e^L with
-          L + |J| >= 0 is the top term of exactly one type-A monomial,
-          mu X_{J+1} e^{L+|J|}.
-        - No type-B monomial (one G(i, j) with i >= 1, no e) localizes to
-          such a term. Write s(t) = L + |J| for a term t = mu c_J e^L; s
-          adds under products. Each term of loc(X_n) = c_{n-1} e^-1 + e^-n
-          has s <= 0, and each term of loc(G(i, j)) = e^-1 (loc(G(i-1, j))
-          + alpha(G(i-1, j))), i >= 1, has s <= -1 by induction (alpha is
-          e-free and c-free, s = 0). So every term of a type-B localization
-          has s <= -1.
-        - Peel. At the highest level L holding a term with s >= 0, each such
-          term is the top of one type-A monomial of x: nothing else of
-          loc(x) reaches it, since any type-A monomial of x topping out
-          higher would leave a term with s >= 0 above L. Adding their
-          localizations clears those terms and changes only the levels
-          below L. This is reduction modulo a triangular family, so it
-          keeps the preimage: if the target is loc(x), the peeled
-          monomials are exactly the type-A part of x. A term of a degree-d
-          target has |J| <= sum J <= d + L, so s >= 0 needs L >= -d/2, and
-          the peel stops below -floor(d/2).
-        - Solve. What is left has no term with s >= 0, and what is left of
-          x is its type-B part: one solve against the localizations of
-          _type_b(d), eliminated once per degree and session. Localization
-          is injective on the basis, so a solution there together with the
-          peeled monomials is x. No solution means the target is not a
-          localization, since a solution would make it loc(peeled + solved).
+        - Count. Write a term mu c_J e^L with mu c-free; it has r = |J| c
+          factors. loc(X_n) = c_{n-1} e^-1 + e^-n has one term with a c
+          factor, and so does loc(G(i, j)) = c_{j-1} e^{-i-1} + e^{-i-j} +
+          sum_{k<i} alpha(G(k, j)) e^{k-i}, i >= 1, since alpha is c-free.
+          So the localization of a basis monomial, its coefficient and e
+          power times the product of its factors', has exactly one term
+          with the most c factors, the product of their c terms, and every
+          other term has fewer.
+        - Name. That term determines the monomial, and _topped reads it
+          back; write s = L + r. A type-A monomial (no G(i >= 1) factor)
+          mu X_{J+1} e^k names mu c_J e^{k-|J|}, with s = k >= 0. A type-B
+          one, mu G(i, j) X_{J'+1} with every X_n at n >= j and no e, names
+          mu c_{j-1} c_{J'} e^{-i-1-|J'|}, with s = -i < 0, r >= 1 and j - 1
+          its least c index. A c-free term with L < 0 names none.
+        - Peel. Take the residual's terms with the most c factors. If the
+          residual is loc(x'), those are the named terms of the monomials
+          of x' whose named term has that many c factors, and nothing else
+          of loc(x') reaches them: a monomial naming a term with more would
+          leave it in the residual. Adding their localizations clears them
+          and changes only terms with fewer c factors. This is reduction
+          modulo a triangular family, so it keeps the preimage: if the
+          target is loc(x), the peeled monomials are exactly x. A c-free
+          term mu e^L, L < 0, among those with the most c factors names no
+          monomial, so the target is no localization: these terms are what
+          is left of a non-member.
 
         The preimage is unique, so the answer does not depend on what was
-        asked before. The basis verify suite reads the same peel map,
-        _topped, off the localizations of the basis.
+        asked before. The basis verify suite checks the same two facts,
+        one term with the most c factors and _topped naming the monomial,
+        on the localizations of the basis.
 
         CoefRing.check_size, given size d and coefficient degree
         d + max(t0, -1) (d + t0 is the e-free degree of the target's top
         terms), refuses a target that no class the session admits
-        localizes to, before any peel or window build. An admitted term has
-        coefficient degree v at most max_degree and size (degree plus e
-        power) at most max_degree + 1, so its degree is at most
-        max_degree + 1. Localization keeps the coefficient's degree, gives
-        e^k e-free degree 0, and gives each X_n or G(i, n) factor e-free
-        degree at most its size minus 1 (loc_P(n) = c_{n-1} e^-1 + e^-n,
-        and by induction loc(G(i, n)) = e^-1 (loc(G(i-1, n)) +
-        alpha(G(i-1, n)))). So a term with r >= 1 factors localizes to
+        localizes to, before any peel. An admitted term has coefficient
+        degree v at most max_degree and size (degree plus e power) at most
+        max_degree + 1, so its degree is at most max_degree + 1.
+        Localization keeps the coefficient's degree, gives e^k e-free
+        degree 0, and gives each X_n or G(i, n) factor e-free degree at
+        most its size minus 1. So a term with r >= 1 factors localizes to
         e-free degree at most size - r <= max_degree, and a term with none
         to v <= max_degree. Hence d + t0 <= max_degree, and d - 1 <=
-        max_degree covers t0 < -1. A peeled monomial localizes into terms of
-        degree d at or below the level of the residual term it tops, which
-        is at most t0, so their e-free degree is at most d + t0; and the
-        type-B window at d asks for coefficients of degree at most d - 3.
-        Both stay inside the cap.
+        max_degree covers t0 < -1. A peeled type-A monomial localizes into
+        terms of degree d at or below the level of the term it names,
+        which is at most max(t0, -1), so their e-free degree is at most
+        d + max(t0, -1). A
+        type-B monomial of degree d <= max_degree + 1 has i <= d - 2 and
+        coefficient degree at most d - 3, and localizes below e^0, into
+        e-free degree at most d - 1. Both stay inside the cap.
         """
         # degree() refuses a mixed-degree target, and is None for zero
         d = self.table.admit(target, GradedPoly, LAURENT, 'the membership target').degree()
@@ -597,47 +584,54 @@ class BordismRing:
             return self.zero()
         t0 = target.max_inv_exp()
         self.coef.check_size('membership target of degree', d, d + max(t0, -1))
-        table = self.table
-        shift = table.e_shift
-        # below: the residual's terms under the level peeled, which a peel
-        # changes; kept: the terms above it that top no monomial
-        below, kept, pieces = set(target.monos), [], []
-        least = -(d // 2) << shift
-        while below and (top := max(below)) >= least:
-            floor = top >> shift << shift
-            tops = []
-            for m in list(filter(floor.__le__, below)):
-                piece = self._topped(m)
-                if piece is None:
-                    kept.append(m)
-                    below.remove(m)
+        # _c_cache read by hand, as VarTable.rows does: a call per term costs more
+        cache, fields = self._c_cache, self._c_fields
+        # the residual, each term with its number of c factors
+        residual, pieces, new = {}, [], target.monos
+        while True:
+            for m in new:
+                if m in residual:
+                    del residual[m]
+                    continue
+                part = cache.get(m & fields)
+                if part is None:
+                    part = self._c_part(m & fields)
                 else:
-                    tops.append(piece)
-            if tops:
-                # their localizations clear the peeled terms and change only lower levels
-                pieces += tops
-                below ^= self._evaluate(tops, self._localize_cache, self._loc_gamma).monos
-        cands, echelon = self._window(d)
-        flags = echelon.solve(below.union(kept))
-        if flags is None:
-            return None
+                    cache.hits += 1
+                residual[m] = len(part[1])
+            if not residual:
+                break
+            most = max(residual.values())
+            tops = [self._topped(m)[1] for m, r in residual.items() if r == most]
+            if None in tops:
+                return None
+            pieces += tops
+            # their localizations clear those terms and change only terms with fewer c factors
+            new = self._evaluate(tops, self._localize_cache, self._loc_gamma).monos
+        shift = self.table.e_shift
         low = (1 << shift) - 1
-        return Presentation(table, [FormalMonomial(rest & low, xs, rest >> shift)
-                                    for xs, rest in pieces]
-                            + [fm for fm, f in zip(cands, flags) if f])
+        return Presentation(self.table, [FormalMonomial(rest & low, xs, rest >> shift)
+                                         for xs, rest in pieces])
 
     def _topped(self, m):
-        """The type-A monomial whose localization tops out at the term m, or None.
+        """(r, the basis monomial whose localization has m as its one term with
+        the most c factors), m = mu c_J e^L having r = |J| c factors.
 
-        A term mu c_{j1}...c_{jr} e^L with L + r >= 0 is the top term of
-        mu X_{j1+1}...X_{jr+1} e^{L+r}; one with L + r < 0 tops none. The
-        monomial comes as localize reads it, (X factors, mu times e^{L+r}).
+        With s = L + r: when s >= 0, mu X_{J+1} e^s; when s < 0 and r >= 1,
+        mu G(-s, j) X_{J'+1}, j - 1 the least index in J and J' the rest;
+        when r = 0 and L < 0, None. The monomial comes as localize reads
+        it, (factors, mu times its e power).
         """
         shift = self.table.e_shift
         c, xs = self._c_part(m & self._c_fields)
-        if (m >> shift) + len(xs) < 0:
-            return None
-        return xs, m - c + (len(xs) << shift)
+        r = len(xs)
+        s = (m >> shift) + r
+        if s >= 0:
+            return r, (xs, m - c + (r << shift))
+        if not r:
+            return r, None
+        # the factors X_{j+1} come ascending, so G(-s, j) takes the first's place
+        return r, (xs[1:] + ((-s, xs[0][1]),), (m - c) & ((1 << shift) - 1))
 
     @memo('_c_cache')
     def _c_part(self, fields):
@@ -645,12 +639,3 @@ class BordismRing:
         table, j_of = self.table, self.table.subscripts['c']
         pairs = table.exponents(fields)
         return table.pack(pairs), tuple((0, j_of[i] + 1) for i, x in pairs for _ in range(x))
-
-    @memo('_window_cache')
-    def _window(self, d):
-        """The type-B monomials _type_b(d) with their localizations eliminated."""
-        cands = self._type_b(d)
-        images = [self.localize(self.single(fm)) for fm in cands]
-        if any(x and x.degree() != d for x in images):
-            raise ContractViolation('inputs are not homogeneous of one degree')
-        return cands, Echelon([x.monos for x in images])

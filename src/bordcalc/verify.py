@@ -9,10 +9,9 @@ Boardman tables, fixed-point classes) without locks, and the work holds
 the GIL, so threads would only make the work done depend on timing.
 
 The basis suite proves the localizations of the basis monomials of a
-degree independent without eliminating them all: member's own peel map
-must send the top term of each localization without a G(i >= 1) factor
-back to its monomial and no term of the others to any, which makes the
-first triangular, so only the type-B rows go through a rank
+degree independent without eliminating them: each must have exactly one
+term with the most c factors, and member's own peel map must send that
+term back to its monomial, which makes them triangular
 (independent_by_triangularity).
 
 The sw-oracle suite is not part of all: it recomputes the classes that
@@ -142,32 +141,40 @@ def _suite_seq(s, degrees):
 
 
 def independent_by_triangularity(mo, fms, images):
-    """True when images, the localizations of the basis monomials fms of one
-    degree, are linearly independent; ContractViolation when the nonzero
-    images do not share one degree.
+    """True when images, the localizations of the distinct basis monomials
+    fms of one degree, are linearly independent; ContractViolation when the
+    nonzero images do not share one degree.
 
-    Type A means no G(i >= 1) factor, type B one such factor. Through
-    member's peel map mo._topped (BordismRing.member proves that correct
-    localizations pass): the top term of each type-A image, its largest
-    int, must map to that image's monomial, and no term of a type-B image
-    may map to any. Then a relation can hold type-B images only: the
-    largest type-A top in it maps to one monomial, so it tops no other
-    image, lies above every term of the other type-A images and is no
-    type-B term, so it cannot cancel. One poly_rank over the type-B
-    images decides the rest. A failed fact fails the check.
+    Each image must have exactly one term with the most c factors, its
+    named term, and member's peel map mo._topped must send that term to the
+    image's monomial (BordismRing.member proves that correct localizations
+    pass). Then the images are independent. In a relation, the images
+    whose named term has the largest count have distinct named terms,
+    since _topped is a function and the monomials are distinct, and no
+    other term of the relation reaches them: each has fewer c factors. So
+    those terms cannot cancel. A failed fact fails the check.
     """
     check_same_degree(images)
     shift = mo.table.e_shift
-    type_b = []
+    # _c_cache read by hand, as VarTable.rows does: a call per term costs more
+    cache, fields = mo._c_cache, mo._c_fields
     for fm, x in zip(fms, images):
-        # the factors are sorted, so a G(i >= 1) factor comes last
-        if fm.gammas and fm.gammas[-1][0]:
-            if any(mo._topped(m) is not None for m in x.monos):
-                return False
-            type_b.append(x)
-        elif not x or mo._topped(max(x.monos)) != (fm.gammas, fm.coef + (fm.epow << shift)):
+        most, tops = -1, []
+        for m in x.monos:
+            part = cache.get(m & fields)
+            if part is None:
+                part = mo._c_part(m & fields)
+            else:
+                cache.hits += 1
+            r = len(part[1])
+            if r > most:
+                most, tops = r, [m]
+            elif r == most:
+                tops.append(m)
+        if len(tops) != 1 or mo._topped(tops[0])[1] != (fm.gammas,
+                                                         fm.coef + (fm.epow << shift)):
             return False
-    return poly_rank(type_b) == len(type_b)
+    return True
 
 
 def _suite_basis(s, degrees):

@@ -1,14 +1,13 @@
-"""The basis lists and the membership window against the code that built them before.
+"""The basis lists against the code that built them before.
 
 The basis lists used to be built monomial by monomial: the type-A and
 type-B monomials of a degree through one table lookup per X-factor tuple,
 each built through FormalMonomial's checks, and the whole list sorted by
 fm_key, one decoded coefficient per monomial. That code is kept below, as
 it was, as the reference. basis_monomials(d, e_cap) must give the same
-list, order included, for every (d, e_cap) that caps 16 and 24 admit, and
-_window(d) the same candidates in the same order: perfbench/workloads.py
-draws from the basis lists with a seeded rng, so their order is part of
-the benchmark's inputs. The reference runs in a session of its own, so its
+list, order included, for every (d, e_cap) that caps 16 and 24 admit:
+perfbench/workloads.py draws from the basis lists with a seeded rng, so
+their order is part of the benchmark's inputs. The reference runs in a session of its own, so its
 lists are kept apart from the library's.
 """
 
@@ -75,17 +74,3 @@ def test_basis_lists_match_the_reference(cap):
             assert mo.basis_monomials(d, e_cap) == ref.basis(d, e_cap), (d, e_cap)
         with pytest.raises(CapacityError):
             mo.basis_monomials(d, cap - d + 1)
-
-
-@pytest.mark.parametrize('cap', CAPS)
-def test_type_b_lists_match_the_reference(cap):
-    ref, mo = _Reference(cap), Session(cap).mo
-    for d in range(-2, cap + 3):
-        assert mo._type_b(d) == ref.type_b(d), d
-
-
-def test_window_candidates_match_the_reference():
-    ref, mo = _Reference(16), Session(16).mo
-    # the degrees tests/test_member_peel.py builds windows at
-    for d in range(-2, 13):
-        assert mo._window(d)[0] == ref.type_b(d), d

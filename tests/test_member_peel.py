@@ -1,10 +1,10 @@
-"""member's top-term peel against one solve over the whole window.
+"""member's peel by number of c factors against one solve over the whole window.
 
 The reference below is one Echelon over basis_monomials_window(d,
 max(t0, -1)), which holds every basis monomial of degree d that a class
-topping out at e^t0 can use. It never peels, so a level the peel reads
-off wrongly shows up as a different preimage, or as a member on one side
-and None on the other.
+topping out at e^t0 can use. It never peels, so a term the peel names
+wrongly shows up as a different preimage, or as a member on one side and
+None on the other.
 """
 
 import functools
@@ -24,15 +24,18 @@ TOPS = range(-1, 4)
 NONMEMBER_MAX_N = 10
 
 
+def _type_b(mo, d):
+    """The basis monomials of degree d with a G(i >= 1) factor."""
+    return [fm for fm in mo.basis_monomials(d, 0) if fm.gamma_factors()]
+
+
 def basis_monomials_window(mo, d, t_max):
     """Basis monomials of degree d that a class topping out at e^t_max can use.
 
     A monomial without a G(i >= 1) factor is taken when its top
     e-exponent, epow - #X, is at most t_max. Every type-B monomial is
-    taken: its localization lies in exponents <= -1. member peels every
-    type-A monomial off the target and solves against the type-B ones
-    alone; one solve over this window is the reference it is tested
-    against.
+    taken: its localization lies in exponents <= -1. One solve over this
+    window is the reference member's peel is tested against.
     """
     table, gens = mo.table, mo.coef.generators
     out = []
@@ -43,7 +46,7 @@ def basis_monomials_window(mo, d, t_max):
             for v in range(max(0, d - w), t_max + d - w + len(xs) + 1):
                 out.extend(FormalMonomial(coef, xs, v + w - d)
                            for coef in table.monomials(v, gens))
-    out.extend(mo._type_b(d))
+    out.extend(_type_b(mo, d))
     out.sort(key=lambda fm: fm_key(table, fm))
     return out
 
@@ -192,22 +195,30 @@ def _level_and_count(table, m):
 
 
 def test_no_type_b_localization_reaches_the_peeled_terms(sess):
-    # each term of loc(G(i, j)), i >= 1, has L + |J| <= -1, so every term
-    # the peel takes tops a type-A monomial
+    # each term of loc(G(i, j)), i >= 1, has L + |J| <= -1, so no type-B
+    # localization reaches a term that names a type-A monomial; its one
+    # term with the most c factors names it, G(i, j) by the least c index
     mo, table = sess.mo, sess.table
     terms = 0
     for d in range(13):
-        for fm in mo._type_b(d):
+        for fm in _type_b(mo, d):
+            counts = {}
             for m in mo.localize(mo.single(fm)).monos:
                 level, count = _level_and_count(table, m)
                 assert level + count <= -1, (fm, table.text(m))
+                assert mo._topped(m)[0] == count, (fm, table.text(m))
+                counts[m] = count
                 terms += 1
+            most = max(counts.values())
+            (top,) = [m for m, r in counts.items() if r == most]
+            assert mo._topped(top) == (most, (fm.gammas, fm.coef)), fm
     assert terms > 2000
 
 
 def test_every_type_a_monomial_is_peeled_off_its_top(sess):
     # mu X_{J+1} e^k localizes to a top term mu c_J e^(k-|J|), every other
-    # term strictly lower, and the peel maps that term back to it
+    # term strictly lower and with fewer c factors, and the peel maps that
+    # term back to it
     mo, table = sess.mo, sess.table
     e = table.units[table.invertible]
     seen = 0
@@ -219,21 +230,37 @@ def test_every_type_a_monomial_is_peeled_off_its_top(sess):
             top = max(image)
             level, count = _level_and_count(table, top)
             assert level + count == fm.epow >= 0, fm
-            assert all(m >> table.e_shift < level for m in image if m != top), fm
-            assert mo._topped(top) == (fm.gammas, fm.coef + fm.epow * e), fm
+            assert all(m >> table.e_shift < level and _level_and_count(table, m)[1] < count
+                       for m in image if m != top), fm
+            assert mo._topped(top) == (count, (fm.gammas, fm.coef + fm.epow * e)), fm
             seen += 1
     assert seen > 3000
 
 
-def test_the_window_holds_the_type_b_monomials_only():
+def test_member_of_a_type_a_and_a_type_b_monomial():
     mo = Session().mo
-    degrees = range(4, 13)
-    for d in degrees:
-        x = mo.e(1) * mo.X(d + 1) + mo.single(mo._type_b(d)[0])
+    for d in range(4, 13):
+        x = mo.e(1) * mo.X(d + 1) + mo.single(_type_b(mo, d)[0])
         assert mo.member(mo.localize(x)) == mo.normal_form(x)
-        assert mo._window_cache[d][0] == mo._type_b(d)
-    assert sorted(mo._window_cache) == list(degrees)
     # the candidates of degree 12: 519 in the window a one-solve member
-    # would need, 157 type-B ones in member's
+    # would need, 157 of them type B
     assert len(basis_monomials_window(mo, 12, -1)) == 519
-    assert len(mo._window_cache[12][0]) == 157
+    assert len(_type_b(mo, 12)) == 157
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentation_shapes())
+def test_a_c_free_term_below_e0_makes_a_non_member(shapes):
+    # mu*e^-k, mu c-free and k >= 1, names no basis monomial, so it is no
+    # localization, and neither is a localization plus it
+    session = _SHARED
+    mo, L = session.mo, session.laurent
+    factors, coef_degrees, epow = shapes[0]
+    d = sum(i + n for i, n in factors) + sum(coef_degrees) - epow
+    target = mo.localize(_sum_of_terms(session, shapes))
+    asked = 0
+    for k in range(1, d + 1):
+        for mu in session.coef.monomials_of_degree(d - k):
+            assert mo.member(target + mu * L.e(-k)) is None, (shapes, k, mu)
+            asked += 1
+    assert bool(asked) == (d >= 1)

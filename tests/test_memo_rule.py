@@ -86,7 +86,7 @@ def test_stats_count_every_memo():
             value = getattr(obj, name)
             assert isinstance(value, Memo) or not name.endswith('_cache'), name
             memos += isinstance(value, Memo)
-    assert memos == len(stats) == 29
+    assert memos == len(stats) == 28
 
 
 def test_stats_of_a_fresh_session():

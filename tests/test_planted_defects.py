@@ -86,6 +86,17 @@ def _c_part(original):
     return patched
 
 
+def _topped(original):
+    # the type-B branch naming G(i + 1, j) where it should name G(i, j)
+    def patched(self, m):
+        r, piece = original(self, m)
+        if piece is None or not piece[0] or not piece[0][-1][0]:
+            return r, piece
+        i, j = piece[0][-1]
+        return r, (piece[0][:-1] + ((i + 1, j),), piece[1])
+    return patched
+
+
 def _generator(original):
     # h(a5) plus beta3*beta2, which names no coefficient monomial
     def patched(self, d):
@@ -178,6 +189,7 @@ ROWS = {
     's >= 0 term in loc(G(1,3))': (BordismRing, '_loc_gamma', _loc_gamma_top_term,
                                    {'basis', 'geomcomp', 'compare'}),
     'peel map': (BordismRing, '_c_part', _c_part, {'basis'}),
+    'type-B peel map': (BordismRing, '_topped', _topped, {'basis'}),
     'h(a5)': (Boardman, '_generator', _generator,
               {'seq', 'basis', 'gamma', 'geomcomp', 'cf-exact', 'compare', 'sw-oracle'}),
     'dictionary': (Geometry, 'dictionary', _dictionary, {'geomcomp', 'compare'}),

@@ -299,17 +299,16 @@ def test_member(sess):
 
 def test_member_non_member_inside_the_cap(sess):
     # degree 12, top exponent 1: e-free degree 13 at the top, inside the
-    # cap 16; member peels e^1, and the window of degree 12 finds
-    # no preimage of what is left
+    # cap 16; member peels a5*X9*e^2 and a5*X7, and a5*e^-7, which names
+    # no basis monomial, is left
     target = parse_laurent('a5*c8*e + a5*c6*e^-1 + a5*e^-7', sess.laurent)
     assert sess.mo.member(target) is None
 
 
-def _window_questions(session):
-    # members and non-members of degree 3 topping out at e^-1, e^0 and e^1:
-    # member peels the tops 0 and 1, and all of them share the one window
-    # of degree 3; a non-member adds mu*c_{n-1}*e^-1 with a nonzero
-    # boundary of mu*b_n
+def _degree_3_questions(session):
+    # members and non-members of degree 3 topping out at e^-1, e^0 and e^1,
+    # which share the localizations of the basis monomials of degree 3; a
+    # non-member adds mu*c_{n-1}*e^-1 with a nonzero boundary of mu*b_n
     mo, L, geo = session.mo, session.laurent, session.geometry
 
     def non_member(d):
@@ -331,16 +330,15 @@ def _window_questions(session):
 
 def test_member_answers_do_not_depend_on_history():
     fresh = Session()
-    questions = _window_questions(fresh)
+    questions = _degree_3_questions(fresh)
     assert [(t.degree(), max(t.max_inv_exp(), -1)) for t, _ in questions[::4]] == [
         (3, -1), (3, 0), (3, 1)]
     for _ in range(2):
-        # fresh, then warmed at the same window
+        # fresh, then warmed at the same degree
         assert [fresh.mo.member(t) for t, _ in questions] == [
             want for _, want in questions]
-        assert list(fresh.mo._window_cache) == [3]
     other = Session()
-    questions = _window_questions(other)
+    questions = _degree_3_questions(other)
     assert [other.mo.member(t) for t, _ in reversed(questions)] == [
         want for _, want in reversed(questions)]
 
@@ -360,7 +358,8 @@ def test_member_past_the_cap_builds_no_window():
     s = Session()
     with pytest.raises(CapacityError, match='membership target'):
         s.mo.member(parse_laurent('c16*c1', s.laurent))
-    assert s.mo._window_cache == {}
+    # refused before any term is counted
+    assert s.mo._c_cache == {}
 
 
 def test_member_recovers_every_basis_monomial(sess):
