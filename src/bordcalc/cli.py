@@ -443,7 +443,10 @@ def _describe_inputs(session, args, expr):
         return {'suite': args.suite,
                 'degree': default_degree(session, args.suite) if degree is None else degree}
     if args.command == 'basis-table':
-        return {'min': args.dmin, 'max': args.dmax}
+        inputs = {'min': args.dmin, 'max': args.dmax}
+        if args.e_cap is not None:
+            inputs['e_cap'] = args.e_cap
+        return inputs
     inputs = {'expr': expr}
     if args.command == 'charnum' and args.ref:
         inputs['ref'] = args.ref

@@ -185,6 +185,15 @@ class QuotientElem(ModulePoly):
     least = 1
 
 
+def _named(xs, s):
+    """(factors, e power) of the basis monomial that the X-factor tuple xs,
+    n ascending, names at level s: X_{J+1} e^s when s >= 0, and when s < 0
+    G(-s, j) X_{J'+1}, the first factor X_j giving its place to G(-s, j)."""
+    if s >= 0:
+        return xs, s
+    return xs[1:] + ((-s, xs[0][1]),), 0
+
+
 def _fuel(fuel):
     """fuel, a rewrite step budget, unless it is negative."""
     if fuel < 0:
@@ -204,8 +213,7 @@ class BordismRing:
         # which gf2.sum_of_images fills, and normal forms, whose hits charge fuel
         self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
         self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
-        self._x_cache, self._basis_cache = Memo(), Memo()
-        self._type_b_cache, self._coef_cache = Memo(), Memo()
+        self._x_cache, self._basis_cache, self._coef_cache = Memo(), Memo(), Memo()
         self._c_fields = self.table.mask('c')
         self._c_cache = Memo()
 
@@ -487,26 +495,21 @@ class BordismRing:
 
     @memo('_basis_cache')
     def _basis(self, d, e_cap):
-        # blocks (factors, e power, coefficient degree): type A, then type B;
-        # sorted blocks with their coefficients sorted give the order of fm_key
-        blocks = [(xs, k, d + k - w) for k in range(max(0, -d), e_cap + 1)
-                  for w in range(d + k + 1) for xs in self._x_factors(w, 2)]
-        blocks += self._type_b_blocks(d)
+        # the peel map names the basis: the X-factor tuple xs = X_{J+1} of
+        # degree w at level s names _named(xs, s), the one basis monomial whose
+        # localization has mu c_J e^{s-|J|} as its term with the most c factors,
+        # and every basis monomial is named so once. Its coefficient degree
+        # d - w + s is >= 0, and with no xs, s is too. Sorted blocks (factors,
+        # e power, coefficient degree) with their coefficients sorted give the
+        # order of fm_key
+        blocks = [(*_named(xs, s), d - w + s) for w in range(d + e_cap + 1)
+                  for xs in self._x_factors(w)
+                  for s in range(w - d if xs else max(w - d, 0), e_cap + 1)]
         blocks.sort()
         coefs = [self._sorted_coefs(v) for v in range(d + e_cap + 1)]
         new = tuple.__new__
         return tuple([new(FormalMonomial, (coef, gammas, k))
                       for gammas, k, v in blocks for coef in coefs[v]])
-
-    @memo('_type_b_cache')
-    def _type_b_blocks(self, d):
-        """The blocks (factors, 0, coefficient degree) of the type-B monomials of
-        degree d, by j, i and X factors: one G(i, j), i >= 1, and X_n factors
-        with n >= j, no e power."""
-        return tuple((xs + ((i, j),), 0, d - i - j - w)
-                     for j in range(2, min(d - 1, self.coef.max_degree + 1) + 1)
-                     for i in range(1, d - j + 1)
-                     for w in range(d - i - j + 1) for xs in self._x_factors(w, j))
 
     @memo('_coef_cache')
     def _sorted_coefs(self, v):
@@ -514,11 +517,11 @@ class BordismRing:
         return sorted(self.table.monomials(v, self.coef.generators), key=self.table.exponents)
 
     @memo('_x_cache')
-    def _x_factors(self, w, least):
-        """The factor tuples X_n..., each n >= least, of total degree w, n ascending."""
+    def _x_factors(self, w):
+        """The factor tuples X_n... of total degree w, n ascending."""
         table, n_of = self.table, self.table.subscripts['X']
         return tuple(tuple((0, n_of[i]) for i, x in table.exponents(m) for _ in range(x))
-                     for m in table.monomials(w, tuple(i for i, n in n_of.items() if n >= least)))
+                     for m in table.monomials(w, tuple(n_of)))
 
     def member(self, target):
         """Preimage of a Laurent class under localization, or None.
@@ -541,7 +544,9 @@ class BordismRing:
           mu X_{J+1} e^k names mu c_J e^{k-|J|}, with s = k >= 0. A type-B
           one, mu G(i, j) X_{J'+1} with every X_n at n >= j and no e, names
           mu c_{j-1} c_{J'} e^{-i-1-|J'|}, with s = -i < 0, r >= 1 and j - 1
-          its least c index. A c-free term with L < 0 names none.
+          its least c index. A c-free term with L < 0 names none. _named
+          states this rule once, from X_{J+1} and s, and _basis enumerates
+          the basis by it.
         - Peel. Take the residual's terms with the most c factors. If the
           residual is loc(x'), those are the named terms of the monomials
           of x' whose named term has that many c factors, and nothing else
@@ -584,54 +589,50 @@ class BordismRing:
             return self.zero()
         t0 = target.max_inv_exp()
         self.coef.check_size('membership target of degree', d, d + max(t0, -1))
-        # _c_cache read by hand, as VarTable.rows does: a call per term costs more
-        cache, fields = self._c_cache, self._c_fields
-        # the residual, each term with its number of c factors
-        residual, pieces, new = {}, [], target.monos
-        while True:
-            for m in new:
-                if m in residual:
-                    del residual[m]
-                    continue
-                part = cache.get(m & fields)
-                if part is None:
-                    part = self._c_part(m & fields)
-                else:
-                    cache.hits += 1
-                residual[m] = len(part[1])
-            if not residual:
-                break
-            most = max(residual.values())
-            tops = [self._topped(m)[1] for m, r in residual.items() if r == most]
+        residual, pieces = target.monos, []
+        while residual:
+            tops = [self._topped(m) for m in self._most_c(residual)]
             if None in tops:
                 return None
             pieces += tops
             # their localizations clear those terms and change only terms with fewer c factors
-            new = self._evaluate(tops, self._localize_cache, self._loc_gamma).monos
+            residual ^= self._evaluate(tops, self._localize_cache, self._loc_gamma).monos
         shift = self.table.e_shift
         low = (1 << shift) - 1
         return Presentation(self.table, [FormalMonomial(rest & low, xs, rest >> shift)
                                          for xs, rest in pieces])
 
-    def _topped(self, m):
-        """(r, the basis monomial whose localization has m as its one term with
-        the most c factors), m = mu c_J e^L having r = |J| c factors.
+    def _most_c(self, monos):
+        """The terms among monos with the most c factors."""
+        # _c_cache read by hand, as VarTable.rows does: a call per term costs more
+        cache, fields = self._c_cache, self._c_fields
+        most, tops = -1, []
+        for m in monos:
+            part = cache.get(m & fields)
+            if part is None:
+                part = self._c_part(m & fields)
+            else:
+                cache.hits += 1
+            r = len(part[1])
+            if r > most:
+                most, tops = r, [m]
+            elif r == most:
+                tops.append(m)
+        return tops
 
-        With s = L + r: when s >= 0, mu X_{J+1} e^s; when s < 0 and r >= 1,
-        mu G(-s, j) X_{J'+1}, j - 1 the least index in J and J' the rest;
-        when r = 0 and L < 0, None. The monomial comes as localize reads
-        it, (factors, mu times its e power).
+    def _topped(self, m):
+        """The basis monomial whose localization has m as its one term with the
+        most c factors, or None: m = mu c_J e^L names _named(X_{J+1}, L + |J|),
+        and a c-free m with L < 0 names none. The monomial comes as localize
+        reads it, (factors, mu times its e power).
         """
         shift = self.table.e_shift
         c, xs = self._c_part(m & self._c_fields)
-        r = len(xs)
-        s = (m >> shift) + r
-        if s >= 0:
-            return r, (xs, m - c + (r << shift))
-        if not r:
-            return r, None
-        # the factors X_{j+1} come ascending, so G(-s, j) takes the first's place
-        return r, (xs[1:] + ((-s, xs[0][1]),), (m - c) & ((1 << shift) - 1))
+        s = (m >> shift) + len(xs)
+        if s < 0 and not xs:
+            return None
+        xs, k = _named(xs, s)
+        return xs, ((m - c) & ((1 << shift) - 1)) + (k << shift)
 
     @memo('_c_cache')
     def _c_part(self, fields):

@@ -10,9 +10,9 @@ the GIL, so threads would only make the work done depend on timing.
 
 The basis suite proves the localizations of the basis monomials of a
 degree independent without eliminating them: each must have exactly one
-term with the most c factors, and member's own peel map must send that
-term back to its monomial, which makes them triangular
-(independent_by_triangularity).
+term with the most c factors, found by the scan member's peel takes
+(BordismRing._most_c), and member's own peel map must send that term back
+to its monomial, which makes them triangular (independent_by_triangularity).
 
 The sw-oracle suite is not part of all: it recomputes the classes that
 delta, underlying (the torus among them) and alpha read off the Boardman
@@ -145,34 +145,21 @@ def independent_by_triangularity(mo, fms, images):
     fms of one degree, are linearly independent; ContractViolation when the
     nonzero images do not share one degree.
 
-    Each image must have exactly one term with the most c factors, its
-    named term, and member's peel map mo._topped must send that term to the
-    image's monomial (BordismRing.member proves that correct localizations
-    pass). Then the images are independent. In a relation, the images
-    whose named term has the largest count have distinct named terms,
-    since _topped is a function and the monomials are distinct, and no
-    other term of the relation reaches them: each has fewer c factors. So
-    those terms cannot cancel. A failed fact fails the check.
+    Each image must have exactly one term with the most c factors by
+    member's scan mo._most_c, its named term, and member's peel map
+    mo._topped must send that term to the image's monomial
+    (BordismRing.member proves that correct localizations pass). Then the
+    images are independent. In a relation, the images whose named term
+    has the largest count have distinct named terms, since _topped is a
+    function and the monomials are distinct, and no other term of the
+    relation reaches them: each has fewer c factors. So those terms
+    cannot cancel. A failed fact fails the check.
     """
     check_same_degree(images)
     shift = mo.table.e_shift
-    # _c_cache read by hand, as VarTable.rows does: a call per term costs more
-    cache, fields = mo._c_cache, mo._c_fields
     for fm, x in zip(fms, images):
-        most, tops = -1, []
-        for m in x.monos:
-            part = cache.get(m & fields)
-            if part is None:
-                part = mo._c_part(m & fields)
-            else:
-                cache.hits += 1
-            r = len(part[1])
-            if r > most:
-                most, tops = r, [m]
-            elif r == most:
-                tops.append(m)
-        if len(tops) != 1 or mo._topped(tops[0])[1] != (fm.gammas,
-                                                         fm.coef + (fm.epow << shift)):
+        tops = mo._most_c(x.monos)
+        if len(tops) != 1 or mo._topped(tops[0]) != (fm.gammas, fm.coef + (fm.epow << shift)):
             return False
     return True
 

@@ -731,6 +731,18 @@ def test_basis_table(capsys):
     assert code == 2
 
 
+def test_basis_table_json_reports_its_e_cap(capsys):
+    # the two calls list 3 and 23 monomials: their inputs must tell them apart
+    reports = {}
+    for extra in ((), ('--e-cap', '1')):
+        code, out = run(capsys, 'basis-table', '--min', '2', '--max', '2', '--json', *extra)
+        assert code == 0
+        reports[extra] = json.loads(out)
+    assert reports[()]['inputs'] == {'min': 2, 'max': 2}
+    assert reports[('--e-cap', '1')]['inputs'] == {'min': 2, 'max': 2, 'e_cap': 1}
+    assert [len(r['outputs']['table']['2']) for r in reports.values()] == [23, 3]
+
+
 def test_stdin_batch(capsys, monkeypatch):
     monkeypatch.setattr('sys.stdin', io.StringIO('e*G(1,2)\n\nX2^2\n'))
     code = main(['nf'])

@@ -10,6 +10,7 @@ None on the other.
 import functools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +43,7 @@ def basis_monomials_window(mo, d, t_max):
     # type A: coefficient degree v, X factors of degree w, e power
     # v + w - d >= 0, top e-exponent v + w - d - #X; each X_n has n >= 2
     for w in range(2 * (t_max + d) + 1):
-        for xs in mo._x_factors(w, 2):
+        for xs in mo._x_factors(w):
             for v in range(max(0, d - w), t_max + d - w + len(xs) + 1):
                 out.extend(FormalMonomial(coef, xs, v + w - d)
                            for coef in table.monomials(v, gens))
@@ -202,16 +203,17 @@ def test_no_type_b_localization_reaches_the_peeled_terms(sess):
     terms = 0
     for d in range(13):
         for fm in _type_b(mo, d):
+            image = mo.localize(mo.single(fm)).monos
             counts = {}
-            for m in mo.localize(mo.single(fm)).monos:
+            for m in image:
                 level, count = _level_and_count(table, m)
                 assert level + count <= -1, (fm, table.text(m))
-                assert mo._topped(m)[0] == count, (fm, table.text(m))
                 counts[m] = count
                 terms += 1
             most = max(counts.values())
             (top,) = [m for m, r in counts.items() if r == most]
-            assert mo._topped(top) == (most, (fm.gammas, fm.coef)), fm
+            assert mo._most_c(image) == [top], fm
+            assert mo._topped(top) == (fm.gammas, fm.coef), fm
     assert terms > 2000
 
 
@@ -232,7 +234,8 @@ def test_every_type_a_monomial_is_peeled_off_its_top(sess):
             assert level + count == fm.epow >= 0, fm
             assert all(m >> table.e_shift < level and _level_and_count(table, m)[1] < count
                        for m in image if m != top), fm
-            assert mo._topped(top) == (count, (fm.gammas, fm.coef + fm.epow * e)), fm
+            assert mo._most_c(image) == [top], fm
+            assert mo._topped(top) == (fm.gammas, fm.coef + fm.epow * e), fm
             seen += 1
     assert seen > 3000
 
@@ -264,3 +267,27 @@ def test_a_c_free_term_below_e0_makes_a_non_member(shapes):
             assert mo.member(target + mu * L.e(-k)) is None, (shapes, k, mu)
             asked += 1
     assert bool(asked) == (d >= 1)
+
+
+@pytest.mark.parametrize('cap', [16, 24])
+def test_the_basis_is_the_peel_maps_image(cap):
+    # every a,c Laurent term of degree d names at most one basis monomial,
+    # and those with e power <= e_cap are exactly basis_monomials(d, e_cap):
+    # a route through _topped alone, none of _basis's blocks
+    session = Session(cap)
+    mo, table = session.mo, session.table
+    shift, e = table.e_shift, table.units[table.invertible]
+    low = (1 << shift) - 1
+    variables = session.coef.generators + tuple(table.family['c'].values())
+    for d in range(-4, 13):
+        for e_cap in (0, 2, 4):
+            named = []
+            # a term of e-free degree t has e power t - d
+            for t in range(max(d + e_cap + 1, 0)):
+                for m in table.monomials(t, variables):
+                    piece = mo._topped(m + (t - d) * e)
+                    if piece is not None and piece[1] >> shift <= e_cap:
+                        xs, rest = piece
+                        named.append(FormalMonomial(rest & low, xs, rest >> shift))
+            named.sort(key=lambda fm: fm_key(table, fm))
+            assert named == mo.basis_monomials(d, e_cap), (cap, d, e_cap)

@@ -61,17 +61,16 @@ def test_stats_count_every_memo():
         ('mo', '_alpha_gamma_cache'), ('mo', '_loc_gamma_cache'), ('mo', '_x_cache'),
         ('mo', '_basis_cache'), ('geometry', '_delta_cache'), ('geometry', '_fixed_cache'),
         ('geometry', '_walk_cache'), ('table', '_monomials'), ('mo', '_c_cache'),
-        ('mo', '_type_b_cache'), ('mo', '_coef_cache'), ('boardman', '_h'),
-        ('geometry', '_pt_cache'), ('geometry', '_dict_cache'),
-        ('geometry', '_manifold_cache'), ('geometry', '_catalog_cache')]} == {
+        ('mo', '_coef_cache'), ('boardman', '_h'), ('geometry', '_pt_cache'),
+        ('geometry', '_dict_cache'), ('geometry', '_manifold_cache'),
+        ('geometry', '_catalog_cache')]} == {
         ('mo', '_nf_cache'): 111, ('mo', '_localize_cache'): 118, ('mo', '_alpha_cache'): 63,
-        ('mo', '_alpha_gamma_cache'): 28, ('mo', '_loc_gamma_cache'): 32, ('mo', '_x_cache'): 28,
+        ('mo', '_alpha_gamma_cache'): 28, ('mo', '_loc_gamma_cache'): 32, ('mo', '_x_cache'): 13,
         ('mo', '_basis_cache'): 27, ('geometry', '_delta_cache'): 67,
         ('geometry', '_fixed_cache'): 52, ('geometry', '_walk_cache'): 157,
-        ('table', '_monomials'): 9, ('mo', '_c_cache'): 77, ('mo', '_type_b_cache'): 9,
-        ('mo', '_coef_cache'): 13, ('boardman', '_h'): 14, ('geometry', '_pt_cache'): 109,
-        ('geometry', '_dict_cache'): 67, ('geometry', '_manifold_cache'): 115,
-        ('geometry', '_catalog_cache'): 1}
+        ('table', '_monomials'): 4, ('mo', '_c_cache'): 77, ('mo', '_coef_cache'): 13,
+        ('boardman', '_h'): 14, ('geometry', '_pt_cache'): 109, ('geometry', '_dict_cache'): 67,
+        ('geometry', '_manifold_cache'): 115, ('geometry', '_catalog_cache'): 1}
     # a sweep reuses what it kept
     assert all(hits for key, (n, hits) in stats.items() if n)
     # hits are as deterministic as entries
@@ -86,7 +85,7 @@ def test_stats_count_every_memo():
             value = getattr(obj, name)
             assert isinstance(value, Memo) or not name.endswith('_cache'), name
             memos += isinstance(value, Memo)
-    assert memos == len(stats) == 28
+    assert memos == len(stats) == 27
 
 
 def test_stats_of_a_fresh_session():

@@ -10,7 +10,7 @@ written down. Every suite must be some row's.
 
 import pytest
 
-from bordcalc import charnum
+from bordcalc import charnum, presentation
 from bordcalc.boardman import Boardman
 from bordcalc.conner_floyd import Geometry
 from bordcalc.gf2 import GradedPoly
@@ -89,11 +89,20 @@ def _c_part(original):
 def _topped(original):
     # the type-B branch naming G(i + 1, j) where it should name G(i, j)
     def patched(self, m):
-        r, piece = original(self, m)
+        piece = original(self, m)
         if piece is None or not piece[0] or not piece[0][-1][0]:
-            return r, piece
+            return piece
         i, j = piece[0][-1]
-        return r, (piece[0][:-1] + ((i + 1, j),), piece[1])
+        return piece[0][:-1] + ((i + 1, j),), piece[1]
+    return patched
+
+
+def _named(original):
+    # G(-s, j) named by the last X factor, not the first: the basis lists change with the peel
+    def patched(xs, s):
+        if s >= 0:
+            return original(xs, s)
+        return xs[:-1] + ((-s, xs[-1][1]),), 0
     return patched
 
 
@@ -190,6 +199,7 @@ ROWS = {
                                    {'basis', 'geomcomp', 'compare'}),
     'peel map': (BordismRing, '_c_part', _c_part, {'basis'}),
     'type-B peel map': (BordismRing, '_topped', _topped, {'basis'}),
+    'naming rule': (presentation, '_named', _named, {'basis'}),
     'h(a5)': (Boardman, '_generator', _generator,
               {'seq', 'basis', 'gamma', 'geomcomp', 'cf-exact', 'compare', 'sw-oracle'}),
     'dictionary': (Geometry, 'dictionary', _dictionary, {'geomcomp', 'compare'}),
