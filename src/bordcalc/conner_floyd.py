@@ -188,7 +188,7 @@ class Geometry:
                            for idx, i in table.subscripts['b'].items()}
         self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
         self._b_fields = table.mask('b')
-        # keyed by the b fields of a monomial, as gf2.sum_of_images keeps images
+        # keyed by the b fields of a monomial, as gf2.map_monos keeps images
         self._delta_cache, self._fixed_cache, self._dict_cache = Memo(), Memo(), Memo()
         # keyed by expression, formal monomial and dimension
         self._walk_cache, self._pt_cache = Memo(), Memo()

@@ -42,12 +42,12 @@ once and then solves for any number of targets.
 The pieces every GF(2) sum in the package shares live here too: the
 session's alphabet (standard_table), the sum core SparseSum (polynomials
 and presentations differ only in their kind of monomial), parity (the
-monomials of a product, duplicates cancelled), sum_of_images (a map that
-keeps the image of each part of a monomial it acts on: localize and
-alpha) and map_monos (the same for the parts under a mask, its loop
-written out once more, keyed by each monomial's fields: the Laurent
-ring's clearing maps, delta, underlying and dictionary), square-and-multiply
-powers, the one partition enumerator (VarTable.monomials: the monomials of a
+monomials of a product, duplicates cancelled), map_monos (a map that
+keeps the image of the part of a monomial under a mask, keyed by its
+fields: the Laurent ring's clearing maps, delta, underlying and
+dictionary), keep (the entry format of those images, which localize
+and alpha fill too, keyed by G factors), square-and-multiply powers,
+the one partition enumerator (VarTable.monomials: the monomials of a
 degree in chosen variables, read off VarTable.rows, the rows by degree of
 a variable tuple and of its suffixes, kept as one entry per tuple and
 grown in place), and free N_* modules as polynomials linear
@@ -329,47 +329,19 @@ def product_monos(rows, cols, mul=operator.add):
     return odd
 
 
-def sum_of_images(table, pieces, cache, image):
-    """The monomials of the sum over (key, m) in pieces of image(key) * (m / part), a frozenset.
-
-    image(key) gives (part, monos): the factor of m that key names, and the
-    monomials of its image. cache, a Memo, keeps them by key, with the image's
-    largest e-free degree less part's, so each image is computed once per
-    cache and each piece costs one shift. Every shift is checked against
-    the limit, since a rest of large degree can carry a kept image past it:
-    a product of valid monomials overflows exactly when their e-free
-    degrees add up past the limit.
-    """
-    efree, limit = table.efree_mask, table.limit
-    odd = set()
-    for key, m in pieces:
-        entry = cache.get(key)
-        if entry is None:
-            entry = _keep(table, cache, key, *image(key))
-        else:
-            cache.hits += 1
-        part, value, top = entry
-        if (m & efree) + top > limit:
-            raise table.overflow()
-        rest = m - part
-        # an image has no repeats, and a shift keeps it so
-        odd ^= {v + rest for v in value}
-    return frozenset(odd)
-
-
 def map_monos(table, monos, mask, cache, image):
-    """sum_of_images for a map acting on the fields of mask, kept by those fields:
-    m goes to image(part) * (m / part), part the monomial of m's fields.
+    """The image of monos under a map acting on the fields of mask, a
+    frozenset: m goes to image(part) * (m / part), part the monomial of m's
+    fields, for the Laurent ring's clearing maps, delta, underlying and
+    dictionary.
 
-    Its users are the Laurent ring's clearing maps, delta, underlying and
-    dictionary. This is sum_of_images' loop written out a second time,
-    over the monomials themselves: the key m & mask is taken in the loop,
-    so a call builds no (key, monomial) pairs and no closure that packs
-    the part. It pays: a call through sum_of_images costs about 0.4 us
-    more, and a degree-8 verify sweep made about 1,350 calls of two terms
-    each through the first three, so the loop written out took 1.6% off
-    perfbench's verify-d8 query_p50_ms, in 10 of 10 alternating pairs
-    (BENCH_33.json, levers)."""
+    cache, a Memo, keeps each image by those fields as keep's entries, so
+    it is computed once per cache and each monomial costs one shift. Every
+    shift is checked against the limit, since a rest of large degree can
+    carry a kept image past it: a product of valid monomials overflows
+    exactly when their e-free degrees add up past the limit.
+    BordismRing._evaluate, the loop of alpha and localize, keys the same
+    entries by G factors instead."""
     efree, limit = table.efree_mask, table.limit
     odd = set()
     for m in monos:
@@ -378,7 +350,7 @@ def map_monos(table, monos, mask, cache, image):
         if entry is None:
             # a packed monomial is its fields plus its degree
             part = table.pack(table.exponents(fields))
-            entry = _keep(table, cache, fields, part, image(part))
+            entry = keep(table, cache, fields, part, image(part))
         else:
             cache.hits += 1
         part, value, top = entry
@@ -389,7 +361,7 @@ def map_monos(table, monos, mask, cache, image):
     return frozenset(odd)
 
 
-def _keep(table, cache, key, part, monos):
+def keep(table, cache, key, part, monos):
     """The entry cache keeps under key: part, the image monos as a tuple (less
     memory than its set) and their largest e-free degree less part's."""
     monos, efree = tuple(monos), table.efree_mask

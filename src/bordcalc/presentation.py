@@ -52,7 +52,7 @@ from collections import namedtuple
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
 from .gf2 import (COEFFICIENT, LAURENT, GradedPoly, MONO_ONE, Memo, ModulePoly,
-                  SparseSum, memo, mono_degree, parity, product_monos, sum_of_images)
+                  SparseSum, keep, memo, mono_degree, parity, product_monos)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -210,7 +210,7 @@ class BordismRing:
         self.table = laurent.table
         self.fuel = _fuel(fuel)
         # alpha's and localize's images of a product of G factors, by the factors,
-        # which gf2.sum_of_images fills, and normal forms, whose hits charge fuel
+        # which _evaluate fills, and normal forms, whose hits charge fuel
         self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
         self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
         self._x_cache, self._basis_cache, self._coef_cache = Memo(), Memo(), Memo()
@@ -236,13 +236,15 @@ class BordismRing:
         return self.G(0, n)
 
     def G(self, i, n):
-        """Gamma^i(X_n); zero when n = 1."""
+        """Gamma^i(X_n); zero when n = 1. Its size i + n passes the cap rule."""
         if i < 0 or n < 1:
             raise ContractViolation('G(i, n) needs i >= 0 and n >= 1')
         if n > self.coef.max_degree + 1:
             raise CapacityError('X%d exceeds the degree cap %d' % (n, self.coef.max_degree))
         if n == 1:
             return self.zero()
+        if i:
+            self.coef.check_size('degree plus e power', i + n, 0)
         return Presentation(self.table, (FormalMonomial(MONO_ONE, ((i, n),), 0),))
 
     def iota(self, c):
@@ -282,18 +284,30 @@ class BordismRing:
         """The sum over (gammas, rest) in pieces of rest times the product of
         factor_value(i, n) over the factors G(i, n) in gammas, a GradedPoly.
 
-        cache keeps the products by gammas, so each is computed once and
-        each piece costs a shift by its rest.
+        cache keeps the products by gammas as gf2.keep's entries, so each is
+        computed once and each piece costs a shift by its rest, checked
+        against the limit as map_monos checks its shifts.
         """
-        def image(gammas):
-            val = GradedPoly.one(self.table)
-            for i, n in gammas:
-                if not val:
-                    break
-                val = val * factor_value(i, n)
-            return MONO_ONE, val.monos
-
-        return GradedPoly(self.table, sum_of_images(self.table, pieces, cache, image))
+        table = self.table
+        efree, limit = table.efree_mask, table.limit
+        odd = set()
+        for gammas, rest in pieces:
+            entry = cache.get(gammas)
+            if entry is None:
+                val = GradedPoly.one(table)
+                for i, n in gammas:
+                    if not val:
+                        break
+                    val = val * factor_value(i, n)
+                entry = keep(table, cache, gammas, MONO_ONE, val.monos)
+            else:
+                cache.hits += 1
+            _, value, top = entry
+            if (rest & efree) + top > limit:
+                raise table.overflow()
+            # a product has no repeats, and a shift keeps it so
+            odd ^= {v + rest for v in value}
+        return GradedPoly(table, frozenset(odd))
 
     @memo('_alpha_gamma_cache')
     def _alpha_gamma(self, i, n):
@@ -320,8 +334,11 @@ class BordismRing:
         return self.iota(self.alpha(x))
 
     def gamma(self, x):
-        """The Gamma operator: the unique y with e*y = x + bar(x)."""
-        return self._gamma(self.table.admit(x, Presentation))
+        """The Gamma operator: the unique y with e*y = x + bar(x), which can
+        exceed x's size by one and so passes the cap rule again."""
+        y = self._gamma(self.table.admit(x, Presentation))
+        self.coef.check_size('degree plus e power', *y.size())
+        return y
 
     def _gamma(self, x):
         # gamma without the table check, for the rewrite rules
@@ -362,7 +379,7 @@ class BordismRing:
         c = self.alpha(x)
         if c:
             raise NotDivisible(c)
-        return self._gamma(x)
+        return self.gamma(x)
 
     # --- normal form ------------------------------------------------------
 

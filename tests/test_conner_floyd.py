@@ -9,8 +9,9 @@ from bordcalc.boardman import tables
 from bordcalc.conner_floyd import (AntipodalSphere, FreeBZ2Elem, GammaOf,
                                    Proj, ProductOf, Trivial, tower)
 from bordcalc.errors import CapacityError, ContractViolation
-from bordcalc.gf2 import BUNDLE, GradedPoly
+from bordcalc.gf2 import BUNDLE, GradedPoly, poly_rank, rank_sets
 from bordcalc.session import Session
+from bordcalc.verify import independent_by_triangularity, verify
 
 
 def test_dimensions_and_depth(sess):
@@ -106,7 +107,6 @@ def test_dictionary(sess):
 
 
 def test_dictionary_injective_on_bundle_monomials(sess):
-    from bordcalc.gf2 import poly_rank
     geo = sess.geometry
     for d in range(7):
         monos = geo.bundle_monomials(d)
@@ -312,3 +312,26 @@ def test_underlying_classes_past_the_cap_are_refused():
         with pytest.raises(CapacityError, match='dimension 17'):
             geo.underlying(x)
     assert geo.phi(Proj(17)) == geo.b(17) + geo.b(1) ** 17
+
+
+@pytest.mark.parametrize('cap,top', [(16, 12), (24, 16)])
+def test_exactness_matches_the_eliminations(cap, top):
+    s = Session(cap)
+    mo, geo = s.mo, s.geometry
+    checks = {c.name: c for c in verify(s, 'cf-exact', top)}
+    for d in range(top + 1):
+        # the ranks cf-exact reads off the section and the peel, by one elimination each
+        monos = geo.bundle_monomials(d)
+        drank = rank_sets([geo.delta(p).monos for p in monos])
+        section = sum(s.coef.rank(d - 1 - j) for j in range(d))
+        geo_fms = mo.basis_monomials(d, e_cap=0)
+        images = [geo.phi(geo.manifold_for_basis(fm)) for fm in geo_fms]
+        prank = poly_rank(images)
+        assert drank == section, d
+        assert prank == len(geo_fms) == len(monos) - section, d
+        assert independent_by_triangularity(
+            mo, geo_fms, [geo.dictionary(x) for x in images]) is True, d
+        onto = checks['cf-exact: delta surjects at degree %d' % d]
+        kernel = checks['cf-exact: kernel matches the geometric part at degree %d' % d]
+        assert (onto.passed, onto.detail) == (True, 'rank %d' % drank), d
+        assert (kernel.passed, kernel.detail) == (True, 'rank %d' % prank), d

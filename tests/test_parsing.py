@@ -335,8 +335,9 @@ def test_laurent_terms_match_ring_arithmetic(cap, expr, space):
 def test_a_product_of_atoms_is_one_monomial(monkeypatch):
     # a run of monomial atoms multiplies no sums and checks the cap at
     # every atom, every power and every prefix; the first parse of a
-    # fresh session also builds its atoms. The presentation has size 21,
-    # admitted at cap 24; at cap 16 its last prefix is refused
+    # fresh session also builds its atoms, and G(i, n), i >= 1, checks its
+    # own size as it is built: one check more per G atom. The presentation
+    # has size 21, admitted at cap 24; at cap 16 its last prefix is refused
     counts = {}
 
     def counted(name, method):
@@ -351,15 +352,15 @@ def test_a_product_of_atoms_is_one_monomial(monkeypatch):
     monkeypatch.setattr(CoefRing, 'check_size', counted('check_size', CoefRing.check_size))
     big, sess = Session(24), Session()
     product = 'X3*X3*G(1,3)*G(2,5)*a2^2*e'
-    cases = [(parse_presentation, big.mo, product, 6 + 1 + 5),
-             (parse_presentation, sess.mo, product, 10),
-             (parse_laurent, sess.laurent, 'a2^2*c5*e^-3', 3 + 2 + 2)]
+    cases = [(parse_presentation, big.mo, product, (2 + 6 + 1 + 5, 6 + 1 + 5)),
+             (parse_presentation, sess.mo, product, (2 + 10, 10)),
+             (parse_laurent, sess.laurent, 'a2^2*c5*e^-3', (3 + 2 + 2, 3 + 2 + 2))]
     values = []
     for parse, ring, text, checks in cases:
-        for _ in range(2):
+        for want in checks:
             counts.update(mul=0, check_size=0)
             values.append(_outcome(lambda: parse(text, ring)))
-            assert counts == {'mul': 0, 'check_size': checks}, text
+            assert counts == {'mul': 0, 'check_size': want}, text
     monkeypatch.undo()
     mo, L = big.mo, sess.laurent
     assert values[::2] == [

@@ -13,7 +13,7 @@ import pytest
 from bordcalc import charnum, presentation
 from bordcalc.boardman import Boardman
 from bordcalc.conner_floyd import Geometry
-from bordcalc.gf2 import GradedPoly
+from bordcalc.gf2 import GradedPoly, rank_sets
 from bordcalc.localized import LaurentRing
 from bordcalc.presentation import BordismRing, FormalMonomial, QuotientElem
 from bordcalc.session import Session
@@ -50,6 +50,17 @@ def _delta_image(original):
         if tuple(sorted(bmult)) == (2, 3):
             out = dict(out)
             out[0] = out.get(0, GradedPoly.zero(self.coef.table)) + self.coef.a(4)
+        return out
+    return patched
+
+
+def _delta_section(original):
+    # delta(b1^3) plus a2*s0: delta stays onto, but b1^3 no longer maps to s2
+    def patched(self, bmult):
+        out = original(self, bmult)
+        if tuple(bmult) == (1, 1, 1):
+            out = dict(out)
+            out[0] = out.get(0, GradedPoly.zero(self.coef.table)) + self.coef.a(2)
         return out
     return patched
 
@@ -192,6 +203,7 @@ ROWS = {
     'fixed-point image': (Geometry, '_fixed_image', _fixed_image, _BOTH_SIDES),
     'bundle_in_n': (Boardman, 'bundle_in_n', _bundle_in_n, _BOTH_SIDES | {'sw-oracle'}),
     'delta': (Boardman, 'bundle_in_nbo1', _delta_image, {'cf-exact', 'sw-oracle'}),
+    'delta section': (Boardman, 'bundle_in_nbo1', _delta_section, {'cf-exact', 'sw-oracle'}),
     'loc(G(i,n))': (BordismRing, '_loc_gamma', _loc_gamma, {'basis', 'geomcomp', 'compare'}),
     'inhomogeneous loc(G(1,3))': (BordismRing, '_loc_gamma', _loc_gamma_inhomogeneous,
                                   {'basis', 'geomcomp', 'compare'}),
@@ -262,3 +274,22 @@ def test_a_raising_suite_is_one_failed_check():
 def test_every_suite_can_fail():
     caught = set().union(*(must for *_, must in ROWS.values()))
     assert caught == set(SUITES + ORACLE_SUITES)
+
+
+def test_the_section_catches_what_the_rank_misses():
+    original = Boardman.bundle_in_nbo1
+    Boardman.bundle_in_nbo1 = _delta_section(original)
+    try:
+        s = Session()
+        # delta is still onto in degree 3, so an elimination reads its rank full
+        geo = s.geometry
+        assert rank_sets([geo.delta(p).monos for p in geo.bundle_monomials(3)]) == 2
+        checks = {c.name: c for c in verify(s, 'cf-exact', 3)}
+    finally:
+        Boardman.bundle_in_nbo1 = original
+    onto = checks['cf-exact: delta surjects at degree 3']
+    assert (onto.passed, onto.detail) == (False, '1 of 2 failed')
+    # the kernel check claims no rank it did not establish
+    kernel = checks['cf-exact: kernel matches the geometric part at degree 3']
+    assert (kernel.passed, kernel.detail) == (False, 'delta not onto; 2 of 2 images outside '
+                                                     'the kernel')

@@ -29,6 +29,29 @@ def test_constructors(sess):
         mo.iota(mo.laurent.c(1))
 
 
+def test_the_library_applies_the_parsers_cap_rule():
+    # at cap 16 a term's degree plus e power reaches 17, that of X17; G and
+    # the results of Gamma and divide_e are refused past it as the parser
+    # refuses them, not later in a table of a degree nobody asked for
+    s = Session()
+    mo = s.mo
+    refused = 'degree plus e power 18 exceeds 17, the largest under the degree cap 16'
+    with pytest.raises(CapacityError) as err:
+        parse_presentation('G(16,2)', mo)
+    assert str(err.value) == refused
+    for make in (lambda: mo.G(16, 2), lambda: mo.gamma(mo.X(17)),
+                 lambda: mo.gamma(mo.G(15, 2)),
+                 lambda: mo.divide_e(mo.e(2) * mo.X(16) * mo.X(2))):
+        with pytest.raises(CapacityError) as err:
+            make()
+        assert str(err.value) == refused
+    with pytest.raises(CapacityError, match='degree plus e power 102 exceeds 17'):
+        mo.G(100, 2)
+    assert mo.G(15, 2).to_text() == 'G(15,2)'
+    assert mo.gamma(mo.X(16)) == mo.G(1, 16)
+    assert mo.divide_e(mo.e(1) * mo.G(15, 2)) == mo.G(15, 2)
+
+
 def test_normal_form_pinned_values(sess):
     mo = sess.mo
     a2 = mo.iota(sess.coef.a(2))
