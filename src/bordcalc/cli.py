@@ -4,11 +4,10 @@ One subcommand per calculator question, a shared config file, optional
 JSON reports, and stdin batching. Exit codes: 0 for success, 1 for a
 negative check (a failed verify, a mismatch, a non-member, a
 non-divisible class), 2 for usage or parse problems, 3 when a degree cap
-or the rewrite fuel is hit. Membership is decided exactly: a preimage or
-exit 1.
+is hit. Membership is decided exactly: a preimage or exit 1.
 
-Config files hold `key = value` lines (# comments allowed) with the keys
-max_degree (the degree cap, default 16) and fuel. The BORDCALC_CONFIG
+Config files hold `key = value` lines (# comments allowed) with the one
+key max_degree (the degree cap, default 16). The BORDCALC_CONFIG
 environment variable names a default config file; --config overrides it.
 Every parsed expression or space, Gamma or divide-e result, augmentation,
 membership target and verify degree passes the cap's one rule,
@@ -31,8 +30,8 @@ from types import SimpleNamespace
 
 from .charnum import sw_numbers, identify_in_nbo1
 from .conner_floyd import FreeBZ2Elem
-from .errors import (CapacityError, ContractViolation, FuelExhausted,
-                     IntegrityError, NotDivisible, ParseError)
+from .errors import (CapacityError, ContractViolation, IntegrityError,
+                     NotDivisible, ParseError)
 from .gf2 import GradedPoly
 from .parsing import (parse_bundle, parse_laurent, parse_manifold,
                       parse_presentation, parse_space)
@@ -41,7 +40,7 @@ from .verify import ORACLE_SUITES, SUITES, default_degree, verify
 
 
 def _load_config(path):
-    keys = {'max_degree': int, 'fuel': int}
+    keys = {'max_degree': int}
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -70,8 +69,6 @@ def _session_from(args):
         path = os.environ.get('BORDCALC_CONFIG') or None
     cfg = {} if path is None else _load_config(path)
     # the config keys are Session's parameters
-    if args.fuel is not None:
-        cfg['fuel'] = args.fuel
     return Session(**cfg)
 
 
@@ -248,7 +245,6 @@ _COMMANDS = {
 _COMMON = (
     ('--json', 'json', None, False, 'emit a JSON report instead of plain text'),
     ('--config', 'config', str, None, 'config file path'),
-    ('--fuel', 'fuel', int, None, 'rewrite step budget'),
 )
 _HELP = ('-h/--help', 'help', None, False, 'show this help and exit')
 
@@ -276,7 +272,7 @@ def _arguments(command):
 
 
 def _form(spec):
-    """How an option is written: --fuel FUEL, --suite {...}, --json."""
+    """How an option is written: --config CONFIG, --suite {...}, --json."""
     flag, _, read, _, _ = spec
     if read is None:
         return flag
@@ -313,7 +309,7 @@ def _help(command):
             [_usage(None), '', 'exact calculator for Z/2-equivariant unoriented bordism',
              '', 'commands:']
             + _columns([(name, row[0]) for name, row in _COMMANDS.items()])
-            + ['', 'Every command takes --json, --config CONFIG and --fuel FUEL;',
+            + ['', 'Every command takes --json and --config CONFIG;',
                "'bordcalc COMMAND --help' lists the options of one command."])
     options, positional = _arguments(command)
     lines = [_usage(command), '', _COMMANDS[command][0]]
@@ -460,10 +456,6 @@ def _run_one(session, args, expr):
         code, outputs, lines = 2, {'error': str(exc)}, ['error: %s' % exc]
     except CapacityError as exc:
         code, outputs, lines = 3, {'error': str(exc)}, ['error: %s' % exc]
-    except FuelExhausted as exc:
-        stuck = session.mo.single(exc.stuck).to_text()
-        code, outputs, lines = 3, {'error': str(exc), 'stuck': stuck}, [
-            'error: %s, stuck at %s' % (exc, stuck)]
     except (NotDivisible, IntegrityError) as exc:
         code, outputs, lines = 1, {'error': str(exc)}, ['error: %s' % exc]
     elapsed = int((time.monotonic() - start) * 1000)

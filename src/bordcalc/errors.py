@@ -13,18 +13,6 @@ class CapacityError(BordcalcError):
     """A request went past the configured degree cap."""
 
 
-class FuelExhausted(BordcalcError):
-    """The rewrite engine ran out of fuel before reaching normal form.
-
-    Carries the monomial it was working on, so the caller can report
-    where rewriting got stuck.
-    """
-
-    def __init__(self, message, stuck=None):
-        super().__init__(message)
-        self.stuck = stuck
-
-
 class NotDivisible(BordcalcError):
     """Division by the Euler class failed; carries the obstructing augmentation."""
 

@@ -44,13 +44,15 @@ rules are the Gamma product formula read in both directions:
 
 with inner products normalized before Gamma is applied. Each step drops
 the measure (Gamma count, total Gamma weight, ordering violations)
-lexicographically, and a fuel cap backs that argument up at runtime.
+lexicographically, so rewriting ends, and _nf_cache rewrites each monomial
+the cap admits at most once per session: its entry count is the number of
+rule applications.
 """
 
 from collections import namedtuple
 
 from .boardman import tables
-from .errors import CapacityError, ContractViolation, FuelExhausted, NotDivisible
+from .errors import CapacityError, ContractViolation, NotDivisible
 from .gf2 import (COEFFICIENT, LAURENT, GradedPoly, MONO_ONE, Memo, ModulePoly,
                   SparseSum, keep, memo, mono_degree, parity, product_monos)
 # not called here any more; kept bound for profilers that patch it by name
@@ -194,23 +196,15 @@ def _named(xs, s):
     return xs[1:] + ((-s, xs[0][1]),), 0
 
 
-def _fuel(fuel):
-    """fuel, a rewrite step budget, unless it is negative."""
-    if fuel < 0:
-        raise ContractViolation('rewrite fuel must be nonnegative, got %d' % fuel)
-    return fuel
-
-
 class BordismRing:
     """Operations on presentations: augmentation, Gamma, normal form, membership."""
 
-    def __init__(self, laurent, fuel=500000):
+    def __init__(self, laurent):
         self.laurent = laurent
         self.coef = laurent.coef
         self.table = laurent.table
-        self.fuel = _fuel(fuel)
         # alpha's and localize's images of a product of G factors, by the factors,
-        # which _evaluate fills, and normal forms, whose hits charge fuel
+        # which _evaluate fills, and normal forms of non-basis monomials
         self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
         self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
         self._x_cache, self._basis_cache, self._coef_cache = Memo(), Memo(), Memo()
@@ -383,67 +377,57 @@ class BordismRing:
 
     # --- normal form ------------------------------------------------------
 
-    def normal_form(self, x, fuel=None):
-        """Rewrite onto the additive basis; raises FuelExhausted when starved."""
-        budget = [self.fuel if fuel is None else _fuel(fuel)]
-        return self._nf_pres(self.table.admit(x, Presentation), budget)
+    def normal_form(self, x):
+        """Rewrite onto the additive basis."""
+        return self._nf_pres(self.table.admit(x, Presentation))
 
-    def _nf_pres(self, x, budget):
-        # term by term in sorted order: where fuel runs out depends on the
-        # terms of x, not on the order its set happens to iterate in
+    def _nf_pres(self, x):
         monos = x.monos
         if len(monos) == 1:
             for fm in monos:
-                return self._nf_mono(fm, budget)
+                return self._nf_mono(fm)
         odd = set()
-        for fm in sorted(monos):
-            odd ^= self._nf_mono(fm, budget).monos
+        for fm in monos:
+            odd ^= self._nf_mono(fm).monos
         return Presentation(self.table, frozenset(odd))
 
-    def _nf_mono(self, fm, budget):
-        # a basis monomial is its own normal form, at no cost: nothing is kept
+    def _nf_mono(self, fm):
+        # a basis monomial is its own normal form: nothing is kept
         if fm.is_basis():
             return self.single(fm)
-        # each entry keeps the rewrite steps it cost, hits included, and a
-        # hit charges them: a hit it cannot pay for is rewritten again, so
-        # fuel runs out at the same step as in a fresh session
-        cached = self._nf_cache.get(fm)
-        if cached is not None and cached[1] <= budget[0]:
+        # a zero normal form is a falsy Presentation: a miss is None
+        result = self._nf_cache.get(fm)
+        if result is not None:
             self._nf_cache.hits += 1
-            budget[0] -= cached[1]
-            return cached[0]
-        if budget[0] <= 0:
-            raise FuelExhausted('rewrite fuel exhausted', stuck=fm)
-        start = budget[0]
-        budget[0] -= 1
+            return result
         gs = fm.gamma_factors()
         if fm.epow:
-            result = self._rule_euler(fm, gs, budget)
+            result = self._rule_euler(fm, gs)
         else:
             # the second Gamma factor, or else the smallest X_m below the first
             u = gs[0]
             v = gs[1] if len(gs) >= 2 else (0, min(m for m in fm.x_indices() if m < u[1]))
-            result = self._rule_product(fm, u, v, budget)
-        self._nf_cache[fm] = (result, start - budget[0])
+            result = self._rule_product(fm, u, v)
+        self._nf_cache[fm] = result
         return result
 
-    def _nf_alpha(self, i, n, fm, budget):
+    def _nf_alpha(self, i, n, fm):
         # normal form of alpha(G(i, n)) * fm
         a = self._alpha_gamma(i, n)
         if not a:
             return self.zero()
-        return self._nf_pres(self._coef_scale(self.single(fm), a), budget)
+        return self._nf_pres(self._coef_scale(self.single(fm), a))
 
-    def _rule_euler(self, fm, gs, budget):
+    def _rule_euler(self, fm, gs):
         # e*G(i, n) = G(i-1, n) + alpha(G(i-1, n))
         i, n = min(gs)
         pool = list(fm.gammas)
         pool.remove((i, n))
         first = FormalMonomial(fm.coef, tuple(sorted(pool + [(i - 1, n)])), fm.epow - 1)
         second = FormalMonomial(fm.coef, tuple(pool), fm.epow - 1)
-        return self._nf_mono(first, budget) + self._nf_alpha(i - 1, n, second, budget)
+        return self._nf_mono(first) + self._nf_alpha(i - 1, n, second)
 
-    def _rule_product(self, fm, u, v, budget):
+    def _rule_product(self, fm, u, v):
         # u*v = Gamma(G(i-1, m) v) + alpha(G(i-1, m)) G(j+1, n)
         # for u = G(i, m), i >= 1, and v = G(j, n)
         (i, m), (j, n) = u, v
@@ -452,10 +436,9 @@ class BordismRing:
         pool.remove(v)
         rest = self.single(FormalMonomial(fm.coef, tuple(pool), 0))
         inner = FormalMonomial(MONO_ONE, tuple(sorted([(i - 1, m), v])), 0)
-        g = self._gamma(self._nf_mono(inner, budget))
+        g = self._gamma(self._nf_mono(inner))
         second = FormalMonomial(fm.coef, tuple(sorted(pool + [(j + 1, n)])), 0)
-        return (self._nf_pres(g * rest, budget)
-                + self._nf_alpha(i - 1, m, second, budget))
+        return self._nf_pres(g * rest) + self._nf_alpha(i - 1, m, second)
 
     # --- localization -----------------------------------------------------
 

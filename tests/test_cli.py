@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from bordcalc import cli
 from bordcalc.cli import main
-from bordcalc.parsing import parse_presentation
 from bordcalc.verify import ORACLE_SUITES, SUITES
 
 
@@ -51,9 +50,6 @@ def test_exit_code_usage_error(capsys):
 def test_exit_code_capacity(capsys):
     code, out = run(capsys, 'nf', 'X20')
     assert code == 3
-    code, out = run(capsys, 'nf', '--fuel', '1', 'G(1,2)*G(1,3)')
-    assert code == 3
-    assert 'fuel' in out
     # b17 is the largest bundle generator under the default degree cap 16
     code, out = run(capsys, 'delta', 'b18')
     assert code == 3
@@ -146,6 +142,8 @@ _TABLE_2_3 = ('degree 2: 3 monomials\n  a2\n  X2\n  X3*e\ndegree 3: 7 monomials\
               '  a4*e\n  a2*X2*e\n  X2*X2*e\n  X3\n  X4*e\n  G(1,2)\n')
 _SYNTAX = ('error: syntax error at position 0: expected a<d>, X<n>, G(i,n), Gamma(...), '
            'iota(...), e, an integer, (\n')
+# an empty config file: the default session
+_EMPTY = os.devnull
 
 # (argv, exit code, stdout) as the argparse front end gave them; stdout
 # None where argparse ended with SystemExit(2), a usage error. The rows with
@@ -154,32 +152,32 @@ _SYNTAX = ('error: syntax error at position 0: expected a<d>, X<n>, G(i,n), Gamm
 # test_dashdash_reads_as_absent
 ARGV_PARITY = [
     # every command, its options before and after its arguments
-    (('nf', '--fuel', '50', 'e*G(1,2)'), 0, 'X2 + a2\n'),
-    (('nf', 'e*G(1,2)', '--fuel', '50'), 0, 'X2 + a2\n'),
-    (('loc', '--fuel', '50', 'G(1,2)'), 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
-    (('loc', 'G(1,2)', '--fuel', '50'), 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
-    (('alpha', '--fuel', '50', 'G(2,2)'), 0, 'a2^2 + a4\n'),
-    (('alpha', 'G(2,2)', '--fuel', '50'), 0, 'a2^2 + a4\n'),
-    (('gamma', '--fuel', '50', 'X2*X3'), 0, 'a2*G(1,3) + G(1,2)*X3\n'),
-    (('gamma', 'X2*X3', '--fuel', '50'), 0, 'a2*G(1,3) + G(1,2)*X3\n'),
-    (('divide-e', '--fuel', '50', 'e^2*X2'), 0, 'X2*e\n'),
-    (('divide-e', 'e^2*X2', '--fuel', '50'), 0, 'X2*e\n'),
-    (('member', '--fuel', '50', 'c1*e^-1 + e^-2'), 0, 'X2\n'),
-    (('member', 'c1*e^-1 + e^-2', '--fuel', '50'), 0, 'X2\n'),
-    (('geometric', '--fuel', '50', 'G(1,2)'), 0, 'geometric\n'),
-    (('geometric', 'G(1,2)', '--fuel', '50'), 0, 'geometric\n'),
-    (('quotient', '--fuel', '50', 'e^2*G(1,2)'), 0, '(a2 + X2)*x1\n'),
-    (('quotient', 'e^2*G(1,2)', '--fuel', '50'), 0, '(a2 + X2)*x1\n'),
-    (('euler', '--fuel', '5', '0', '3'), 0, 'e^3\n'),
-    (('euler', '0', '3', '--fuel', '5'), 0, 'e^3\n'),
-    (('euler', '0', '--fuel', '5', '3'), 0, 'e^3\n'),
-    (('phi', '--fuel', '50', 'gamma(P(2))'), 0, 'a2*b1 + b1^3 + b1*b2\n'),
-    (('phi', 'gamma(P(2))', '--fuel', '50'), 0, 'a2*b1 + b1^3 + b1*b2\n'),
-    (('delta', '--fuel', '50', 'b1*b2'), 0, 'a2*s0 + s2\n'),
-    (('delta', 'b1*b2', '--fuel', '50'), 0, 'a2*s0 + s2\n'),
-    (('compare', '--fuel', '50', 'gamma(P(2))*P(2)'), 0,
+    (('nf', '--config', _EMPTY, 'e*G(1,2)'), 0, 'X2 + a2\n'),
+    (('nf', 'e*G(1,2)', '--config', _EMPTY), 0, 'X2 + a2\n'),
+    (('loc', '--config', _EMPTY, 'G(1,2)'), 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
+    (('loc', 'G(1,2)', '--config', _EMPTY), 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
+    (('alpha', '--config', _EMPTY, 'G(2,2)'), 0, 'a2^2 + a4\n'),
+    (('alpha', 'G(2,2)', '--config', _EMPTY), 0, 'a2^2 + a4\n'),
+    (('gamma', '--config', _EMPTY, 'X2*X3'), 0, 'a2*G(1,3) + G(1,2)*X3\n'),
+    (('gamma', 'X2*X3', '--config', _EMPTY), 0, 'a2*G(1,3) + G(1,2)*X3\n'),
+    (('divide-e', '--config', _EMPTY, 'e^2*X2'), 0, 'X2*e\n'),
+    (('divide-e', 'e^2*X2', '--config', _EMPTY), 0, 'X2*e\n'),
+    (('member', '--config', _EMPTY, 'c1*e^-1 + e^-2'), 0, 'X2\n'),
+    (('member', 'c1*e^-1 + e^-2', '--config', _EMPTY), 0, 'X2\n'),
+    (('geometric', '--config', _EMPTY, 'G(1,2)'), 0, 'geometric\n'),
+    (('geometric', 'G(1,2)', '--config', _EMPTY), 0, 'geometric\n'),
+    (('quotient', '--config', _EMPTY, 'e^2*G(1,2)'), 0, '(a2 + X2)*x1\n'),
+    (('quotient', 'e^2*G(1,2)', '--config', _EMPTY), 0, '(a2 + X2)*x1\n'),
+    (('euler', '--config', _EMPTY, '0', '3'), 0, 'e^3\n'),
+    (('euler', '0', '3', '--config', _EMPTY), 0, 'e^3\n'),
+    (('euler', '0', '--config', _EMPTY, '3'), 0, 'e^3\n'),
+    (('phi', '--config', _EMPTY, 'gamma(P(2))'), 0, 'a2*b1 + b1^3 + b1*b2\n'),
+    (('phi', 'gamma(P(2))', '--config', _EMPTY), 0, 'a2*b1 + b1^3 + b1*b2\n'),
+    (('delta', '--config', _EMPTY, 'b1*b2'), 0, 'a2*s0 + s2\n'),
+    (('delta', 'b1*b2', '--config', _EMPTY), 0, 'a2*s0 + s2\n'),
+    (('compare', '--config', _EMPTY, 'gamma(P(2))*P(2)'), 0,
      'ok a2*c1*e^-2 + a2*e^-3 + c1^2*e^-3 + e^-5\n'),
-    (('compare', 'gamma(P(2))*P(2)', '--fuel', '50'), 0,
+    (('compare', 'gamma(P(2))*P(2)', '--config', _EMPTY), 0,
      'ok a2*c1*e^-2 + a2*e^-3 + c1^2*e^-3 + e^-5\n'),
     (('charnum', '--ref', 'u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
     (('charnum', 'RP(3)', '--ref', 'u'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
@@ -188,7 +186,7 @@ ARGV_PARITY = [
     (('basis-table', '--min', '2', '--max', '3', '--e-cap', '1'), 0, _TABLE_2_3),
     (('basis-table', '--e-cap', '1', '--max', '3', '--min', '2'), 0, _TABLE_2_3),
     # the = form and unique prefixes
-    (('nf', '--fuel=50', 'X2*X2'), 0, 'X2*X2\n'),
+    (('nf', '--config=' + _EMPTY, 'X2*X2'), 0, 'X2*X2\n'),
     (('charnum', '--ref=u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
     (('verify', '--suite=gamma', '--degree=3'), 0, _GAMMA_3),
     (('basis-table', '--min=1', '--max=2', '--e-cap=0'), 0,
@@ -198,17 +196,15 @@ ARGV_PARITY = [
     (('basis-table', '--mi', '2', '--ma', '2', '--e', '0'), 0,
      'degree 2: 2 monomials\n  a2\n  X2\n'),
     (('charnum', '--r', 'u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
-    (('nf', '--fu', '0', 'X2'), 0, 'X2\n'),
-    (('nf', '--f=0', 'X2'), 0, 'X2\n'),
+    (('nf', '--conf', _EMPTY, 'X2'), 0, 'X2\n'),
+    (('nf', '--c=' + _EMPTY, 'X2'), 0, 'X2\n'),
     # a repeated option: the last one wins
-    (('nf', '--fuel', '1', '--fuel', '50', 'G(1,2)*G(1,3)'), 0, 'G(2,2)*X3\n'),
-    (('nf', '--fuel', '50', '--fuel', '1', 'G(1,2)*G(1,3)'), 3,
-     'error: rewrite fuel exhausted, stuck at G(1,3)*X2\n'),
+    (('verify', '--degree', '3', '--degree', '-1'), 2,
+     'error: verify degree must be nonnegative, got -1\n'),
     (('verify', '--suite', 'loc', '--suite', 'gamma', '--degree', '9', '--degree', '3'), 0,
      _GAMMA_3),
     (('charnum', '--ref', 'v', '--ref', 'u', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
     # negative ints are values
-    (('nf', '--fuel', '-3', 'X2'), 2, ''),
     (('verify', '--degree', '-1'), 2, 'error: verify degree must be nonnegative, got -1\n'),
     (('verify', '--degree=-1'), 2, 'error: verify degree must be nonnegative, got -1\n'),
     (('basis-table', '--e-cap', '-1'), 2, 'error: the e cap must be nonnegative, got -1\n'),
@@ -222,7 +218,8 @@ ARGV_PARITY = [
     (('nf', '--', 'X2'), 0, 'X2\n'),
     (('nf', 'X2', '--'), 0, 'X2\n'),
     (('euler', '0', '3', '--'), 0, 'e^3\n'),
-    (('nf', '--fuel', '0', '--', 'X2'), 0, 'X2\n'),
+    (('nf', '--config', _EMPTY, '--', 'X2'), 0, 'X2\n'),
+    (('charnum', '--ref', 'u', '--', 'RP(3)'), 0, 'w[]*r^3 = 1\nclass: s3\n'),
     (('nf', '--', '--fuel'), 2, _SYNTAX),
     # arguments that start with - and are no option
     (('nf', '-'), 2, _SYNTAX),
@@ -238,13 +235,14 @@ ARGV_PARITY = [
     (('nf', '---', 'X2'), 2, None), (('nf', 'X2', 'X3'), 2, None), (('verify', 'X2'), 2, None),
     (('euler', '1'), 2, None), (('euler',), 2, None), (('euler', '1', '2', '3'), 2, None),
     # a missing value
-    (('nf', '--fuel'), 2, None), (('nf', 'X2', '--fuel'), 2, None),
-    (('nf', '--fuel', '--json', 'X2'), 2, None), (('verify', '--degree'), 2, None),
+    (('nf', '--config'), 2, None), (('nf', 'X2', '--config'), 2, None),
+    (('nf', '--config', '--json', 'X2'), 2, None), (('verify', '--degree'), 2, None),
     (('charnum', '--ref', '--json', 'RP(3)'), 2, None),
-    (('charnum', '--ref', '-x', 'RP(3)'), 2, None), (('nf', '--fuel', '--', '0', 'X2'), 2, None),
+    (('charnum', '--ref', '-x', 'RP(3)'), 2, None),
+    (('nf', '--config', '--', _EMPTY, 'X2'), 2, None),
     # a bad int or suite
-    (('nf', '--fuel', 'x', 'X2'), 2, None), (('nf', '--fuel', '1.5', 'X2'), 2, None),
-    (('nf', '--fuel=', 'X2'), 2, None), (('verify', '--degree', 'three'), 2, None),
+    (('verify', '--degree', 'x'), 2, None), (('verify', '--degree', '1.5'), 2, None),
+    (('verify', '--degree='), 2, None), (('verify', '--degree', 'three'), 2, None),
     (('basis-table', '--max', '2x'), 2, None), (('euler', 'a', '2'), 2, None),
     (('euler', '0', 'b'), 2, None), (('verify', '--suite', 'nope'), 2, None),
     (('verify', '--suite=ALL'), 2, None),
@@ -254,8 +252,50 @@ ARGV_PARITY = [
     (('nf', '--json=1', 'X2'), 2, None), (('nf', '--json=', 'X2'), 2, None),
     (('nf', '-hx'), 2, None), (('nf', '-h='), 2, None),
     # an error before a later --help
-    (('nf', '--fuel', 'x', '-h'), 2, None), (('euler', 'x', '-h'), 2, None),
+    (('verify', '--degree', 'x', '-h'), 2, None), (('euler', 'x', '-h'), 2, None),
 ]
+
+# --fuel, a rewrite step budget, is no option any more: each of these argv
+# once set it, and each is now an unrecognized argument
+_NO_FUEL = [
+    ('nf', '--fuel', '5', 'X2'),
+    ('nf', '--fuel', '50', 'e*G(1,2)'), ('nf', 'e*G(1,2)', '--fuel', '50'),
+    ('loc', '--fuel', '50', 'G(1,2)'), ('loc', 'G(1,2)', '--fuel', '50'),
+    ('alpha', '--fuel', '50', 'G(2,2)'), ('alpha', 'G(2,2)', '--fuel', '50'),
+    ('gamma', '--fuel', '50', 'X2*X3'), ('gamma', 'X2*X3', '--fuel', '50'),
+    ('divide-e', '--fuel', '50', 'e^2*X2'), ('divide-e', 'e^2*X2', '--fuel', '50'),
+    ('member', '--fuel', '50', 'c1*e^-1 + e^-2'), ('member', 'c1*e^-1 + e^-2', '--fuel', '50'),
+    ('geometric', '--fuel', '50', 'G(1,2)'), ('geometric', 'G(1,2)', '--fuel', '50'),
+    ('quotient', '--fuel', '50', 'e^2*G(1,2)'), ('quotient', 'e^2*G(1,2)', '--fuel', '50'),
+    ('euler', '--fuel', '5', '0', '3'), ('euler', '0', '3', '--fuel', '5'),
+    ('euler', '0', '--fuel', '5', '3'),
+    ('phi', '--fuel', '50', 'gamma(P(2))'), ('phi', 'gamma(P(2))', '--fuel', '50'),
+    ('delta', '--fuel', '50', 'b1*b2'), ('delta', 'b1*b2', '--fuel', '50'),
+    ('compare', '--fuel', '50', 'gamma(P(2))*P(2)'),
+    ('compare', 'gamma(P(2))*P(2)', '--fuel', '50'),
+    ('nf', '--fuel=50', 'X2*X2'), ('nf', '--fu', '0', 'X2'), ('nf', '--f=0', 'X2'),
+    ('nf', '--fuel', '1', '--fuel', '50', 'G(1,2)*G(1,3)'),
+    ('nf', '--fuel', '50', '--fuel', '1', 'G(1,2)*G(1,3)'),
+    ('nf', '--fuel', '-3', 'X2'), ('nf', '--fuel', '0', '--', 'X2'),
+    ('nf', '--fuel'), ('nf', 'X2', '--fuel'), ('nf', '--fuel', '--json', 'X2'),
+    ('nf', '--fuel', '--', '0', 'X2'), ('nf', '--fuel', 'x', 'X2'),
+    ('nf', '--fuel', '1.5', 'X2'), ('nf', '--fuel=', 'X2'),
+]
+_NF_HELP = '''usage: bordcalc nf [-h] [--json] [--config CONFIG] [expr]
+
+rewrite onto the additive basis
+
+arguments:
+  expr  presentation expression (stdin batch when omitted)
+
+options:
+  -h, --help       show this help and exit
+  --json           emit a JSON report instead of plain text
+  --config CONFIG  config file path
+'''
+ARGV_PARITY += [(argv, 2, None) for argv in _NO_FUEL]
+# an unrecognized argument does not beat a later --help
+ARGV_PARITY.append((('nf', '--fuel', 'x', '-h'), 0, _NF_HELP))
 
 
 @pytest.mark.parametrize('argv,code,out', ARGV_PARITY, ids=[' '.join(row[0]) or '(none)'
@@ -362,7 +402,7 @@ def test_rearranged_argv_reads_as_canonical(command, data):
 # (argv, stdin, exit code, stdout) of a batch, as argparse's front end gave them
 STDIN_PARITY = [
     (('nf',), 'e*G(1,2)\n\nX2^2\n', 0, 'X2 + a2\nX2*X2\n'),
-    (('nf', '--fuel', '50'), 'e*G(1,2)\nX2\n', 0, 'X2 + a2\nX2\n'),
+    (('nf', '--config', _EMPTY), 'e*G(1,2)\nX2\n', 0, 'X2 + a2\nX2\n'),
     (('loc', '--'), 'G(1,2)\n', 0, 'a2*e^-1 + c1*e^-2 + e^-3\n'),
     (('nf', '--json', '--'), '', 0, ''),
     (('member',), 'e^-1\nc1*e^-1 + e^-2\n', 1, 'not in the image\nX2\n'),
@@ -377,7 +417,7 @@ def test_stdin_parity(capsys, monkeypatch, argv, stdin, code, out):
     assert capsys.readouterr().out == out
 
 
-COMMON_OPTIONS = ('-h', '--help', '--json', '--config', '--fuel')
+COMMON_OPTIONS = ('-h', '--help', '--json', '--config')
 OWN_OPTIONS = {'euler': ('m', 'k'), 'charnum': ('--ref', 'expr'),
                'verify': ('--suite', '--degree') + SUITES + ('all',) + ORACLE_SUITES,
                'basis-table': ('--min', '--max', '--e-cap')}
@@ -395,7 +435,7 @@ def test_help_lists_every_command(capsys, argv):
 
 @pytest.mark.parametrize('command', list(cli._COMMANDS))
 def test_command_help_lists_every_option(capsys, command):
-    for argv in ((command, '--help'), (command, '-h', '--fuel', 'x'),
+    for argv in ((command, '--help'), (command, '-h', '--frob', 'x'),
                  (command, '0', '1', '--hel')):
         assert main(list(argv)) == 0
         got = capsys.readouterr()
@@ -403,19 +443,6 @@ def test_command_help_lists_every_option(capsys, command):
         assert got.out.startswith('usage: bordcalc %s ' % command)
         for option in COMMON_OPTIONS + OWN_OPTIONS.get(command, ('expr',)):
             assert option in got.out, (argv, option)
-
-
-def test_fuel_exhaustion_names_stuck_monomial(capsys, sess):
-    code, out = run(capsys, 'nf', '--fuel', '3', 'G(2,5)*G(1,3)*X2')
-    assert code == 3
-    assert 'fuel exhausted' in out
-    stuck = out.strip().rsplit('stuck at ', 1)[1]
-    code, out = run(capsys, 'nf', '--fuel', '3', '--json', 'G(2,5)*G(1,3)*X2')
-    assert code == 3
-    assert json.loads(out)['outputs']['stuck'] == stuck
-    # one monomial that is not yet in normal form
-    fm, = parse_presentation(stuck, sess.mo).monos
-    assert not fm.is_basis()
 
 
 def test_manifold_dimension_cap(capsys):
@@ -797,20 +824,6 @@ def test_empty_config_variable_names_no_file(capsys, monkeypatch):
     assert run(capsys, 'nf', 'X6') == (0, 'X6\n')
 
 
-def test_negative_fuel_is_a_usage_error(tmp_path, capsys):
-    code = main(['nf', '--fuel', '-3', 'X2'])
-    assert code == 2
-    assert 'rewrite fuel must be nonnegative' in capsys.readouterr().err
-    cfg = tmp_path / 'fuel.cfg'
-    cfg.write_text('fuel = -7\n')
-    code = main(['nf', '--config', str(cfg), 'X2'])
-    assert code == 2
-    assert 'rewrite fuel must be nonnegative, got -7' in capsys.readouterr().err
-    # no fuel at all still answers what needs no rewriting
-    code, out = run(capsys, 'nf', '--fuel', '0', 'X2')
-    assert (code, out.strip()) == (0, 'X2')
-
-
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / 'bad.cfg'
     bad.write_text('mystery = 3\n')
@@ -826,3 +839,8 @@ def test_config_file_errors(tmp_path, capsys):
     code = main(['member', '--config', str(old), 'e^-1'])
     assert code == 2
     assert 'unknown key slack' in capsys.readouterr().err
+    # nor a rewrite step budget
+    old.write_text('fuel = 5\n')
+    code = main(['nf', '--config', str(old), 'X2'])
+    assert code == 2
+    assert 'unknown key fuel' in capsys.readouterr().err

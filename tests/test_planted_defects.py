@@ -145,8 +145,8 @@ def _gamma_mono(original):
 
 def _nf_mono(original):
     # a4 added to the normal form of every non-basis monomial of degree 4
-    def patched(self, fm, budget):
-        out = original(self, fm, budget)
+    def patched(self, fm):
+        out = original(self, fm)
         if not fm.is_basis() and fm.degree(self.table) == 4:
             out = out + self.iota(self.coef.a(4))
         return out

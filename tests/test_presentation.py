@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bordcalc.conner_floyd import GammaOf, Geometry, ProductOf, Proj, Trivial
-from bordcalc.errors import (CapacityError, ContractViolation, FuelExhausted,
-                             NotDivisible)
+from bordcalc.errors import CapacityError, ContractViolation, NotDivisible
 from bordcalc.gf2 import GradedPoly, parity, poly_rank
 from bordcalc.localized import LaurentRing
 from bordcalc.parsing import parse_laurent, parse_presentation
@@ -125,41 +124,66 @@ def test_divide_e(sess):
     assert mo.normal_form(mo.divide_e(mo.X(2) + mo.bar(mo.X(2)))) == mo.G(1, 2)
 
 
-def test_fuel_exhaustion(sess):
-    # a fresh ring: the shared one has the product cached already
-    mo = BordismRing(sess.laurent)
-    with pytest.raises(FuelExhausted):
-        mo.normal_form(mo.G(1, 2) * mo.G(1, 3), fuel=1)
+def _g_products(weight):
+    """The factor tuples of every product of G(i, n), n >= 2, with at least
+    one Gamma factor (i >= 1) and sum of i + n at most weight."""
+    atoms = [(i, n) for n in range(2, weight + 1) for i in range(weight + 1 - n)]
+    out = []
+
+    def extend(start, left, factors):
+        if any(i for i, _ in factors):
+            out.append(factors)
+        for k in range(start, len(atoms)):
+            i, n = atoms[k]
+            if i + n <= left:
+                extend(k, left - i - n, factors + (atoms[k],))
+    extend(0, weight, ())
+    return out
 
 
-def test_negative_fuel_refused(sess):
-    with pytest.raises(ContractViolation):
-        Session(fuel=-5)
-    with pytest.raises(ContractViolation):
-        sess.mo.normal_form(sess.mo.X(2), fuel=-9)
+def _assert_normal_form(mo, x):
+    y = mo.normal_form(x)
+    assert all(fm.is_basis() for fm in y.monos), x.to_text()
+    assert mo.localize(y) == mo.localize(x), x.to_text()
+    return y
 
 
-def test_fuel_does_not_depend_on_history():
-    # a cache hit charges the steps its entry cost, so a warmed session
-    # runs out at the same step, at the same monomial, as a fresh one
-    def attempt(session, fuel):
-        mo = session.mo
-        try:
-            mo.normal_form(mo.G(2, 5) * mo.G(1, 3) * mo.X(2), fuel=fuel)
-        except FuelExhausted as exc:
-            return exc.stuck
-        return 'done'
+def test_every_g_product_normalizes_at_cap_12():
+    # in one session, so every product reads what the earlier ones kept
+    mo = Session(12).mo
+    products = _g_products(13)
+    assert len(products) == 837
+    for factors in products:
+        g = mo.one()
+        for i, n in factors:
+            g = g * mo.G(i, n)
+        for k in range(3):
+            _assert_normal_form(mo, g * mo.e(k))
 
-    def warmed():
-        session = Session()
-        mo = session.mo
-        mo.normal_form(mo.G(2, 5) * mo.G(1, 3) * mo.X(2))
-        return session
 
-    assert attempt(Session(), 3) != 'done'
-    for fuel in range(10):
-        assert attempt(warmed(), fuel) == attempt(Session(), fuel), fuel
-    assert attempt(Session(), 9) == 'done'
+def test_normal_form_at_cap_32():
+    # 672 monomials rewritten, reached along more than a million paths
+    # through the memo
+    mo = Session(32).mo
+    y = _assert_normal_form(mo, mo.G(1, 2) ** 7 * mo.G(9, 3))
+    assert (len(y.monos), len(mo._nf_cache)) == (856, 672)
+
+
+# G(2,5)*G(1,3)*X2, then the query-mix nf questions of seed 1 that rewrite
+# the most
+_HISTORY_TEXTS = ['G(2,5)*G(1,3)*X2', 'G(2,2)*G(2,3)*G(1,2)', 'G(2,2)*G(1,2)*G(1,3)',
+                  'G(4,3)*G(2,2)*e^2', 'G(4,3)*G(2,2)', 'G(3,2)*G(5,2)*e^2',
+                  'G(1,3)*G(4,4)', 'G(1,3)*G(1,4)*X2', 'G(1,2)*G(1,2)*G(1,5)']
+
+
+def test_normal_forms_do_not_depend_on_history():
+    warmed = Session().mo
+    for text in reversed(_HISTORY_TEXTS):
+        warmed.normal_form(parse_presentation(text, warmed))
+    for text in _HISTORY_TEXTS:
+        fresh = Session().mo
+        assert (warmed.normal_form(parse_presentation(text, warmed)).to_text()
+                == fresh.normal_form(parse_presentation(text, fresh)).to_text()), text
 
 
 def test_huge_e_power(sess):
@@ -410,12 +434,11 @@ def test_member_rejects_conner_floyd_non_members(sess):
                 assert mo.member(mo.localize(mo.single(fm)) + extra) is None
 
 
-def termwise_nf_pres(mo, x, budget):
-    # the per-term loop one-pass _nf_pres replaced, as a reference, in the
-    # same sorted order: fuel runs out at the same step
+def termwise_nf_pres(mo, x):
+    # the per-term loop one-pass _nf_pres replaced, as a reference
     acc = mo.zero()
-    for fm in sorted(x.monos):
-        acc = acc + mo._nf_mono(fm, budget)
+    for fm in x.monos:
+        acc = acc + mo._nf_mono(fm)
     return acc
 
 
@@ -430,7 +453,7 @@ def termwise_gamma(mo, x):
 def _termwise_session():
     session = Session()
     mo = session.mo
-    mo._nf_pres = lambda x, budget: termwise_nf_pres(mo, x, budget)
+    mo._nf_pres = lambda x: termwise_nf_pres(mo, x)
     mo._gamma = lambda x: termwise_gamma(mo, x)
     return session
 
@@ -452,28 +475,14 @@ def _sum_of_terms(session, terms):
     return Presentation(session.table, parity(fms))
 
 
-def _nf_run(session, x, fuel):
-    budget = [fuel]
-    try:
-        out = session.mo._nf_pres(x, budget).to_text()
-    except FuelExhausted as exc:
-        out = ('stuck', exc.stuck)
-    return out, budget[0]
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.lists(_terms, min_size=1, max_size=4), st.integers(0, 40))
-def test_one_pass_normal_form_and_gamma_match_the_termwise_reference(terms, fuel):
+@given(st.lists(_terms, min_size=1, max_size=4))
+def test_one_pass_normal_form_and_gamma_match_the_termwise_reference(terms):
     assume(all(sum(ds) + sum(i + n for i, n in fs) - k <= 8 for fs, ds, k in terms))
     x, y = _sum_of_terms(_ONE_PASS, terms), _sum_of_terms(_TERMWISE, terms)
     assert _ONE_PASS.mo.gamma(x).to_text() == _TERMWISE.mo.gamma(y).to_text()
     assert (_ONE_PASS.mo.normal_form(x).to_text()
             == _TERMWISE.mo.normal_form(y).to_text())
-    # at a small fuel, rewriting stops at the same monomial with the same
-    # fuel left, in fresh sessions and in the shared ones
-    for one_pass, termwise in ((Session(), _termwise_session()), (_ONE_PASS, _TERMWISE)):
-        x, y = _sum_of_terms(one_pass, terms), _sum_of_terms(termwise, terms)
-        assert _nf_run(one_pass, x, fuel) == _nf_run(termwise, y, fuel)
 
 
 @pytest.mark.parametrize('method', ['normal_form', 'gamma', 'alpha', 'bar', 'localize',
