@@ -824,6 +824,22 @@ def test_empty_config_variable_names_no_file(capsys, monkeypatch):
     assert run(capsys, 'nf', 'X6') == (0, 'X6\n')
 
 
+def test_negative_fuel_is_a_usage_error(tmp_path, capsys):
+    # rewriting has no step budget, so any fuel, negative or not, is refused
+    for value in ('-3', '0', '5'):
+        assert main(['nf', '--fuel', value, 'X2']) == 2
+        got = capsys.readouterr()
+        assert got.out == ''
+        assert 'unrecognized arguments: --fuel' in got.err
+    cfg = tmp_path / 'fuel.cfg'
+    for value in ('-7', '5'):
+        cfg.write_text(f'fuel = {value}\n')
+        assert main(['nf', '--config', str(cfg), 'X2']) == 2
+        got = capsys.readouterr()
+        assert got.out == ''
+        assert 'unknown key fuel' in got.err
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / 'bad.cfg'
     bad.write_text('mystery = 3\n')
@@ -839,8 +855,3 @@ def test_config_file_errors(tmp_path, capsys):
     code = main(['member', '--config', str(old), 'e^-1'])
     assert code == 2
     assert 'unknown key slack' in capsys.readouterr().err
-    # nor a rewrite step budget
-    old.write_text('fuel = 5\n')
-    code = main(['nf', '--config', str(old), 'X2'])
-    assert code == 2
-    assert 'unknown key fuel' in capsys.readouterr().err
