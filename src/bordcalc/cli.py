@@ -92,7 +92,7 @@ def _answer(key, compute):
     """A handler whose one output, under key, is the text of compute(session, parsed expr)."""
     def handle(s, args, expr):
         out = compute(s, _read(s, args, expr)).to_text()
-        return 0, {key: out}, [out]
+        return 0, {key: out}, [out], []
     return handle
 
 
@@ -103,16 +103,16 @@ def _handle_divide_e(s, args, expr):
     except NotDivisible as exc:
         detail = 'not divisible: augmentation is %s' % exc.remainder.to_text()
         return 1, {'divisible': False,
-                   'remainder': exc.remainder.to_text()}, [detail]
-    return 0, {'divisible': True, 'quotient': out.to_text()}, [out.to_text()]
+                   'remainder': exc.remainder.to_text()}, [detail], []
+    return 0, {'divisible': True, 'quotient': out.to_text()}, [out.to_text()], []
 
 
 def _handle_member(s, args, expr):
     # member answers a sum of basis monomials, so it is its own normal form
     found = s.mo.member(_read(s, args, expr))
     if found is None:
-        return 1, {'member': False}, ['not in the image']
-    return 0, {'member': True, 'preimage': found.to_text()}, [found.to_text()]
+        return 1, {'member': False}, ['not in the image'], []
+    return 0, {'member': True, 'preimage': found.to_text()}, [found.to_text()], []
 
 
 def _handle_geometric(s, args, expr):
@@ -121,12 +121,12 @@ def _handle_geometric(s, args, expr):
     # is_geometric's rule, read off this normal form
     ok = all(fm.epow == 0 for fm in nf.monos)
     return (0 if ok else 1), {'geometric': ok, 'normal_form': nf.to_text()}, [
-        'geometric' if ok else 'not geometric: %s' % nf.to_text()]
+        'geometric' if ok else 'not geometric: %s' % nf.to_text()], []
 
 
 def _handle_euler(s, args, expr):
     out = s.mo.euler(args.m, args.k)
-    return 0, {'euler': out.to_text()}, [out.to_text()]
+    return 0, {'euler': out.to_text()}, [out.to_text()], []
 
 
 def _handle_compare(s, args, expr):
@@ -160,7 +160,7 @@ def _handle_charnum(s, args, expr):
         ident = FreeBZ2Elem(s.table, parts)
         outputs['identify'] = ident.to_text()
         lines.append('class: %s' % ident.to_text())
-    return 0, outputs, lines
+    return 0, outputs, lines, []
 
 
 def _handle_verify(s, args, expr):
@@ -188,13 +188,13 @@ def _handle_basis_table(s, args, expr):
         table[str(d)] = texts
         lines.append('degree %d: %d monomials' % (d, len(texts)))
         lines.extend('  %s' % t for t in texts)
-    return 0, {'table': table}, lines
+    return 0, {'table': table}, lines, []
 
 
 # One row per command, in the order of the help text: its help text, the
 # grammar its expression is read in (None when it reads none), its handler,
-# which returns the exit code, the outputs, the text lines and optionally
-# the checks of the --json report, and its own options. An option is
+# which returns the exit code, the outputs, the text lines and the checks
+# of the --json report, and its own options. An option is
 # (flag, field of args, how its value is read, default, help): read is int,
 # str, a tuple of the values admitted, or None for a flag that takes no
 # value and sets True. A name without dashes is a positional argument that
@@ -447,11 +447,7 @@ def _run_one(session, args, expr):
     start = time.monotonic()
     checks = []
     try:
-        result = _HANDLERS[args.command](session, args, expr)
-        if len(result) == 4:
-            code, outputs, lines, checks = result
-        else:
-            code, outputs, lines = result
+        code, outputs, lines, checks = _HANDLERS[args.command](session, args, expr)
     except (ParseError, ContractViolation) as exc:
         code, outputs, lines = 2, {'error': str(exc)}, ['error: %s' % exc]
     except CapacityError as exc:

@@ -33,7 +33,7 @@ from .boardman import tables
 # not called here any more; kept bound for profilers that patch them by name
 from .charnum import identify_in_n, identify_in_nbo1
 from .errors import CapacityError, ContractViolation
-from .gf2 import BUNDLE, COEFFICIENT, GradedPoly, Memo, ModulePoly, map_monos, memo
+from .gf2 import BUNDLE, COEFFICIENT, GradedPoly, Memo, ModulePoly, map_fields, memo
 
 
 class _Expr:
@@ -188,7 +188,7 @@ class Geometry:
                            for idx, i in table.subscripts['b'].items()}
         self._bundle_vars = tuple(table.family['a'].values()) + tuple(table.family['b'].values())
         self._b_fields = table.mask('b')
-        # keyed by the b fields of a monomial, as gf2.map_monos keeps images
+        # keyed by the b fields of a monomial, as gf2.map_fields keeps images
         self._delta_cache, self._fixed_cache, self._dict_cache = Memo(), Memo(), Memo()
         # keyed by expression, formal monomial and dimension
         self._walk_cache, self._pt_cache = Memo(), Memo()
@@ -240,7 +240,7 @@ class Geometry:
         if not isinstance(expr, _Expr):
             raise _not_an_expression(expr)
         self.coef.check_size('an N_* class of dimension', expr.dim, expr.dim)
-        return GradedPoly(self.table, map_monos(
+        return GradedPoly(self.table, map_fields(
             self.table, self._walk(expr).monos, self._b_fields, self._fixed_cache,
             self._fixed_image))
 
@@ -294,7 +294,7 @@ class Geometry:
         b_i^x goes to c_{i-1}^x e^{-x}, monomials one to one: nothing cancels.
         """
         self.table.admit(poly, GradedPoly, BUNDLE, 'the bundle class')
-        return GradedPoly(self.table, map_monos(
+        return GradedPoly(self.table, map_fields(
             self.table, poly.monos, self._b_fields, self._dict_cache, self._dict_image))
 
     def _dict_image(self, bmono):
@@ -305,7 +305,7 @@ class Geometry:
     def delta(self, poly):
         """Boundary to the free module on s_0, s_1, ... by projectivization."""
         self.table.admit(poly, GradedPoly, BUNDLE, 'the bundle class')
-        return FreeBZ2Elem(self.table, map_monos(
+        return FreeBZ2Elem(self.table, map_fields(
             self.table, poly.monos, self._b_fields, self._delta_cache, self._delta_image))
 
     def _bmult(self, mono):

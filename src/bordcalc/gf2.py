@@ -42,11 +42,11 @@ once and then solves for any number of targets.
 The pieces every GF(2) sum in the package shares live here too: the
 session's alphabet (standard_table), the sum core SparseSum (polynomials
 and presentations differ only in their kind of monomial), parity (the
-monomials of a product, duplicates cancelled), map_monos (a map that
-keeps the image of the part of a monomial under a mask, keyed by its
-fields: the Laurent ring's clearing maps, delta, underlying and
-dictionary), keep (the entry format of those images, which localize
-and alpha fill too, keyed by G factors), square-and-multiply powers,
+monomials of a product, duplicates cancelled), map_monos (the one loop
+of every map that keeps the image of a part of a monomial: keyed by G
+factors for alpha, localize and member's peel, by the fields under a
+mask, through map_fields, for the Laurent ring's clearing maps, delta,
+underlying and dictionary), square-and-multiply powers,
 the one partition enumerator (VarTable.monomials: the monomials of a
 degree in chosen variables, read off VarTable.rows, the rows by degree of
 a variable tuple and of its suffixes, kept as one entry per tuple and
@@ -329,45 +329,49 @@ def product_monos(rows, cols, mul=operator.add):
     return odd
 
 
-def map_monos(table, monos, mask, cache, image):
-    """The image of monos under a map acting on the fields of mask, a
-    frozenset: m goes to image(part) * (m / part), part the monomial of m's
-    fields, for the Laurent ring's clearing maps, delta, underlying and
-    dictionary.
+def map_monos(table, pieces, cache, make):
+    """The image of a sum under a map that acts on a part of each monomial,
+    a frozenset: m goes to image * (m / part) for each (key, m) in pieces,
+    where make(key) gives (part, image), the part of m that key names and
+    the monomials of its image. This is the one loop of the ring maps:
+    alpha, localize and member's peel key a product of G factors
+    (BordismRing._evaluate), map_fields keys the fields under a mask.
 
-    cache, a Memo, keeps each image by those fields as keep's entries, so
-    it is computed once per cache and each monomial costs one shift. Every
-    shift is checked against the limit, since a rest of large degree can
-    carry a kept image past it: a product of valid monomials overflows
-    exactly when their e-free degrees add up past the limit.
-    BordismRing._evaluate, the loop of alpha and localize, keys the same
-    entries by G factors instead."""
+    cache, a Memo, keeps each image by its key as the image minus the part,
+    a tuple (less memory than its set), with its largest e-free degree less
+    the part's, so it is made once per cache and each monomial costs one
+    add per term. Every shift is checked against the limit, since a
+    monomial of large degree can carry a kept image past it: a product of
+    valid monomials overflows exactly when their e-free degrees add up
+    past the limit."""
     efree, limit = table.efree_mask, table.limit
     odd = set()
-    for m in monos:
-        fields = m & mask
-        entry = cache.get(fields)
+    for key, m in pieces:
+        entry = cache.get(key)
         if entry is None:
-            # a packed monomial is its fields plus its degree
-            part = table.pack(table.exponents(fields))
-            entry = keep(table, cache, fields, part, image(part))
+            part, image = make(key)
+            entry = cache[key] = (tuple(map(part.__rsub__, image)),
+                                  max(map(efree.__and__, image), default=0) - (part & efree))
         else:
             cache.hits += 1
-        part, value, top = entry
+        shifted, top = entry
         if (m & efree) + top > limit:
             raise table.overflow()
-        rest = m - part
-        odd ^= {v + rest for v in value}
+        # an image has no repeats, and a shift keeps it so
+        odd ^= {v + m for v in shifted}
     return frozenset(odd)
 
 
-def keep(table, cache, key, part, monos):
-    """The entry cache keeps under key: part, the image monos as a tuple (less
-    memory than its set) and their largest e-free degree less part's."""
-    monos, efree = tuple(monos), table.efree_mask
-    entry = cache[key] = (part, monos, max(map(efree.__and__, monos), default=0)
-                          - (part & efree))
-    return entry
+def map_fields(table, monos, mask, cache, image):
+    """map_monos for a map acting on the fields of mask, keyed by them: m
+    goes to image(part) * (m / part), part the monomial of m's fields. The
+    Laurent ring's clearing maps, delta, underlying and dictionary."""
+    def make(fields):
+        # a packed monomial is its fields plus its degree
+        part = table.pack(table.exponents(fields))
+        return part, image(part)
+    # pieces made in C: zip reuses its pair once the loop has unpacked it
+    return map_monos(table, zip(map(mask.__and__, monos), monos), cache, make)
 
 
 def power(x, n, one, mul=operator.mul):

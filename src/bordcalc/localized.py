@@ -19,7 +19,7 @@ table's families a, c, X and e: a value of the model uses a, c and e
 
 clear_denominators and eval_cleared are the two substitutions of the
 round trip through the model, c_j -> e*X_{j+1} + e^-j and X_n ->
-loc_P(n). Each is one gf2.map_monos call over its family's fields, with
+loc_P(n). Each is one gf2.map_fields call over its family's fields, with
 the ring's memos for the images it has made. clear_denominators makes one
 pass: one OR of the terms (uses_only) tells whether any c_j occurs, the
 substitution fixes e, and the one shift by e^N that clears every negative
@@ -27,7 +27,7 @@ power is added to each term's e power.
 """
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import CLEARED, LAURENT, GradedPoly, Memo, map_monos, memo
+from .gf2 import CLEARED, LAURENT, GradedPoly, Memo, map_fields, memo
 # not called here any more; kept bound for profilers that patch them by name
 from .gf2 import poly_rank, solve_sets
 
@@ -40,7 +40,7 @@ class LaurentRing:
         self.table = coef.table
         # the images of the c parts that clear_denominators maps and of the
         # X parts that eval_cleared maps, each kept by the part's fields as
-        # gf2.map_monos keeps them, and the powers of c_j's and X_n's images
+        # gf2.map_fields keeps them, and the powers of c_j's and X_n's images
         # they multiply, by (variable index, exponent)
         self._clear_c, self._eval_X, self._powers = Memo(), Memo(), Memo()
         # the bits of the c fields, what clear_denominators maps; the
@@ -98,7 +98,7 @@ class LaurentRing:
         n1 = max(0, -x.min_inv_exp())
         # the substitution fixes e, so both clearing shifts are one shift after it
         y = x if x.uses_only('ae') else GradedPoly(
-            table, map_monos(table, x.monos, self._c_fields, self._clear_c, self._image))
+            table, map_fields(table, x.monos, self._c_fields, self._clear_c, self._image))
         n = max(n1, -y.min_inv_exp()) if y else n1
         if not n:
             return 0, y
@@ -110,7 +110,7 @@ class LaurentRing:
         """Evaluate a cleared polynomial at X_n = loc_P(n)."""
         table = self.table
         monos = table.admit(p, GradedPoly, CLEARED, 'the cleared polynomial').monos
-        return GradedPoly(table, map_monos(table, monos, table.mask('X'), self._eval_X,
+        return GradedPoly(table, map_fields(table, monos, table.mask('X'), self._eval_X,
                                            self._image))
 
     def _image(self, part):

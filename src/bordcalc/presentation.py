@@ -44,9 +44,11 @@ rules are the Gamma product formula read in both directions:
 
 with inner products normalized before Gamma is applied. Each step drops
 the measure (Gamma count, total Gamma weight, ordering violations)
-lexicographically, so rewriting ends, and _nf_cache rewrites each monomial
-the cap admits at most once per session: its entry count is the number of
-rule applications.
+lexicographically, so rewriting ends. Gamma kills trivial classes, so it
+and the rules are N_*-linear: nf(c*m) = c*nf(m). _nf_cache keeps the
+normal form of each coefficient-free monomial by its factors and e
+power, rewritten at most once per session, and a coefficient shifts it.
+Its entry count is the number of rule applications.
 """
 
 from collections import namedtuple
@@ -54,7 +56,7 @@ from collections import namedtuple
 from .boardman import tables
 from .errors import CapacityError, ContractViolation, NotDivisible
 from .gf2 import (COEFFICIENT, LAURENT, GradedPoly, MONO_ONE, Memo, ModulePoly,
-                  SparseSum, keep, memo, mono_degree, parity, product_monos)
+                  SparseSum, map_monos, memo, mono_degree, parity, product_monos)
 # not called here any more; kept bound for profilers that patch it by name
 from .gf2 import solve_gf2
 
@@ -107,6 +109,14 @@ def _checked(table, fms):
     return fms
 
 
+def _shifted(table, monos, coef, epow):
+    """The presentation of monos times coef*e^epow: the factors stay as they
+    are, so each monomial stays valid, and only the coefficient can overflow."""
+    out = frozenset([tuple.__new__(FormalMonomial, (fm.coef + coef, fm.gammas, fm.epow + epow))
+                     for fm in monos])
+    return Presentation(table, _checked(table, out) if coef else out)
+
+
 def fm_key(table, fm):
     # the coefficient compares decoded, as the exponent tuples it was
     # before it was packed, so the text's term order stays the same
@@ -141,12 +151,7 @@ class Presentation(SparseSum):
         if len(shift) == 1:
             (f,) = shift
             if not f.gammas:
-                # times c*e^k, a shift: the factors stay as they are, so
-                # each monomial stays valid, and only c can overflow
-                out = frozenset([tuple.__new__(FormalMonomial, (fm.coef + f.coef, fm.gammas,
-                                                               fm.epow + f.epow))
-                                 for fm in monos])
-                return Presentation(table, _checked(table, out) if f.coef else out)
+                return _shifted(table, monos, f.coef, f.epow)
         return Presentation(table, _checked(table, product_monos(monos, shift, fm_mul)))
 
     def size(self):
@@ -204,7 +209,8 @@ class BordismRing:
         self.coef = laurent.coef
         self.table = laurent.table
         # alpha's and localize's images of a product of G factors, by the factors,
-        # which _evaluate fills, and normal forms of non-basis monomials
+        # which _evaluate fills, and normal forms of coefficient-free non-basis
+        # monomials, by (factors, e power)
         self._alpha_cache, self._localize_cache, self._nf_cache = Memo(), Memo(), Memo()
         self._alpha_gamma_cache, self._loc_gamma_cache = Memo(), Memo()
         self._x_cache, self._basis_cache, self._coef_cache = Memo(), Memo(), Memo()
@@ -276,32 +282,18 @@ class BordismRing:
 
     def _evaluate(self, pieces, cache, factor_value):
         """The sum over (gammas, rest) in pieces of rest times the product of
-        factor_value(i, n) over the factors G(i, n) in gammas, a GradedPoly.
-
-        cache keeps the products by gammas as gf2.keep's entries, so each is
-        computed once and each piece costs a shift by its rest, checked
-        against the limit as map_monos checks its shifts.
-        """
+        factor_value(i, n) over the factors G(i, n) in gammas, a GradedPoly,
+        through gf2.map_monos: cache keeps the products by gammas."""
         table = self.table
-        efree, limit = table.efree_mask, table.limit
-        odd = set()
-        for gammas, rest in pieces:
-            entry = cache.get(gammas)
-            if entry is None:
-                val = GradedPoly.one(table)
-                for i, n in gammas:
-                    if not val:
-                        break
-                    val = val * factor_value(i, n)
-                entry = keep(table, cache, gammas, MONO_ONE, val.monos)
-            else:
-                cache.hits += 1
-            _, value, top = entry
-            if (rest & efree) + top > limit:
-                raise table.overflow()
-            # a product has no repeats, and a shift keeps it so
-            odd ^= {v + rest for v in value}
-        return GradedPoly(table, frozenset(odd))
+
+        def product(gammas):
+            val = GradedPoly.one(table)
+            for i, n in gammas:
+                if not val:
+                    break
+                val = val * factor_value(i, n)
+            return MONO_ONE, val.monos
+        return GradedPoly(table, map_monos(table, pieces, cache, product))
 
     @memo('_alpha_gamma_cache')
     def _alpha_gamma(self, i, n):
@@ -395,50 +387,49 @@ class BordismRing:
         # a basis monomial is its own normal form: nothing is kept
         if fm.is_basis():
             return self.single(fm)
-        # a zero normal form is a falsy Presentation: a miss is None
-        result = self._nf_cache.get(fm)
-        if result is not None:
-            self._nf_cache.hits += 1
-            return result
-        gs = fm.gamma_factors()
-        if fm.epow:
-            result = self._rule_euler(fm, gs)
+        # nf(c*m) = c*nf(m): the normal form of the coefficient-free monomial,
+        # kept by (factors, e power), shifted by the coefficient; a zero
+        # normal form is a falsy Presentation, so a miss is None
+        key = fm.gammas, fm.epow
+        result = self._nf_cache.get(key)
+        if result is None:
+            result = self._nf_cache[key] = self._rule(*key)
         else:
-            # the second Gamma factor, or else the smallest X_m below the first
-            u = gs[0]
-            v = gs[1] if len(gs) >= 2 else (0, min(m for m in fm.x_indices() if m < u[1]))
-            result = self._rule_product(fm, u, v)
-        self._nf_cache[fm] = result
-        return result
+            self._nf_cache.hits += 1
+        return _shifted(self.table, result.monos, fm.coef, 0) if fm.coef else result
+
+    def _rule(self, gammas, epow):
+        """The normal form of the coefficient-free non-basis monomial with
+        factors gammas and e power epow, by one rule step."""
+        gs = [g for g in gammas if g[0] >= 1]
+        pool = list(gammas)
+        if epow:
+            # e*G(i, n) = G(i-1, n) + alpha(G(i-1, n))
+            i, n = gs[0]
+            pool.remove((i, n))
+            first = FormalMonomial(MONO_ONE, tuple(sorted(pool + [(i - 1, n)])), epow - 1)
+            second = FormalMonomial(MONO_ONE, tuple(pool), epow - 1)
+            return self._nf_mono(first) + self._nf_alpha(i - 1, n, second)
+        # u*v = Gamma(G(i-1, m) v) + alpha(G(i-1, m)) G(j+1, n) for u = G(i, m),
+        # i >= 1, and v = G(j, n): the second Gamma factor, or else the
+        # smallest X_m below the first
+        (i, m) = u = gs[0]
+        (j, n) = v = gs[1] if len(gs) >= 2 else (0, min(k for h, k in gammas if not h and k < m))
+        pool.remove(u)
+        pool.remove(v)
+        inner = FormalMonomial(MONO_ONE, tuple(sorted([(i - 1, m), v])), 0)
+        rest = self.single(FormalMonomial(MONO_ONE, tuple(pool), 0))
+        second = FormalMonomial(MONO_ONE, tuple(sorted(pool + [(j + 1, n)])), 0)
+        return (self._nf_pres(self._gamma(self._nf_mono(inner)) * rest)
+                + self._nf_alpha(i - 1, m, second))
 
     def _nf_alpha(self, i, n, fm):
-        # normal form of alpha(G(i, n)) * fm
+        # alpha(G(i, n)) times the normal form of fm, scaled after rewriting:
+        # a coefficient times a normal form is normal
         a = self._alpha_gamma(i, n)
         if not a:
             return self.zero()
-        return self._nf_pres(self._coef_scale(self.single(fm), a))
-
-    def _rule_euler(self, fm, gs):
-        # e*G(i, n) = G(i-1, n) + alpha(G(i-1, n))
-        i, n = min(gs)
-        pool = list(fm.gammas)
-        pool.remove((i, n))
-        first = FormalMonomial(fm.coef, tuple(sorted(pool + [(i - 1, n)])), fm.epow - 1)
-        second = FormalMonomial(fm.coef, tuple(pool), fm.epow - 1)
-        return self._nf_mono(first) + self._nf_alpha(i - 1, n, second)
-
-    def _rule_product(self, fm, u, v):
-        # u*v = Gamma(G(i-1, m) v) + alpha(G(i-1, m)) G(j+1, n)
-        # for u = G(i, m), i >= 1, and v = G(j, n)
-        (i, m), (j, n) = u, v
-        pool = list(fm.gammas)
-        pool.remove(u)
-        pool.remove(v)
-        rest = self.single(FormalMonomial(fm.coef, tuple(pool), 0))
-        inner = FormalMonomial(MONO_ONE, tuple(sorted([(i - 1, m), v])), 0)
-        g = self._gamma(self._nf_mono(inner))
-        second = FormalMonomial(fm.coef, tuple(sorted(pool + [(j + 1, n)])), 0)
-        return self._nf_pres(g * rest) + self._nf_alpha(i - 1, m, second)
+        return self._coef_scale(self._nf_mono(fm), a)
 
     # --- localization -----------------------------------------------------
 

@@ -39,14 +39,14 @@ Check = namedtuple('Check', 'name passed detail', defaults=('',))
 
 def default_degree(session, suite='all'):
     """The largest verify degree the cap admits for a suite, None when it admits none."""
-    degree = session.max_degree - COEF_REACH[suite]
+    degree = session.max_degree - _SUITES[suite].reach
     return degree if degree >= _SUITES[suite].least else None
 
 
 def verify(session, suite='all', max_degree=None):
     """Run one suite (or all of them) through max_degree; returns a list of Check results.
 
-    A suite asks for coefficients up to max_degree plus its COEF_REACH, so
+    A suite asks for coefficients up to max_degree plus its reach, so
     a degree past the cap minus that reach is refused up front through
     CoefRing.check_size, and the default is the largest degree admitted.
     A degree below the suite's least degree is refused too: its sweeps
@@ -66,7 +66,7 @@ def verify(session, suite='all', max_degree=None):
     if dmax < row.least:
         raise ContractViolation('verify suite %s sweeps from degree %d, got %d'
                                 % (suite, row.least, dmax))
-    session.coef.check_size('verify degree', dmax, dmax + COEF_REACH[suite])
+    session.coef.check_size('verify degree', dmax, dmax + row.reach)
     try:
         return row.run(session, range(row.least, dmax + 1))
     except (ContractViolation, IntegrityError) as exc:
@@ -364,4 +364,3 @@ ORACLE_SUITES = tuple(name for name, row in _SUITES.items() if not row.in_all)
 # all admits a degree when every suite it runs admits it
 _SUITES['all'] = Suite(_suite_all, max(_SUITES[name].least for name in SUITES),
                        max(_SUITES[name].reach for name in SUITES), False)
-COEF_REACH = {name: row.reach for name, row in _SUITES.items()}

@@ -64,7 +64,7 @@ def test_stats_count_every_memo():
         ('mo', '_coef_cache'), ('boardman', '_h'), ('geometry', '_pt_cache'),
         ('geometry', '_dict_cache'), ('geometry', '_manifold_cache'),
         ('geometry', '_catalog_cache')]} == {
-        ('mo', '_nf_cache'): 111, ('mo', '_localize_cache'): 118, ('mo', '_alpha_cache'): 63,
+        ('mo', '_nf_cache'): 68, ('mo', '_localize_cache'): 118, ('mo', '_alpha_cache'): 63,
         ('mo', '_alpha_gamma_cache'): 28, ('mo', '_loc_gamma_cache'): 32, ('mo', '_x_cache'): 13,
         ('mo', '_basis_cache'): 27, ('geometry', '_delta_cache'): 67,
         ('geometry', '_fixed_cache'): 52, ('geometry', '_walk_cache'): 157,

@@ -94,8 +94,11 @@ def test_cached_images_are_checked_for_overflow():
     # the fixed-point class read off the fixed data b1^2 is RP(2), a2
     assert geo.underlying(Proj(2)).to_text() == 'a2'
     (b1_squared,) = (geo.b(1) ** 2).monos
-    kept = geo._fixed_cache[b1_squared & geo._b_fields]
-    assert GradedPoly(table, kept[1]).to_text() == 'a2'
+    # kept as the image less the part b1^2, and the image's e-free degree
+    # less the part's
+    shifted, top = geo._fixed_cache[b1_squared & geo._b_fields]
+    assert GradedPoly(table, [v + b1_squared for v in shifted]).to_text() == 'a2'
+    assert top == 0
     # the kept images shifted by a coefficient of degree 15 land in N_17,
     # past the cap
     mu = session.coef.a(2) ** 5 * session.coef.a(5)

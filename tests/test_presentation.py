@@ -162,11 +162,11 @@ def test_every_g_product_normalizes_at_cap_12():
 
 
 def test_normal_form_at_cap_32():
-    # 672 monomials rewritten, reached along more than a million paths
-    # through the memo
+    # 101 coefficient-free monomials rewritten, reached along more than a
+    # million paths through the memo
     mo = Session(32).mo
     y = _assert_normal_form(mo, mo.G(1, 2) ** 7 * mo.G(9, 3))
-    assert (len(y.monos), len(mo._nf_cache)) == (856, 672)
+    assert (len(y.monos), len(mo._nf_cache)) == (856, 101)
 
 
 # G(2,5)*G(1,3)*X2, then the query-mix nf questions of seed 1 that rewrite
@@ -483,6 +483,32 @@ def test_one_pass_normal_form_and_gamma_match_the_termwise_reference(terms):
     assert _ONE_PASS.mo.gamma(x).to_text() == _TERMWISE.mo.gamma(y).to_text()
     assert (_ONE_PASS.mo.normal_form(x).to_text()
             == _TERMWISE.mo.normal_form(y).to_text())
+
+
+# sessions at two caps shared across draws, so their memos fill as a
+# session's do
+_CAPPED = {16: Session(16), 24: Session(24)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_CAPPED)), st.lists(_terms, min_size=1, max_size=4),
+       st.lists(st.sampled_from((2, 4, 5, 6)), min_size=1, max_size=2))
+def test_normal_form_is_linear_over_the_coefficients(cap, terms, mu_degrees):
+    # Gamma kills trivial classes, so the rules are N_*-linear: the normal
+    # form of mu*x is that of x with mu added to every coefficient, also
+    # for a sum of terms of several degrees
+    assume(all(sum(ds) + sum(i + n for i, n in fs) + sum(mu_degrees) <= cap
+               for fs, ds, k in terms))
+    session = _CAPPED[cap]
+    mo = session.mo
+    mu = session.coef.one()
+    for d in mu_degrees:
+        mu = mu * session.coef.a(d)
+    (m,) = mu.monos
+    x = _sum_of_terms(session, terms)
+    shifted = Presentation(session.table, [FormalMonomial(fm.coef + m, fm.gammas, fm.epow)
+                                           for fm in mo.normal_form(x).monos])
+    assert mo.normal_form(mo.iota(mu) * x) == shifted, (terms, mu_degrees)
 
 
 @pytest.mark.parametrize('method', ['normal_form', 'gamma', 'alpha', 'bar', 'localize',
